@@ -118,19 +118,21 @@ pub fn certain_from_canonical<I: EvalInput + ?Sized>(
     require_plain_cq(q)?;
     let budget = cx.budget();
     let evaluated = eval_cq_ctx(q, chased, cx)?;
-    let mut out = Relation::new(q.arity());
-    for t in evaluated.iter() {
+    // The evaluated tuples come out sorted, so the kept ones form a
+    // sorted run and the output relation is built once from it.
+    let mut kept = Vec::new();
+    for t in evaluated {
         budget.checkpoint_with(&format_args!(
             "filtering certain answers: {} kept so far",
-            out.len()
+            kept.len()
         ))?;
         vqd_obs::count(vqd_obs::Metric::CertainTuplesChecked, 1);
         if t.iter().all(|v| v.is_named()) {
             vqd_obs::count(vqd_obs::Metric::CertainAnswersKept, 1);
-            out.insert(t.clone());
+            kept.push(t);
         }
     }
-    Ok(out)
+    Ok(Relation::from_tuples(q.arity(), kept))
 }
 
 /// Result of the exact-view certain-answer computation.

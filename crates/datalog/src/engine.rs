@@ -9,7 +9,7 @@
 use crate::rule::{Literal, Program, Rule};
 use crate::stratify::{stratify, NotStratifiable, Stratification};
 use vqd_budget::{Budget, Exhausted, VqdError};
-use vqd_eval::{for_each_hom, Assignment, Ordering};
+use vqd_eval::{for_each_hom, Assignment, Binding, Ordering};
 use vqd_instance::{IndexMaintenance, IndexedInstance, Instance, Value};
 use vqd_obs::Metric;
 use vqd_query::{Atom, Term};
@@ -36,11 +36,8 @@ fn match_atom(atom: &Atom, tuple: &[Value]) -> Option<Assignment> {
     Some(asg)
 }
 
-fn resolve(t: Term, asg: &Assignment) -> Value {
-    match t {
-        Term::Const(c) => c,
-        Term::Var(v) => *asg.get(&v).expect("safe rule: variable bound"),
-    }
+fn resolve(t: Term, asg: &Binding) -> Value {
+    asg.resolve(t).expect("safe rule: variable bound")
 }
 
 /// Fires `rule` over the indexed database with positive atom `skip`'s

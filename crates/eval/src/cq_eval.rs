@@ -5,7 +5,7 @@
 //! the safely negated atoms. Equalities are compiled away up front by
 //! unification, so the homomorphism engine only ever sees positive atoms.
 
-use crate::hom::{for_each_hom_sharded, Assignment, Ordering};
+use crate::hom::{for_each_hom_sharded, Assignment, Binding, Ordering};
 use crate::input::EvalInput;
 use std::collections::BTreeMap;
 use vqd_budget::VqdError;
@@ -139,22 +139,26 @@ pub fn eval_cq_sharded(
     eval_cq_shard(q, index, shard, shards)
 }
 
+/// Head tuples buffered before the first sort-dedup pass.
+const HEAD_BUFFER_MIN: usize = 256;
+
 fn eval_cq_shard(q: &Cq, index: &IndexedInstance, shard: usize, shards: usize) -> Relation {
     let d = index.instance();
-    let mut out = Relation::new(q.arity());
     let Some(q) = normalize_eqs(q) else {
-        return out;
+        return Relation::new(q.arity());
     };
     assert!(
         q.is_safe(),
         "eval_cq: unsafe query (every variable must occur in a positive atom): {q}"
     );
-    let resolve = |t: Term, asg: &Assignment| -> Value {
-        match t {
-            Term::Const(c) => c,
-            Term::Var(v) => *asg.get(&v).expect("safe query: head/constraint var bound"),
-        }
+    let resolve = |t: Term, asg: &Binding| -> Value {
+        asg.resolve(t).expect("safe query: head/constraint var bound")
     };
+    // Heads are buffered and the relation built once at the end. The
+    // buffer is sort-deduped whenever it doubles past its last distinct
+    // size, so it never holds more than about twice the distinct heads.
+    let mut heads: Vec<Vec<Value>> = Vec::new();
+    let mut dedup_at = HEAD_BUFFER_MIN;
     for_each_hom_sharded(
         &q.atoms,
         index,
@@ -176,12 +180,16 @@ fn eval_cq_shard(q: &Cq, index: &IndexedInstance, shard: usize, shards: usize) -
                     return true;
                 }
             }
-            let head: Vec<Value> = q.head.iter().map(|&t| resolve(t, asg)).collect();
-            out.insert(head);
+            heads.push(q.head.iter().map(|&t| resolve(t, asg)).collect());
+            if heads.len() >= dedup_at {
+                heads.sort_unstable();
+                heads.dedup();
+                dedup_at = (2 * heads.len()).max(HEAD_BUFFER_MIN);
+            }
             true
         },
     );
-    out
+    Relation::from_tuples(q.arity(), heads)
 }
 
 /// Evaluates a union of conjunctive queries on any [`EvalInput`] (one

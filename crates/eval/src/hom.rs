@@ -41,86 +41,218 @@ pub enum Ordering {
 /// A partial variable assignment.
 pub type Assignment = BTreeMap<VarId, Value>;
 
-fn resolve(t: Term, asg: &Assignment) -> Option<Value> {
-    match t {
-        Term::Const(c) => Some(c),
-        Term::Var(v) => asg.get(&v).copied(),
-    }
+/// The variable binding a search hands to its callback: one slot per
+/// [`VarId`] the pattern or the `fixed` assignment mentions.
+///
+/// The search binds and unbinds slots in place, so extending the
+/// assignment by one candidate tuple costs no allocation. Callbacks read
+/// it through [`get`](Self::get); [`to_assignment`](Self::to_assignment)
+/// copies it out when a match must outlive the callback.
+#[derive(Clone, Debug)]
+pub struct Binding {
+    slots: Vec<Option<Value>>,
 }
 
-/// Candidate count for an atom under a partial assignment: the size of
-/// the smallest applicable tuple list.
-fn candidate_count(index: &IndexedInstance, atom: &Atom, asg: &Assignment) -> usize {
-    let mut best = index.scan(atom.rel).len();
-    for (c, t) in atom.args.iter().enumerate() {
-        if let Some(v) = resolve(*t, asg) {
-            best = best.min(index.probe(atom.rel, c, v).len());
+impl Binding {
+    fn new(atoms: &[Atom], fixed: &Assignment) -> Binding {
+        let vars = atoms.iter().flat_map(Atom::vars);
+        let width = vars.chain(fixed.keys().copied()).map(|v| v.idx() + 1).max().unwrap_or(0);
+        let mut slots = vec![None; width];
+        for (v, &val) in fixed {
+            slots[v.idx()] = Some(val);
+        }
+        Binding { slots }
+    }
+
+    /// The value bound to `v`, if any.
+    #[inline]
+    pub fn get(&self, v: VarId) -> Option<Value> {
+        self.slots.get(v.idx()).copied().flatten()
+    }
+
+    /// The value `t` denotes under this binding: a constant itself, a
+    /// variable its bound value.
+    #[inline]
+    pub fn resolve(&self, t: Term) -> Option<Value> {
+        match t {
+            Term::Const(c) => Some(c),
+            Term::Var(v) => self.get(v),
         }
     }
-    best
+
+    /// Copies the bound variables out as an [`Assignment`].
+    pub fn to_assignment(&self) -> Assignment {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.map(|val| (VarId(i as u32), val)))
+            .collect()
+    }
 }
 
-/// Candidate tuple ids for an atom under a partial assignment (smallest
-/// applicable list; matches are still re-checked during extension).
-fn candidate_ids(index: &IndexedInstance, atom: &Atom, asg: &Assignment) -> Vec<u32> {
-    let mut best: Option<&[u32]> = None;
-    let mut best_len = index.scan(atom.rel).len();
-    for (c, t) in atom.args.iter().enumerate() {
-        if let Some(v) = resolve(*t, asg) {
-            let probe = index.probe(atom.rel, c, v);
-            if probe.len() < best_len {
-                best = Some(probe);
-                best_len = probe.len();
+/// One backtracking search: the flat binding, its undo trail, and the
+/// engine counters, which are tallied locally and flushed once when the
+/// search ends.
+struct Search<'a, F> {
+    atoms: &'a [Atom],
+    index: &'a IndexedInstance,
+    ordering: Ordering,
+    used: Vec<bool>,
+    binding: Binding,
+    /// Variables bound by the extensions currently on the stack, in
+    /// binding order; a search level undoes its own suffix.
+    trail: Vec<VarId>,
+    candidates: u64,
+    backtracks: u64,
+    prune_hits: u64,
+    f: F,
+}
+
+impl<'a, F: FnMut(&Binding) -> bool> Search<'a, F> {
+    fn new(
+        atoms: &'a [Atom],
+        index: &'a IndexedInstance,
+        fixed: &Assignment,
+        ordering: Ordering,
+        f: F,
+    ) -> Self {
+        let binding = Binding::new(atoms, fixed);
+        Search {
+            atoms,
+            index,
+            ordering,
+            used: vec![false; atoms.len()],
+            trail: Vec::with_capacity(binding.slots.len()),
+            binding,
+            candidates: 0,
+            backtracks: 0,
+            prune_hits: 0,
+            f,
+        }
+    }
+
+    /// The candidate list for `atom` under the current binding: the
+    /// shortest posting list of a bound column (`Some`) when one is
+    /// strictly shorter than the relation, else the full scan (`None`),
+    /// plus its length.
+    fn candidates_for(&self, atom: &Atom) -> (Option<&'a [u32]>, usize) {
+        let index = self.index;
+        let mut best = None;
+        let mut best_len = index.scan(atom.rel).len();
+        for (c, &t) in atom.args.iter().enumerate() {
+            if let Some(v) = self.binding.resolve(t) {
+                let probe = index.probe(atom.rel, c, v);
+                if probe.len() < best_len {
+                    best = Some(probe);
+                    best_len = probe.len();
+                }
+            }
+        }
+        (best, best_len)
+    }
+
+    /// Picks the next atom and its candidate list in one probe pass.
+    fn pick(&self) -> Option<(usize, Option<&'a [u32]>, usize)> {
+        let mut unused = self.used.iter().enumerate().filter(|(_, u)| !**u).map(|(i, _)| i);
+        match self.ordering {
+            Ordering::Static => unused.next().map(|i| {
+                let (list, len) = self.candidates_for(&self.atoms[i]);
+                (i, list, len)
+            }),
+            Ordering::MostConstrained => {
+                let mut best: Option<(usize, Option<&'a [u32]>, usize)> = None;
+                for i in unused {
+                    let (list, len) = self.candidates_for(&self.atoms[i]);
+                    if best.is_none_or(|(_, _, c)| len < c) {
+                        best = Some((i, list, len));
+                    }
+                }
+                best
             }
         }
     }
-    match best {
-        Some(ids) => {
+
+    /// Extends the binding so `atom` matches `tuple`, pushing newly bound
+    /// variables on the trail; on a clash, undoes its own bindings and
+    /// returns `false`.
+    fn try_match(&mut self, atom: &Atom, tuple: &[Value]) -> bool {
+        let mark = self.trail.len();
+        for (&term, &val) in atom.args.iter().zip(tuple.iter()) {
+            let ok = match term {
+                Term::Const(c) => c == val,
+                Term::Var(v) => match self.binding.slots[v.idx()] {
+                    Some(existing) => existing == val,
+                    None => {
+                        self.binding.slots[v.idx()] = Some(val);
+                        self.trail.push(v);
+                        true
+                    }
+                },
+            };
+            if !ok {
+                self.undo(mark);
+                return false;
+            }
+        }
+        true
+    }
+
+    fn undo(&mut self, mark: usize) {
+        for v in self.trail.drain(mark..) {
+            self.binding.slots[v.idx()] = None;
+        }
+    }
+
+    /// Explores the subtrees rooted at candidates `start, start + step, …`
+    /// of the next atom. Returns `false` iff the callback stopped the
+    /// enumeration.
+    fn descend(&mut self, start: usize, step: usize) -> bool {
+        let Some((i, list, len)) = self.pick() else {
+            return (self.f)(&self.binding);
+        };
+        if list.is_some() {
             // A posting list beat the full scan: the index pruned the
             // candidate space for this extension.
-            vqd_obs::count(Metric::HomPruneHits, 1);
-            ids.to_vec()
+            self.prune_hits += 1;
         }
-        None => (0..best_len as u32).collect(),
-    }
-}
-
-/// Tries to extend `asg` so it matches `atom` against `tuple`; returns the
-/// variables newly bound (for backtracking) or `None` on clash.
-fn try_match(atom: &Atom, tuple: &[Value], asg: &mut Assignment) -> Option<Vec<VarId>> {
-    let mut bound = Vec::new();
-    for (term, &val) in atom.args.iter().zip(tuple.iter()) {
-        match term {
-            Term::Const(c) => {
-                if *c != val {
-                    unbind(asg, &bound);
-                    return None;
+        let (atoms, index) = (self.atoms, self.index);
+        let atom = &atoms[i];
+        self.used[i] = true;
+        // Root-level sharding strides the candidate positions before any
+        // per-candidate accounting, so the shards' HomCandidatesTried
+        // counts sum exactly to sequential.
+        for pos in (start..len).step_by(step) {
+            let id = list.map_or(pos as u32, |ids| ids[pos]);
+            self.candidates += 1;
+            let mark = self.trail.len();
+            if self.try_match(atom, index.tuple(atom.rel, id)) {
+                let go_on = self.descend(0, 1);
+                self.undo(mark);
+                if !go_on {
+                    self.used[i] = false;
+                    return false;
                 }
+            } else {
+                self.backtracks += 1;
             }
-            Term::Var(v) => match asg.get(v) {
-                Some(&existing) if existing != val => {
-                    unbind(asg, &bound);
-                    return None;
-                }
-                Some(_) => {}
-                None => {
-                    asg.insert(*v, val);
-                    bound.push(*v);
-                }
-            },
         }
+        // This atom's candidates are exhausted: backtrack to the caller.
+        self.backtracks += 1;
+        self.used[i] = false;
+        true
     }
-    Some(bound)
-}
 
-fn unbind(asg: &mut Assignment, bound: &[VarId]) {
-    for v in bound {
-        asg.remove(v);
+    fn run(mut self, start: usize, step: usize) -> bool {
+        let completed = self.descend(start, step);
+        vqd_obs::count(Metric::HomCandidatesTried, self.candidates);
+        vqd_obs::count(Metric::HomBacktracks, self.backtracks);
+        vqd_obs::count(Metric::HomPruneHits, self.prune_hits);
+        completed
     }
 }
 
 /// Enumerates homomorphisms from `atoms` into the indexed instance that
-/// extend `fixed`, invoking `f` on each complete assignment. `f` returns
+/// extend `fixed`, invoking `f` on each complete binding. `f` returns
 /// `false` to stop the enumeration early; the function returns `false` iff
 /// it was stopped.
 pub fn for_each_hom(
@@ -128,11 +260,9 @@ pub fn for_each_hom(
     index: &IndexedInstance,
     fixed: &Assignment,
     ordering: Ordering,
-    mut f: impl FnMut(&Assignment) -> bool,
+    f: impl FnMut(&Binding) -> bool,
 ) -> bool {
-    let mut asg = fixed.clone();
-    let mut used = vec![false; atoms.len()];
-    search(atoms, index, &mut used, &mut asg, ordering, None, &mut f)
+    Search::new(atoms, index, fixed, ordering, f).run(0, 1)
 }
 
 /// [`for_each_hom`] over one stride of the root candidate list: shard
@@ -154,79 +284,15 @@ pub fn for_each_hom_sharded(
     ordering: Ordering,
     shard: usize,
     shards: usize,
-    mut f: impl FnMut(&Assignment) -> bool,
+    f: impl FnMut(&Binding) -> bool,
 ) -> bool {
     assert!(shards >= 1 && shard < shards, "shard {shard} of {shards} is out of range");
-    if shards == 1 {
-        return for_each_hom(atoms, index, fixed, ordering, f);
-    }
-    let mut asg = fixed.clone();
-    if atoms.is_empty() {
+    if atoms.is_empty() && shard != 0 {
         // No root atom to stride over: the identity hom belongs to
         // exactly one shard.
-        return shard != 0 || f(&asg);
+        return true;
     }
-    let mut used = vec![false; atoms.len()];
-    search(atoms, index, &mut used, &mut asg, ordering, Some((shard, shards)), &mut f)
-}
-
-fn search(
-    atoms: &[Atom],
-    index: &IndexedInstance,
-    used: &mut [bool],
-    asg: &mut Assignment,
-    ordering: Ordering,
-    stride: Option<(usize, usize)>,
-    f: &mut impl FnMut(&Assignment) -> bool,
-) -> bool {
-    // Pick the next atom.
-    let next = match ordering {
-        Ordering::Static => used.iter().position(|u| !u),
-        Ordering::MostConstrained => {
-            let mut best: Option<(usize, usize)> = None;
-            for (i, u) in used.iter().enumerate() {
-                if *u {
-                    continue;
-                }
-                let count = candidate_count(index, &atoms[i], asg);
-                if best.is_none_or(|(_, c)| count < c) {
-                    best = Some((i, count));
-                }
-            }
-            best.map(|(i, _)| i)
-        }
-    };
-    let Some(i) = next else {
-        return f(asg);
-    };
-    used[i] = true;
-    // Own the candidate id list (cheap: Vec<u32>) so no borrow of the
-    // index's hash maps is held across the recursive call.
-    let mut cands = candidate_ids(index, &atoms[i], asg);
-    if let Some((shard, shards)) = stride {
-        // Root-level sharding: keep this shard's stride of the root
-        // candidates *before* any per-candidate accounting, so the
-        // shards' HomCandidatesTried counts sum exactly to sequential.
-        cands = cands.into_iter().skip(shard).step_by(shards).collect();
-    }
-    for id in cands {
-        vqd_obs::count(Metric::HomCandidatesTried, 1);
-        let tuple = index.tuple(atoms[i].rel, id);
-        if let Some(bound) = try_match(&atoms[i], tuple, asg) {
-            if !search(atoms, index, used, asg, ordering, None, f) {
-                unbind(asg, &bound);
-                used[i] = false;
-                return false;
-            }
-            unbind(asg, &bound);
-        } else {
-            vqd_obs::count(Metric::HomBacktracks, 1);
-        }
-    }
-    // This atom's candidates are exhausted: backtrack to the caller.
-    vqd_obs::count(Metric::HomBacktracks, 1);
-    used[i] = false;
-    true
+    Search::new(atoms, index, fixed, ordering, f).run(shard, shards)
 }
 
 /// Finds one homomorphism extending `fixed`, if any.
@@ -236,8 +302,8 @@ pub fn find_hom(
     fixed: &Assignment,
 ) -> Option<Assignment> {
     let mut found = None;
-    for_each_hom(atoms, index, fixed, Ordering::MostConstrained, |asg| {
-        found = Some(asg.clone());
+    for_each_hom(atoms, index, fixed, Ordering::MostConstrained, |b| {
+        found = Some(b.to_assignment());
         false
     });
     found
@@ -460,7 +526,7 @@ mod tests {
             &Assignment::new(),
             Ordering::MostConstrained,
             |asg| {
-                assert!(asg.is_empty());
+                assert!(asg.to_assignment().is_empty());
                 count += 1;
                 true
             },
@@ -521,7 +587,7 @@ mod tests {
         let index = IndexedInstance::from_instance(&d);
         let mut sequential = BTreeSet::new();
         for_each_hom(&q.atoms, &index, &Assignment::new(), Ordering::MostConstrained, |asg| {
-            sequential.insert(asg.clone());
+            sequential.insert(asg.to_assignment());
             true
         });
         for shards in [1usize, 2, 3, 4, 7] {
@@ -536,7 +602,7 @@ mod tests {
                     shard,
                     shards,
                     |asg| {
-                        merged.insert(asg.clone());
+                        merged.insert(asg.to_assignment());
                         total += 1;
                         true
                     },

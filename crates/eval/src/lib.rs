@@ -47,7 +47,7 @@ pub use cq_eval::{
 pub use fo_eval::{eval_fo, eval_fo_budgeted, evaluation_universe};
 pub use hom::{
     find_hom, for_each_hom, for_each_hom_sharded, hom_exists, instance_hom,
-    instance_hom_with_index, Assignment, Ordering,
+    instance_hom_with_index, Assignment, Binding, Ordering,
 };
 pub use input::{EvalInput, IndexCow};
 pub use minimize::{minimize_cq, minimize_cq_exhaustive, minimize_ucq};

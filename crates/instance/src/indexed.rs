@@ -26,6 +26,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::instance::Instance;
 use crate::relation::Tuple;
@@ -33,6 +34,49 @@ use crate::schema::{RelId, Schema};
 use crate::small::SmallTuple;
 use crate::value::Value;
 use vqd_obs::Metric;
+
+/// A multiplicative hasher for posting-map keys.
+///
+/// A [`Value`] hashes as a flavour tag plus one interned `u32` id, so
+/// SipHash's per-key setup dominates every probe. This hasher folds
+/// each word in with one rotate, xor and multiply. It is not
+/// collision-resistant, and need not be: interned ids and null labels
+/// are handed out sequentially by the parser and the chase, never
+/// chosen by a client, so an adversary cannot aim keys at one bucket.
+#[derive(Clone, Copy, Default)]
+struct ValueHasher(u64);
+
+impl ValueHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for ValueHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    /// The interned id or null label.
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    /// The derived `Hash` writes the enum discriminant as an `isize`.
+    fn write_isize(&mut self, n: isize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// value → arena ids of the tuples holding it, for one column.
+type Postings = HashMap<Value, Vec<u32>, BuildHasherDefault<ValueHasher>>;
 
 /// Index maintenance policy — an ablation knob for the fixpoint engines.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -98,7 +142,7 @@ pub struct IndexedInstance {
     /// order; arity ≤ [`crate::small::INLINE_ARITY`] stored inline.
     arena: Vec<Vec<SmallTuple>>,
     /// `by_col[rel][col][value]` — arena ids of tuples with `value` at `col`.
-    by_col: Vec<Vec<HashMap<Value, Vec<u32>>>>,
+    by_col: Vec<Vec<Postings>>,
     generation: u64,
     maintenance: IndexMaintenance,
     dirty: bool,
@@ -159,8 +203,8 @@ impl IndexedInstance {
         self.arena.clear();
         self.by_col.clear();
         for (rel, decl) in self.instance.schema().iter() {
-            let mut cols: Vec<HashMap<Value, Vec<u32>>> =
-                (0..decl.arity).map(|_| HashMap::new()).collect();
+            let mut cols: Vec<Postings> =
+                (0..decl.arity).map(|_| Postings::default()).collect();
             let mut tuples = Vec::with_capacity(self.instance.rel(rel).len());
             for t in self.instance.rel(rel).iter() {
                 let id = tuples.len() as u32;

@@ -27,16 +27,22 @@ impl Relation {
         Relation { arity, tuples: BTreeSet::new() }
     }
 
-    /// Builds a relation from tuples.
+    /// Builds a relation from tuples (duplicates collapse).
+    ///
+    /// This is a bulk build: the tuples are gathered, sorted once, and
+    /// the set is built bottom-up from the sorted run, instead of one
+    /// tree descent per tuple. Already-sorted input sorts in linear
+    /// time.
     ///
     /// # Panics
     /// Panics if a tuple's length differs from `arity`.
     pub fn from_tuples(arity: usize, tuples: impl IntoIterator<Item = Tuple>) -> Self {
-        let mut r = Relation::new(arity);
-        for t in tuples {
-            r.insert(t);
+        let tuples: Vec<Tuple> = tuples.into_iter().collect();
+        for t in &tuples {
+            assert_eq!(t.len(), arity, "tuple arity mismatch: relation has arity {arity}");
         }
-        r
+        // `BTreeSet`'s `FromIterator` sorts its input and bulk-loads it.
+        Relation { arity, tuples: tuples.into_iter().collect() }
     }
 
     /// The arity (column count).
@@ -230,6 +236,16 @@ impl Relation {
                 idx[pos] = 0;
             }
         }
+    }
+}
+
+impl IntoIterator for Relation {
+    type Item = Tuple;
+    type IntoIter = std::collections::btree_set::IntoIter<Tuple>;
+
+    /// Consumes the relation, yielding its tuples in canonical order.
+    fn into_iter(self) -> Self::IntoIter {
+        self.tuples.into_iter()
     }
 }
 

@@ -28,7 +28,7 @@ use crate::term::{Atom, Term, VarId};
 use crate::view::QueryExpr;
 use std::collections::HashMap;
 use std::fmt;
-use vqd_instance::{DomainNames, Instance, Schema};
+use vqd_instance::{DomainNames, Instance, Relation, Schema, Tuple};
 
 /// A parse error with a (line, column) position.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,10 +57,11 @@ impl From<ParseError> for vqd_budget::VqdError {
 
 type PResult<T> = Result<T, ParseError>;
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
-    Int(String),
+/// A token; identifiers and numbers borrow their text from the source.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tok<'s> {
+    Ident(&'s str),
+    Int(&'s str),
     LParen,
     RParen,
     Comma,
@@ -78,7 +79,7 @@ enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -105,14 +106,17 @@ impl fmt::Display for Tok {
 struct Lexer;
 
 impl Lexer {
-    fn lex(src: &str) -> PResult<Vec<(Tok, usize, usize)>> {
+    fn lex(src: &str) -> PResult<Vec<(Tok<'_>, usize, usize)>> {
         let mut out = Vec::new();
         let mut line = 1usize;
         let mut col = 1usize;
         let mut chars = src.chars().peekable();
+        // Byte offset of the next unread character.
+        let mut at = 0usize;
         macro_rules! bump {
             () => {{
                 let c = chars.next();
+                at += c.map_or(0, char::len_utf8);
                 if c == Some('\n') {
                     line += 1;
                     col = 1;
@@ -237,28 +241,26 @@ impl Lexer {
                     }
                 }
                 c2 if c2.is_ascii_alphabetic() || c2 == '_' => {
-                    let mut s = String::new();
+                    let start = at;
                     while let Some(&c3) = chars.peek() {
                         if c3.is_ascii_alphanumeric() || c3 == '_' || c3 == '\'' {
-                            s.push(c3);
                             bump!();
                         } else {
                             break;
                         }
                     }
-                    out.push((Tok::Ident(s), l, c));
+                    out.push((Tok::Ident(&src[start..at]), l, c));
                 }
                 c2 if c2.is_ascii_digit() => {
-                    let mut s = String::new();
+                    let start = at;
                     while let Some(&c3) = chars.peek() {
                         if c3.is_ascii_digit() {
-                            s.push(c3);
                             bump!();
                         } else {
                             break;
                         }
                     }
-                    out.push((Tok::Int(s), l, c));
+                    out.push((Tok::Int(&src[start..at]), l, c));
                 }
                 other => {
                     return Err(ParseError {
@@ -291,16 +293,16 @@ impl Program {
     }
 }
 
-struct Parser<'a> {
-    toks: Vec<(Tok, usize, usize)>,
+struct Parser<'a, 's> {
+    toks: Vec<(Tok<'s>, usize, usize)>,
     pos: usize,
     schema: &'a Schema,
     names: &'a mut DomainNames,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].0
+impl<'s> Parser<'_, 's> {
+    fn peek(&self) -> Tok<'s> {
+        self.toks[self.pos].0
     }
 
     fn here(&self) -> (usize, usize) {
@@ -312,15 +314,15 @@ impl<'a> Parser<'a> {
         Err(ParseError { message: msg.into(), line, col })
     }
 
-    fn next(&mut self) -> Tok {
-        let t = self.toks[self.pos].0.clone();
+    fn next(&mut self) -> Tok<'s> {
+        let t = self.toks[self.pos].0;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, t: &Tok) -> PResult<()> {
+    fn expect(&mut self, t: Tok<'_>) -> PResult<()> {
         if self.peek() == t {
             self.next();
             Ok(())
@@ -329,8 +331,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn ident(&mut self) -> PResult<String> {
-        match self.peek().clone() {
+    fn ident(&mut self) -> PResult<&'s str> {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.next();
                 Ok(s)
@@ -348,37 +350,37 @@ impl<'a> Parser<'a> {
         // name -> list of parsed CQ disjuncts (for rule defs).
         let mut rule_defs: Vec<(String, Vec<Cq>)> = Vec::new();
         let mut defs: Vec<(String, QueryExpr)> = Vec::new();
-        while *self.peek() != Tok::Eof {
+        while self.peek() != Tok::Eof {
             let name = self.ident()?;
-            self.expect(&Tok::LParen)?;
+            self.expect(Tok::LParen)?;
             // Head terms are parsed into a temporary; variables are scoped
             // per rule, so we defer resolution until we know the def kind.
             let mut head_names: Vec<HeadTerm> = Vec::new();
-            if *self.peek() != Tok::RParen {
+            if self.peek() != Tok::RParen {
                 loop {
                     head_names.push(self.head_term()?);
-                    if *self.peek() == Tok::Comma {
+                    if self.peek() == Tok::Comma {
                         self.next();
                     } else {
                         break;
                     }
                 }
             }
-            self.expect(&Tok::RParen)?;
-            match self.peek().clone() {
+            self.expect(Tok::RParen)?;
+            match self.peek() {
                 Tok::ColonDash => {
                     self.next();
                     let cq = self.rule_body(&head_names)?;
                     match rule_defs.iter_mut().find(|(n, _)| *n == name) {
                         Some((_, ds)) => ds.push(cq),
-                        None => rule_defs.push((name.clone(), vec![cq])),
+                        None => rule_defs.push((name.to_owned(), vec![cq])),
                     }
                 }
                 Tok::ColonEq => {
                     self.next();
                     let q = self.fo_def(&head_names)?;
-                    defs.push((name, QueryExpr::Fo(q)));
-                    self.expect(&Tok::Dot)?;
+                    defs.push((name.to_owned(), QueryExpr::Fo(q)));
+                    self.expect(Tok::Dot)?;
                 }
                 other => return self.err(format!("expected `:-` or `:=`, found {other}")),
             }
@@ -395,62 +397,62 @@ impl<'a> Parser<'a> {
         Ok(Program { defs })
     }
 
-    fn head_term(&mut self) -> PResult<HeadTerm> {
-        match self.peek().clone() {
+    fn head_term(&mut self) -> PResult<HeadTerm<'s>> {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.next();
-                if Self::is_var_name(&s) {
+                if Self::is_var_name(s) {
                     Ok(HeadTerm::Var(s))
                 } else {
-                    Ok(HeadTerm::Const(self.names.intern(&s)))
+                    Ok(HeadTerm::Const(self.names.intern(s)))
                 }
             }
             Tok::Int(s) => {
                 self.next();
-                Ok(HeadTerm::Const(self.names.intern(&s)))
+                Ok(HeadTerm::Const(self.names.intern(s)))
             }
             other => self.err(format!("expected term, found {other}")),
         }
     }
 
     fn term_in(&mut self, scope: &mut Scope, declare: bool) -> PResult<Term> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.next();
-                if Self::is_var_name(&s) {
-                    match scope.lookup(&s) {
+                if Self::is_var_name(s) {
+                    match scope.lookup(s) {
                         Some(v) => Ok(Term::Var(v)),
-                        None if declare => Ok(Term::Var(scope.declare(&s))),
+                        None if declare => Ok(Term::Var(scope.declare(s))),
                         None => {
                             self.err(format!("variable `{s}` is not in scope"))
                         }
                     }
                 } else {
-                    Ok(Term::Const(self.names.intern(&s)))
+                    Ok(Term::Const(self.names.intern(s)))
                 }
             }
             Tok::Int(s) => {
                 self.next();
-                Ok(Term::Const(self.names.intern(&s)))
+                Ok(Term::Const(self.names.intern(s)))
             }
             other => self.err(format!("expected term, found {other}")),
         }
     }
 
     fn atom_args(&mut self, scope: &mut Scope, declare: bool) -> PResult<Vec<Term>> {
-        self.expect(&Tok::LParen)?;
+        self.expect(Tok::LParen)?;
         let mut args = Vec::new();
-        if *self.peek() != Tok::RParen {
+        if self.peek() != Tok::RParen {
             loop {
                 args.push(self.term_in(scope, declare)?);
-                if *self.peek() == Tok::Comma {
+                if self.peek() == Tok::Comma {
                     self.next();
                 } else {
                     break;
                 }
             }
         }
-        self.expect(&Tok::RParen)?;
+        self.expect(Tok::RParen)?;
         Ok(args)
     }
 
@@ -465,7 +467,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn rule_body(&mut self, head: &[HeadTerm]) -> PResult<Cq> {
+    fn rule_body(&mut self, head: &[HeadTerm<'_>]) -> PResult<Cq> {
         let mut q = Cq::new(self.schema);
         let mut scope = Scope::new();
         // Declare head variables first so their VarIds are the leading ones.
@@ -477,21 +479,21 @@ impl<'a> Parser<'a> {
             })
             .collect();
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::Bang => {
                     self.next();
                     let name = self.ident()?;
                     let args = self.atom_args(&mut scope, true)?;
-                    let rel = self.resolve_rel(&name, args.len())?;
+                    let rel = self.resolve_rel(name, args.len())?;
                     q.neg_atoms.push(Atom::new(rel, args));
                 }
                 Tok::Ident(name) => {
                     // Could be an atom `R(..)` or a term in `t = u` / `t != u`.
                     let save = self.pos;
                     self.next();
-                    if *self.peek() == Tok::LParen {
+                    if self.peek() == Tok::LParen {
                         let args = self.atom_args(&mut scope, true)?;
-                        let rel = self.resolve_rel(&name, args.len())?;
+                        let rel = self.resolve_rel(name, args.len())?;
                         q.atoms.push(Atom::new(rel, args));
                     } else {
                         self.pos = save;
@@ -541,7 +543,7 @@ impl<'a> Parser<'a> {
         Ok(q)
     }
 
-    fn fo_def(&mut self, head: &[HeadTerm]) -> PResult<FoQuery> {
+    fn fo_def(&mut self, head: &[HeadTerm<'_>]) -> PResult<FoQuery> {
         let mut scope = Scope::new();
         let mut free = Vec::new();
         for h in head {
@@ -577,10 +579,10 @@ impl<'a> Parser<'a> {
                 self.next();
                 let mut vars = Vec::new();
                 loop {
-                    match self.peek().clone() {
-                        Tok::Ident(n) if Self::is_var_name(&n) => {
+                    match self.peek() {
+                        Tok::Ident(n) if Self::is_var_name(n) => {
                             self.next();
-                            vars.push((n.clone(), scope.push_shadow(&n)));
+                            vars.push((n, scope.push_shadow(n)));
                         }
                         Tok::Dot => break,
                         other => {
@@ -589,7 +591,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                self.expect(&Tok::Dot)?;
+                self.expect(Tok::Dot)?;
                 let body = self.fo(scope)?;
                 let ids: Vec<VarId> = vars.iter().map(|(_, v)| *v).collect();
                 for (n, _) in vars.iter().rev() {
@@ -607,7 +609,7 @@ impl<'a> Parser<'a> {
 
     fn fo_iff(&mut self, scope: &mut Scope) -> PResult<Fo> {
         let mut lhs = self.fo_implies(scope)?;
-        while *self.peek() == Tok::DArrow {
+        while self.peek() == Tok::DArrow {
             self.next();
             let rhs = self.fo_implies(scope)?;
             lhs = Fo::iff(lhs, rhs);
@@ -617,7 +619,7 @@ impl<'a> Parser<'a> {
 
     fn fo_implies(&mut self, scope: &mut Scope) -> PResult<Fo> {
         let lhs = self.fo_or(scope)?;
-        if *self.peek() == Tok::Arrow {
+        if self.peek() == Tok::Arrow {
             self.next();
             let rhs = self.fo_implies(scope)?; // right associative
             Ok(Fo::implies(lhs, rhs))
@@ -628,7 +630,7 @@ impl<'a> Parser<'a> {
 
     fn fo_or(&mut self, scope: &mut Scope) -> PResult<Fo> {
         let mut parts = vec![self.fo_and(scope)?];
-        while *self.peek() == Tok::Pipe {
+        while self.peek() == Tok::Pipe {
             self.next();
             parts.push(self.fo_and(scope)?);
         }
@@ -641,7 +643,7 @@ impl<'a> Parser<'a> {
 
     fn fo_and(&mut self, scope: &mut Scope) -> PResult<Fo> {
         let mut parts = vec![self.fo_unary(scope)?];
-        while *self.peek() == Tok::Amp {
+        while self.peek() == Tok::Amp {
             self.next();
             parts.push(self.fo_unary(scope)?);
         }
@@ -653,7 +655,7 @@ impl<'a> Parser<'a> {
     }
 
     fn fo_unary(&mut self, scope: &mut Scope) -> PResult<Fo> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Tilde => {
                 self.next();
                 Ok(Fo::not(self.fo_unary(scope)?))
@@ -661,24 +663,24 @@ impl<'a> Parser<'a> {
             Tok::LParen => {
                 self.next();
                 let inner = self.fo(scope)?;
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 Ok(inner)
             }
-            Tok::Ident(s) if s == "true" => {
+            Tok::Ident("true") => {
                 self.next();
                 Ok(Fo::True)
             }
-            Tok::Ident(s) if s == "false" => {
+            Tok::Ident("false") => {
                 self.next();
                 Ok(Fo::False)
             }
-            Tok::Ident(s) if s == "forall" || s == "exists" => self.fo(scope),
+            Tok::Ident("forall" | "exists") => self.fo(scope),
             Tok::Ident(s) => {
                 let save = self.pos;
                 self.next();
-                if *self.peek() == Tok::LParen {
+                if self.peek() == Tok::LParen {
                     let args = self.atom_args(scope, false)?;
-                    let rel = self.resolve_rel(&s, args.len())?;
+                    let rel = self.resolve_rel(s, args.len())?;
                     Ok(Fo::Atom(Atom::new(rel, args)))
                 } else {
                     self.pos = save;
@@ -707,8 +709,8 @@ impl<'a> Parser<'a> {
 }
 
 #[derive(Debug)]
-enum HeadTerm {
-    Var(String),
+enum HeadTerm<'s> {
+    Var(&'s str),
     Const(vqd_instance::Value),
 }
 
@@ -799,24 +801,24 @@ pub fn parse_instance(
 ) -> PResult<Instance> {
     let toks = Lexer::lex(src)?;
     let mut p = Parser { toks, pos: 0, schema, names };
-    let mut inst = Instance::empty(schema);
-    while *p.peek() != Tok::Eof {
+    // Facts are gathered per relation and each relation is bulk-built
+    // once at the end, instead of one set insertion per fact.
+    let mut facts: Vec<Vec<Tuple>> = vec![Vec::new(); schema.len()];
+    while p.peek() != Tok::Eof {
         let name = p.ident()?;
         let mut scope = Scope::new();
         let args = p.atom_args(&mut scope, false)?;
-        let rel = p.resolve_rel(&name, args.len())?;
-        let tuple: Result<Vec<_>, _> = args
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => Ok(*c),
-                Term::Var(_) => Err(()),
-            })
-            .collect();
-        let Ok(tuple) = tuple else {
+        let rel = p.resolve_rel(name, args.len())?;
+        let tuple: Option<Tuple> = args.into_iter().map(Term::as_const).collect();
+        let Some(tuple) = tuple else {
             return p.err("facts must be ground (no variables)");
         };
-        p.expect(&Tok::Dot)?;
-        inst.insert(rel, tuple);
+        p.expect(Tok::Dot)?;
+        facts[rel.idx()].push(tuple);
+    }
+    let mut inst = Instance::empty(schema);
+    for ((rel, decl), tuples) in schema.iter().zip(facts) {
+        *inst.rel_mut(rel) = Relation::from_tuples(decl.arity, tuples);
     }
     Ok(inst)
 }

@@ -142,6 +142,12 @@ pub struct InstanceCache {
     tier: Option<Arc<DiskTier>>,
     clock: AtomicU64,
     next_handle: AtomicU64,
+    /// Bumped after every handle-table mutation; see
+    /// [`snapshot_handles`](Self::snapshot_handles).
+    handle_gen: AtomicU64,
+    /// The handle-table generation the newest on-disk snapshot covers.
+    /// Its mutex is the single writer every snapshot goes through.
+    snapshot_gen: Mutex<u64>,
     entries: AtomicU64,
     bytes: AtomicU64,
     hits: AtomicU64,
@@ -186,6 +192,8 @@ impl InstanceCache {
             tier,
             clock: AtomicU64::new(0),
             next_handle: AtomicU64::new(0),
+            handle_gen: AtomicU64::new(0),
+            snapshot_gen: Mutex::new(0),
             entries: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -278,6 +286,7 @@ impl InstanceCache {
         self.insert(handle.clone(), Slot::Handle(entry), bytes);
         self.puts.fetch_add(1, Ordering::Relaxed);
         self.registry.counter("cache.puts").inc();
+        self.handle_gen.fetch_add(1, Ordering::SeqCst);
         self.snapshot_handles();
         handle
     }
@@ -311,6 +320,7 @@ impl InstanceCache {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 self.registry.counter("cache.evictions").inc();
                 self.publish_gauges();
+                self.handle_gen.fetch_add(1, Ordering::SeqCst);
                 self.snapshot_handles();
                 true
             }
@@ -455,16 +465,35 @@ impl InstanceCache {
                 }
             }
             if lost_handle {
+                self.handle_gen.fetch_add(1, Ordering::SeqCst);
                 self.snapshot_handles();
             }
         }
     }
 
     /// Atomically snapshots the current handle table into the disk tier
-    /// (no-op without one). Locks shards one at a time, never while
-    /// holding another lock.
+    /// (no-op without one). Callers bump `handle_gen` after their
+    /// mutation and then call this.
+    ///
+    /// Concurrent callers are serialized on `snapshot_gen`, and each one
+    /// collects the table *after* reading the generation it will record.
+    /// A snapshot recorded at generation `g` therefore contains every
+    /// mutation that bumped the generation to `g` or below, so a caller
+    /// whose own generation is already covered skips the write, and no
+    /// older table is ever renamed over a newer one. Shard locks are
+    /// taken one at a time under the writer mutex; the mutation paths
+    /// never hold a shard lock while waiting for it.
     fn snapshot_handles(&self) {
         let Some(tier) = &self.tier else { return };
+        let wanted = self.handle_gen.load(Ordering::SeqCst);
+        let mut written = match self.snapshot_gen.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        if *written >= wanted {
+            return; // a snapshot taken after our mutation already covers it
+        }
+        let generation = self.handle_gen.load(Ordering::SeqCst);
         let mut handles: Vec<(String, HandleEntry)> = Vec::new();
         for shard in &self.shards {
             let guard = match shard.lock() {
@@ -478,7 +507,9 @@ impl InstanceCache {
             }
         }
         handles.sort_by(|a, b| a.0.cmp(&b.0));
-        tier.snapshot_handles(&handles, self.next_handle.load(Ordering::Relaxed));
+        if tier.snapshot_handles(&handles, self.next_handle.load(Ordering::SeqCst)) {
+            *written = generation;
+        }
     }
 
     /// Test hook: poisons the shard holding `key` by panicking a scoped

@@ -542,12 +542,19 @@ impl DiskTier {
     /// failure drops the record from the offset index and returns `None`
     /// — a clean miss (re-chase on the caller's side re-spills).
     pub fn load(&self, key: &str) -> Option<Arc<IndexedInstance>> {
-        let loc = self.lock().index.get(key).copied();
-        let Some((offset, len)) = loc else {
+        // Open the segment while the offset is still valid: a compaction
+        // may rename a rewritten segment over the path as soon as the
+        // lock is released, but the open descriptor keeps reading the
+        // file the offset belongs to (appends never move records).
+        let found = {
+            let state = self.lock();
+            state.index.get(key).map(|&loc| (loc, File::open(self.segment_path())))
+        };
+        let Some(((offset, len), file)) = found else {
             self.note_miss();
             return None;
         };
-        match self.read_and_verify(key, offset, len) {
+        match self.read_and_verify(key, file, offset, len) {
             Ok(index) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.registry.counter("cache.disk_hits").inc();
@@ -570,12 +577,13 @@ impl DiskTier {
     fn read_and_verify(
         &self,
         key: &str,
+        file: io::Result<File>,
         offset: u64,
         len: u64,
     ) -> Result<IndexedInstance, bool> {
         let mut buf = vec![0u8; len as usize];
         let read = (|| -> io::Result<()> {
-            let mut file = File::open(self.segment_path())?;
+            let mut file = file?;
             file.seek(SeekFrom::Start(offset))?;
             if self.faults.fires(DiskFault::ReadError) {
                 return Err(io::Error::other("injected read error"));
@@ -748,8 +756,13 @@ impl DiskTier {
 
     /// Atomically snapshots the handle table (tmp + rename), so a
     /// restarted server resolves pre-restart handles and never reissues
-    /// a live handle name. Failures demote to counted no-ops.
-    pub fn snapshot_handles(&self, handles: &[(String, HandleEntry)], next_handle: u64) {
+    /// a live handle name. Failures demote to counted no-ops; returns
+    /// whether the snapshot was published.
+    ///
+    /// All writers share one tmp path, so concurrent calls must be
+    /// serialized by the caller (the instance cache funnels them through
+    /// one writer).
+    pub fn snapshot_handles(&self, handles: &[(String, HandleEntry)], next_handle: u64) -> bool {
         let mut payload = Vec::new();
         payload.push(KIND_HANDLES);
         put_u64(&mut payload, next_handle);
@@ -773,6 +786,7 @@ impl DiskTier {
         if result.is_err() {
             self.note_io_error();
         }
+        result.is_ok()
     }
 
     /// Restores the handle table snapshot, or `None` when absent or
@@ -1051,6 +1065,62 @@ mod tests {
         assert!(t.contains("d:k5"), "the newest record always survives");
         assert!(!t.contains("d:k0"), "the oldest spill goes first");
         assert!(t.load("d:k5").is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn loads_racing_compaction_never_fail() {
+        use std::sync::atomic::AtomicBool;
+        let dir = temp_dir();
+        let probe = {
+            let t = tier(&dir);
+            t.spill("d:probe", &sample_index(8));
+            t.counters().bytes
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+        // A budget of about three records: every third spill compacts,
+        // renaming a rewritten segment over the one loads are reading.
+        let t = DiskTier::open(
+            DiskConfig { dir: dir.clone(), max_bytes: probe * 3 },
+            Arc::new(Registry::new()),
+        );
+        let spilled = AtomicU32::new(0);
+        let done = AtomicBool::new(false);
+        let hits: u64 = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..1000u32 {
+                    t.spill(&format!("d:k{i}"), &sample_index(8));
+                    spilled.store(i + 1, Ordering::Release);
+                }
+                done.store(true, Ordering::Release);
+            });
+            // More loaders than cores, so a loader is regularly
+            // descheduled between finding an offset and reading it.
+            let loaders: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut hits = 0u64;
+                        while !done.load(Ordering::Acquire) {
+                            // The newest key always survives compaction;
+                            // older ones are dropped as clean misses.
+                            let newest = spilled.load(Ordering::Acquire);
+                            for i in newest.saturating_sub(3)..newest {
+                                if let Some(loaded) = t.load(&format!("d:k{i}")) {
+                                    assert_eq!(loaded.instance().total_tuples(), 9);
+                                    hits += 1;
+                                }
+                            }
+                        }
+                        hits
+                    })
+                })
+                .collect();
+            loaders.into_iter().map(|l| l.join().expect("loader thread")).sum()
+        });
+        let c = t.counters();
+        assert_eq!(c.io_errors, 0, "a load must never read a renamed-over segment");
+        assert_eq!(c.corrupt_dropped, 0, "a load must never land on another record");
+        assert!(hits > 0, "the loader must have raced real loads");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

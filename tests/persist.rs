@@ -8,7 +8,8 @@
 //!   `index_builds: 0` — the chased canonical database came back from
 //!   disk, not from a re-chase;
 //! * the handle table and the handle counter survive restarts: old
-//!   handles keep answering and new handles never collide;
+//!   handles keep answering and new handles never collide — including
+//!   handles acknowledged to many clients putting concurrently;
 //! * a RAM-budget-starved restart leaves entries disk-only and the
 //!   first request **promotes** them (an honestly-charged cheaper miss);
 //! * every injected fault class — short write, read error, torn tail,
@@ -437,5 +438,64 @@ fn cache_stats_disk_fields_are_additive_on_the_wire() {
         }
         other => panic!("unexpected outcome {other:?}"),
     }
+    srv.shutdown();
+}
+
+#[test]
+fn concurrent_puts_keep_every_acknowledged_handle_across_restart() {
+    const THREADS: usize = 8;
+    const PUTS: usize = 16;
+    let dir = TempDir::new();
+    // Room for every handle, so LRU pressure never drops one.
+    let caps = || {
+        let mut caps = persistent_caps(dir.path());
+        caps.cache.max_entries = 4 * THREADS * PUTS;
+        caps
+    };
+
+    let srv = spawn_with(caps());
+    let acknowledged: Vec<(String, String)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let srv = &srv;
+                scope.spawn(move || {
+                    let mut c = client(srv);
+                    (0..PUTS)
+                        .map(|i| {
+                            // Distinct extents, so every handle has its
+                            // own answer to compare after the restart.
+                            let extent = format!("V(A{t},B{i}). V(B{i},C{t}). V(C{t},D{i}).");
+                            let (handle, _) = c.put_instance("V/2", &extent).expect("put");
+                            let reply =
+                                c.call_raw(&pinned(&certain_by_handle(&handle))).expect("answer");
+                            assert!(
+                                matches!(reply.outcome, Outcome::CertainAnswers { .. }),
+                                "{reply:?}"
+                            );
+                            (handle, rendered_without(&reply, &["work"]))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().expect("put thread")).collect()
+    });
+    assert_eq!(acknowledged.len(), THREADS * PUTS);
+    assert_eq!(
+        disk_counters(&srv).io_errors,
+        0,
+        "concurrent handle snapshots must never race each other"
+    );
+    srv.shutdown();
+
+    // Every acknowledged handle resolves after the restart and answers
+    // byte-identically (modulo work).
+    let srv = spawn_with(caps());
+    let mut c = client(&srv);
+    for (handle, before) in &acknowledged {
+        let reply = c.call_raw(&pinned(&certain_by_handle(handle))).expect("post-restart");
+        assert_eq!(&rendered_without(&reply, &["work"]), before, "handle {handle}");
+    }
+    assert_eq!(disk_counters(&srv).io_errors, 0);
     srv.shutdown();
 }
