@@ -49,7 +49,9 @@
 //! same directory; the report's `restart` section records the cold
 //! start time, whether a pre-restart handle survived with a
 //! byte-identical answer, the first request's `index_builds` (0 means
-//! the warm restore did its job), and post-restart latency.
+//! the warm restore did its job), and post-restart latency. A run with
+//! `--cache-dir` also fails when the server counted any disk I/O error:
+//! no faults are injected here, so every `disk_io_errors` is a bug.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -286,13 +288,17 @@ struct ConnStats {
     /// Handle-request latencies, split by whether the server reused the
     /// cached index (`index_builds == 0` in the work envelope). Client
     /// vectors are round-trip (queueing included); server vectors are
-    /// the work envelope's own `elapsed_ms`, isolating engine cost.
+    /// the profiled reply's `timeline.exec_us` in ms — execution only,
+    /// at µs resolution. (The work envelope's `elapsed_ms` is the budget
+    /// clock: it starts at admission, so it includes queue wait, and it
+    /// is truncated to whole milliseconds.)
     hit_latencies_ms: Vec<f64>,
     miss_latencies_ms: Vec<f64>,
     hit_server_ms: Vec<f64>,
     miss_server_ms: Vec<f64>,
-    /// Per-fragment server-side latencies, keyed by the reply's own
-    /// `fragment` attribution (`project-select` / `path` /
+    /// Per-fragment server-side execution latencies (ms, from
+    /// `timeline.exec_us`), keyed by the reply's own `fragment`
+    /// attribution (`project-select` / `path` /
     /// `undecidable-in-general`): the fast-path vs budgeted split.
     fragment_server_ms: std::collections::BTreeMap<String, Vec<f64>>,
     /// Probes whose reply attribution disagreed with the client's
@@ -346,6 +352,7 @@ fn drive_connection(
         }
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
         stats.latencies_ms.push(elapsed_ms);
+        let exec_ms = response.timeline.as_ref().map(|tl| tl.exec_us as f64 / 1e3);
         if let Some(tl) = &response.timeline {
             for (slot, us) in [tl.frame_us, tl.queue_us, tl.exec_us, tl.reorder_us, tl.write_us]
                 .into_iter()
@@ -354,12 +361,8 @@ fn drive_connection(
                 stats.phase_us[slot].push(us as f64);
             }
         }
-        if let Some(tag) = &response.fragment {
-            stats
-                .fragment_server_ms
-                .entry(tag.clone())
-                .or_default()
-                .push(response.work.elapsed_ms as f64);
+        if let (Some(tag), Some(exec_ms)) = (&response.fragment, exec_ms) {
+            stats.fragment_server_ms.entry(tag.clone()).or_default().push(exec_ms);
         }
         if let Some(expected) = expected_fragment {
             if response.fragment.as_deref() != Some(expected) {
@@ -373,13 +376,13 @@ fn drive_connection(
             }
         }
         if is_handle_req && matches!(response.outcome, Outcome::CertainAnswers { .. }) {
-            if response.work.index_builds == 0 {
-                stats.hit_latencies_ms.push(elapsed_ms);
-                stats.hit_server_ms.push(response.work.elapsed_ms as f64);
+            let (client_ms, server_ms) = if response.work.index_builds == 0 {
+                (&mut stats.hit_latencies_ms, &mut stats.hit_server_ms)
             } else {
-                stats.miss_latencies_ms.push(elapsed_ms);
-                stats.miss_server_ms.push(response.work.elapsed_ms as f64);
-            }
+                (&mut stats.miss_latencies_ms, &mut stats.miss_server_ms)
+            };
+            client_ms.push(elapsed_ms);
+            server_ms.extend(exec_ms);
         }
         match response.outcome {
             Outcome::Error { kind, message } => {
@@ -699,10 +702,12 @@ fn main() {
     let registry_after = registry.as_ref().map(|r| r.snapshot());
     // Server-side cache counters, read over the wire so external
     // (`--addr`) targets report them too.
-    let cache_counters = Client::connect(addr)
-        .ok()
-        .and_then(|mut c| c.cache_stats().ok())
-        .and_then(|outcome| match outcome {
+    let cache_stats = Client::connect(addr).ok().and_then(|mut c| c.cache_stats().ok());
+    let disk_io_errors_seen = match &cache_stats {
+        Some(Outcome::CacheStatsSnapshot { disk_io_errors, .. }) => *disk_io_errors,
+        _ => 0,
+    };
+    let cache_counters = cache_stats.and_then(|outcome| match outcome {
             Outcome::CacheStatsSnapshot {
                 entries,
                 bytes,
@@ -891,8 +896,10 @@ fn main() {
     ];
     {
         // Router attribution: one entry per fragment the server tagged,
-        // plus the headline fast-path vs budgeted comparison. Server-side
-        // `elapsed_ms` is used so queueing noise does not blur the split.
+        // plus the headline fast-path vs budgeted comparison. The
+        // server-side `timeline.exec_us` is used, not the work envelope's
+        // `elapsed_ms`: that budget clock starts at admission, so queue
+        // wait would blur the split.
         let mut per_fragment: Vec<(String, Value)> = Vec::new();
         for (tag, ms) in &mut all.fragment_server_ms {
             ms.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
@@ -1009,7 +1016,7 @@ fn main() {
     );
     println!(
         "handle cache: {hits} hits / {misses} misses ({:.0}% hit) | \
-         server-side p50 hit {:.0}ms vs miss {:.0}ms | {} re-puts",
+         server-side exec p50 hit {:.3}ms vs miss {:.3}ms | {} re-puts",
         hit_ratio * 100.0,
         percentile(&all.hit_server_ms, 0.50),
         percentile(&all.miss_server_ms, 0.50),
@@ -1025,11 +1032,16 @@ fn main() {
         if fragment_line.is_empty() { "(none)".to_owned() } else { fragment_line.join(", ") },
         all.fragment_mismatches
     );
+    let disk_faulted = args.cache_dir.is_some() && disk_io_errors_seen > 0;
+    if disk_faulted {
+        eprintln!("loadgen: {disk_io_errors_seen} disk I/O errors without injected faults");
+    }
     if panics > 0
         || failures > 0
         || completed == 0
         || all.fragment_mismatches > 0
         || !connections_ok
+        || disk_faulted
     {
         std::process::exit(1)
     }

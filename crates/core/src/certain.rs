@@ -18,7 +18,7 @@
 use crate::answering::for_each_preimage;
 use vqd_budget::VqdError;
 use vqd_chase::{v_inverse_indexed, CqViews};
-use vqd_eval::{eval_cq_ctx, eval_query, EvalInput};
+use vqd_eval::{eval_cq_rows, eval_query, EvalInput};
 use vqd_exec::ExecInput;
 use vqd_instance::{IndexedInstance, Instance, NullGen, Relation};
 use vqd_query::{Cq, CqLang, QueryExpr, ViewSet};
@@ -105,11 +105,11 @@ pub fn canonical_database_budgeted(
 ///
 /// This is the hot path intra-request parallelism targets: under a
 /// parallel [`ExecCtx`](vqd_exec::ExecCtx) the homomorphism space is
-/// strided per root candidate across the engine pool and the shard
-/// relations merge canonically, so the evaluated relation — and
-/// therefore the filtered certain answers, which are computed in one
-/// sequential pass so the budget's step count stays exactly the
-/// sequential one — is byte-identical.
+/// strided per root candidate across the engine pool and the shard rows
+/// merge canonically, so the evaluated rows — and therefore the
+/// filtered certain answers, which are computed in one sequential pass
+/// so the budget's step count stays exactly the sequential one — are
+/// byte-identical.
 pub fn certain_from_canonical<I: EvalInput + ?Sized>(
     q: &Cq,
     chased: &I,
@@ -117,11 +117,11 @@ pub fn certain_from_canonical<I: EvalInput + ?Sized>(
 ) -> Result<Relation, VqdError> {
     require_plain_cq(q)?;
     let budget = cx.budget();
-    let evaluated = eval_cq_ctx(q, chased, cx)?;
-    // The evaluated tuples come out sorted, so the kept ones form a
-    // sorted run and the output relation is built once from it.
+    let evaluated = eval_cq_rows(q, chased, cx)?;
+    // The evaluated rows come out distinct and sorted, so the kept ones
+    // form a sorted run and the output relation is built once from it.
     let mut kept = Vec::new();
-    for t in evaluated {
+    for t in evaluated.iter() {
         budget.checkpoint_with(&format_args!(
             "filtering certain answers: {} kept so far",
             kept.len()
@@ -129,7 +129,7 @@ pub fn certain_from_canonical<I: EvalInput + ?Sized>(
         vqd_obs::count(vqd_obs::Metric::CertainTuplesChecked, 1);
         if t.iter().all(|v| v.is_named()) {
             vqd_obs::count(vqd_obs::Metric::CertainAnswersKept, 1);
-            kept.push(t);
+            kept.push(t.to_vec());
         }
     }
     Ok(Relation::from_tuples(q.arity(), kept))

@@ -121,7 +121,7 @@ pub fn eval_cq_with_index(q: &Cq, index: &IndexedInstance) -> Relation {
 }
 
 fn eval_cq_core(q: &Cq, index: &IndexedInstance) -> Relation {
-    eval_cq_shard(q, index, 0, 1)
+    eval_cq_shard(q, index, 0, 1).into_relation()
 }
 
 /// Evaluates one root-candidate shard of a conjunctive query: shard
@@ -136,16 +136,126 @@ pub fn eval_cq_sharded(
     shard: usize,
     shards: usize,
 ) -> Relation {
-    eval_cq_shard(q, index, shard, shards)
+    eval_cq_shard(q, index, shard, shards).into_relation()
 }
 
-/// Head tuples buffered before the first sort-dedup pass.
+/// The distinct answer rows of a conjunctive query, sorted in [`Value`]
+/// order and stored flat: row `i` is `values[i * arity..(i + 1) * arity]`.
+/// This is what [`eval_cq_rows`] returns, so a caller that filters the
+/// answers (the certain-answer null filter) builds one [`Relation`] from
+/// the rows it keeps instead of one from every evaluated row.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Rows {
+    arity: usize,
+    len: usize,
+    values: Vec<Value>,
+}
+
+impl Rows {
+    fn new(arity: usize) -> Rows {
+        Rows { arity, len: 0, values: Vec::new() }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The rows in ascending order (for arity 0: at most one empty row).
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Value]> + '_ {
+        (0..self.len).map(move |i| &self.values[i * self.arity..(i + 1) * self.arity])
+    }
+
+    /// The rows as a relation.
+    pub fn into_relation(self) -> Relation {
+        Relation::from_tuples(self.arity, self.iter().map(<[Value]>::to_vec))
+    }
+
+    fn push(&mut self, row: impl IntoIterator<Item = Value>) {
+        self.values.extend(row);
+        self.len += 1;
+    }
+
+    /// Appends `other`'s rows; the result needs a [`Rows::sort_dedup`].
+    fn append(&mut self, other: Rows) {
+        self.values.extend(other.values);
+        self.len += other.len;
+    }
+
+    /// Sorts the rows in [`Value`] order and drops duplicates. Rows of
+    /// arity 1–4 sort as fixed arrays of packed keys; wider rows sort
+    /// through a permutation.
+    fn sort_dedup(&mut self) {
+        if self.len <= 1 {
+            return; // already sorted and distinct
+        }
+        match self.arity {
+            0 => self.len = 1,
+            1 => self.sort_dedup_packed::<1>(),
+            2 => self.sort_dedup_packed::<2>(),
+            3 => self.sort_dedup_packed::<3>(),
+            4 => self.sort_dedup_packed::<4>(),
+            _ => self.sort_dedup_wide(),
+        }
+    }
+
+    fn sort_dedup_packed<const K: usize>(&mut self) {
+        let mut keys: Vec<[u64; K]> = self
+            .values
+            .chunks_exact(K)
+            .map(|row| std::array::from_fn(|j| pack(row[j])))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        self.values.clear();
+        self.values.extend(keys.iter().flatten().map(|&k| unpack(k)));
+        self.len = keys.len();
+    }
+
+    fn sort_dedup_wide(&mut self) {
+        let a = self.arity;
+        let row = |i: usize| &self.values[i * a..(i + 1) * a];
+        let mut order: Vec<usize> = (0..self.len).collect();
+        order.sort_unstable_by(|&i, &j| row(i).cmp(row(j)));
+        order.dedup_by(|i, j| row(*i) == row(*j));
+        let values: Vec<Value> = order.iter().flat_map(|&i| row(i)).copied().collect();
+        self.len = order.len();
+        self.values = values;
+    }
+}
+
+/// An order-preserving `u64` key for a [`Value`]: `Named(i)` → `i`,
+/// `Null(i)` → `2^32 + i`. `Value` orders every named constant before
+/// every null and then by index, and so do the keys.
+#[inline]
+fn pack(v: Value) -> u64 {
+    match v {
+        Value::Named(i) => u64::from(i),
+        Value::Null(i) => (1 << 32) | u64::from(i),
+    }
+}
+
+#[inline]
+fn unpack(k: u64) -> Value {
+    if k >> 32 == 0 {
+        Value::Named(k as u32)
+    } else {
+        Value::Null(k as u32)
+    }
+}
+
+/// Head rows buffered before the first sort-dedup pass.
 const HEAD_BUFFER_MIN: usize = 256;
 
-fn eval_cq_shard(q: &Cq, index: &IndexedInstance, shard: usize, shards: usize) -> Relation {
+fn eval_cq_shard(q: &Cq, index: &IndexedInstance, shard: usize, shards: usize) -> Rows {
     let d = index.instance();
     let Some(q) = normalize_eqs(q) else {
-        return Relation::new(q.arity());
+        return Rows::new(q.arity());
     };
     assert!(
         q.is_safe(),
@@ -154,11 +264,12 @@ fn eval_cq_shard(q: &Cq, index: &IndexedInstance, shard: usize, shards: usize) -
     let resolve = |t: Term, asg: &Binding| -> Value {
         asg.resolve(t).expect("safe query: head/constraint var bound")
     };
-    // Heads are buffered and the relation built once at the end. The
-    // buffer is sort-deduped whenever it doubles past its last distinct
-    // size, so it never holds more than about twice the distinct heads.
-    let mut heads: Vec<Vec<Value>> = Vec::new();
+    // Heads are buffered flat and sort-deduped whenever the buffer
+    // doubles past its last distinct size, so it never holds more than
+    // about twice the distinct heads.
+    let mut rows = Rows::new(q.arity());
     let mut dedup_at = HEAD_BUFFER_MIN;
+    let mut negated: Vec<Value> = Vec::new();
     for_each_hom_sharded(
         &q.atoms,
         index,
@@ -175,21 +286,22 @@ fn eval_cq_shard(q: &Cq, index: &IndexedInstance, shard: usize, shards: usize) -
             }
             // Safely negated atoms: fully ground under asg; require absence.
             for na in &q.neg_atoms {
-                let tuple: Vec<Value> = na.args.iter().map(|&t| resolve(t, asg)).collect();
-                if d.rel(na.rel).contains(&tuple) {
+                negated.clear();
+                negated.extend(na.args.iter().map(|&t| resolve(t, asg)));
+                if d.rel(na.rel).contains(&negated) {
                     return true;
                 }
             }
-            heads.push(q.head.iter().map(|&t| resolve(t, asg)).collect());
-            if heads.len() >= dedup_at {
-                heads.sort_unstable();
-                heads.dedup();
-                dedup_at = (2 * heads.len()).max(HEAD_BUFFER_MIN);
+            rows.push(q.head.iter().map(|&t| resolve(t, asg)));
+            if rows.len() >= dedup_at {
+                rows.sort_dedup();
+                dedup_at = (2 * rows.len()).max(HEAD_BUFFER_MIN);
             }
             true
         },
     );
-    Relation::from_tuples(q.arity(), heads)
+    rows.sort_dedup();
+    rows
 }
 
 /// Evaluates a union of conjunctive queries on any [`EvalInput`] (one
@@ -211,9 +323,9 @@ pub fn eval_ucq_with_index(u: &Ucq, index: &IndexedInstance) -> Relation {
 
 /// [`eval_cq`] under an execution context: with a parallel
 /// [`ExecCtx`](vqd_exec::ExecCtx) the root-candidate shards of the
-/// homomorphism search run on the engine pool and their results merge
-/// in shard order — byte-identical to the sequential answer, since
-/// shards partition the hom space and [`Relation`] is canonical. With a
+/// homomorphism search run on the engine pool and their rows merge —
+/// byte-identical to the sequential answer, since shards partition the
+/// hom space and the merged rows are sorted and deduplicated. With a
 /// bare [`Budget`](vqd_budget::Budget) (or a sequential context) this
 /// *is* [`eval_cq`].
 pub fn eval_cq_ctx<I: EvalInput + ?Sized>(
@@ -221,18 +333,29 @@ pub fn eval_cq_ctx<I: EvalInput + ?Sized>(
     input: &I,
     cx: &impl ExecInput,
 ) -> Result<Relation, VqdError> {
+    eval_cq_rows(q, input, cx).map(Rows::into_relation)
+}
+
+/// [`eval_cq_ctx`]'s answer as distinct sorted [`Rows`], before any
+/// [`Relation`] is built.
+pub fn eval_cq_rows<I: EvalInput + ?Sized>(
+    q: &Cq,
+    input: &I,
+    cx: &impl ExecInput,
+) -> Result<Rows, VqdError> {
     let index = input.index();
     match cx.exec() {
         Some(ec) if ec.is_parallel() => {
             let shards = ec.parallelism();
-            let parts = ec.run_shards(shards, |i| Ok(eval_cq_sharded(q, &index, i, shards)))?;
-            let mut out = Relation::new(q.arity());
-            for part in &parts {
-                out.union_with(part);
+            let parts = ec.run_shards(shards, |i| Ok(eval_cq_shard(q, &index, i, shards)))?;
+            let mut out = Rows::new(q.arity());
+            for part in parts {
+                out.append(part);
             }
+            out.sort_dedup();
             Ok(out)
         }
-        _ => Ok(eval_cq_core(q, &index)),
+        _ => Ok(eval_cq_shard(q, &index, 0, 1)),
     }
 }
 
@@ -430,6 +553,51 @@ mod tests {
             let cx = ExecCtx::with_parallelism(Budget::unlimited(), par);
             assert_eq!(eval_cq_ctx(&cq, &d, &cx).unwrap(), seq_cq, "parallelism {par}");
             assert_eq!(eval_ucq_ctx(&u, &d, &cx).unwrap(), seq_ucq, "parallelism {par}");
+        }
+    }
+
+    #[test]
+    fn row_kernel_sorts_like_value_order_at_every_width() {
+        use vqd_instance::null;
+        // Values chosen so nulls interleave with constants whose ids
+        // are larger, and ids straddle the 32-bit packing boundary.
+        let pool = [named(0), named(7), named(u32::MAX), null(0), null(3), null(u32::MAX)];
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        for arity in 0..=6 {
+            let mut rows = Rows::new(arity);
+            let mut want = std::collections::BTreeSet::new();
+            for _ in 0..300 {
+                let row: Vec<Value> = (0..arity)
+                    .map(|_| {
+                        seed ^= seed << 13;
+                        seed ^= seed >> 7;
+                        seed ^= seed << 17;
+                        pool[(seed % pool.len() as u64) as usize]
+                    })
+                    .collect();
+                rows.push(row.iter().copied());
+                want.insert(row);
+            }
+            rows.sort_dedup();
+            let got: Vec<Vec<Value>> = rows.iter().map(<[Value]>::to_vec).collect();
+            assert_eq!(got, want.into_iter().collect::<Vec<_>>(), "arity {arity}");
+        }
+    }
+
+    #[test]
+    fn rows_merge_shards_into_the_sequential_answer() {
+        let d = instance(&[(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (0, 2)], &[1, 3]);
+        let index = IndexedInstance::from_instance(&d);
+        for src in ["Q(x,y) :- E(x,z), E(z,y).", "Q() :- E(x,y).", "Q(y,x,y,z,x) :- E(x,y), E(y,z)."] {
+            let cq = q(src);
+            let seq = eval_cq_shard(&cq, &index, 0, 1);
+            let mut merged = Rows::new(cq.arity());
+            for shard in 0..3 {
+                merged.append(eval_cq_shard(&cq, &index, shard, 3));
+            }
+            merged.sort_dedup();
+            assert_eq!(merged, seq, "{src}");
+            assert_eq!(seq.clone().into_relation(), eval_cq(&cq, &d), "{src}");
         }
     }
 

@@ -41,8 +41,8 @@ pub use containment::{
     cq_equivalent, freeze, ucq_contained, ucq_equivalent, BoundedContainment,
 };
 pub use cq_eval::{
-    eval_cq, eval_cq_ctx, eval_cq_sharded, eval_cq_with_index, eval_ucq, eval_ucq_ctx,
-    eval_ucq_with_index, normalize_eqs,
+    eval_cq, eval_cq_ctx, eval_cq_rows, eval_cq_sharded, eval_cq_with_index, eval_ucq,
+    eval_ucq_ctx, eval_ucq_with_index, normalize_eqs, Rows,
 };
 pub use fo_eval::{eval_fo, eval_fo_budgeted, evaluation_universe};
 pub use hom::{

@@ -251,18 +251,18 @@ impl Instance {
 
     /// Renders the instance using human-readable constant names where
     /// available.
-    pub fn render(&self, names: &crate::value::DomainNames) -> String {
+    pub fn render(&self, names: &impl crate::value::NameLookup) -> String {
         let mut out = String::new();
-        let mut first = true;
-        for (rel, d) in self.schema.iter() {
-            if !first {
+        for (i, (rel, d)) in self.schema.iter().enumerate() {
+            if i > 0 {
                 out.push('\n');
             }
-            first = false;
+            out.push_str(&d.name);
+            out.push_str(" = ");
             if d.arity == 0 {
-                out.push_str(&format!("{} = {}", d.name, self.rel(rel).truth()));
+                out.push_str(if self.rel(rel).truth() { "true" } else { "false" });
             } else {
-                out.push_str(&format!("{} = {}", d.name, self.rel(rel).render(names)));
+                self.rel(rel).render_into(names, &mut out);
             }
         }
         out

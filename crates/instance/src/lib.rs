@@ -42,4 +42,4 @@ pub use instance::Instance;
 pub use relation::{Relation, Tuple};
 pub use small::{SmallTuple, INLINE_ARITY};
 pub use schema::{RelDecl, RelId, Schema};
-pub use value::{named, null, DomainNames, NullGen, Value};
+pub use value::{named, null, DomainNames, NameLookup, NameTable, NullGen, Value};

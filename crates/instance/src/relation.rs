@@ -6,7 +6,7 @@
 //! determinacy machinery leans on (determinacy compares view images for
 //! *exact* equality, not isomorphism).
 
-use crate::value::Value;
+use crate::value::{NameLookup, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -183,23 +183,30 @@ impl Relation {
 
     /// Renders the relation using human-readable constant names where
     /// available.
-    pub fn render(&self, names: &crate::value::DomainNames) -> String {
-        let mut out = String::from("{");
+    pub fn render(&self, names: &impl NameLookup) -> String {
+        let mut out = String::new();
+        self.render_into(names, &mut out);
+        out
+    }
+
+    /// [`Relation::render`] appended to `out`: names are copied straight
+    /// into the buffer, with no `String` per value.
+    pub fn render_into(&self, names: &impl NameLookup, out: &mut String) {
+        out.push('{');
         for (i, t) in self.tuples.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
             out.push('(');
-            for (j, v) in t.iter().enumerate() {
+            for (j, &v) in t.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&names.render(*v));
+                names.render_into(v, out);
             }
             out.push(')');
         }
         out.push('}');
-        out
     }
 
     /// The full relation `A^k` over a value universe `A`.

@@ -164,7 +164,9 @@ impl DomainNames {
 
     /// Renders `v` using this table, falling back to the raw display form.
     pub fn render(&self, v: Value) -> String {
-        self.name_of(v).map_or_else(|| v.to_string(), str::to_owned)
+        let mut out = String::new();
+        self.render_into(v, &mut out);
+        out
     }
 
     /// Number of interned names.
@@ -175,6 +177,94 @@ impl DomainNames {
     /// Whether no names have been interned.
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
+    }
+}
+
+/// Where rendering reads the display names of [`Value::Named`] values:
+/// a live [`DomainNames`] or a frozen [`NameTable`].
+pub trait NameLookup {
+    /// The display name of `v`, if `v` is a named constant with a
+    /// recorded name.
+    fn name_of(&self, v: Value) -> Option<&str>;
+
+    /// Appends the rendering of `v` to `out`: its name when recorded,
+    /// else its [`Display`](fmt::Display) form.
+    fn render_into(&self, v: Value, out: &mut String) {
+        match self.name_of(v) {
+            Some(name) => out.push_str(name),
+            None => {
+                use fmt::Write as _;
+                let _ = write!(out, "{v}");
+            }
+        }
+    }
+}
+
+impl NameLookup for DomainNames {
+    fn name_of(&self, v: Value) -> Option<&str> {
+        DomainNames::name_of(self, v)
+    }
+}
+
+/// A read-only snapshot of a [`DomainNames`] id→name table, stored as
+/// one string plus `u32` end offsets: two allocations however many
+/// names it holds, against one `String` per name (twice, with the
+/// reverse map) in the interner. It renders exactly like the table it
+/// was frozen from.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct NameTable {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl NameTable {
+    /// Freezes `names`' id→name table.
+    pub fn new(names: &DomainNames) -> NameTable {
+        NameTable::from_names(names.names.iter().map(String::as_str))
+    }
+
+    /// A table whose id `i` names the `i`-th item.
+    ///
+    /// # Panics
+    /// Panics if the names total more than `u32::MAX` bytes.
+    pub fn from_names<'a>(names: impl IntoIterator<Item = &'a str>) -> NameTable {
+        let mut table = NameTable::default();
+        for name in names {
+            table.text.push_str(name);
+            table.ends.push(u32::try_from(table.text.len()).expect("name table overflow"));
+        }
+        table
+    }
+
+    /// The names in id order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(start, &end)| &self.text[start as usize..end as usize])
+    }
+
+    /// Number of names.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the table holds no names.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Heap bytes held plus the table itself, for cache accounting.
+    pub fn approx_bytes(&self) -> u64 {
+        (std::mem::size_of::<Self>() + self.text.len() + 4 * self.ends.len()) as u64
+    }
+}
+
+impl NameLookup for NameTable {
+    fn name_of(&self, v: Value) -> Option<&str> {
+        let Value::Named(i) = v else { return None };
+        let i = i as usize;
+        let end = *self.ends.get(i)? as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        Some(&self.text[start..end])
     }
 }
 
@@ -222,6 +312,26 @@ mod tests {
     fn nullgen_starting_at() {
         let mut g = NullGen::starting_at(5);
         assert_eq!(g.fresh(), null(5));
+    }
+
+    #[test]
+    fn name_tables_render_like_their_interner() {
+        let mut names = DomainNames::new();
+        for name in ["alice", "", "N5", "7"] {
+            names.intern(name);
+        }
+        let table = NameTable::new(&names);
+        assert_eq!(table.len(), 4);
+        assert_eq!(table.names().collect::<Vec<_>>(), ["alice", "", "N5", "7"]);
+        assert_eq!(NameTable::from_names(table.names()), table);
+        for v in [named(0), named(1), named(3), named(4), null(0), null(9)] {
+            assert_eq!(NameLookup::name_of(&table, v), names.name_of(v), "{v:?}");
+            let mut out = String::new();
+            table.render_into(v, &mut out);
+            assert_eq!(out, names.render(v), "{v:?}");
+        }
+        assert!(NameTable::default().is_empty());
+        assert!(table.approx_bytes() > NameTable::default().approx_bytes());
     }
 
     #[test]

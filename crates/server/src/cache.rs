@@ -8,16 +8,24 @@
 //! entry kinds sharing one bounded store:
 //!
 //! * **handle entries** (`h<seq>`), registered by `put_instance`: the
-//!   extent's *source text* plus a name-sensitive fingerprint. The
-//!   source is re-parsed into each request's local [`DomainNames`], so a
-//!   handle request interns constants exactly as the inline form would —
-//!   which is what makes hit and miss replies byte-identical;
+//!   extent's *source text* plus a name-sensitive fingerprint. On a
+//!   derived miss the source is parsed into the request's local
+//!   [`DomainNames`], so a handle request interns constants exactly as
+//!   the inline form would — which is what makes hit and miss replies
+//!   byte-identical;
 //! * **derived entries** (`d:…`), inserted by the engine after a chase:
-//!   the canonical database `V_∅^{-1}(E)` as a shared
-//!   [`Arc<IndexedInstance>`], keyed by the request context (schema,
-//!   views, query sources) plus the extent fingerprint. A later request
-//!   with the same key evaluates over the cached index with **zero**
-//!   index builds.
+//!   a [`Derived`] holding the canonical database `V_∅^{-1}(E)` as a
+//!   shared [`Arc<IndexedInstance>`] and the *render table* of the
+//!   request that chased it — its [`DomainNames`] after the views, the
+//!   query and the extent were parsed, frozen into a compact
+//!   [`NameTable`]. The entry is keyed by the request context (schema,
+//!   views, query sources) plus the extent fingerprint, and the table is
+//!   a pure function of that key. A later request with the same key
+//!   evaluates over the cached index with **zero** index builds and
+//!   renders from the cached table, so the handle's source is **not
+//!   re-parsed**. A hit on an entry without a table (a record written
+//!   before tables were stored) parses the extent once, skips the
+//!   chase, and attaches the table.
 //!
 //! A handle is a cache *reference*, not a lease: under entry or byte
 //! pressure the LRU policy may evict it, and the client re-puts on an
@@ -39,13 +47,14 @@
 //! mismatch) degrades to a counted clean miss; see [`crate::disk`].
 //!
 //! [`DomainNames`]: vqd_instance::DomainNames
+//! [`NameTable`]: vqd_instance::NameTable
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use vqd_instance::IndexedInstance;
+use vqd_instance::{IndexedInstance, NameTable};
 use vqd_obs::Registry;
 
 use crate::disk::{DiskConfig, DiskTier};
@@ -87,9 +96,29 @@ pub struct HandleEntry {
     pub tuples: u64,
 }
 
+/// A derived entry: a chased canonical database and, once a request has
+/// rendered through it, that request's name table.
+#[derive(Clone, Debug)]
+pub struct Derived {
+    /// The canonical database `V_∅^{-1}(E)` with its index.
+    pub index: Arc<IndexedInstance>,
+    /// The render table of the request that chased it (see the module
+    /// docs); `None` for entries inserted through
+    /// [`InstanceCache::insert_index`] or restored from a record that
+    /// predates stored tables.
+    pub names: Option<Arc<NameTable>>,
+}
+
+impl Derived {
+    /// Approximate bytes held, the name table included.
+    pub fn approx_bytes(&self) -> u64 {
+        self.index.approx_bytes() + self.names.as_ref().map_or(0, |n| n.approx_bytes())
+    }
+}
+
 enum Slot {
     Handle(HandleEntry),
-    Index(Arc<IndexedInstance>),
+    Derived(Derived),
 }
 
 struct Entry {
@@ -245,14 +274,14 @@ impl InstanceCache {
             if picked.len() >= room_entries || picked_bytes >= room_bytes {
                 break; // older spills stay disk-resident: promote on miss
             }
-            if let Some(index) = tier.load(&key) {
-                picked_bytes += index.approx_bytes();
-                picked.push((key, index));
+            if let Some(derived) = tier.load(&key) {
+                picked_bytes += derived.approx_bytes();
+                picked.push((key, derived));
             }
         }
-        for (key, index) in picked.into_iter().rev() {
-            let bytes = index.approx_bytes();
-            self.insert(key, Slot::Index(index), bytes);
+        for (key, derived) in picked.into_iter().rev() {
+            let bytes = derived.approx_bytes();
+            self.insert(key, Slot::Derived(derived), bytes);
         }
     }
 
@@ -299,7 +328,7 @@ impl InstanceCache {
         entry.stamp = stamp;
         match &entry.slot {
             Slot::Handle(h) => Some(h.clone()),
-            Slot::Index(_) => None, // derived keys are not handles
+            Slot::Derived(_) => None, // derived keys are not handles
         }
     }
 
@@ -328,20 +357,20 @@ impl InstanceCache {
         }
     }
 
-    /// Fetches a cached derived index, counting a RAM hit or miss. On a
+    /// Fetches a cached derived entry, counting a RAM hit or miss. On a
     /// RAM miss with a disk tier, falls back to a verified disk load
     /// and promotes the record back into the LRU — the caller skips the
     /// chase either way, but the promotion's index rebuild is honestly
     /// charged to the requesting worker's profile (a cheaper miss, not
     /// a free hit).
-    pub fn get_index(&self, key: &str) -> Option<Arc<IndexedInstance>> {
+    pub fn get_derived(&self, key: &str) -> Option<Derived> {
         let stamp = self.tick();
         let found = {
             let mut shard = self.lock(key);
             shard.map.get_mut(key).and_then(|entry| {
                 entry.stamp = stamp;
                 match &entry.slot {
-                    Slot::Index(idx) => Some(Arc::clone(idx)),
+                    Slot::Derived(d) => Some(d.clone()),
                     Slot::Handle(_) => None,
                 }
             })
@@ -354,22 +383,36 @@ impl InstanceCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.registry.counter("cache.misses").inc();
         let tier = self.tier.as_ref()?;
-        let index = tier.load(key)?;
+        let derived = tier.load(key)?;
         tier.note_promotion();
-        self.insert(key.to_owned(), Slot::Index(Arc::clone(&index)), index.approx_bytes());
-        Some(index)
+        self.insert(key.to_owned(), Slot::Derived(derived.clone()), derived.approx_bytes());
+        Some(derived)
     }
 
-    /// Stores a derived index under its [`derived_key`], writing
-    /// through to the disk tier (spill-then-index on disk; a no-op when
-    /// the key is already segment-resident — derived keys are
-    /// content-addressed, so equal keys mean equal chases).
-    pub fn insert_index(&self, key: String, index: Arc<IndexedInstance>) {
-        let bytes = index.approx_bytes();
+    /// Stores a derived entry under its [`derived_key`], replacing any
+    /// entry already there, and writes it through to the disk tier
+    /// (spill-then-index on disk; a no-op when the key is already
+    /// segment-resident — derived keys are content-addressed, so equal
+    /// keys mean equal chases and equal name tables. A record spilled
+    /// without a table therefore keeps none on disk, and its entry gets
+    /// the table again after each restart).
+    pub fn insert_derived(&self, key: String, derived: Derived) {
+        let bytes = derived.approx_bytes();
         if let Some(tier) = &self.tier {
-            tier.spill(&key, &index);
+            tier.spill(&key, &derived);
         }
-        self.insert(key, Slot::Index(index), bytes);
+        self.insert(key, Slot::Derived(derived), bytes);
+    }
+
+    /// [`get_derived`](Self::get_derived) without the name table.
+    pub fn get_index(&self, key: &str) -> Option<Arc<IndexedInstance>> {
+        self.get_derived(key).map(|d| d.index)
+    }
+
+    /// [`insert_derived`](Self::insert_derived) of an entry without a
+    /// name table.
+    pub fn insert_index(&self, key: String, index: Arc<IndexedInstance>) {
+        self.insert_derived(key, Derived { index, names: None });
     }
 
     /// Current counters (disk fields all zero without a tier).
@@ -460,7 +503,7 @@ impl InstanceCache {
                     // already segment-resident; it is the safety net
                     // that keeps "evicted ⇒ on disk" true regardless of
                     // how the entry got into RAM.
-                    Slot::Index(index) => tier.spill(victim_key, index),
+                    Slot::Derived(derived) => tier.spill(victim_key, derived),
                     Slot::Handle(_) => lost_handle = true,
                 }
             }

@@ -12,7 +12,8 @@
 //! record   := magic(u32 LE) | len(u32 LE) | crc(u64 LE) | payload
 //! crc      := FNV-1a 64 over payload
 //! payload  := kind(u8) | body
-//! kind 1   := derived entry: key | fp64 | instance
+//! kind 1   := derived entry: key | fp64 | instance [| names]
+//! names    := count(u32 LE) | name…          (name := len(u32 LE) | utf-8)
 //! kind 2   := handle snapshot: next_handle | count | handles…
 //! ```
 //!
@@ -21,6 +22,14 @@
 //! chased instance itself (schema declarations + raw tuple values —
 //! `Named`/`Null` flavour bit plus interned id, which is exactly what
 //! the deterministic per-request interning contract makes portable).
+//!
+//! The optional `names` trailer is the entry's render table (see
+//! [`crate::cache`]): the interned names in id order. A record that
+//! ends after the instance has no table — every record written before
+//! tables were stored — and still loads; a restored entry then gets
+//! its table from the first request that renders through it. Bytes
+//! after the instance that do not decode to exactly one table make the
+//! record corrupt.
 //!
 //! ## Crash-only invariants
 //!
@@ -57,10 +66,10 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use vqd_instance::{IndexedInstance, Instance, Schema, Value};
+use vqd_instance::{IndexedInstance, Instance, NameTable, Schema, Value};
 use vqd_obs::Registry;
 
-use crate::cache::HandleEntry;
+use crate::cache::{Derived, HandleEntry};
 
 /// Segment file holding spilled derived entries.
 pub const SEGMENT_FILE: &str = "cache.seg";
@@ -249,9 +258,17 @@ impl<'a> Cursor<'a> {
     }
 
     fn str(&mut self) -> Option<String> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    fn str_ref(&mut self) -> Option<&'a str> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
+        std::str::from_utf8(bytes).ok()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.pos == self.buf.len()
     }
 }
 
@@ -329,9 +346,9 @@ fn decode_instance(c: &mut Cursor<'_>) -> Option<Instance> {
     Some(instance)
 }
 
-/// Encodes a derived record payload. Public so the persist suite can
-/// frame payloads with a deliberately wrong digest and prove the
-/// fingerprint check drops them.
+/// Encodes a derived record payload without a name table. Public so
+/// the persist suite can frame payloads with a deliberately wrong
+/// digest and prove the fingerprint check drops them.
 pub fn encode_derived_payload(key: &str, fp64: u64, instance: &Instance) -> Vec<u8> {
     let mut payload = Vec::new();
     payload.push(KIND_DERIVED);
@@ -339,6 +356,26 @@ pub fn encode_derived_payload(key: &str, fp64: u64, instance: &Instance) -> Vec<
     put_u64(&mut payload, fp64);
     encode_instance(&mut payload, instance);
     payload
+}
+
+fn encode_names(buf: &mut Vec<u8>, names: &NameTable) {
+    put_u32(buf, names.len() as u32);
+    for name in names.names() {
+        put_str(buf, name);
+    }
+}
+
+/// The optional trailer: `None` when the payload ends here.
+fn decode_names(c: &mut Cursor<'_>) -> Option<Option<NameTable>> {
+    if c.is_empty() {
+        return Some(None);
+    }
+    let count = c.u32()? as usize;
+    let mut names = Vec::with_capacity(count.min(1 << 16));
+    for _ in 0..count {
+        names.push(c.str_ref()?);
+    }
+    c.is_empty().then(|| Some(NameTable::from_names(names)))
 }
 
 fn frame(payload: &[u8]) -> Vec<u8> {
@@ -465,12 +502,16 @@ impl DiskTier {
 
     // --- spill (write path) ------------------------------------------
 
-    /// Appends a derived entry. Failures demote to counted no-ops; the
-    /// key is indexed only after the record is fully on disk
-    /// (spill-then-index).
-    pub fn spill(&self, key: &str, index: &IndexedInstance) {
-        let payload =
+    /// Appends a derived entry, its name table (when it has one) as the
+    /// trailer. Failures demote to counted no-ops; the key is indexed
+    /// only after the record is fully on disk (spill-then-index).
+    pub fn spill(&self, key: &str, derived: &Derived) {
+        let index = &derived.index;
+        let mut payload =
             encode_derived_payload(key, fingerprint_digest(index), index.instance());
+        if let Some(names) = &derived.names {
+            encode_names(&mut payload, names);
+        }
         self.append_payload(key, &payload);
     }
 
@@ -541,7 +582,7 @@ impl DiskTier {
     /// Loads and verifies a derived entry, rebuilding its index. Any
     /// failure drops the record from the offset index and returns `None`
     /// — a clean miss (re-chase on the caller's side re-spills).
-    pub fn load(&self, key: &str) -> Option<Arc<IndexedInstance>> {
+    pub fn load(&self, key: &str) -> Option<Derived> {
         // Open the segment while the offset is still valid: a compaction
         // may rename a rewritten segment over the path as soon as the
         // lock is released, but the open descriptor keeps reading the
@@ -555,10 +596,10 @@ impl DiskTier {
             return None;
         };
         match self.read_and_verify(key, file, offset, len) {
-            Ok(index) => {
+            Ok((index, names)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.registry.counter("cache.disk_hits").inc();
-                Some(index.into_shared())
+                Some(Derived { index: index.into_shared(), names: names.map(Arc::new) })
             }
             Err(corrupt) => {
                 if corrupt {
@@ -580,7 +621,7 @@ impl DiskTier {
         file: io::Result<File>,
         offset: u64,
         len: u64,
-    ) -> Result<IndexedInstance, bool> {
+    ) -> Result<(IndexedInstance, Option<NameTable>), bool> {
         let mut buf = vec![0u8; len as usize];
         let read = (|| -> io::Result<()> {
             let mut file = file?;
@@ -609,6 +650,7 @@ impl DiskTier {
         let stored_key = c.str().ok_or(true)?;
         let stored_fp64 = c.u64().ok_or(true)?;
         let instance = decode_instance(&mut c).ok_or(true)?;
+        let names = decode_names(&mut c).ok_or(true)?;
         let rebuilt = IndexedInstance::new(instance);
         // The key and fingerprint must both match the record's claim:
         // a record under the wrong key, or whose content does not
@@ -616,7 +658,7 @@ impl DiskTier {
         if stored_key != key || fingerprint_digest(&rebuilt) != stored_fp64 {
             return Err(true);
         }
-        Ok(rebuilt)
+        Ok((rebuilt, names))
     }
 
     /// Validates one framed record at the start of `buf`; returns the
@@ -868,14 +910,19 @@ mod tests {
         IndexedInstance::new(instance)
     }
 
+    fn sample(n: u32) -> Derived {
+        Derived { index: sample_index(n).into_shared(), names: None }
+    }
+
     #[test]
     fn spill_load_round_trip_preserves_fingerprint() {
         let dir = temp_dir();
         let t = tier(&dir);
-        let idx = sample_index(5);
+        let idx = sample(5);
         t.spill("d:k1", &idx);
         let loaded = t.load("d:k1").expect("hit");
-        assert_eq!(loaded.fingerprint(), idx.fingerprint());
+        assert_eq!(loaded.index.fingerprint(), idx.index.fingerprint());
+        assert!(loaded.names.is_none(), "no table was spilled");
         let c = t.counters();
         assert_eq!((c.spills, c.hits, c.misses), (1, 1, 0));
         assert!(c.bytes > 0);
@@ -883,12 +930,54 @@ mod tests {
     }
 
     #[test]
+    fn name_tables_round_trip_and_old_records_still_load() {
+        let dir = temp_dir();
+        let names = NameTable::from_names(["A", "", "N5", "ünï"]);
+        {
+            let t = tier(&dir);
+            let with = Derived { names: Some(Arc::new(names.clone())), ..sample(4) };
+            t.spill("d:with", &with);
+            // A record in the format that predates tables.
+            let idx = sample_index(3);
+            t.spill_with_digest("d:without", &idx, fingerprint_digest(&idx));
+        }
+        let t = tier(&dir);
+        let with = t.load("d:with").expect("table record loads");
+        assert_eq!(with.names.as_deref(), Some(&names));
+        assert_eq!(with.index.fingerprint(), sample_index(4).fingerprint());
+        let without = t.load("d:without").expect("table-less record loads");
+        assert!(without.names.is_none());
+        assert_eq!(t.counters().corrupt_dropped, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_trailer_that_does_not_decode_is_corrupt() {
+        let idx = sample_index(2);
+        let mut payload = encode_derived_payload("d:k", fingerprint_digest(&idx), idx.instance());
+        encode_names(&mut payload, &NameTable::from_names(["A", "B"]));
+        let decode = |payload: &[u8]| {
+            let mut c = Cursor::new(payload);
+            c.u8();
+            c.str();
+            c.u64();
+            decode_instance(&mut c).expect("instance");
+            decode_names(&mut c)
+        };
+        assert_eq!(decode(&payload), Some(Some(NameTable::from_names(["A", "B"]))));
+        assert_eq!(decode(&payload[..payload.len() - 1]), None, "truncated name");
+        let mut extra = payload.clone();
+        extra.push(0);
+        assert_eq!(decode(&extra), None, "bytes past the table");
+    }
+
+    #[test]
     fn reopen_recovers_spilled_records() {
         let dir = temp_dir();
         {
             let t = tier(&dir);
-            t.spill("d:a", &sample_index(3));
-            t.spill("d:b", &sample_index(7));
+            t.spill("d:a", &sample(3));
+            t.spill("d:b", &sample(7));
         }
         let t = tier(&dir);
         assert_eq!(t.keys_newest_first(), vec!["d:b".to_owned(), "d:a".to_owned()]);
@@ -912,12 +1001,12 @@ mod tests {
         let dir = temp_dir();
         let t = tier(&dir);
         t.arm_fault(DiskFault::ShortWrite, 1);
-        t.spill("d:torn", &sample_index(4));
+        t.spill("d:torn", &sample(4));
         let c = t.counters();
         assert_eq!(c.io_errors, 1);
         assert!(!t.contains("d:torn"), "failed spill must not be indexed");
         // The very next append overwrites the torn bytes and works.
-        t.spill("d:ok", &sample_index(4));
+        t.spill("d:ok", &sample(4));
         assert!(t.load("d:ok").is_some());
         // Reopen: scan must not see the torn prefix as damage (the good
         // record was written over it).
@@ -931,7 +1020,7 @@ mod tests {
     fn read_error_drops_the_record_and_misses_clean() {
         let dir = temp_dir();
         let t = tier(&dir);
-        t.spill("d:x", &sample_index(4));
+        t.spill("d:x", &sample(4));
         t.arm_fault(DiskFault::ReadError, 1);
         assert!(t.load("d:x").is_none());
         let c = t.counters();
@@ -947,7 +1036,7 @@ mod tests {
     fn bit_flip_is_detected_by_the_checksum() {
         let dir = temp_dir();
         let t = tier(&dir);
-        t.spill("d:x", &sample_index(4));
+        t.spill("d:x", &sample(4));
         t.arm_fault(DiskFault::BitFlip, 1);
         assert!(t.load("d:x").is_none());
         assert_eq!(t.counters().corrupt_dropped, 1);
@@ -958,9 +1047,9 @@ mod tests {
     fn truncate_fault_loses_only_the_tail_record() {
         let dir = temp_dir();
         let t = tier(&dir);
-        t.spill("d:good", &sample_index(3));
+        t.spill("d:good", &sample(3));
         t.arm_fault(DiskFault::Truncate, 1);
-        t.spill("d:torn", &sample_index(6)); // believes it succeeded
+        t.spill("d:torn", &sample(6)); // believes it succeeded
         drop(t);
         let t = tier(&dir);
         assert!(t.load("d:good").is_some(), "records before the tear survive");
@@ -974,10 +1063,10 @@ mod tests {
         let dir = temp_dir();
         let t = tier(&dir);
         t.arm_fault(DiskFault::Truncate, 1);
-        t.spill("d:torn", &sample_index(6));
+        t.spill("d:torn", &sample(6));
         // Appending after the tear back-fills the gap (zeros), leaving a
         // record with an intact length frame but a bad checksum.
-        t.spill("d:after", &sample_index(3));
+        t.spill("d:after", &sample(3));
         drop(t);
         let t = tier(&dir);
         assert!(t.load("d:torn").is_none());
@@ -1049,7 +1138,7 @@ mod tests {
         // Budget small enough that ~2 records overflow it.
         let probe = {
             let t = tier(&dir);
-            t.spill("d:probe", &sample_index(8));
+            t.spill("d:probe", &sample(8));
             t.counters().bytes
         };
         let _ = std::fs::remove_dir_all(&dir);
@@ -1058,7 +1147,7 @@ mod tests {
             registry,
         );
         for i in 0..6 {
-            t.spill(&format!("d:k{i}"), &sample_index(8));
+            t.spill(&format!("d:k{i}"), &sample(8));
         }
         let c = t.counters();
         assert!(c.bytes <= probe * 2 + probe / 2, "segment must shrink under budget");
@@ -1074,7 +1163,7 @@ mod tests {
         let dir = temp_dir();
         let probe = {
             let t = tier(&dir);
-            t.spill("d:probe", &sample_index(8));
+            t.spill("d:probe", &sample(8));
             t.counters().bytes
         };
         let _ = std::fs::remove_dir_all(&dir);
@@ -1089,7 +1178,7 @@ mod tests {
         let hits: u64 = std::thread::scope(|scope| {
             scope.spawn(|| {
                 for i in 0..1000u32 {
-                    t.spill(&format!("d:k{i}"), &sample_index(8));
+                    t.spill(&format!("d:k{i}"), &sample(8));
                     spilled.store(i + 1, Ordering::Release);
                 }
                 done.store(true, Ordering::Release);
@@ -1106,7 +1195,7 @@ mod tests {
                             let newest = spilled.load(Ordering::Acquire);
                             for i in newest.saturating_sub(3)..newest {
                                 if let Some(loaded) = t.load(&format!("d:k{i}")) {
-                                    assert_eq!(loaded.instance().total_tuples(), 9);
+                                    assert_eq!(loaded.index.instance().total_tuples(), 9);
                                     hits += 1;
                                 }
                             }

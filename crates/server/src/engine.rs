@@ -14,7 +14,7 @@
 // and returned once, so its size is not worth boxing over.
 #![allow(clippy::result_large_err)]
 
-use crate::cache::{derived_key, CacheConfig, HandleEntry, InstanceCache};
+use crate::cache::{derived_key, CacheConfig, Derived, HandleEntry, InstanceCache};
 use crate::metrics::Metrics;
 use crate::proto::{ErrorKind, Outcome, Request, WireCounterexample};
 use std::collections::hash_map::DefaultHasher;
@@ -31,7 +31,7 @@ use vqd_core::determinacy::{
 };
 use vqd_eval::{contained_bounded_budgeted, BoundedContainment};
 use vqd_exec::{ExecCtx, ExecPool};
-use vqd_instance::{DomainNames, Schema};
+use vqd_instance::{DomainNames, NameTable, Schema};
 use vqd_query::{parse_instance, parse_program, parse_query, Cq, CqLang, QueryExpr, ViewSet};
 use vqd_router::Fragment;
 
@@ -461,10 +461,14 @@ fn run_put_instance(schema: &str, extent: &str, ctx: &EngineCtx) -> Outcome {
 
 /// [`run_certain`] with the extent read from the cache. A hit on the
 /// derived entry evaluates over the cached canonical database with zero
-/// index builds; a miss chases once and caches the result for the next
-/// request with the same (schema, views, query, extent) key. Both paths
-/// render through the same request-local names, so the reply is
-/// byte-identical to the inline form modulo the work envelope.
+/// index builds and renders through the entry's name table, without
+/// parsing the extent. A miss parses the extent, chases once, and caches
+/// the chase with the request's names for the next request with the
+/// same (schema, views, query, extent) key; a hit on an entry without a
+/// table takes the same path but skips the chase. The table is the
+/// request-local interning an inline request would build, so every
+/// route renders byte-identically to the inline form modulo the work
+/// envelope.
 fn run_certain_handle(
     schema: &str,
     views: &str,
@@ -479,6 +483,7 @@ fn run_certain_handle(
             format!("unknown instance handle `{handle}` (never put, or evicted): re-put and retry"),
         );
     };
+    let key = derived_key(schema, views, query, &entry.fingerprint);
     let pair = match parse_pair(schema, views, query) {
         Ok(p) => p,
         Err(o) => return o,
@@ -487,28 +492,32 @@ fn run_certain_handle(
         Ok(v) => v,
         Err(o) => return o,
     };
-    let mut names = pair.names;
-    let extent =
-        match parse_instance(cq_views.as_view_set().output_schema(), &mut names, &entry.extent) {
-            Ok(i) => i,
-            Err(e) => return err(ErrorKind::Parse, format!("extent (handle {handle}): {e}")),
-        };
-    let key = derived_key(schema, views, query, &entry.fingerprint);
-    let answers = match ctx.cache.get_index(&key) {
-        Some(chased) => certain_from_canonical(&q, &chased, exec),
-        None => match canonical_database_budgeted(&cq_views, &extent, exec) {
-            Ok(chased) => {
-                let shared = chased.into_shared();
-                ctx.cache.insert_index(key, Arc::clone(&shared));
-                certain_from_canonical(&q, &shared, exec)
-            }
-            Err(e) => return vqd_error(e),
-        },
+    let (chased, names) = match ctx.cache.get_derived(&key) {
+        Some(Derived { index, names: Some(names) }) => (index, names),
+        cached => {
+            let mut names = pair.names;
+            let out_schema = cq_views.as_view_set().output_schema();
+            let extent = match parse_instance(out_schema, &mut names, &entry.extent) {
+                Ok(i) => i,
+                Err(e) => return err(ErrorKind::Parse, format!("extent (handle {handle}): {e}")),
+            };
+            let index = match cached {
+                Some(hit) => hit.index,
+                None => match canonical_database_budgeted(&cq_views, &extent, exec) {
+                    Ok(chased) => chased.into_shared(),
+                    Err(e) => return vqd_error(e),
+                },
+            };
+            let names = Arc::new(NameTable::new(&names));
+            let derived = Derived { index: Arc::clone(&index), names: Some(Arc::clone(&names)) };
+            ctx.cache.insert_derived(key, derived);
+            (index, names)
+        }
     };
-    match answers {
+    match certain_from_canonical(&q, &chased, exec) {
         Ok(rel) => Outcome::CertainAnswers {
             count: rel.len() as u64,
-            answers: rel.render(&names),
+            answers: rel.render(&*names),
         },
         Err(e) => vqd_error(e),
     }
