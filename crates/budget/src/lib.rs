@@ -215,7 +215,9 @@ impl Budget {
     /// checkpoint.
     #[must_use]
     pub fn trip_after(mut self, n: u64) -> Budget {
-        self.trip_at = Some(self.steps().saturating_add(n));
+        // `n = 0` trips the next checkpoint like `n = 1`; clamping keeps
+        // `trip_at - 1` equal to the checkpoints completed before it.
+        self.trip_at = Some(self.steps().saturating_add(n.max(1)));
         self
     }
 
@@ -320,28 +322,32 @@ impl Budget {
         partial: &dyn fmt::Display,
     ) -> Result<(), Exhausted> {
         let steps = self.counters.steps.fetch_add(1, Ordering::Relaxed) + 1;
-        // A tripped checkpoint is not completed work: report `steps - 1`.
-        let trip = |reason| {
+        // A tripped checkpoint is not completed work: report `steps - 1`,
+        // or the last checkpoint the limit allows when that is lower.
+        // Clones share the counter, so a sibling thread may have tripped
+        // first and pushed `steps` past the limit; every checkpoint past
+        // it failed, so the completed work is the limit for all of them.
+        let trip = |reason, allowed: u64| {
             let mut e = self.exhausted(reason, partial);
-            e.work_done.steps = steps - 1;
+            e.work_done.steps = (steps - 1).min(allowed);
             e
         };
         if let Some(at) = self.trip_at {
             if steps >= at {
-                return Err(trip(ExhaustReason::FaultInjected));
+                return Err(trip(ExhaustReason::FaultInjected, at.saturating_sub(1)));
             }
         }
         if let Some(limit) = self.step_limit {
             if steps > limit {
-                return Err(trip(ExhaustReason::StepLimit));
+                return Err(trip(ExhaustReason::StepLimit, limit));
             }
         }
         if self.cancel.is_canceled() {
-            return Err(trip(ExhaustReason::Canceled));
+            return Err(trip(ExhaustReason::Canceled, u64::MAX));
         }
         if let Some(deadline) = self.deadline {
             if steps.is_multiple_of(DEADLINE_STRIDE) && Instant::now() >= deadline {
-                return Err(trip(ExhaustReason::Deadline));
+                return Err(trip(ExhaustReason::Deadline, u64::MAX));
             }
         }
         Ok(())
@@ -474,6 +480,34 @@ mod tests {
         assert!(b.checkpoint().is_ok());
         let e = b.checkpoint().expect_err("budget must trip");
         assert_eq!(e.reason, ExhaustReason::FaultInjected);
+    }
+
+    #[test]
+    fn concurrent_trips_report_the_same_completed_work() {
+        // Two clones race through one shared counter: whichever thread
+        // trips, and however far the other pushed the count, every trip
+        // reports exactly the checkpoints the limit allowed.
+        for (budget, completed) in [
+            (Budget::unlimited().trip_after(40), 39),
+            (Budget::unlimited().with_step_limit(40), 40),
+        ] {
+            let reports: Vec<u64> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..2)
+                    .map(|_| {
+                        let b = budget.clone();
+                        s.spawn(move || {
+                            (0..1000)
+                                .filter_map(|_| b.checkpoint().err())
+                                .map(|e| e.work_done.steps)
+                                .collect::<Vec<u64>>()
+                        })
+                    })
+                    .collect();
+                workers.into_iter().flat_map(|w| w.join().expect("worker")).collect()
+            });
+            assert!(!reports.is_empty());
+            assert!(reports.iter().all(|&r| r == completed), "{reports:?}");
+        }
     }
 
     #[test]

@@ -231,26 +231,36 @@ impl IndexedInstance {
     }
 
     /// Records `tuple` (already inserted into the instance) in the index.
-    fn index_tuple(&mut self, rel: RelId, tuple: Tuple) {
+    fn index_tuple(&mut self, rel: RelId, tuple: SmallTuple) {
         let r = rel.idx();
         let id = self.arena[r].len() as u32;
         for (c, &v) in tuple.iter().enumerate() {
             self.by_col[r][c].entry(v).or_default().push(id);
         }
-        self.arena[r].push(SmallTuple::from_vec(tuple));
+        tuple.count_stored();
+        self.arena[r].push(tuple);
         note_delta(1);
     }
 
     /// Inserts a tuple, maintaining the index; returns `true` iff the
     /// tuple was new. Bumps the generation on effective inserts only.
+    ///
+    /// The arena copy is taken from the slice before the `Vec` moves
+    /// into the instance, so at inline arity an insert allocates nothing
+    /// beyond the caller's `Vec`; past it, the arena spill is the one
+    /// extra allocation.
     pub fn insert(&mut self, rel: RelId, tuple: Tuple) -> bool {
-        if !self.instance.insert(rel, tuple.clone()) {
+        let copy = match self.maintenance {
+            IndexMaintenance::Incremental => Some(SmallTuple::copy_of(&tuple)),
+            IndexMaintenance::Rebuild => None,
+        };
+        if !self.instance.insert(rel, tuple) {
             return false;
         }
         self.generation += 1;
-        match self.maintenance {
-            IndexMaintenance::Incremental => self.index_tuple(rel, tuple),
-            IndexMaintenance::Rebuild => self.dirty = true,
+        match copy {
+            Some(copy) => self.index_tuple(rel, copy),
+            None => self.dirty = true,
         }
         true
     }

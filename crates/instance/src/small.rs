@@ -44,27 +44,44 @@ pub enum SmallTuple {
 }
 
 impl SmallTuple {
-    /// Copies a slice into the inline form when it fits, else the heap.
+    /// Copies a slice into the inline form when it fits, else the heap,
+    /// and counts the copy as an arena tuple.
     pub fn from_slice(t: &[Value]) -> SmallTuple {
-        if t.len() <= INLINE_ARITY {
-            vqd_obs::count(Metric::TupleInline, 1);
-            let mut vals = [named(0); INLINE_ARITY];
-            vals[..t.len()].copy_from_slice(t);
-            SmallTuple::Inline { len: t.len() as u8, vals }
-        } else {
-            vqd_obs::count(Metric::TupleSpilled, 1);
-            SmallTuple::Heap(t.to_vec())
-        }
+        let small = SmallTuple::copy_of(t);
+        small.count_stored();
+        small
     }
 
     /// Converts an owned `Vec`, reusing its allocation on the spill path.
     pub fn from_vec(t: Vec<Value>) -> SmallTuple {
-        if t.len() <= INLINE_ARITY {
-            SmallTuple::from_slice(&t)
+        let small = if t.len() <= INLINE_ARITY {
+            SmallTuple::copy_of(&t)
         } else {
-            vqd_obs::count(Metric::TupleSpilled, 1);
             SmallTuple::Heap(t)
+        };
+        small.count_stored();
+        small
+    }
+
+    /// [`SmallTuple::from_slice`] without counting: for a copy that may
+    /// be dropped before it reaches an arena.
+    pub(crate) fn copy_of(t: &[Value]) -> SmallTuple {
+        if t.len() <= INLINE_ARITY {
+            let mut vals = [named(0); INLINE_ARITY];
+            vals[..t.len()].copy_from_slice(t);
+            SmallTuple::Inline { len: t.len() as u8, vals }
+        } else {
+            SmallTuple::Heap(t.to_vec())
         }
+    }
+
+    /// Counts this tuple as stored in an arena, inline or spilled.
+    pub(crate) fn count_stored(&self) {
+        let metric = match self {
+            SmallTuple::Inline { .. } => Metric::TupleInline,
+            SmallTuple::Heap(_) => Metric::TupleSpilled,
+        };
+        vqd_obs::count(metric, 1);
     }
 
     /// The tuple's values.

@@ -107,6 +107,15 @@ impl NullGen {
         v
     }
 
+    /// Allocates `n` consecutive fresh nulls and returns the label of the
+    /// first: the block is `_n{first} .. _n{first + n - 1}`, exactly the
+    /// nulls `n` calls to [`NullGen::fresh`] would hand out.
+    pub fn fresh_block(&mut self, n: u32) -> u32 {
+        let first = self.next;
+        self.next = self.next.checked_add(n).expect("null index overflow");
+        first
+    }
+
     /// Make sure future nulls are strictly greater than `v` (useful after
     /// absorbing an instance that already contains nulls).
     pub fn bump_past(&mut self, v: Value) {
