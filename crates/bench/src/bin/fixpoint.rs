@@ -1,7 +1,7 @@
 //! `fixpoint` — engine micro-benchmark for the incremental index.
 //!
 //! Compares the two [`IndexMaintenance`] policies of the maintained
-//! [`IndexedInstance`] on the repo's fixpoint workloads and writes a
+//! [`IndexedInstance`](vqd_instance::IndexedInstance) on the repo's fixpoint workloads and writes a
 //! JSON report to `BENCH_engine.json`:
 //!
 //! * **Datalog saturation** — semi-naive transitive closure on chain and
@@ -30,7 +30,7 @@ use vqd_bench::genq::{path_query, path_views};
 use vqd_budget::Budget;
 use vqd_chase::{v_inverse, v_inverse_indexed};
 use vqd_datalog::{eval_program_with, Program, Strategy};
-use vqd_eval::{apply_views, eval_cq, eval_cq_ctx, eval_cq_sharded};
+use vqd_eval::{apply_views, eval_cq, eval_cq_rows, eval_cq_sharded, Rows};
 use vqd_exec::ExecCtx;
 use vqd_instance::{
     index_stats, named, DomainNames, IndexMaintenance, IndexStats, Instance, NullGen, Relation,
@@ -245,7 +245,8 @@ fn parallel_case(s: &Schema, m: u32, shards: usize, reps: usize, agree: &mut boo
     // Honest wall time through the executor, real threads and all.
     let ctx = ExecCtx::with_parallelism(budget.clone(), shards);
     let (wall_ms, _, ctx_out) = measure(reps, || {
-        eval_cq_ctx(&q, &chased, &ctx)
+        eval_cq_rows(&q, &chased, &ctx)
+            .map(Rows::into_relation)
             .unwrap_or_else(|e| die(&format!("parallel eval shards={shards}: {e}")))
     });
 

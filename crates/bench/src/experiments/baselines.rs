@@ -1,4 +1,4 @@
-//! Experiment E17: the MiniCon baseline ([22]/Pottinger–Halevy) against
+//! Experiment E17: the MiniCon baseline (\[22\]/Pottinger–Halevy) against
 //! the chase-based decision procedure, plus the maximally-contained
 //! rewriting as a certain-answer engine.
 
@@ -18,7 +18,7 @@ use vqd_instance::{named, Instance, Schema};
 
 /// E17 — two independent algorithms, one answer: MiniCon's
 /// equivalent-rewriting existence must coincide with the chase test
-/// (Theorem 3.7 / [22]); the MCR must be contained and must reproduce
+/// (Theorem 3.7 / \[22\]); the MCR must be contained and must reproduce
 /// the chase-based certain answers under sound views.
 pub fn e17(samples: usize, seed: u64, budget: &Budget) -> Report {
     let mut report = Report::new(

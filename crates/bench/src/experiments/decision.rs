@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vqd_budget::{Budget, VqdError};
 use vqd_chase::{CqViews, Tower};
-use vqd_core::determinacy::semantic::{check_exhaustive_budgeted, SemanticVerdict};
+use vqd_core::determinacy::semantic::{check_exhaustive_ctx, SemanticVerdict};
 use vqd_core::determinacy::unrestricted::decide_unrestricted_budgeted;
 use vqd_core::rewriting::{decide_boolean_unary, is_exact_rewriting};
 use vqd_eval::{apply_views, eval_cq};
@@ -48,7 +48,7 @@ pub fn e1(samples: usize, seed: u64, budget: &Budget) -> Report {
             }
             Err(e) => panic!("E1: {e}"),
         };
-        let sem = match check_exhaustive_budgeted(views.as_view_set(), &QueryExpr::Cq(q.clone()), 2, 1 << 22, budget) {
+        let sem = match check_exhaustive_ctx(views.as_view_set(), &QueryExpr::Cq(q.clone()), 2, 1 << 22, budget) {
             Ok(SemanticVerdict::Exhausted(e)) | Err(VqdError::Exhausted(e)) => {
                 report.trip(&e);
                 break;
@@ -215,7 +215,7 @@ pub fn e13(samples: usize, seed: u64, budget: &Budget) -> Report {
         let q = random_cq(&schema, CqGen { atoms: 2, vars: 3, max_head: 1 }, &mut rng);
         total += 1;
         let decided = decide_boolean_unary(&views, &q);
-        let sem = match check_exhaustive_budgeted(views.as_view_set(), &QueryExpr::Cq(q.clone()), 2, 1 << 22, budget) {
+        let sem = match check_exhaustive_ctx(views.as_view_set(), &QueryExpr::Cq(q.clone()), 2, 1 << 22, budget) {
             Ok(SemanticVerdict::Exhausted(e)) | Err(VqdError::Exhausted(e)) => {
                 report.trip(&e);
                 break;

@@ -2,7 +2,7 @@
 
 use crate::report::Report;
 use vqd_budget::{Budget, VqdError};
-use vqd_core::determinacy::semantic::{check_exhaustive_budgeted, SemanticVerdict};
+use vqd_core::determinacy::semantic::{check_exhaustive_ctx, SemanticVerdict};
 use vqd_core::reductions::order::{example_3_2, order_query, order_schema, prop_5_7_views};
 use vqd_core::witnesses::{prop_5_12, prop_5_12_fo_rewriting, prop_5_8, NonMonotonicityWitness};
 use vqd_datalog::{eval_program_budgeted, EvalError, Program, Strategy};
@@ -31,7 +31,7 @@ fn witness_report(
     report.check(w.exhibits_nonmonotonicity(), "Q_V non-monotone on the paper's pair");
     let mut determined = true;
     for n in domains {
-        match check_exhaustive_budgeted(&w.views, &QueryExpr::Cq(w.query.clone()), n, 1 << 22, budget)
+        match check_exhaustive_ctx(&w.views, &QueryExpr::Cq(w.query.clone()), n, 1 << 22, budget)
         {
             Ok(SemanticVerdict::Exhausted(e)) | Err(VqdError::Exhausted(e)) => {
                 report.trip(&e);
@@ -196,7 +196,7 @@ pub fn e12(budget: &Budget) -> Report {
             };
             let mut determined = true;
             for n in 1..=3 {
-                match check_exhaustive_budgeted(&views, &QueryExpr::Fo(q.clone()), n, 1 << 22, budget)
+                match check_exhaustive_ctx(&views, &QueryExpr::Fo(q.clone()), n, 1 << 22, budget)
                 {
                     Ok(SemanticVerdict::Exhausted(e)) | Err(VqdError::Exhausted(e)) => {
                         report.trip(&e);

@@ -3,7 +3,7 @@
 
 use crate::report::Report;
 use vqd_budget::{Budget, VqdError};
-use vqd_core::determinacy::semantic::{check_exhaustive_budgeted, SemanticVerdict};
+use vqd_core::determinacy::semantic::{check_exhaustive_ctx, SemanticVerdict};
 use vqd_core::reductions::monoid::{op_pair, theorem_4_5};
 use vqd_core::reductions::satisfiability::{from_satisfiability, from_validity};
 use vqd_eval::{apply_views, eval_ucq};
@@ -81,7 +81,7 @@ pub fn e4(budget: &Budget) -> Report {
             }
             let split_matches = some_split != holds;
             // Exhaustive finite determinacy on domain 2.
-            let verdict = match check_exhaustive_budgeted(
+            let verdict = match check_exhaustive_ctx(
                 &red.views,
                 &QueryExpr::Ucq(red.query.clone()),
                 2,
@@ -159,7 +159,7 @@ pub fn e5(budget: &Budget) -> Report {
         };
         let mut determined = true;
         for n in 1..=3 {
-            match check_exhaustive_budgeted(&views, &q, n, 1 << 22, budget) {
+            match check_exhaustive_ctx(&views, &q, n, 1 << 22, budget) {
                 Ok(SemanticVerdict::Exhausted(e)) | Err(VqdError::Exhausted(e)) => {
                     report.trip(&e);
                     return report;

@@ -121,17 +121,9 @@ pub fn try_canonical(views: &CqViews, q: &Cq) -> Result<Canonical, VqdError> {
 ///
 /// By Theorems 3.3/3.7 this holds **iff** `V ↠ Q` over unrestricted
 /// (finite or infinite) instances, **iff** `Q_V` is an exact CQ rewriting.
-/// Returns the chased instance too, for inspection.
-pub fn proposition_3_5_test(views: &CqViews, can: &Canonical, q: &Cq) -> (bool, Instance) {
-    match proposition_3_5_test_budgeted(views, can, q, &Budget::unlimited()) {
-        Ok(r) => r,
-        Err(e) => panic!("proposition_3_5_test: {e}"),
-    }
-}
-
-/// Budgeted [`proposition_3_5_test`]: the chase draws on `budget`; an
-/// exhaustion mid-chase surfaces as `Err(VqdError::Exhausted)` rather
-/// than a wrong membership answer.
+/// Returns the chased instance too, for inspection. The chase draws on
+/// `budget`; an exhaustion mid-chase surfaces as
+/// `Err(VqdError::Exhausted)` rather than a wrong membership answer.
 pub fn proposition_3_5_test_budgeted(
     views: &CqViews,
     can: &Canonical,
@@ -162,6 +154,10 @@ mod tests {
         Schema::new([("E", 2), ("P", 1)])
     }
 
+    fn membership(v: &CqViews, can: &Canonical, q: &Cq) -> (bool, Instance) {
+        proposition_3_5_test_budgeted(v, can, q, &Budget::unlimited()).unwrap()
+    }
+
     fn views(src: &str) -> CqViews {
         let s = schema();
         let mut names = DomainNames::new();
@@ -184,7 +180,7 @@ mod tests {
         let q = cq("Q(x,y) :- E(x,y).");
         let can = canonical(&v, &q);
         assert!(can.candidate_safe());
-        let (ok, _) = proposition_3_5_test(&v, &can, &q);
+        let (ok, _) = membership(&v, &can, &q);
         assert!(ok);
         // The candidate must be V(x,y) as a query over σ_V.
         assert_eq!(can.q_v.atoms.len(), 1);
@@ -198,7 +194,7 @@ mod tests {
         let v = views("V(x,y) :- E(x,y).");
         let q = cq("Q(x,z) :- E(x,y), E(y,z).");
         let can = canonical(&v, &q);
-        let (ok, _) = proposition_3_5_test(&v, &can, &q);
+        let (ok, _) = membership(&v, &can, &q);
         assert!(ok);
         // Semantic check: Q(D) = Q_V(V(D)) on a sample instance.
         let mut d = Instance::empty(&schema());
@@ -215,7 +211,7 @@ mod tests {
         let v = views("V1(x) :- E(x,y).\nV2(y) :- E(x,y).");
         let q = cq("Q(x,z) :- E(x,y), E(y,z).");
         let can = canonical(&v, &q);
-        let (ok, _) = proposition_3_5_test(&v, &can, &q);
+        let (ok, _) = membership(&v, &can, &q);
         assert!(!ok);
     }
 
@@ -226,7 +222,7 @@ mod tests {
         let q = cq("Q(x) :- E(x,y).");
         let can = canonical(&v, &q);
         assert!(!can.candidate_safe());
-        let (ok, _) = proposition_3_5_test(&v, &can, &q);
+        let (ok, _) = membership(&v, &can, &q);
         assert!(!ok);
     }
 
@@ -235,7 +231,7 @@ mod tests {
         let v = views("B() :- E(x,y).");
         let q = cq("Q() :- E(x,y).");
         let can = canonical(&v, &q);
-        let (ok, _) = proposition_3_5_test(&v, &can, &q);
+        let (ok, _) = membership(&v, &can, &q);
         assert!(ok);
         assert!(can.q_v.is_boolean());
     }
@@ -246,7 +242,7 @@ mod tests {
         let v = views("V(x,y) :- E(x,z), E(z,y).");
         let q = cq("Q(x,y) :- E(x,a), E(a,b), E(b,c), E(c,y).");
         let can = canonical(&v, &q);
-        let (ok, _) = proposition_3_5_test(&v, &can, &q);
+        let (ok, _) = membership(&v, &can, &q);
         assert!(ok);
         // And the minimized rewriting should be the 2-step V-join.
         let m = vqd_eval::minimize_cq(&can.q_v);
@@ -260,7 +256,7 @@ mod tests {
         let v = views("V(x,y) :- E(x,z), E(z,y).");
         let q = cq("Q(x,y) :- E(x,a), E(a,b), E(b,y).");
         let can = canonical(&v, &q);
-        let (ok, _) = proposition_3_5_test(&v, &can, &q);
+        let (ok, _) = membership(&v, &can, &q);
         assert!(!ok);
     }
 
@@ -273,7 +269,7 @@ mod tests {
         let v = views("V(x,y) :- E(x,y).");
         let q = cq("Q(x,z) :- E(x,y), E(y,z).");
         let can = canonical(&v, &q);
-        let (ok, d_prime) = proposition_3_5_test(&v, &can, &q);
+        let (ok, d_prime) = membership(&v, &can, &q);
         assert!(ok);
         // Prop 3.5(i): Q_V ∘ V has frozen body V_∅^{-1}(S); so the CQ with
         // that frozen body must be equivalent to Q.

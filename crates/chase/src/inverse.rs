@@ -127,7 +127,7 @@ impl CqViews {
 /// can never produce: it disagrees with a head constant ("tuple conflicts
 /// with a head constant") or holds two values where the head repeats a
 /// variable ("tuple conflicts with repeated head variable").
-/// [`v_inverse_budgeted`] reports all of these as structured errors and
+/// [`v_inverse_indexed`] reports all of these as structured errors and
 /// honours a resource budget.
 pub fn v_inverse(
     views: &CqViews,
@@ -135,33 +135,25 @@ pub fn v_inverse(
     s_prime: &Instance,
     nulls: &mut NullGen,
 ) -> Instance {
-    match v_inverse_budgeted(views, base, s_prime, nulls, &Budget::unlimited()) {
-        Ok(out) => out,
+    match v_inverse_indexed(views, base, s_prime, nulls, &Budget::unlimited()) {
+        Ok(out) => out.into_instance(),
         Err(e) => panic!("v_inverse: {e}"),
     }
 }
 
-/// Budgeted [`v_inverse`]: one [`Budget::checkpoint`] per chased view
-/// tuple, tuples charged for every fact the chase materializes. On
-/// exhaustion the chase stops cleanly mid-way — `nulls` stays valid (it
-/// only ever moves forward), so the caller can retry with a larger
-/// budget. A tuple its view cannot produce is a
-/// [`VqdError::InvalidInput`] naming the view and the tuple.
-pub fn v_inverse_budgeted(
-    views: &CqViews,
-    base: &Instance,
-    s_prime: &Instance,
-    nulls: &mut NullGen,
-    budget: &Budget,
-) -> Result<Instance, VqdError> {
-    v_inverse_indexed(views, base, s_prime, nulls, budget).map(IndexedInstance::into_instance)
-}
-
-/// [`v_inverse_budgeted`] returning the chased instance *with its index*:
-/// every trigger writes its tuples straight into the maintained index, so
-/// callers that evaluate queries over the chase result (the Proposition
-/// 3.5 membership test, certain-answer filtering) get a ready index with
-/// zero rebuilds after the chase.
+/// Budgeted [`v_inverse`] returning the chased instance *with its
+/// index*: one [`Budget::checkpoint`] per chased view tuple, tuples
+/// charged for every fact the chase materializes. On exhaustion the
+/// chase stops cleanly mid-way — `nulls` stays valid (it only ever moves
+/// forward), so the caller can retry with a larger budget. A tuple its
+/// view cannot produce is a [`VqdError::InvalidInput`] naming the view
+/// and the tuple.
+///
+/// Every trigger writes its tuples straight into the maintained index,
+/// so callers that evaluate queries over the chase result (the
+/// Proposition 3.5 membership test, certain-answer filtering) get a
+/// ready index with zero rebuilds after the chase; callers that want the
+/// bare instance take [`IndexedInstance::into_instance`].
 pub fn v_inverse_indexed(
     views: &CqViews,
     base: &Instance,

@@ -3,10 +3,11 @@
 //! The chase machinery of Section 3 of Segoufin–Vianu:
 //!
 //! * [`inverse`] — the view-inverse chase `V_D^{-1}(S')` and the
-//!   [`CqViews`](inverse::CqViews) validation wrapper;
-//! * [`canonical`] — the canonical rewriting `Q_V` (frozen body of
-//!   `V([Q])`) and the Proposition 3.5(iii) membership test, which by
-//!   Theorem 3.7 *decides* unrestricted determinacy for CQs;
+//!   [`CqViews`] validation wrapper;
+//! * [`canonical`](mod@canonical) — the canonical rewriting `Q_V`
+//!   (frozen body of `V([Q])`) and the Proposition 3.5(iii) membership
+//!   test, which by Theorem 3.7 *decides* unrestricted determinacy for
+//!   CQs;
 //! * [`tower`] — the `{Dₖ, Sₖ, S'ₖ, D'ₖ}` counterexample tower of the
 //!   Theorem 3.3 proof, with machine-checked Proposition 3.6 invariants.
 
@@ -16,8 +17,8 @@ pub mod canonical;
 pub mod inverse;
 pub mod tower;
 
-pub use canonical::{canonical, proposition_3_5_test, proposition_3_5_test_budgeted, try_canonical, Canonical};
-pub use inverse::{v_inverse, v_inverse_budgeted, v_inverse_indexed, CqViews};
+pub use canonical::{canonical, proposition_3_5_test_budgeted, try_canonical, Canonical};
+pub use inverse::{v_inverse, v_inverse_indexed, CqViews};
 pub use tower::{InvariantReport, Tower};
 
 use std::collections::BTreeMap;

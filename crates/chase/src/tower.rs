@@ -16,7 +16,7 @@
 //! Proposition 3.6 at every level.
 
 use crate::canonical::{try_canonical, Canonical};
-use crate::inverse::{v_inverse_budgeted, CqViews};
+use crate::inverse::{v_inverse_indexed, CqViews};
 use vqd_budget::{Budget, VqdError};
 use vqd_eval::{eval_cq, instance_hom};
 use vqd_instance::{IndexedInstance, Instance, NullGen, Value};
@@ -104,7 +104,8 @@ impl Tower {
         let d0 = can.frozen_query.clone();
         let s0 = can.s.clone();
         let sp0 = Instance::empty(views.as_view_set().output_schema());
-        let dp0 = v_inverse_budgeted(views, &empty_in, &s0, &mut nulls, budget)?;
+        let dp0 = v_inverse_indexed(views, &empty_in, &s0, &mut nulls, budget)?
+            .into_instance();
         Ok(Tower {
             d: vec![d0],
             s: vec![s0],
@@ -141,9 +142,11 @@ impl Tower {
         // exhaustion mid-level cannot leave the four chains ragged.
         let mut nulls = self.nulls.clone();
         let sp_next = views.apply(&self.d_prime[k]);
-        let d_next = v_inverse_budgeted(views, &self.d[k], &sp_next, &mut nulls, budget)?;
+        let d_next = v_inverse_indexed(views, &self.d[k], &sp_next, &mut nulls, budget)?
+            .into_instance();
         let s_next = views.apply(&d_next);
-        let dp_next = v_inverse_budgeted(views, &self.d_prime[k], &sp_next, &mut nulls, budget)?;
+        let dp_next = v_inverse_indexed(views, &self.d_prime[k], &sp_next, &mut nulls, budget)?
+            .into_instance();
         self.nulls = nulls;
         self.s_prime.push(sp_next);
         self.d.push(d_next);

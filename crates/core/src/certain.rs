@@ -1,4 +1,4 @@
-//! Certain answers (related-work setting [1]).
+//! Certain answers (related-work setting \[1\]).
 //!
 //! When **V** does *not* determine `Q`, the standard fallback is the
 //! certain answer: `cert_Q(E) = ∩ { Q(D) | V(D) = E }`. The paper notes
@@ -43,8 +43,7 @@ pub fn certain_sound(views: &CqViews, q: &Cq, extent: &Instance) -> Relation {
 /// [`ExecCtx`](vqd_exec::ExecCtx) fans the homomorphism search of the
 /// final evaluation out across the engine pool (per root candidate),
 /// byte-identically to sequential. Pass a bare
-/// [`Budget`](vqd_budget::Budget) for the historical sequential
-/// behaviour — every pre-existing call site compiles unchanged.
+/// [`Budget`](vqd_budget::Budget) for the sequential behaviour.
 pub fn certain_sound_ctx(
     views: &CqViews,
     q: &Cq,
@@ -54,19 +53,6 @@ pub fn certain_sound_ctx(
     require_plain_cq(q)?; // reject before paying for the chase
     let chased = canonical_database_budgeted(views, extent, cx)?;
     certain_from_canonical(q, &chased, cx)
-}
-
-/// Deprecated spelling of [`certain_sound_ctx`]: that entry point
-/// accepts a bare `&Budget` directly (it is an [`ExecInput`]), so the
-/// `_budgeted` name survives only for out-of-tree callers of the
-/// historical API.
-pub fn certain_sound_budgeted(
-    views: &CqViews,
-    q: &Cq,
-    extent: &Instance,
-    budget: &vqd_budget::Budget,
-) -> Result<Relation, VqdError> {
-    certain_sound_ctx(views, q, extent, budget)
 }
 
 fn require_plain_cq(q: &Cq) -> Result<(), VqdError> {
@@ -82,7 +68,7 @@ fn require_plain_cq(q: &Cq) -> Result<(), VqdError> {
 /// Chases the extent to the canonical database `V_∅^{-1}(E)`, returning
 /// the chase's maintained index.
 ///
-/// Split out of [`certain_sound_budgeted`] so a caller serving many
+/// Split out of [`certain_sound_ctx`] so a caller serving many
 /// queries against one extent (the server's cross-request cache) can pay
 /// the chase once, share the index, and run [`certain_from_canonical`]
 /// per query with zero further index builds. Nulls are drawn from a

@@ -1,16 +1,13 @@
 //! Determinacy checking: the semantic definition, brute-forced on bounded
 //! domains, and the effective chase-based decision procedure for CQs.
 
-pub mod parallel;
+mod parallel;
 pub mod semantic;
 pub mod unrestricted;
 
-pub use parallel::{
-    check_exhaustive_ctx, check_exhaustive_parallel, check_exhaustive_parallel_budgeted,
-};
 pub use semantic::{
-    check_exhaustive, check_exhaustive_budgeted, check_random, check_random_budgeted,
-    verify_counterexample, Counterexample, SemanticVerdict,
+    check_exhaustive, check_exhaustive_ctx, check_random, verify_counterexample, Counterexample,
+    SemanticVerdict,
 };
 pub use unrestricted::{
     decide_finite, decide_finite_budgeted, decide_unrestricted, decide_unrestricted_budgeted,

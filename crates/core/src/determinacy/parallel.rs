@@ -1,4 +1,5 @@
-//! Parallel exhaustive determinacy checking.
+//! Parallel exhaustive determinacy checking: the sharded path of
+//! [`check_exhaustive_ctx`](super::semantic::check_exhaustive_ctx).
 //!
 //! The semantic checker's work — enumerate every instance, apply the
 //! views, evaluate the query — is embarrassingly parallel once the
@@ -7,7 +8,8 @@
 //! maps on the engine's [`ExecPool`](vqd_exec::ExecPool); a merge pass
 //! compares overlapping images across shards.
 //!
-//! All shards draw down the context's shared [`Budget`]: a found
+//! All shards draw down the context's shared
+//! [`Budget`](vqd_budget::Budget): a found
 //! counterexample short-circuits the scan through the budget's
 //! [`CancelToken`](vqd_budget::CancelToken) (the same token an external
 //! caller can trip to abort the whole check), and a budget trip in any
@@ -18,13 +20,13 @@
 //! parallelism buys a constant factor against a `2^(n^k)` space — the
 //! paper's decision procedures remain the only real way out.
 
-use crate::determinacy::semantic::{check_exhaustive_budgeted, Counterexample, SemanticVerdict};
+use super::semantic::{Counterexample, SemanticVerdict};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use vqd_budget::{Budget, ExhaustReason, Exhausted, VqdError};
+use std::sync::Mutex;
+use vqd_budget::{ExhaustReason, Exhausted, VqdError};
 use vqd_eval::{apply_views, eval_query};
-use vqd_exec::{ExecCtx, ExecInput, ExecPool};
-use vqd_instance::gen::{instance_at, space_size};
+use vqd_exec::ExecCtx;
+use vqd_instance::gen::instance_at;
 use vqd_instance::{Instance, Relation};
 use vqd_query::{QueryExpr, ViewSet};
 
@@ -35,89 +37,18 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Exhaustive semantic determinacy check under an execution context —
-/// the canonical entry point behind
-/// [`check_exhaustive`](crate::determinacy::semantic::check_exhaustive),
-/// [`check_exhaustive_budgeted`], and the `_parallel` spellings.
-///
-/// A sequential context (a bare [`Budget`] qualifies) runs the
-/// historical single-threaded scan, checkpoint for checkpoint. A
-/// parallel [`ExecCtx`] splits the instance space into
-/// `cx.parallelism()` contiguous ranges and scans them on the engine
-/// pool; a definitive counterexample always wins over exhaustion — if
-/// one shard refutes determinacy while another trips the budget, the
-/// verdict is `NotDetermined`.
-pub fn check_exhaustive_ctx(
+/// The parallel scan body of
+/// [`check_exhaustive_ctx`](super::semantic::check_exhaustive_ctx) over
+/// all `total` instances of domain `n`: disjoint contiguous index
+/// ranges, local image maps, shared budget, merge pass at the end.
+pub(super) fn scan_sharded(
     views: &ViewSet,
     q: &QueryExpr,
     n: usize,
-    limit: u128,
-    cx: &impl ExecInput,
-) -> Result<SemanticVerdict, VqdError> {
-    match cx.exec() {
-        Some(ec) if ec.is_parallel() => scan_sharded(views, q, n, limit, ec),
-        _ => check_exhaustive_budgeted(views, q, n, limit, cx.budget()),
-    }
-}
-
-/// Parallel variant of
-/// [`check_exhaustive`](crate::determinacy::semantic::check_exhaustive):
-/// same contract, `threads`-way parallel scan, unlimited budget.
-/// Deprecated spelling of [`check_exhaustive_ctx`] with
-/// [`ExecCtx::with_parallelism`].
-pub fn check_exhaustive_parallel(
-    views: &ViewSet,
-    q: &QueryExpr,
-    n: usize,
-    limit: u128,
-    threads: usize,
-) -> Result<SemanticVerdict, VqdError> {
-    check_exhaustive_parallel_budgeted(views, q, n, limit, threads, &Budget::unlimited())
-}
-
-/// Budgeted `threads`-way exhaustive scan. Deprecated spelling of
-/// [`check_exhaustive_ctx`] with [`ExecCtx::on_pool`]; step/tuple
-/// limits still apply to the *total* work across shards, and cancelling
-/// the budget's token stops all of them at their next checkpoint.
-pub fn check_exhaustive_parallel_budgeted(
-    views: &ViewSet,
-    q: &QueryExpr,
-    n: usize,
-    limit: u128,
-    threads: usize,
-    budget: &Budget,
-) -> Result<SemanticVerdict, VqdError> {
-    if threads == 0 {
-        return Err(VqdError::InvalidInput {
-            context: "check_exhaustive_parallel",
-            message: "thread count must be at least 1".to_string(),
-        });
-    }
-    let cx = ExecCtx::on_pool(budget.clone(), threads, Arc::clone(ExecPool::global()));
-    check_exhaustive_ctx(views, q, n, limit, &cx)
-}
-
-/// The parallel scan body: disjoint contiguous index ranges, local
-/// image maps, shared budget, merge pass at the end.
-fn scan_sharded(
-    views: &ViewSet,
-    q: &QueryExpr,
-    n: usize,
-    limit: u128,
+    total: u128,
     ec: &ExecCtx,
 ) -> Result<SemanticVerdict, VqdError> {
     let schema = views.input_schema();
-    if q.schema() != schema {
-        return Err(VqdError::SchemaMismatch {
-            context: "check_exhaustive_parallel",
-            expected: format!("{schema:?}"),
-            found: format!("{:?}", q.schema()),
-        });
-    }
-    let total = match space_size(schema, n) {
-        Some(s) if s <= limit => s,
-        space => return Ok(SemanticVerdict::TooLarge { domain: n, space }),
-    };
     let found: Mutex<Option<Counterexample>> = Mutex::new(None);
     let tripped: Mutex<Option<Exhausted>> = Mutex::new(None);
     let budget = ec.budget();
@@ -224,7 +155,10 @@ fn scan_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::determinacy::semantic::{check_exhaustive, verify_counterexample};
+    use crate::determinacy::semantic::{
+        check_exhaustive, check_exhaustive_ctx, verify_counterexample,
+    };
+    use vqd_budget::Budget;
     use vqd_instance::{DomainNames, Schema};
     use vqd_query::{parse_program, parse_query};
 
@@ -241,7 +175,8 @@ mod tests {
     fn parallel_agrees_with_sequential_positive() {
         let (v, q) = setup("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
         for threads in [1, 2, 4] {
-            match check_exhaustive_parallel(&v, &q, 3, 1 << 26, threads).unwrap() {
+            let cx = ExecCtx::with_parallelism(Budget::unlimited(), threads);
+            match check_exhaustive_ctx(&v, &q, 3, 1 << 26, &cx).unwrap() {
                 SemanticVerdict::NoCounterexampleUpTo(3) => {}
                 other => panic!("threads={threads}: {other:?}"),
             }
@@ -257,7 +192,8 @@ mod tests {
         let seq = check_exhaustive(&v, &q, 3, 1 << 26);
         assert!(seq.is_refuted());
         for threads in [1, 2, 4] {
-            match check_exhaustive_parallel(&v, &q, 3, 1 << 26, threads).unwrap() {
+            let cx = ExecCtx::with_parallelism(Budget::unlimited(), threads);
+            match check_exhaustive_ctx(&v, &q, 3, 1 << 26, &cx).unwrap() {
                 SemanticVerdict::NotDetermined(c) => {
                     assert!(verify_counterexample(&v, &q, &c));
                 }
@@ -286,8 +222,9 @@ mod tests {
     #[test]
     fn parallel_respects_space_limit() {
         let (v, q) = setup("V(x,y) :- E(x,y).", "Q(x,y) :- E(x,y).");
+        let cx = ExecCtx::with_parallelism(Budget::unlimited(), 2);
         assert!(matches!(
-            check_exhaustive_parallel(&v, &q, 5, 100, 2).unwrap(),
+            check_exhaustive_ctx(&v, &q, 5, 100, &cx).unwrap(),
             SemanticVerdict::TooLarge { .. }
         ));
     }
@@ -298,28 +235,20 @@ mod tests {
         let other_schema = Schema::new([("P", 1)]);
         let mut names = DomainNames::new();
         let q = parse_query(&other_schema, &mut names, "Q(x) :- P(x).").unwrap();
-        match check_exhaustive_parallel(&v, &q, 2, 1 << 20, 2) {
+        let cx = ExecCtx::with_parallelism(Budget::unlimited(), 2);
+        match check_exhaustive_ctx(&v, &q, 2, 1 << 20, &cx) {
             Err(VqdError::SchemaMismatch { context, .. }) => {
-                assert_eq!(context, "check_exhaustive_parallel");
+                assert_eq!(context, "check_exhaustive");
             }
             other => panic!("expected SchemaMismatch, got {other:?}"),
         }
     }
 
     #[test]
-    fn zero_threads_is_an_error() {
-        let (v, q) = setup("V(x,y) :- E(x,y).", "Q(x,y) :- E(x,y).");
-        assert!(matches!(
-            check_exhaustive_parallel(&v, &q, 2, 1 << 20, 0),
-            Err(VqdError::InvalidInput { .. })
-        ));
-    }
-
-    #[test]
     fn budget_trip_yields_exhausted_with_progress() {
         let (v, q) = setup("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
-        let budget = Budget::unlimited().with_step_limit(10);
-        match check_exhaustive_parallel_budgeted(&v, &q, 3, 1 << 26, 2, &budget).unwrap() {
+        let cx = ExecCtx::with_parallelism(Budget::unlimited().with_step_limit(10), 2);
+        match check_exhaustive_ctx(&v, &q, 3, 1 << 26, &cx).unwrap() {
             SemanticVerdict::Exhausted(e) => {
                 assert_eq!(e.reason, ExhaustReason::StepLimit);
                 assert!(e.work_done.steps > 0);
@@ -327,8 +256,8 @@ mod tests {
             other => panic!("expected Exhausted, got {other:?}"),
         }
         // Retrying with a sufficient budget completes.
-        let big = Budget::unlimited().with_step_limit(1 << 20);
-        match check_exhaustive_parallel_budgeted(&v, &q, 3, 1 << 26, 2, &big).unwrap() {
+        let big = ExecCtx::with_parallelism(Budget::unlimited().with_step_limit(1 << 20), 2);
+        match check_exhaustive_ctx(&v, &q, 3, 1 << 26, &big).unwrap() {
             SemanticVerdict::NoCounterexampleUpTo(3) => {}
             other => panic!("expected completion, got {other:?}"),
         }
@@ -339,7 +268,8 @@ mod tests {
         let (v, q) = setup("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
         let budget = Budget::unlimited();
         budget.cancel_token().cancel();
-        match check_exhaustive_parallel_budgeted(&v, &q, 3, 1 << 26, 2, &budget).unwrap() {
+        let cx = ExecCtx::with_parallelism(budget, 2);
+        match check_exhaustive_ctx(&v, &q, 3, 1 << 26, &cx).unwrap() {
             SemanticVerdict::Exhausted(e) => {
                 assert_eq!(e.reason, ExhaustReason::Canceled);
             }

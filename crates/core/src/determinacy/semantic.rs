@@ -4,7 +4,8 @@
 //! `Q(D₁) = Q(D₂)` for all finite instances. This module checks the
 //! definition *directly* on bounded domains:
 //!
-//! * [`check_exhaustive`] enumerates every instance with active domain
+//! * [`check_exhaustive_ctx`] (and its unlimited convenience form
+//!   [`check_exhaustive`]) enumerates every instance with active domain
 //!   inside `{c0..c(n-1)}`, grouping by view image in a single pass —
 //!   definitive `NotDetermined` answers, and a definitive
 //!   `NoCounterexampleUpTo(n)` otherwise (finite determinacy for UCQ is
@@ -15,9 +16,11 @@
 //! procedure in this crate is validated against (experiments E1, E13),
 //! and the exponential wall they hit is measured as figure F4.
 
+use super::parallel::scan_sharded;
 use std::collections::HashMap;
 use vqd_budget::{Budget, VqdError};
 use vqd_eval::{apply_views, eval_query};
+use vqd_exec::ExecInput;
 use vqd_instance::gen::{random_instance, space_size, InstanceEnumerator};
 use vqd_instance::{Instance, Relation};
 use vqd_query::{QueryExpr, ViewSet};
@@ -78,32 +81,40 @@ impl SemanticVerdict {
 /// Exhaustively checks determinacy over all instances with values in
 /// `{c0..c(n-1)}`. `limit` caps the number of instances enumerated.
 ///
-/// Convenience wrapper over [`check_exhaustive_budgeted`] with an
-/// unlimited budget; panics on schema mismatch (the budgeted variant
-/// returns a structured [`VqdError`] instead).
+/// Convenience form of [`check_exhaustive_ctx`] with an unlimited
+/// budget; panics on schema mismatch (the context form returns a
+/// structured [`VqdError`] instead).
 pub fn check_exhaustive(
     views: &ViewSet,
     q: &QueryExpr,
     n: usize,
     limit: u128,
 ) -> SemanticVerdict {
-    match check_exhaustive_budgeted(views, q, n, limit, &Budget::unlimited()) {
+    match check_exhaustive_ctx(views, q, n, limit, &Budget::unlimited()) {
         Ok(v) => v,
         Err(e) => panic!("check_exhaustive: {e}"),
     }
 }
 
-/// Budgeted exhaustive check: one [`Budget::checkpoint`] per enumerated
-/// instance, tuples charged for every image retained in the grouping
-/// map. Invalid input (schema mismatch) is a [`VqdError`]; running out
-/// of budget is the *verdict* [`SemanticVerdict::Exhausted`], carrying
-/// how far the scan got.
-pub fn check_exhaustive_budgeted(
+/// Exhaustive semantic determinacy check under an execution context —
+/// the one fallible entry point of the bounded semantic search.
+///
+/// Invalid input (schema mismatch) is a [`VqdError`]; running out of
+/// budget is the *verdict* [`SemanticVerdict::Exhausted`], carrying how
+/// far the scan got. A sequential context (a bare [`Budget`] qualifies)
+/// runs the single-threaded scan: one [`Budget::checkpoint`] per
+/// enumerated instance, tuples charged for every image retained in the
+/// grouping map. A parallel [`ExecCtx`](vqd_exec::ExecCtx) splits the
+/// instance space into `cx.parallelism()` contiguous ranges and scans
+/// them on the engine pool; a definitive counterexample always wins over
+/// exhaustion — if one shard refutes determinacy while another trips the
+/// budget, the verdict is `NotDetermined`.
+pub fn check_exhaustive_ctx(
     views: &ViewSet,
     q: &QueryExpr,
     n: usize,
     limit: u128,
-    budget: &Budget,
+    cx: &impl ExecInput,
 ) -> Result<SemanticVerdict, VqdError> {
     let schema = views.input_schema();
     if q.schema() != schema {
@@ -117,12 +128,28 @@ pub fn check_exhaustive_budgeted(
         Some(s) if s <= limit => s,
         space => return Ok(SemanticVerdict::TooLarge { domain: n, space }),
     };
+    Ok(match cx.exec() {
+        Some(ec) if ec.is_parallel() => scan_sharded(views, q, n, total, ec)?,
+        _ => scan(views, q, n, total, cx.budget()),
+    })
+}
+
+/// The sequential scan body of [`check_exhaustive_ctx`] over all
+/// `total` instances of domain `n`.
+fn scan(
+    views: &ViewSet,
+    q: &QueryExpr,
+    n: usize,
+    total: u128,
+    budget: &Budget,
+) -> SemanticVerdict {
+    let schema = views.input_schema();
     let mut by_image: HashMap<Instance, (Instance, Relation)> = HashMap::new();
     for (i, d) in InstanceEnumerator::new(schema, n).enumerate() {
         if let Err(e) = budget.checkpoint_with(&format_args!(
             "scanned {i} of {total} instances over domain {n}, no counterexample"
         )) {
-            return Ok(SemanticVerdict::Exhausted(Box::new(e)));
+            return SemanticVerdict::Exhausted(Box::new(e));
         }
         // One index per candidate instance, shared by V and Q.
         let idx = vqd_instance::IndexedInstance::new(d);
@@ -135,24 +162,24 @@ pub fn check_exhaustive_budgeted(
                     (d.total_tuples() + image.total_tuples()) as u64,
                     &format_args!("scanned {i} of {total} instances over domain {n}"),
                 ) {
-                    return Ok(SemanticVerdict::Exhausted(Box::new(e)));
+                    return SemanticVerdict::Exhausted(Box::new(e));
                 }
                 by_image.insert(image, (d, out));
             }
             Some((d1, q1)) => {
                 if *q1 != out {
-                    return Ok(SemanticVerdict::NotDetermined(Box::new(Counterexample {
+                    return SemanticVerdict::NotDetermined(Box::new(Counterexample {
                         d1: d1.clone(),
                         d2: d,
                         image,
                         q1: q1.clone(),
                         q2: out,
-                    })));
+                    }));
                 }
             }
         }
     }
-    Ok(SemanticVerdict::NoCounterexampleUpTo(n))
+    SemanticVerdict::NoCounterexampleUpTo(n)
 }
 
 /// Randomized counterexample search: samples instances, groups by image,
@@ -165,31 +192,9 @@ pub fn check_random(
     samples: usize,
     rng: &mut impl rand::Rng,
 ) -> Option<Counterexample> {
-    check_random_budgeted(views, q, n, density, samples, rng, &Budget::unlimited())
-        .unwrap_or_default()
-}
-
-/// Budgeted [`check_random`]: one checkpoint per sample. On exhaustion
-/// returns `Err` with how many samples were drawn; `Ok(None)` means the
-/// full sample count was drawn without observing a violation.
-#[allow(clippy::too_many_arguments)]
-pub fn check_random_budgeted(
-    views: &ViewSet,
-    q: &QueryExpr,
-    n: usize,
-    density: f64,
-    samples: usize,
-    rng: &mut impl rand::Rng,
-    budget: &Budget,
-) -> Result<Option<Counterexample>, Box<vqd_budget::Exhausted>> {
     let schema = views.input_schema();
     let mut by_image: HashMap<Instance, (Instance, Relation)> = HashMap::new();
-    for drawn in 0..samples {
-        budget
-            .checkpoint_with(&format_args!(
-                "drew {drawn} of {samples} samples, no counterexample"
-            ))
-            .map_err(Box::new)?;
+    for _ in 0..samples {
         let d = random_instance(schema, n, density, rng);
         let idx = vqd_instance::IndexedInstance::new(d);
         let image = apply_views(views, &idx);
@@ -201,18 +206,18 @@ pub fn check_random_budgeted(
             }
             Some((d1, q1)) => {
                 if *q1 != out {
-                    return Ok(Some(Counterexample {
+                    return Some(Counterexample {
                         d1: d1.clone(),
                         d2: d,
                         image,
                         q1: q1.clone(),
                         q2: out,
-                    }));
+                    });
                 }
             }
         }
     }
-    Ok(None)
+    None
 }
 
 /// Verifies a counterexample (used by tests and by the repro harness to

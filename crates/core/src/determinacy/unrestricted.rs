@@ -15,7 +15,7 @@
 //!   coincide for CQs is exactly the paper's open question
 //!   (Theorem 5.11).
 
-use crate::determinacy::semantic::{check_exhaustive_budgeted, Counterexample, SemanticVerdict};
+use crate::determinacy::semantic::{check_exhaustive_ctx, Counterexample, SemanticVerdict};
 use vqd_budget::{Budget, VqdError};
 use vqd_chase::{proposition_3_5_test_budgeted, try_canonical, Canonical, CqViews};
 use vqd_eval::minimize_cq;
@@ -253,7 +253,7 @@ pub fn decide_finite_budgeted(
     let qe = QueryExpr::Cq(q.clone());
     let mut searched = 0;
     for n in 1..=max_domain {
-        match check_exhaustive_budgeted(views.as_view_set(), &qe, n, space_limit, budget)? {
+        match check_exhaustive_ctx(views.as_view_set(), &qe, n, space_limit, budget)? {
             SemanticVerdict::NotDetermined(c) => return Ok(FiniteVerdict::NotDetermined(c)),
             SemanticVerdict::NoCounterexampleUpTo(k) => searched = k,
             SemanticVerdict::TooLarge { .. } => break,

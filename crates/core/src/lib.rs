@@ -16,9 +16,9 @@
 //! | Thm 5.4/5.5 (∃SO ∩ ∀SO lower bound via GIMP) | [`reductions::gimp::theorem_5_4`] |
 //! | Prop 5.7 / Example 3.2 (order-invariance) | [`reductions::order`] |
 //! | Prop 5.8 / 5.12 (non-monotone `Q_V`) | [`witnesses`] |
-//! | LMSS [22] rewriting existence | [`rewriting`] |
+//! | LMSS \[22\] rewriting existence | [`rewriting`] |
 //! | MiniCon contained/maximally-contained rewritings | [`minicon`] |
-//! | certain answers [1] | [`certain`] |
+//! | certain answers \[1\] | [`certain`] |
 
 #![warn(missing_docs)]
 

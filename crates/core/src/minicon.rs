@@ -1,6 +1,6 @@
 //! MiniCon: contained rewritings and the maximally-contained rewriting.
 //!
-//! The paper's related-work baseline [22] (Levy–Mendelzon–Sagiv–
+//! The paper's related-work baseline \[22\] (Levy–Mendelzon–Sagiv–
 //! Srivastava) frames answering-queries-using-views as finding CQ
 //! rewritings over the view vocabulary; MiniCon (Pottinger & Halevy) is
 //! the classical algorithm enumerating them. We implement it for plain,

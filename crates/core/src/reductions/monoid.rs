@@ -7,7 +7,7 @@
 //!
 //! > `V ↠ Q_{H,F}`  ⟺  `H ⊨ F` over all finite monoidal functions,
 //!
-//! which is undecidable (Gurevich [19]) — hence finite determinacy for
+//! which is undecidable (Gurevich \[19\]) — hence finite determinacy for
 //! UCQ views/queries is undecidable.
 //!
 //! Both the paper's variants are implemented: the `UCQ=` version and the

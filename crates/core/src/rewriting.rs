@@ -6,13 +6,13 @@
 //!   `Q` iff `exp(R) ≡ Q` — and since CQ equivalence coincides on finite
 //!   and unrestricted instances, "has an exact CQ rewriting" is a
 //!   finite/unrestricted-agnostic property.
-//! * [`exists_cq_rewriting`] — the Levy–Mendelzon–Sagiv–Srivastava [22]
+//! * [`exists_cq_rewriting`] — the Levy–Mendelzon–Sagiv–Srivastava \[22\]
 //!   existence problem, decided here through the canonical candidate
 //!   (Proposition 3.5): a CQ rewriting exists iff the canonical `Q_V`
 //!   works.
 //! * [`exists_ucq_rewriting`] — the UCQ variant: the union of per-disjunct
 //!   canonical candidates is an exact rewriting iff any UCQ rewriting
-//!   exists ([22], Theorem 3.9 analogue).
+//!   exists (\[22\], Theorem 3.9 analogue).
 //! * [`decide_boolean_unary`] — Theorem 4.6: for views with Boolean or
 //!   unary answers, CQ is complete for rewritings, so *(finite)
 //!   determinacy itself* is decided by rewriting existence.
@@ -96,7 +96,7 @@ pub fn is_exact_rewriting(views: &CqViews, q: &Cq, r: &Cq) -> bool {
 }
 
 /// Decides existence of an exact CQ rewriting of `q` using `views`
-/// ([22]); returns the minimized rewriting if one exists.
+/// (\[22\]); returns the minimized rewriting if one exists.
 ///
 /// Existence is equivalent to unrestricted determinacy (Theorem 3.3), so
 /// the canonical candidate decides it.

@@ -9,8 +9,8 @@
 //! watch monotonicity force a wrong answer.
 //!
 //! * [`rule`] — rules, programs, parsing (shared rule syntax);
-//! * [`stratify`] — predicate dependency layering, rejecting recursion
-//!   through negation;
+//! * [`stratify`](mod@stratify) — predicate dependency layering,
+//!   rejecting recursion through negation;
 //! * [`engine`] — naive and semi-naive bottom-up fixpoints (F7 ablation).
 
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! Containment and equivalence for (U)CQs.
 //!
-//! The Chandra–Merlin Homomorphism Theorem [9], used throughout Section 3:
+//! The Chandra–Merlin Homomorphism Theorem \[9\], used throughout Section 3:
 //! `Q₁ ⊆ Q₂` iff the frozen head of `Q₁` belongs to `Q₂([Q₁])`, where
 //! `[Q₁]` is the frozen body — the canonical database whose values are
 //! `Q₁`'s variables (realized here as labelled nulls) plus its constants.
@@ -14,7 +14,7 @@
 //! for `≠` or negation; the entry points check and panic, since a silent
 //! wrong answer here would poison every determinacy result downstream.
 
-use crate::cq_eval::{eval_cq, eval_cq_with_index, eval_ucq, normalize_eqs};
+use crate::cq_eval::{eval_cq, eval_ucq, normalize_eqs};
 use std::collections::BTreeMap;
 use vqd_budget::Budget;
 use vqd_instance::{IndexedInstance, Instance, NullGen, Value};
@@ -132,17 +132,9 @@ pub enum BoundedContainment {
 /// Semantic containment check by exhaustive enumeration: sound and
 /// complete *up to the domain bound*, for any pair of queries our
 /// evaluator handles (including `≠` and safe negation).
-pub fn contained_bounded(
-    q1: &Cq,
-    q2: &Cq,
-    max_domain: usize,
-    limit: u128,
-) -> BoundedContainment {
-    contained_bounded_budgeted(q1, q2, max_domain, limit, &Budget::unlimited())
-}
-
-/// Budgeted [`contained_bounded`]: one [`Budget::checkpoint`] per
-/// enumerated instance; exhaustion is a verdict, not a panic.
+///
+/// One [`Budget::checkpoint`] per enumerated instance; exhaustion is a
+/// verdict, not a panic.
 pub fn contained_bounded_budgeted(
     q1: &Cq,
     q2: &Cq,
@@ -166,7 +158,7 @@ pub fn contained_bounded_budgeted(
         vqd_obs::count(vqd_obs::Metric::ContainmentInstancesChecked, 1);
         // One index serves both sides of the subset test.
         let idx = IndexedInstance::new(d);
-        if !eval_cq_with_index(q1, &idx).is_subset(&eval_cq_with_index(q2, &idx)) {
+        if !eval_cq(q1, &idx).is_subset(&eval_cq(q2, &idx)) {
             return BoundedContainment::Refuted(Box::new(idx.into_instance()));
         }
     }
@@ -291,12 +283,12 @@ mod tests {
         let a = cq("Q(x) :- E(x,y), x != y.");
         let b = cq("Q(x) :- E(x,y).");
         // a ⊆ b: no counterexample can exist.
-        match contained_bounded(&a, &b, 3, 1 << 22) {
+        match contained_bounded_budgeted(&a, &b, 3, 1 << 22, &Budget::unlimited()) {
             BoundedContainment::NoCounterexampleUpTo(3) => {}
             other => panic!("unexpected {other:?}"),
         }
         // b ⊄ a: a loop-only instance refutes it.
-        match contained_bounded(&b, &a, 2, 1 << 22) {
+        match contained_bounded_budgeted(&b, &a, 2, 1 << 22, &Budget::unlimited()) {
             BoundedContainment::Refuted(d) => {
                 assert!(!eval_cq(&b, &d).is_subset(&eval_cq(&a, &d)));
             }
@@ -309,11 +301,11 @@ mod tests {
         let a = cq("Q(x) :- E(x,y), !P(y).");
         let b = cq("Q(x) :- E(x,y).");
         assert!(matches!(
-            contained_bounded(&a, &b, 2, 1 << 22),
+            contained_bounded_budgeted(&a, &b, 2, 1 << 22, &Budget::unlimited()),
             BoundedContainment::NoCounterexampleUpTo(2)
         ));
         assert!(matches!(
-            contained_bounded(&b, &a, 2, 1 << 22),
+            contained_bounded_budgeted(&b, &a, 2, 1 << 22, &Budget::unlimited()),
             BoundedContainment::Refuted(_)
         ));
     }
@@ -322,7 +314,7 @@ mod tests {
     fn bounded_containment_respects_limit() {
         let a = cq("Q(x) :- E(x,y).");
         assert!(matches!(
-            contained_bounded(&a, &a, 6, 4),
+            contained_bounded_budgeted(&a, &a, 6, 4, &Budget::unlimited()),
             BoundedContainment::TooLarge
         ));
     }

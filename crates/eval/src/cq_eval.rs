@@ -110,18 +110,7 @@ pub fn normalize_eqs(q: &Cq) -> Option<Cq> {
 /// the head, in a negated atom, or in an inequality must occur in a
 /// positive atom.
 pub fn eval_cq<I: EvalInput + ?Sized>(q: &Cq, input: &I) -> Relation {
-    eval_cq_core(q, &input.index())
-}
-
-/// [`eval_cq`] against a prebuilt index. Deprecated spelling: `eval_cq`
-/// now accepts an [`IndexedInstance`] directly — this wrapper survives
-/// only for out-of-tree callers of the historical paired API.
-pub fn eval_cq_with_index(q: &Cq, index: &IndexedInstance) -> Relation {
-    eval_cq_core(q, index)
-}
-
-fn eval_cq_core(q: &Cq, index: &IndexedInstance) -> Relation {
-    eval_cq_shard(q, index, 0, 1).into_relation()
+    eval_cq_shard(q, &input.index(), 0, 1).into_relation()
 }
 
 /// Evaluates one root-candidate shard of a conjunctive query: shard
@@ -310,34 +299,19 @@ pub fn eval_ucq<I: EvalInput + ?Sized>(u: &Ucq, input: &I) -> Relation {
     let index = input.index();
     let mut out = Relation::new(u.arity());
     for disjunct in &u.disjuncts {
-        out.union_with(&eval_cq_core(disjunct, &index));
+        out.union_with(&eval_cq(disjunct, &*index));
     }
     out
 }
 
-/// [`eval_ucq`] against a prebuilt index. Deprecated spelling: pass the
-/// index to [`eval_ucq`] directly.
-pub fn eval_ucq_with_index(u: &Ucq, index: &IndexedInstance) -> Relation {
-    eval_ucq(u, index)
-}
-
-/// [`eval_cq`] under an execution context: with a parallel
+/// [`eval_cq`] under an execution context, as distinct sorted [`Rows`]
+/// before any [`Relation`] is built: with a parallel
 /// [`ExecCtx`](vqd_exec::ExecCtx) the root-candidate shards of the
 /// homomorphism search run on the engine pool and their rows merge —
 /// byte-identical to the sequential answer, since shards partition the
 /// hom space and the merged rows are sorted and deduplicated. With a
 /// bare [`Budget`](vqd_budget::Budget) (or a sequential context) this
-/// *is* [`eval_cq`].
-pub fn eval_cq_ctx<I: EvalInput + ?Sized>(
-    q: &Cq,
-    input: &I,
-    cx: &impl ExecInput,
-) -> Result<Relation, VqdError> {
-    eval_cq_rows(q, input, cx).map(Rows::into_relation)
-}
-
-/// [`eval_cq_ctx`]'s answer as distinct sorted [`Rows`], before any
-/// [`Relation`] is built.
+/// is [`eval_cq`]'s answer; [`Rows::into_relation`] turns it into one.
 pub fn eval_cq_rows<I: EvalInput + ?Sized>(
     q: &Cq,
     input: &I,
@@ -356,35 +330,6 @@ pub fn eval_cq_rows<I: EvalInput + ?Sized>(
             Ok(out)
         }
         _ => Ok(eval_cq_shard(q, &index, 0, 1)),
-    }
-}
-
-/// [`eval_ucq`] under an execution context: disjuncts are independent,
-/// so a parallel context evaluates them concurrently over the one
-/// shared index and unions the results in disjunct order (a union is
-/// order-insensitive anyway — [`Relation`] is canonical). A single
-/// disjunct falls through to [`eval_cq_ctx`]'s root-candidate sharding
-/// so lone heavy CQs still fan out.
-pub fn eval_ucq_ctx<I: EvalInput + ?Sized>(
-    u: &Ucq,
-    input: &I,
-    cx: &impl ExecInput,
-) -> Result<Relation, VqdError> {
-    let index = input.index();
-    match cx.exec() {
-        Some(ec) if ec.is_parallel() && u.disjuncts.len() > 1 => {
-            let parts = ec
-                .run_shards(u.disjuncts.len(), |i| Ok(eval_cq_core(&u.disjuncts[i], &index)))?;
-            let mut out = Relation::new(u.arity());
-            for part in &parts {
-                out.union_with(part);
-            }
-            Ok(out)
-        }
-        Some(ec) if ec.is_parallel() && u.disjuncts.len() == 1 => {
-            eval_cq_ctx(&u.disjuncts[0], &*index, cx)
-        }
-        _ => Ok(eval_ucq(u, &*index)),
     }
 }
 
@@ -533,26 +478,15 @@ mod tests {
         use vqd_exec::ExecCtx;
         let d = instance(&[(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (0, 2)], &[1, 3]);
         let cq = q("Q(x,y) :- E(x,z), E(z,y).");
-        let mut names = DomainNames::new();
-        let vqd_query::QueryExpr::Ucq(u) = parse_query(
-            &schema(),
-            &mut names,
-            "Q(x) :- P(x).\nQ(x) :- E(x,y), P(y).",
-        )
-        .unwrap() else {
-            panic!()
-        };
         let seq_cq = eval_cq(&cq, &d);
-        let seq_ucq = eval_ucq(&u, &d);
         // A bare budget is a sequential ExecInput.
         let budget = Budget::unlimited();
-        assert_eq!(eval_cq_ctx(&cq, &d, &budget).unwrap(), seq_cq);
-        assert_eq!(eval_ucq_ctx(&u, &d, &budget).unwrap(), seq_ucq);
+        assert_eq!(eval_cq_rows(&cq, &d, &budget).unwrap().into_relation(), seq_cq);
         // A parallel context merges shards back to the same bytes.
         for par in [2usize, 4, 8] {
             let cx = ExecCtx::with_parallelism(Budget::unlimited(), par);
-            assert_eq!(eval_cq_ctx(&cq, &d, &cx).unwrap(), seq_cq, "parallelism {par}");
-            assert_eq!(eval_ucq_ctx(&u, &d, &cx).unwrap(), seq_ucq, "parallelism {par}");
+            let par_cq = eval_cq_rows(&cq, &d, &cx).unwrap().into_relation();
+            assert_eq!(par_cq, seq_cq, "parallelism {par}");
         }
     }
 

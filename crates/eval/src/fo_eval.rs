@@ -2,7 +2,7 @@
 //!
 //! Quantifiers range over the *evaluation universe*: the active domain of
 //! the instance plus every constant mentioned in the query — the standard
-//! active-domain semantics of finite model theory ([2], [15]).
+//! active-domain semantics of finite model theory (\[2\], \[15\]).
 //!
 //! Evaluation is bottom-up: every subformula θ is materialized as a table
 //! over its free variables — precisely the relations `R_θ` that the

@@ -3,7 +3,7 @@
 //! Homomorphisms are the paper's (and classical database theory's) central
 //! tool: a tuple `c̄ ∈ Q(D)` iff there is a homomorphism from the frozen
 //! body `[Q]` to `D` mapping the head to `c̄` (Section 3); CQ containment
-//! is a homomorphism test (Chandra–Merlin [9]); the chase correctness
+//! is a homomorphism test (Chandra–Merlin \[9\]); the chase correctness
 //! lemmas (3.4, Proposition 3.6) are all homomorphism statements.
 //!
 //! The engine is a backtracking search over the atoms of a pattern. Two
@@ -332,24 +332,7 @@ pub fn instance_hom<I: EvalInput + ?Sized>(
     fix: &[Value],
 ) -> Option<BTreeMap<Value, Value>> {
     let index = tgt.index();
-    instance_hom_core(src, &index, fix)
-}
-
-/// [`instance_hom`] against a prebuilt target index. Deprecated
-/// spelling: pass the index to [`instance_hom`] directly.
-pub fn instance_hom_with_index(
-    src: &Instance,
-    tgt: &IndexedInstance,
-    fix: &[Value],
-) -> Option<BTreeMap<Value, Value>> {
-    instance_hom_core(src, tgt, fix)
-}
-
-fn instance_hom_core(
-    src: &Instance,
-    tgt: &IndexedInstance,
-    fix: &[Value],
-) -> Option<BTreeMap<Value, Value>> {
+    let tgt: &IndexedInstance = &index;
     assert_eq!(
         src.schema(),
         tgt.instance().schema(),

@@ -1,13 +1,12 @@
 //! One evaluation entry point per operation, not two.
 //!
-//! Historically every evaluator came in a pair — `eval_cq` taking a bare
-//! [`Instance`] (building a throwaway index) and `eval_cq_with_index`
-//! taking a prebuilt [`IndexedInstance`] — and the same split repeated
-//! for UCQs, query dispatch, view application and instance
-//! homomorphisms. [`EvalInput`] collapses each pair behind one generic
-//! function: pass `&Instance` and an index is built for the call, pass
-//! `&IndexedInstance` (or `&Arc<IndexedInstance>`, the form the server's
-//! cross-request cache hands out) and it is borrowed as-is.
+//! Every evaluator — [`eval_cq`](crate::eval_cq),
+//! [`eval_ucq`](crate::eval_ucq), [`eval_query`](crate::eval_query),
+//! [`apply_views`](crate::apply_views), [`instance_hom`](crate::instance_hom)
+//! — is one generic function over [`EvalInput`]: pass `&Instance` and an
+//! index is built for the call, pass `&IndexedInstance` (or
+//! `&Arc<IndexedInstance>`, the form the server's cross-request cache
+//! hands out) and it is borrowed as-is.
 //!
 //! [`IndexCow`] is the clone-on-build return type that makes this
 //! zero-cost on the borrowed path: no `Arc` bump, no index copy — just a

@@ -5,12 +5,10 @@
 //! * [`input`] — the [`EvalInput`] abstraction: every evaluator takes a
 //!   bare instance (index built per call), a prebuilt
 //!   [`IndexedInstance`](vqd_instance::IndexedInstance), or a shared
-//!   `Arc<IndexedInstance>` through one entry point, replacing the
-//!   historical `eval_*`/`eval_*_with_index` pairs (kept as wrappers);
-//!   the `*_ctx` variants additionally accept a `vqd_exec::ExecCtx` (via
-//!   `vqd_exec::ExecInput`) to fan the conjunctive evaluators out across
-//!   the engine pool — per UCQ disjunct, per view, and per root
-//!   candidate of a lone CQ ([`eval_cq_sharded`]) — with byte-identical
+//!   `Arc<IndexedInstance>` through one entry point; [`eval_cq_rows`]
+//!   additionally accepts a `vqd_exec::ExecCtx` (via
+//!   `vqd_exec::ExecInput`) to fan a lone CQ out across the engine pool
+//!   per root candidate ([`eval_cq_sharded`]), with byte-identical
 //!   results;
 //! * [`hom`] — backtracking homomorphism search with per-column indexes
 //!   (the tool behind `c̄ ∈ Q(D)`, the chase lemmas, and containment);
@@ -37,22 +35,16 @@ pub mod monotone;
 pub mod view_eval;
 
 pub use containment::{
-    contained_bounded, contained_bounded_budgeted, cq_contained, cq_contained_in_ucq,
-    cq_equivalent, freeze, ucq_contained, ucq_equivalent, BoundedContainment,
+    contained_bounded_budgeted, cq_contained, cq_contained_in_ucq, cq_equivalent, freeze,
+    ucq_contained, ucq_equivalent, BoundedContainment,
 };
-pub use cq_eval::{
-    eval_cq, eval_cq_ctx, eval_cq_rows, eval_cq_sharded, eval_cq_with_index, eval_ucq,
-    eval_ucq_ctx, eval_ucq_with_index, normalize_eqs, Rows,
-};
+pub use cq_eval::{eval_cq, eval_cq_rows, eval_cq_sharded, eval_ucq, normalize_eqs, Rows};
 pub use fo_eval::{eval_fo, eval_fo_budgeted, evaluation_universe};
 pub use hom::{
-    find_hom, for_each_hom, for_each_hom_sharded, hom_exists, instance_hom,
-    instance_hom_with_index, Assignment, Binding, Ordering,
+    find_hom, for_each_hom, for_each_hom_sharded, hom_exists, instance_hom, Assignment,
+    Binding, Ordering,
 };
 pub use input::{EvalInput, IndexCow};
 pub use minimize::{minimize_cq, minimize_cq_exhaustive, minimize_ucq};
 pub use monotone::{find_nonmonotone_witness, monotone_on_pair, NonMonotoneWitness};
-pub use view_eval::{
-    apply_views, apply_views_ctx, apply_views_with_index, eval_query, eval_query_ctx,
-    eval_query_with_index,
-};
+pub use view_eval::{apply_views, eval_query};

@@ -4,12 +4,10 @@
 //! computes the view image `V(D)` over the output schema `σ_V` — the
 //! object determinacy quantifies over.
 
-use crate::cq_eval::{eval_cq, eval_cq_ctx, eval_ucq, eval_ucq_ctx};
+use crate::cq_eval::{eval_cq, eval_ucq};
 use crate::fo_eval::eval_fo;
 use crate::input::EvalInput;
-use vqd_budget::VqdError;
-use vqd_exec::ExecInput;
-use vqd_instance::{IndexedInstance, Instance, Relation};
+use vqd_instance::{Instance, Relation};
 use vqd_query::{QueryExpr, ViewSet};
 
 /// Evaluates any query expression on any [`EvalInput`]. The FO evaluator
@@ -24,12 +22,6 @@ pub fn eval_query<I: EvalInput + ?Sized>(q: &QueryExpr, input: &I) -> Relation {
         // directly so a bare-instance input pays no index build here.
         QueryExpr::Fo(f) => eval_fo(f, input.instance()),
     }
-}
-
-/// [`eval_query`] against a prebuilt index. Deprecated spelling: pass the
-/// index to [`eval_query`] directly.
-pub fn eval_query_with_index(q: &QueryExpr, index: &IndexedInstance) -> Relation {
-    eval_query(q, index)
 }
 
 /// Computes the view image `V(D)` as an instance over `σ_V`, sharing one
@@ -56,67 +48,6 @@ pub fn apply_views<I: EvalInput + ?Sized>(views: &ViewSet, input: &I) -> Instanc
         }
     }
     out
-}
-
-/// [`apply_views`] against a prebuilt index. Deprecated spelling: pass
-/// the index to [`apply_views`] directly.
-pub fn apply_views_with_index(views: &ViewSet, index: &IndexedInstance) -> Instance {
-    apply_views(views, index)
-}
-
-/// [`eval_query`] under an execution context: the conjunctive arms fan
-/// out (per disjunct / per root candidate) when the context is
-/// parallel; the FO arm stays sequential (it is subformula-driven, not
-/// candidate-driven). Sequential contexts behave exactly like
-/// [`eval_query`].
-pub fn eval_query_ctx<I: EvalInput + ?Sized>(
-    q: &QueryExpr,
-    input: &I,
-    cx: &impl ExecInput,
-) -> Result<Relation, VqdError> {
-    match q {
-        QueryExpr::Cq(cq) => eval_cq_ctx(cq, input, cx),
-        QueryExpr::Ucq(u) => eval_ucq_ctx(u, input, cx),
-        QueryExpr::Fo(f) => Ok(eval_fo(f, input.instance())),
-    }
-}
-
-/// [`apply_views`] under an execution context: views are independent
-/// queries over one shared index, so a parallel context evaluates them
-/// concurrently and inserts each view's tuples in view order —
-/// byte-identical to sequential, since each output relation is produced
-/// by exactly one view.
-///
-/// # Panics
-/// Panics if the input's schema differs from the view set's input schema.
-pub fn apply_views_ctx<I: EvalInput + ?Sized>(
-    views: &ViewSet,
-    input: &I,
-    cx: &impl ExecInput,
-) -> Result<Instance, VqdError> {
-    let index = input.index();
-    assert_eq!(
-        index.instance().schema(),
-        views.input_schema(),
-        "apply_views: instance schema mismatch"
-    );
-    match cx.exec() {
-        Some(ec) if ec.is_parallel() && views.views().len() > 1 => {
-            // Each view shard is itself sequential: the fan-out grain
-            // is one view query.
-            let results = ec
-                .run_shards(views.views().len(), |i| Ok(eval_query(&views.views()[i].query, &*index)))?;
-            let mut out = Instance::empty(views.output_schema());
-            for (i, result) in results.iter().enumerate() {
-                let rel = views.output_rel(i);
-                for t in result.iter() {
-                    out.insert(rel, t.clone());
-                }
-            }
-            Ok(out)
-        }
-        _ => Ok(apply_views(views, &*index)),
-    }
 }
 
 #[cfg(test)]

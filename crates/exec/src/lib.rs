@@ -9,12 +9,12 @@
 //!   [`Budget`] (its counters are `Arc`-shared atomics), so a step or
 //!   tuple limit trips exactly once process-wide, the tripping shard's
 //!   [`Exhausted`] carries the exact total work, and siblings are
-//!   stopped through the budget's own [`CancelToken`].
+//!   stopped through the budget's own [`CancelToken`](vqd_budget::CancelToken).
 //! * **Deterministic merge.** [`ExecCtx::run_shards`] returns shard
 //!   results in shard-index order regardless of completion order, so a
 //!   parallel run is byte-identical to the sequential one whenever the
 //!   per-shard work is (the engines shard along canonical boundaries:
-//!   root candidates, UCQ disjuncts, views, instance ranges).
+//!   root candidates, instance ranges).
 //! * **Exact observability.** Engine counters are per-thread cells
 //!   ([`MetricsSnapshot`]); work done on pool threads would be invisible
 //!   to the serving thread's profile diff. The executor snapshots each
@@ -341,7 +341,7 @@ impl ExecCtx {
     /// order, short-circuiting on the first `Err` — exactly the code a
     /// hand-written loop would be. Parallel contexts share the shards
     /// between the calling thread and the pool; on the first shard
-    /// error the budget's [`CancelToken`] is cancelled so sibling
+    /// error the budget's [`CancelToken`](vqd_budget::CancelToken) is cancelled so sibling
     /// shards stop at their next checkpoint, and the winning error is
     /// the first *non-cancellation* trip (a sibling's induced
     /// `Canceled` never masks the root cause). Foreign-thread engine

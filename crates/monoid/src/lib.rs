@@ -3,7 +3,7 @@
 //! The substrate of Theorem 4.5. A function `f : X × X → X` is *monoidal*
 //! when it is **complete** (total and onto) and **associative**; the paper
 //! reduces the word problem for finite monoids — undecidable by Gurevich
-//! [19] — to determinacy of UCQ views, via monoidal functions.
+//! \[19\] — to determinacy of UCQ views, via monoidal functions.
 //!
 //! Undecidability itself cannot be executed, but the *reduction* can be
 //! machine-checked on the finite prefix of the monoid universe: this crate
@@ -293,7 +293,7 @@ pub struct WordProblemCounterexample {
 /// monoidal function of size ≤ `max_n`? Returns the first counterexample
 /// found, or `None` if the implication holds up to the bound.
 ///
-/// The unbounded problem is undecidable [19]; the bound makes this a
+/// The unbounded problem is undecidable \[19\]; the bound makes this a
 /// semi-decision usable by the E4 experiment.
 pub fn word_problem_counterexample(
     h: &Equations,

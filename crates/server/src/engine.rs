@@ -183,29 +183,15 @@ fn attribute(fragment: Option<Fragment>, ctx: &EngineCtx, routed: bool) -> Optio
 /// bad input; may panic only on a genuine engine bug (callers wrap in
 /// `catch_unwind`).
 ///
-/// Deprecated spelling of [`execute_ctx`] with a sequential context;
+/// The sequential, outcome-only form of [`execute_attributed_ctx`];
 /// embedded callers and most tests only care about the outcome.
 pub fn execute(request: &Request, budget: &Budget, ctx: &EngineCtx) -> Outcome {
-    execute_ctx(request, &ExecCtx::sequential(budget.clone()), ctx)
+    execute_attributed_ctx(request, &ExecCtx::sequential(budget.clone()), ctx).0
 }
 
-/// [`execute_attributed_ctx`] without the fragment note.
-pub fn execute_ctx(request: &Request, exec: &ExecCtx, ctx: &EngineCtx) -> Outcome {
-    execute_attributed_ctx(request, exec, ctx).0
-}
-
-/// Deprecated spelling of [`execute_attributed_ctx`] with a sequential
-/// context.
-pub fn execute_attributed(
-    request: &Request,
-    budget: &Budget,
-    ctx: &EngineCtx,
-) -> (Outcome, Option<&'static str>) {
-    execute_attributed_ctx(request, &ExecCtx::sequential(budget.clone()), ctx)
-}
-
-/// [`execute_ctx`] plus the router's per-request fragment attribution:
-/// the second component is the additive `fragment` wire note
+/// Executes one request under an execution context, with the router's
+/// per-request fragment attribution: the second component is the
+/// additive `fragment` wire note
 /// (`project-select` / `path` / `undecidable-in-general`) for the ops
 /// the router classifies, `None` otherwise. The note is attached even
 /// when the outcome is an error or exhaustion — a `general` request
@@ -289,7 +275,7 @@ fn execute_unattributed(request: &Request, exec: &ExecCtx, ctx: &EngineCtx) -> O
             Outcome::ShuttingDown
         }
         Request::Decide { .. } | Request::Rewrite { .. } | Request::Classify { .. } => {
-            unreachable!("attributed ops are handled by execute_attributed")
+            unreachable!("attributed ops are handled by execute_attributed_ctx")
         }
         Request::Certain { schema, views, query, extent } => {
             run_certain(schema, views, query, extent, exec)
@@ -890,7 +876,7 @@ mod tests {
         };
         let seq = execute(&req, &Budget::unlimited(), &c);
         let exec = ExecCtx::with_parallelism(Budget::unlimited(), 4);
-        let par = execute_ctx(&req, &exec, &c);
+        let par = execute_attributed_ctx(&req, &exec, &c).0;
         assert_eq!(seq, par, "parallel outcomes must be byte-identical");
         assert_eq!(exec.threads_used(), 4, "the certain eval must fan out");
         // The semantic scan fans out too, with the same verdict.
@@ -903,7 +889,7 @@ mod tests {
         };
         let seq = execute(&sem, &Budget::unlimited(), &c);
         let exec = ExecCtx::with_parallelism(Budget::unlimited(), 2);
-        assert_eq!(seq, execute_ctx(&sem, &exec, &c));
+        assert_eq!(seq, execute_attributed_ctx(&sem, &exec, &c).0);
         assert_eq!(exec.threads_used(), 2);
     }
 

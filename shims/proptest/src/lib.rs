@@ -311,7 +311,7 @@ pub mod collection {
         }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         elem: S,

@@ -11,12 +11,14 @@
 //! 3. re-running the same call with a larger budget completes and agrees
 //!    with the unbudgeted baseline.
 
+use std::sync::Arc;
 use vqd::budget::{Budget, ExhaustReason, Exhausted, VqdError};
-use vqd::chase::{v_inverse_budgeted, CqViews, Tower};
+use vqd::chase::{v_inverse_indexed, CqViews, Tower};
 use vqd::core::determinacy::{
-    check_exhaustive_budgeted, check_exhaustive_parallel_budgeted, decide_finite_budgeted,
-    decide_unrestricted_budgeted, FiniteVerdict, SemanticVerdict,
+    check_exhaustive_ctx, decide_finite_budgeted, decide_unrestricted_budgeted, FiniteVerdict,
+    SemanticVerdict,
 };
+use vqd::exec::{ExecCtx, ExecPool};
 use vqd::datalog::{eval_program_budgeted, EvalError, Strategy};
 use vqd::eval::{
     apply_views, contained_bounded_budgeted, eval_fo_budgeted, BoundedContainment,
@@ -106,6 +108,12 @@ fn setup(schema: &Schema, views_src: &str, q_src: &str) -> (CqViews, Cq, DomainN
     (views, q, names)
 }
 
+/// A two-shard context on the global engine pool drawing on `budget`
+/// (clones share its counters, so the sweep's probe sees every step).
+fn two_shards(budget: &Budget) -> ExecCtx {
+    ExecCtx::on_pool(budget.clone(), 2, Arc::clone(ExecPool::global()))
+}
+
 #[test]
 fn semantic_search_survives_faults_at_every_checkpoint() {
     let schema = Schema::new([("E", 2)]);
@@ -113,7 +121,7 @@ fn semantic_search_survives_faults_at_every_checkpoint() {
     let vs = views.as_view_set().clone();
     let q = QueryExpr::Cq(q);
     fault_sweep("check_exhaustive", |b| {
-        match check_exhaustive_budgeted(&vs, &q, 2, 1 << 22, b) {
+        match check_exhaustive_ctx(&vs, &q, 2, 1 << 22, b) {
             Ok(SemanticVerdict::Exhausted(e)) | Err(VqdError::Exhausted(e)) => Err(e),
             Ok(v) => Ok(format!("{v:?}")),
             Err(e) => panic!("unexpected error kind: {e}"),
@@ -134,8 +142,8 @@ fn parallel_search_survives_faults_without_poisoned_locks() {
     );
     let vs = views.as_view_set().clone();
     let q = QueryExpr::Cq(q);
-    fault_sweep("check_exhaustive_parallel", |b| {
-        match check_exhaustive_parallel_budgeted(&vs, &q, 2, 1 << 22, 2, b) {
+    fault_sweep("check_exhaustive (2 shards)", |b| {
+        match check_exhaustive_ctx(&vs, &q, 2, 1 << 22, &two_shards(b)) {
             Ok(SemanticVerdict::Exhausted(e)) | Err(VqdError::Exhausted(e)) => Err(e),
             Ok(SemanticVerdict::NotDetermined(_)) => Ok("NotDetermined"),
             Ok(SemanticVerdict::NoCounterexampleUpTo(_)) => Ok("NoCounterexample"),
@@ -275,8 +283,8 @@ fn view_inverse_survives_faults_at_every_checkpoint() {
     let base = Instance::empty(&schema);
     fault_sweep("v_inverse", |b| {
         let mut nulls = NullGen::new();
-        match v_inverse_budgeted(&views, &base, &image, &mut nulls, b) {
-            Ok(inst) => Ok(inst.total_tuples()),
+        match v_inverse_indexed(&views, &base, &image, &mut nulls, b) {
+            Ok(inst) => Ok(inst.instance().total_tuples()),
             Err(VqdError::Exhausted(e)) => Err(e),
             Err(e) => panic!("unexpected error kind: {e}"),
         }
@@ -351,7 +359,7 @@ fn containment_survives_faults_at_every_checkpoint() {
         .as_cq()
         .unwrap()
         .clone();
-    fault_sweep("contained_bounded", |b| {
+    fault_sweep("contained_bounded_budgeted", |b| {
         match contained_bounded_budgeted(&q1, &q2, 2, 1 << 22, b) {
             BoundedContainment::Exhausted(e) => Err(e),
             v => Ok(format!("{v:?}")),
@@ -370,7 +378,7 @@ fn cancellation_is_cooperative_and_recoverable() {
 
     let budget = Budget::unlimited();
     budget.cancel_token().cancel();
-    match check_exhaustive_parallel_budgeted(&vs, &q, 2, 1 << 22, 2, &budget) {
+    match check_exhaustive_ctx(&vs, &q, 2, 1 << 22, &two_shards(&budget)) {
         Ok(SemanticVerdict::Exhausted(e)) => {
             assert_eq!(e.reason, ExhaustReason::Canceled);
         }
@@ -378,7 +386,7 @@ fn cancellation_is_cooperative_and_recoverable() {
     }
 
     // A fresh budget on the same inputs completes normally.
-    match check_exhaustive_parallel_budgeted(&vs, &q, 2, 1 << 22, 2, &Budget::unlimited()) {
+    match check_exhaustive_ctx(&vs, &q, 2, 1 << 22, &two_shards(&Budget::unlimited())) {
         Ok(SemanticVerdict::NoCounterexampleUpTo(2)) => {}
         other => panic!("recovery run failed: {other:?}"),
     }
@@ -484,7 +492,6 @@ fn index_maintenance_policy_does_not_change_governance_semantics() {
 /// this binary cannot interfere.
 #[test]
 fn engine_counters_stay_exact_across_budget_trips() {
-    use vqd::chase::v_inverse_indexed;
     use vqd::obs::{Metric, MetricsSnapshot};
 
     let _guard = tracing_sensitive();
@@ -572,7 +579,6 @@ fn engine_counters_stay_exact_across_budget_trips() {
 /// are well-formed (known names, depth 0 roots, no dropped events).
 #[test]
 fn spans_close_cleanly_when_budgets_trip_mid_engine() {
-    use vqd::chase::v_inverse_budgeted;
     use vqd::obs;
 
     let _guard = tracing_sensitive();
@@ -600,7 +606,7 @@ fn spans_close_cleanly_when_budgets_trip_mid_engine() {
     let _ = obs::drain_spans();
     for trip in [1u64, 2, 3, 5, 8] {
         let mut nulls = NullGen::new();
-        let _ = v_inverse_budgeted(
+        let _ = v_inverse_indexed(
             &views,
             &base,
             &image,
@@ -626,7 +632,7 @@ fn spans_close_cleanly_when_budgets_trip_mid_engine() {
     }
     // One clean run of each so the ring holds completed rounds too.
     let mut nulls = NullGen::new();
-    v_inverse_budgeted(&views, &base, &image, &mut nulls, &Budget::unlimited()).unwrap();
+    v_inverse_indexed(&views, &base, &image, &mut nulls, &Budget::unlimited()).unwrap();
     eval_program_budgeted(&dl_prog, &edb, Strategy::SemiNaive, &Budget::unlimited()).unwrap();
     let events = obs::drain_spans();
     obs::set_tracing(false);

@@ -8,9 +8,8 @@
 //!   random corpus, and the semantic counterexample scan are
 //!   byte-identical between a sequential context and every parallel
 //!   width, including how exhaustion surfaces;
-//! * **Unification** — a bare `&Budget`, `ExecCtx::sequential`, a
-//!   parallelism-1 context, and the deprecated `*_budgeted` /
-//!   `*_parallel` spellings all produce the same bytes;
+//! * **Unification** — a bare `&Budget`, `ExecCtx::sequential` and a
+//!   parallelism-1 context all produce the same bytes;
 //! * **Governance** — a fault-injection sweep trips the shared budget
 //!   at sampled checkpoints under parallel contexts: no panic, a
 //!   structured `Exhausted` with exact (certain) or tightly bounded
@@ -29,12 +28,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vqd::budget::{Budget, ExhaustReason, VqdError};
 use vqd::chase::CqViews;
-use vqd::core::certain::{certain_sound_budgeted, certain_sound_ctx};
-use vqd::core::determinacy::{
-    check_exhaustive_budgeted, check_exhaustive_ctx, check_exhaustive_parallel_budgeted,
-    verify_counterexample, SemanticVerdict,
-};
-use vqd::eval::{apply_views, eval_cq_ctx};
+use vqd::core::certain::certain_sound_ctx;
+use vqd::core::determinacy::{check_exhaustive_ctx, verify_counterexample, SemanticVerdict};
+use vqd::eval::{apply_views, eval_cq_rows};
 use vqd::exec::ExecCtx;
 use vqd::instance::{named, DomainNames, Instance, Relation, Schema};
 use vqd::obs::{Metric, MetricsSnapshot};
@@ -138,10 +134,10 @@ fn parallel_eval_agrees_on_a_random_corpus() {
     for case in 0..25 {
         let d = random_graph(&s, 6, 14, &mut rng);
         let q = random_cq(&s, CqGen { atoms: 3, vars: 4, max_head: 2 }, &mut rng);
-        let seq = eval_cq_ctx(&q, &d, &Budget::unlimited()).expect("sequential eval");
+        let seq = eval_cq_rows(&q, &d, &Budget::unlimited()).expect("sequential eval");
         for p in WIDTHS {
             let cx = ExecCtx::with_parallelism(Budget::unlimited(), p);
-            let par = eval_cq_ctx(&q, &d, &cx).expect("parallel eval");
+            let par = eval_cq_rows(&q, &d, &cx).expect("parallel eval");
             assert_eq!(par, seq, "case {case} parallelism={p}");
         }
     }
@@ -152,7 +148,7 @@ fn parallel_semantic_scan_agrees_with_sequential() {
     // Positive: the identity view determines everything — every width
     // must scan the whole space and agree.
     let (v, q) = semantic_workload("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
-    let seq = check_exhaustive_budgeted(&v, &q, 3, 1 << 26, &Budget::unlimited())
+    let seq = check_exhaustive_ctx(&v, &q, 3, 1 << 26, &Budget::unlimited())
         .expect("sequential scan");
     assert!(matches!(seq, SemanticVerdict::NoCounterexampleUpTo(3)));
     for p in WIDTHS {
@@ -170,7 +166,7 @@ fn parallel_semantic_scan_agrees_with_sequential() {
         "V(x,y) :- E(x,z), E(z,y).",
         "Q(x,y) :- E(x,a), E(a,b), E(b,y).",
     );
-    let seq = check_exhaustive_budgeted(&v, &q, 3, 1 << 26, &Budget::unlimited())
+    let seq = check_exhaustive_ctx(&v, &q, 3, 1 << 26, &Budget::unlimited())
         .expect("sequential scan");
     assert!(matches!(seq, SemanticVerdict::NotDetermined(_)));
     for p in WIDTHS {
@@ -182,6 +178,18 @@ fn parallel_semantic_scan_agrees_with_sequential() {
             other => panic!("parallelism={p}: expected a counterexample, got {other:?}"),
         }
     }
+    // Invalid input: a query over another schema is the same error at
+    // every width, down to its `Debug` text.
+    let (v, _) = semantic_workload("V(x,y) :- E(x,y).", "Q(x,y) :- E(x,y).");
+    let mut names = DomainNames::new();
+    let q = parse_query(&schema(), &mut names, "Q(x) :- P(x).").expect("query parse");
+    let seq = check_exhaustive_ctx(&v, &q, 2, 1 << 22, &Budget::unlimited());
+    assert!(matches!(seq, Err(VqdError::SchemaMismatch { .. })), "{seq:?}");
+    for p in [1usize, 2, 4] {
+        let cx = ExecCtx::with_parallelism(Budget::unlimited(), p);
+        let par = check_exhaustive_ctx(&v, &q, 2, 1 << 22, &cx);
+        assert_eq!(format!("{par:?}"), format!("{seq:?}"), "parallelism={p}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -189,7 +197,7 @@ fn parallel_semantic_scan_agrees_with_sequential() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn sequential_spellings_and_deprecated_wrappers_agree() {
+fn sequential_spellings_agree() {
     let s = schema();
     let (views, q, extent) = certain_workload(&s, 7);
     let bare = certain_sound_ctx(&views, &q, &extent, &Budget::unlimited()).unwrap();
@@ -205,22 +213,17 @@ fn sequential_spellings_and_deprecated_wrappers_agree() {
     let one = ExecCtx::with_parallelism(Budget::unlimited(), 1);
     assert_eq!(certain_sound_ctx(&views, &q, &extent, &one).unwrap(), bare);
     assert_eq!(one.threads_used(), 0, "width 1 is sequential: no fan-out");
-    // The historical `_budgeted` spelling is a thin wrapper.
-    let old = certain_sound_budgeted(&views, &q, &extent, &Budget::unlimited()).unwrap();
-    assert_eq!(old, bare);
-    // The historical explicit-thread-count scan entry point agrees with
-    // the context-carrying one at every width.
+    // The same three spellings of a sequential semantic scan agree.
     let (v, sq) = semantic_workload("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
-    let ctx_verdict = check_exhaustive_ctx(&v, &sq, 2, 1 << 22, &Budget::unlimited()).unwrap();
-    for threads in [1usize, 2, 4] {
-        let old =
-            check_exhaustive_parallel_budgeted(&v, &sq, 2, 1 << 22, threads, &Budget::unlimited())
-                .unwrap();
-        assert_eq!(
-            format!("{old:?}"),
-            format!("{ctx_verdict:?}"),
-            "threads={threads}"
-        );
+    let bare = check_exhaustive_ctx(&v, &sq, 2, 1 << 22, &Budget::unlimited()).unwrap();
+    let spellings = [
+        ("sequential", ExecCtx::sequential(Budget::unlimited())),
+        ("width 1", ExecCtx::with_parallelism(Budget::unlimited(), 1)),
+    ];
+    for (spelling, cx) in spellings {
+        let verdict = check_exhaustive_ctx(&v, &sq, 2, 1 << 22, &cx).unwrap();
+        assert_eq!(format!("{verdict:?}"), format!("{bare:?}"), "{spelling}");
+        assert_eq!(cx.threads_used(), 0, "{spelling}: no fan-out");
     }
 }
 
@@ -301,7 +304,7 @@ fn parallel_fault_sweep_certain() {
 fn parallel_fault_sweep_semantic_scan() {
     let (v, q) = semantic_workload("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
     let probe = Budget::unlimited();
-    check_exhaustive_budgeted(&v, &q, 3, 1 << 26, &probe).expect("probe scan");
+    check_exhaustive_ctx(&v, &q, 3, 1 << 26, &probe).expect("probe scan");
     let total = probe.steps();
     assert!(total > 0, "scan reached no checkpoints — it is ungoverned");
     for p in [2usize, 4] {

@@ -275,12 +275,12 @@ proptest! {
         v in arb_cq(2, 3, 2), q in arb_cq(2, 3, 1), steps in 1u64..300
     ) {
         use vqd::budget::{Budget, VqdError};
-        use vqd::core::determinacy::semantic::{check_exhaustive_budgeted, SemanticVerdict};
+        use vqd::core::determinacy::semantic::{check_exhaustive_ctx, SemanticVerdict};
         let views = ViewSet::new(&schema(), vec![("V", QueryExpr::Cq(v))]);
         let q = QueryExpr::Cq(q);
         let full = check_exhaustive(&views, &q, 2, 1 << 22);
         let budget = Budget::unlimited().with_step_limit(steps);
-        match check_exhaustive_budgeted(&views, &q, 2, 1 << 22, &budget) {
+        match check_exhaustive_ctx(&views, &q, 2, 1 << 22, &budget) {
             Ok(SemanticVerdict::Exhausted(_)) | Err(VqdError::Exhausted(_)) => {}
             Ok(verdict) => prop_assert_eq!(
                 verdict.is_refuted(),
@@ -318,8 +318,8 @@ proptest! {
         q1 in arb_cq(2, 3, 1), q2 in arb_cq(2, 3, 1), steps in 1u64..100
     ) {
         use vqd::budget::Budget;
-        use vqd::eval::{contained_bounded, contained_bounded_budgeted, BoundedContainment};
-        let full = contained_bounded(&q1, &q2, 2, 1 << 22);
+        use vqd::eval::{contained_bounded_budgeted, BoundedContainment};
+        let full = contained_bounded_budgeted(&q1, &q2, 2, 1 << 22, &Budget::unlimited());
         let budget = Budget::unlimited().with_step_limit(steps);
         match contained_bounded_budgeted(&q1, &q2, 2, 1 << 22, &budget) {
             BoundedContainment::Exhausted(_) => {}
