@@ -205,16 +205,8 @@ fn chase_case(s: &Schema, m: u32, probes: usize, reps: usize, agree: &mut bool) 
 }
 
 /// One parallel row: the certain-answer hot path — a fixed CQ over one
-/// chased canonical database — evaluated sequentially and `shards`-way
-/// sharded. Two parallel numbers are reported:
-///
-/// * `wall_ms` — honest wall time through the executor on this machine
-///   (a single-core box shows ≈1×: the shards time-slice one core);
-/// * `speedup_model` — the critical-path model `sequential / slowest
-///   shard`, with each shard timed alone on one thread: what the same
-///   fan-out yields once every shard has a core of its own. The model is
-///   exact for this workload because shards share nothing but the
-///   read-only index and the merge is a cheap ordered union.
+/// chased canonical database — evaluated sequentially and, through the
+/// executor, `shards`-way sharded.
 ///
 /// Output equality is asserted three ways: shard-union vs sequential,
 /// executor result vs sequential, and executor result at every width.
@@ -230,16 +222,9 @@ fn parallel_case(s: &Schema, m: u32, shards: usize, reps: usize, agree: &mut boo
 
     let (seq_ms, _, seq_out) = measure(reps, || eval_cq(&q, &chased));
 
-    // Critical path: time every shard alone on this thread, so the model
-    // is independent of how many cores this box happens to have.
-    let mut shard_ms_max = 0f64;
-    let mut shard_ms_sum = 0f64;
     let mut merged = Relation::new(q.arity());
     for i in 0..shards {
-        let (ms, _, part) = measure(reps, || eval_cq_sharded(&q, &chased, i, shards));
-        shard_ms_max = shard_ms_max.max(ms);
-        shard_ms_sum += ms;
-        merged.union_with(&part);
+        merged.union_with(&eval_cq_sharded(&q, &chased, i, shards));
     }
 
     // Honest wall time through the executor, real threads and all.
@@ -252,11 +237,9 @@ fn parallel_case(s: &Schema, m: u32, shards: usize, reps: usize, agree: &mut boo
 
     let same = merged == seq_out && ctx_out == seq_out;
     *agree &= same;
-    let speedup_model = seq_ms / shard_ms_max.max(1e-9);
     println!(
         "parallel/certain-eval m={m} shards={shards}: sequential {seq_ms:.2}ms, \
-         wall {wall_ms:.2}ms, critical-path {shard_ms_max:.2}ms \
-         (model speedup {speedup_model:.2}x) — {}",
+         wall {wall_ms:.2}ms — {}",
         if same { "outputs agree" } else { "OUTPUTS DIFFER" },
     );
     Value::object([
@@ -264,10 +247,6 @@ fn parallel_case(s: &Schema, m: u32, shards: usize, reps: usize, agree: &mut boo
         ("shards", Value::from(shards)),
         ("sequential_ms", Value::from(seq_ms)),
         ("wall_ms", Value::from(wall_ms)),
-        ("shard_ms_max", Value::from(shard_ms_max)),
-        ("shard_ms_sum", Value::from(shard_ms_sum)),
-        ("speedup_model", Value::from(speedup_model)),
-        ("model", Value::from("critical-path")),
         ("outputs_agree", Value::from(same)),
     ])
 }

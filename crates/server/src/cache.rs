@@ -34,7 +34,7 @@
 //!
 //! Counters (`cache.hits`/`cache.misses`/`cache.evictions`/`cache.puts`)
 //! and gauges (`cache.entries`/`cache.bytes`) are mirrored into the
-//! server's observability [`Registry`] so `stats` and BENCH_server.json
+//! server's observability [`Registry`] so `stats` and `metrics_prom`
 //! see them without a separate plumbing path.
 //!
 //! With [`CacheConfig::disk`] set, a crash-only [`DiskTier`] backs the

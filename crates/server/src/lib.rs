@@ -38,8 +38,7 @@
 //!   answers;
 //! * **client library** ([`client`]): a blocking [`Client`] with
 //!   per-call I/O timeouts and an opt-in idempotent-only
-//!   [`client::RetryPolicy`], for tests, the CLI, and the `loadgen`
-//!   bench.
+//!   [`client::RetryPolicy`], for tests and the CLI.
 //!
 //! Everything is `std`-only: `std::net` sockets, `std::thread` workers,
 //! `std::sync::mpsc` queues, and the workspace's [`serde::json`] shim

@@ -13,7 +13,8 @@
 //! * small socket/rlimit helpers ([`set_send_buffer`],
 //!   [`set_recv_buffer`], [`raise_nofile_limit`]) used to bound
 //!   kernel-side buffering deterministically in tests and to let
-//!   loadgen hold 1k+ connections under a default 1024 fd soft limit.
+//!   `tests/idle_conns.rs` hold 1k+ connections under a default 1024
+//!   fd soft limit.
 
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
@@ -196,9 +197,10 @@ pub fn set_recv_buffer(sock: &impl AsRawFd, bytes: usize) -> io::Result<()> {
 }
 
 /// Raises the soft `RLIMIT_NOFILE` toward `want` (clamped to the hard
-/// limit) and returns the resulting soft limit. Lets loadgen hold a
-/// thousand client sockets plus the in-process server's accepted ends
-/// under environments whose default soft limit is 1024.
+/// limit) and returns the resulting soft limit. Lets
+/// `tests/idle_conns.rs` hold a thousand client sockets plus the
+/// in-process server's accepted ends under environments whose default
+/// soft limit is 1024.
 pub fn raise_nofile_limit(want: u64) -> u64 {
     let mut rl = RLimit { cur: 0, max: 0 };
     if unsafe { getrlimit(RLIMIT_NOFILE, &mut rl) } != 0 {

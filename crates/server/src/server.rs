@@ -175,8 +175,8 @@ struct Shared {
     metrics: Arc<Metrics>,
     registry: Arc<vqd_obs::Registry>,
     /// The instance cache, shared with the worker pool's [`EngineCtx`]
-    /// so tests and the loadgen restart phase can reach the disk tier
-    /// (fault arming, segment paths) on a live server.
+    /// so tests can reach the disk tier (fault arming, segment paths)
+    /// on a live server.
     cache: Arc<InstanceCache>,
     /// One waker per event loop; shutdown pokes them all so a loop
     /// parked in an indefinite `poll` observes the canceled token.

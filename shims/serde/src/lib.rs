@@ -8,8 +8,7 @@
 //!
 //! The [`json`] module is the exception: it is a *real* (if small) JSON
 //! value model, parser, and writer, standing in for `serde_json`. The
-//! `vqd-server` wire protocol and the `loadgen` bench report are built
-//! on it.
+//! `vqd-server` wire protocol and the bench reports are built on it.
 
 #![warn(missing_docs)]
 

@@ -56,6 +56,31 @@ fn pipelined_depth_8_timelines_are_per_request_exact_and_bounded() {
     // not.
     let handle = spawn_with(1, ServerCaps::default());
     let mut client = connect(&handle);
+    // Occupy the worker first, so all eight batch requests are queued
+    // before the head can start: otherwise a descheduled event loop can
+    // enqueue the tail after the head began, shortening its wait.
+    let mut blocker_client = connect(&handle);
+    let blocker = std::thread::spawn(move || {
+        let limits = Limits { deadline_ms: Some(200), ..Limits::none() };
+        // Identity views determine everything, so the domain-4 scan
+        // never short-circuits and holds the worker until its deadline.
+        let scan = Request::Semantic {
+            schema: "E/2".to_owned(),
+            views: "V(x,y) :- E(x,y).".to_owned(),
+            query: "Q(x,z) :- E(x,y), E(y,z).".to_owned(),
+            domain: 4,
+            space_limit: 1 << 20,
+        };
+        blocker_client.call(limits, scan).expect("blocking scan")
+    });
+    // Admitted and no longer queued: the worker has picked it up.
+    loop {
+        let m = handle.metrics();
+        if m.accepted > 0 && m.queue_depth == 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let mut batch: Vec<(Limits, Request)> = Vec::new();
     batch.push((Limits::none(), certain_inline(64)));
     for _ in 0..6 {
@@ -112,6 +137,7 @@ fn pipelined_depth_8_timelines_are_per_request_exact_and_bounded() {
         "tail queue wait {tail_queue}us < head execution {first_exec}us: \
          queue attribution is not seeing the pipeline"
     );
+    blocker.join().expect("blocker thread");
     handle.shutdown();
 }
 
