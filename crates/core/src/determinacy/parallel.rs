@@ -3,13 +3,16 @@
 //!
 //! The semantic checker's work — enumerate every instance, apply the
 //! views, evaluate the query — is embarrassingly parallel once the
-//! enumeration is random-access ([`vqd_instance::gen::instance_at`]).
+//! enumeration is random-access: on the bitmask kernel an index *is* an
+//! instance, and the evaluator route starts its enumerator mid-space
+//! ([`InstanceEnumerator::starting_at`](vqd_instance::gen::InstanceEnumerator::starting_at)).
 //! Shards scan disjoint index ranges building local `image → answer`
 //! maps on the engine's [`ExecPool`](vqd_exec::ExecPool); a merge pass
 //! compares overlapping images across shards.
 //!
 //! All shards draw down the context's shared
-//! [`Budget`](vqd_budget::Budget): a found
+//! [`Budget`](vqd_budget::Budget) — one checkpoint per instance and a
+//! tuple charge per retained image, as in the sequential scan: a found
 //! counterexample short-circuits the scan through the budget's
 //! [`CancelToken`](vqd_budget::CancelToken) (the same token an external
 //! caller can trip to abort the whole check), and a budget trip in any
@@ -20,14 +23,15 @@
 //! parallelism buys a constant factor against a `2^(n^k)` space — the
 //! paper's decision procedures remain the only real way out.
 
-use super::semantic::{Counterexample, SemanticVerdict};
+use super::semantic::{
+    scan_range, Counterexample, Evaluator, ImageMap, Kernel, Progress, Route, Scanned,
+    SemanticVerdict,
+};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Mutex;
 use vqd_budget::{ExhaustReason, Exhausted, VqdError};
-use vqd_eval::{apply_views, eval_query};
 use vqd_exec::ExecCtx;
-use vqd_instance::gen::instance_at;
-use vqd_instance::{Instance, Relation};
 use vqd_query::{QueryExpr, ViewSet};
 
 /// Locks a mutex, recovering the data if a previous holder panicked.
@@ -40,7 +44,8 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// The parallel scan body of
 /// [`check_exhaustive_ctx`](super::semantic::check_exhaustive_ctx) over
 /// all `total` instances of domain `n`: disjoint contiguous index
-/// ranges, local image maps, shared budget, merge pass at the end.
+/// ranges, local image maps, shared budget, merge pass at the end. Each
+/// shard runs the same route the sequential scan would pick.
 pub(super) fn scan_sharded(
     views: &ViewSet,
     q: &QueryExpr,
@@ -48,7 +53,25 @@ pub(super) fn scan_sharded(
     total: u128,
     ec: &ExecCtx,
 ) -> Result<SemanticVerdict, VqdError> {
-    let schema = views.input_schema();
+    match Kernel::compile(views, q, n, total) {
+        Some(kernel) => scan_shards(|_| &kernel, n, total, ec),
+        None => scan_shards(|lo| Evaluator::at(views, q, n, lo), n, total, ec),
+    }
+}
+
+/// [`scan_sharded`] on the route `route(lo)` builds for a shard starting
+/// at index `lo`.
+fn scan_shards<R: Route>(
+    route: impl Fn(u128) -> R + Sync,
+    n: usize,
+    total: u128,
+    ec: &ExecCtx,
+) -> Result<SemanticVerdict, VqdError>
+where
+    R::Inst: Send,
+    R::Image: Send,
+    R::Answer: Send,
+{
     let found: Mutex<Option<Counterexample>> = Mutex::new(None);
     let tripped: Mutex<Option<Exhausted>> = Mutex::new(None);
     let budget = ec.budget();
@@ -61,53 +84,23 @@ pub(super) fn scan_sharded(
     // *caused by* a sibling's find or trip is not itself news) and the
     // siblings are cancelled, so every shard's local map survives for
     // the merge pass and a counterexample can outrank an exhaustion.
-    let maps = ec.run_shards(shards, |t| -> Result<_, Exhausted> {
+    let maps = ec.run_shards(shards, |t| -> Result<ImageMap<R>, Exhausted> {
         let lo = chunk * t as u128;
         let hi = total.min(lo + chunk);
-        let mut local: HashMap<Instance, (Instance, Relation)> = HashMap::new();
-        let mut i = lo;
-        while i < hi {
-            if let Err(e) = budget.checkpoint_with(&format_args!(
-                "shard {t} scanned up to index {i} of [{lo}, {hi}) \
-                 over domain {n}, no counterexample"
-            )) {
-                let mut slot = lock_unpoisoned(&tripped);
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
+        let at = Progress::Shard { t, lo, hi, n };
+        Ok(match scan_range(&mut route(lo), lo..hi, budget, at) {
+            Scanned::Complete(local) => local,
+            Scanned::Refuted(c) => {
+                lock_unpoisoned(&found).get_or_insert(c);
                 cancel.cancel();
-                break;
+                HashMap::new()
             }
-            let d = instance_at(schema, n, i);
-            // One index per candidate instance, shared by V and Q.
-            let idx = vqd_instance::IndexedInstance::new(d);
-            let image = apply_views(views, &idx);
-            let out = eval_query(q, &idx);
-            let d = idx.into_instance();
-            match local.get(&image) {
-                None => {
-                    local.insert(image, (d, out));
-                }
-                Some((d1, q1)) => {
-                    if *q1 != out {
-                        let mut slot = lock_unpoisoned(&found);
-                        if slot.is_none() {
-                            *slot = Some(Counterexample {
-                                d1: d1.clone(),
-                                d2: d,
-                                image,
-                                q1: q1.clone(),
-                                q2: out,
-                            });
-                        }
-                        cancel.cancel();
-                        break;
-                    }
-                }
+            Scanned::Tripped(e) => {
+                lock_unpoisoned(&tripped).get_or_insert(e);
+                cancel.cancel();
+                HashMap::new()
             }
-            i += 1;
-        }
-        Ok(local)
+        })
     })?;
 
     if let Some(c) = found.into_inner().unwrap_or_else(|p| p.into_inner()) {
@@ -128,22 +121,19 @@ pub(super) fn scan_sharded(
         return Ok(SemanticVerdict::Exhausted(Box::new(e)));
     }
     // Merge pass: images seen by several shards must agree.
-    let mut merged: HashMap<Instance, (Instance, Relation)> = HashMap::new();
+    let merger = route(0);
+    let mut merged: ImageMap<R> = HashMap::new();
     for local in maps {
         for (image, (d, out)) in local {
-            match merged.get(&image) {
-                None => {
-                    merged.insert(image, (d, out));
+            match merged.entry(image) {
+                Entry::Vacant(slot) => {
+                    slot.insert((d, out));
                 }
-                Some((d1, q1)) => {
+                Entry::Occupied(seen) => {
+                    let (d1, q1) = seen.get();
                     if *q1 != out {
-                        return Ok(SemanticVerdict::NotDetermined(Box::new(Counterexample {
-                            d1: d1.clone(),
-                            d2: d,
-                            image,
-                            q1: q1.clone(),
-                            q2: out,
-                        })));
+                        let c = merger.witness((d1, q1), d, seen.key().clone(), out);
+                        return Ok(SemanticVerdict::NotDetermined(Box::new(c)));
                     }
                 }
             }
@@ -260,6 +250,21 @@ mod tests {
         match check_exhaustive_ctx(&v, &q, 3, 1 << 26, &big).unwrap() {
             SemanticVerdict::NoCounterexampleUpTo(3) => {}
             other => panic!("expected completion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tuple_limits_trip_at_every_width() {
+        let (v, q) = setup("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
+        for threads in [1, 2] {
+            let cx = ExecCtx::with_parallelism(Budget::unlimited().with_tuple_limit(5), threads);
+            match check_exhaustive_ctx(&v, &q, 3, 1 << 26, &cx).unwrap() {
+                SemanticVerdict::Exhausted(e) => {
+                    assert_eq!(e.reason, ExhaustReason::TupleLimit, "width {threads}");
+                    assert!(e.work_done.tuples > 5, "width {threads}");
+                }
+                other => panic!("width {threads}: expected Exhausted, got {other:?}"),
+            }
         }
     }
 

@@ -15,11 +15,22 @@
 //! These brute-force checkers are the ground truth every effective
 //! procedure in this crate is validated against (experiments E1, E13),
 //! and the exponential wall they hit is measured as figure F4.
+//!
+//! The exhaustive scan evaluates views and query on the enumeration
+//! index itself through the [`BitScan`] kernel, building an [`Instance`]
+//! only for a witness; inputs the kernel's fallback rule refuses (FO, a
+//! constant outside the domain, wide outputs) run the per-instance
+//! evaluator. Both routes share one scan body, so verdicts, witnesses
+//! and budget accounting agree byte for byte.
 
 use super::parallel::scan_sharded;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::fmt;
+use std::hash::Hash;
+use std::ops::Range;
 use vqd_budget::{Budget, VqdError};
-use vqd_eval::{apply_views, eval_query};
+use vqd_eval::{apply_views, disjuncts, eval_query, BitScan};
 use vqd_exec::ExecInput;
 use vqd_instance::gen::{random_instance, space_size, InstanceEnumerator};
 use vqd_instance::{Instance, Relation};
@@ -106,9 +117,10 @@ pub fn check_exhaustive(
 /// enumerated instance, tuples charged for every image retained in the
 /// grouping map. A parallel [`ExecCtx`](vqd_exec::ExecCtx) splits the
 /// instance space into `cx.parallelism()` contiguous ranges and scans
-/// them on the engine pool; a definitive counterexample always wins over
-/// exhaustion — if one shard refutes determinacy while another trips the
-/// budget, the verdict is `NotDetermined`.
+/// them on the engine pool, with the same per-shard accounting; a
+/// definitive counterexample always wins over exhaustion — if one shard
+/// refutes determinacy while another trips the budget, the verdict is
+/// `NotDetermined`.
 pub fn check_exhaustive_ctx(
     views: &ViewSet,
     q: &QueryExpr,
@@ -143,43 +155,239 @@ fn scan(
     total: u128,
     budget: &Budget,
 ) -> SemanticVerdict {
-    let schema = views.input_schema();
-    let mut by_image: HashMap<Instance, (Instance, Relation)> = HashMap::new();
-    for (i, d) in InstanceEnumerator::new(schema, n).enumerate() {
-        if let Err(e) = budget.checkpoint_with(&format_args!(
-            "scanned {i} of {total} instances over domain {n}, no counterexample"
-        )) {
-            return SemanticVerdict::Exhausted(Box::new(e));
+    let at = Progress::Whole { total, n };
+    match Kernel::compile(views, q, n, total) {
+        Some(kernel) => scan_range(&mut &kernel, 0..total, budget, at).into_verdict(n),
+        None => {
+            let mut route = Evaluator::at(views, q, n, 0);
+            scan_range(&mut route, 0..total, budget, at).into_verdict(n)
         }
-        // One index per candidate instance, shared by V and Q.
+    }
+}
+
+/// How a scan evaluates the views and the query on one enumerated
+/// instance. Both routes give the same verdicts, witnesses and budget
+/// charges; [`Kernel`] just never builds an index.
+pub(super) trait Route {
+    /// An enumerated instance.
+    type Inst;
+    /// A view image: the grouping key.
+    type Image: Hash + Eq + Clone;
+    /// A query answer.
+    type Answer: PartialEq;
+    /// Evaluates instance `i`; a route is probed at consecutive indexes.
+    fn probe(&mut self, i: u128) -> (Self::Inst, Self::Image, Self::Answer);
+    /// Tuples retained with a new image: `|d| + |V(d)|`.
+    fn tuples(&self, d: &Self::Inst, image: &Self::Image) -> u64;
+    /// The counterexample two clashing instances make.
+    fn witness(
+        &self,
+        first: (&Self::Inst, &Self::Answer),
+        d2: Self::Inst,
+        image: Self::Image,
+        q2: Self::Answer,
+    ) -> Counterexample;
+}
+
+/// The per-instance evaluator route: one index per instance, shared by
+/// `V` and `Q`. It runs whenever [`BitScan::compile`] refuses the pair.
+pub(super) struct Evaluator<'a> {
+    views: &'a ViewSet,
+    q: &'a QueryExpr,
+    instances: InstanceEnumerator,
+}
+
+impl<'a> Evaluator<'a> {
+    /// The route positioned at instance `lo`.
+    pub(super) fn at(views: &'a ViewSet, q: &'a QueryExpr, n: usize, lo: u128) -> Self {
+        let instances = InstanceEnumerator::starting_at(views.input_schema(), n, lo);
+        Evaluator { views, q, instances }
+    }
+}
+
+impl Route for Evaluator<'_> {
+    type Inst = Instance;
+    type Image = Instance;
+    type Answer = Relation;
+
+    fn probe(&mut self, _i: u128) -> (Instance, Instance, Relation) {
+        let d = self.instances.next().expect("probed inside the instance space");
         let idx = vqd_instance::IndexedInstance::new(d);
-        let image = apply_views(views, &idx);
-        let out = eval_query(q, &idx);
-        let d = idx.into_instance();
-        match by_image.get(&image) {
-            None => {
-                if let Err(e) = budget.charge_tuples(
-                    (d.total_tuples() + image.total_tuples()) as u64,
-                    &format_args!("scanned {i} of {total} instances over domain {n}"),
-                ) {
-                    return SemanticVerdict::Exhausted(Box::new(e));
-                }
-                by_image.insert(image, (d, out));
+        let image = apply_views(self.views, &idx);
+        let out = eval_query(self.q, &idx);
+        (idx.into_instance(), image, out)
+    }
+
+    fn tuples(&self, d: &Instance, image: &Instance) -> u64 {
+        (d.total_tuples() + image.total_tuples()) as u64
+    }
+
+    fn witness(
+        &self,
+        (d1, q1): (&Instance, &Relation),
+        d2: Instance,
+        image: Instance,
+        q2: Relation,
+    ) -> Counterexample {
+        Counterexample { d1: d1.clone(), d2, image, q1: q1.clone(), q2 }
+    }
+}
+
+/// The bitmask kernel route: instances, images and answers are `u128`
+/// bitsets ([`BitScan`]), decoded only for a witness.
+pub(super) struct Kernel<'a> {
+    views: &'a ViewSet,
+    scan: BitScan,
+}
+
+impl<'a> Kernel<'a> {
+    /// Compiles the views (side 0) and the query (side 1), or `None`
+    /// when the kernel's fallback rule sends the pair to [`Evaluator`].
+    pub(super) fn compile(
+        views: &'a ViewSet,
+        q: &QueryExpr,
+        n: usize,
+        total: u128,
+    ) -> Option<Self> {
+        let image = views
+            .views()
+            .iter()
+            .map(|v| disjuncts(&v.query))
+            .collect::<Option<Vec<_>>>()?;
+        let answer = [disjuncts(q)?];
+        let scan = BitScan::compile(views.input_schema(), n, total, &[&image, &answer])?;
+        Some(Kernel { views, scan })
+    }
+}
+
+impl Route for &Kernel<'_> {
+    type Inst = u128;
+    type Image = u128;
+    type Answer = u128;
+
+    #[inline]
+    fn probe(&mut self, i: u128) -> (u128, u128, u128) {
+        (i, self.scan.eval(0, i), self.scan.eval(1, i))
+    }
+
+    fn tuples(&self, d: &u128, image: &u128) -> u64 {
+        u64::from(d.count_ones() + image.count_ones())
+    }
+
+    fn witness(&self, (d1, q1): (&u128, &u128), d2: u128, image: u128, q2: u128) -> Counterexample {
+        let schema = self.views.input_schema();
+        let answer = |bits| self.scan.output(1).relations(bits).pop().expect("one query output");
+        Counterexample {
+            d1: self.scan.input().instance(schema, *d1),
+            d2: self.scan.input().instance(schema, d2),
+            image: self.scan.output(0).instance(self.views.output_schema(), image),
+            q1: answer(*q1),
+            q2: answer(q2),
+        }
+    }
+}
+
+/// The retained `image → (first instance, its answer)` map of a scan.
+pub(super) type ImageMap<R> =
+    HashMap<<R as Route>::Image, (<R as Route>::Inst, <R as Route>::Answer)>;
+
+/// How a scanned range ended.
+pub(super) enum Scanned<M> {
+    /// Every instance was scanned without a clash.
+    Complete(M),
+    /// Two instances with equal images have different answers.
+    Refuted(Counterexample),
+    /// The budget tripped.
+    Tripped(vqd_budget::Exhausted),
+}
+
+impl<M> Scanned<M> {
+    /// The verdict of a scan over the whole space of domain `n`.
+    fn into_verdict(self, n: usize) -> SemanticVerdict {
+        match self {
+            Scanned::Complete(_) => SemanticVerdict::NoCounterexampleUpTo(n),
+            Scanned::Refuted(c) => SemanticVerdict::NotDetermined(Box::new(c)),
+            Scanned::Tripped(e) => SemanticVerdict::Exhausted(Box::new(e)),
+        }
+    }
+}
+
+/// Where a scan is, for the `partial` text of a budget trip.
+#[derive(Clone, Copy)]
+pub(super) enum Progress {
+    /// The sequential scan over the whole space.
+    Whole { total: u128, n: usize },
+    /// Shard `t` of a sharded scan, over `[lo, hi)`.
+    Shard { t: usize, lo: u128, hi: u128, n: usize },
+}
+
+impl Progress {
+    /// The progress text at index `i`; `clean` adds that no
+    /// counterexample was found so far.
+    fn at(self, i: u128, clean: bool) -> At {
+        At { progress: self, i, clean }
+    }
+}
+
+/// A [`Progress`] at one index, rendered as a trip's `partial` text.
+pub(super) struct At {
+    progress: Progress,
+    i: u128,
+    clean: bool,
+}
+
+impl fmt::Display for At {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let i = self.i;
+        match self.progress {
+            Progress::Whole { total, n } => {
+                write!(f, "scanned {i} of {total} instances over domain {n}")?
             }
-            Some((d1, q1)) => {
+            Progress::Shard { t, lo, hi, n } => write!(
+                f,
+                "shard {t} scanned up to index {i} of [{lo}, {hi}) over domain {n}"
+            )?,
+        }
+        if self.clean {
+            f.write_str(", no counterexample")?;
+        }
+        Ok(())
+    }
+}
+
+/// Scans instances `range` through `route`, grouping by image: one
+/// [`Budget::checkpoint_with`] per instance, and
+/// [`Route::tuples`] charged for every image retained.
+pub(super) fn scan_range<R: Route>(
+    route: &mut R,
+    range: Range<u128>,
+    budget: &Budget,
+    at: Progress,
+) -> Scanned<ImageMap<R>> {
+    let mut by_image: ImageMap<R> = HashMap::new();
+    for i in range {
+        if let Err(e) = budget.checkpoint_with(&at.at(i, true)) {
+            return Scanned::Tripped(e);
+        }
+        vqd_obs::count(vqd_obs::Metric::SemanticInstancesScanned, 1);
+        let (d, image, out) = route.probe(i);
+        match by_image.entry(image) {
+            Entry::Vacant(slot) => {
+                let tuples = route.tuples(&d, slot.key());
+                if let Err(e) = budget.charge_tuples(tuples, &at.at(i, false)) {
+                    return Scanned::Tripped(e);
+                }
+                slot.insert((d, out));
+            }
+            Entry::Occupied(seen) => {
+                let (d1, q1) = seen.get();
                 if *q1 != out {
-                    return SemanticVerdict::NotDetermined(Box::new(Counterexample {
-                        d1: d1.clone(),
-                        d2: d,
-                        image,
-                        q1: q1.clone(),
-                        q2: out,
-                    }));
+                    return Scanned::Refuted(route.witness((d1, q1), d, seen.key().clone(), out));
                 }
             }
         }
     }
-    SemanticVerdict::NoCounterexampleUpTo(n)
+    Scanned::Complete(by_image)
 }
 
 /// Randomized counterexample search: samples instances, groups by image,

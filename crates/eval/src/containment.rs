@@ -14,6 +14,7 @@
 //! for `≠` or negation; the entry points check and panic, since a silent
 //! wrong answer here would poison every determinacy result downstream.
 
+use crate::bitscan::BitScan;
 use crate::cq_eval::{eval_cq, eval_ucq, normalize_eqs};
 use std::collections::BTreeMap;
 use vqd_budget::Budget;
@@ -134,7 +135,10 @@ pub enum BoundedContainment {
 /// evaluator handles (including `≠` and safe negation).
 ///
 /// One [`Budget::checkpoint`] per enumerated instance; exhaustion is a
-/// verdict, not a panic.
+/// verdict, not a panic. Both queries run on the [`BitScan`] kernel
+/// unless its fallback rule sends the scan to the per-instance
+/// evaluator; the verdict and the refuting instance are the same either
+/// way.
 pub fn contained_bounded_budgeted(
     q1: &Cq,
     q2: &Cq,
@@ -149,13 +153,32 @@ pub fn contained_bounded_budgeted(
         Some(s) if s <= limit => s,
         _ => return BoundedContainment::TooLarge,
     };
-    for (i, d) in InstanceEnumerator::new(&q1.schema, max_domain).enumerate() {
-        if let Err(e) = budget.checkpoint_with(&format_args!(
+    let checkpoint = |i: u128| {
+        let checked = budget.checkpoint_with(&format_args!(
             "checked containment on {i} of {total} instances, no counterexample"
-        )) {
+        ));
+        if checked.is_ok() {
+            vqd_obs::count(vqd_obs::Metric::ContainmentInstancesChecked, 1);
+        }
+        checked
+    };
+    let sides: [&[&[Cq]]; 2] = [&[std::slice::from_ref(q1)], &[std::slice::from_ref(q2)]];
+    if let Some(kernel) = BitScan::compile(&q1.schema, max_domain, total, &sides) {
+        for i in 0..total {
+            if let Err(e) = checkpoint(i) {
+                return BoundedContainment::Exhausted(Box::new(e));
+            }
+            if kernel.eval(0, i) & !kernel.eval(1, i) != 0 {
+                let d = kernel.input().instance(&q1.schema, i);
+                return BoundedContainment::Refuted(Box::new(d));
+            }
+        }
+        return BoundedContainment::NoCounterexampleUpTo(max_domain);
+    }
+    for (i, d) in InstanceEnumerator::new(&q1.schema, max_domain).enumerate() {
+        if let Err(e) = checkpoint(i as u128) {
             return BoundedContainment::Exhausted(Box::new(e));
         }
-        vqd_obs::count(vqd_obs::Metric::ContainmentInstancesChecked, 1);
         // One index serves both sides of the subset test.
         let idx = IndexedInstance::new(d);
         if !eval_cq(q1, &idx).is_subset(&eval_cq(q2, &idx)) {

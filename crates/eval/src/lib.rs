@@ -16,6 +16,8 @@
 //!   of full FO under active-domain semantics (the FO evaluator
 //!   materializes exactly the `R_θ` subformula relations of Theorem 5.4);
 //! * [`view_eval`] — view images `V(D)`;
+//! * [`bitscan`] — the bounded scans' kernel: views and queries compiled
+//!   to bitmasks and evaluated on enumeration indexes, no index built;
 //! * [`containment`] — Chandra–Merlin / Sagiv–Yannakakis containment and
 //!   equivalence with frozen bodies `[Q]`;
 //! * [`minimize`] — CQ cores (plus an exhaustive baseline for the F8
@@ -25,6 +27,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bitscan;
 pub mod containment;
 pub mod cq_eval;
 pub mod fo_eval;
@@ -34,6 +37,7 @@ pub mod minimize;
 pub mod monotone;
 pub mod view_eval;
 
+pub use bitscan::{disjuncts, BitLayout, BitScan};
 pub use containment::{
     contained_bounded_budgeted, cq_contained, cq_contained_in_ucq, cq_equivalent, freeze,
     ucq_contained, ucq_equivalent, BoundedContainment,

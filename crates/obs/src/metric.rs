@@ -40,6 +40,9 @@ pub enum Metric {
     FixpointDeltaTuples,
     /// Candidate instances checked by the bounded containment search.
     ContainmentInstancesChecked,
+    /// Candidate instances scanned by the bounded semantic determinacy
+    /// check, on the bitmask kernel and on the per-instance evaluator.
+    SemanticInstancesScanned,
     /// Tuples examined by the certain-answer null filter.
     CertainTuplesChecked,
     /// Null-free tuples kept as certain answers.
@@ -59,7 +62,7 @@ pub enum Metric {
 }
 
 /// Number of [`Metric`] variants (length of the counter array).
-pub const METRIC_COUNT: usize = 16;
+pub const METRIC_COUNT: usize = 17;
 
 impl Metric {
     /// Every variant, in discriminant order.
@@ -73,6 +76,7 @@ impl Metric {
         Metric::FixpointRounds,
         Metric::FixpointDeltaTuples,
         Metric::ContainmentInstancesChecked,
+        Metric::SemanticInstancesScanned,
         Metric::CertainTuplesChecked,
         Metric::CertainAnswersKept,
         Metric::IndexBuilds,
@@ -94,6 +98,7 @@ impl Metric {
             Metric::FixpointRounds => "fixpoint_rounds",
             Metric::FixpointDeltaTuples => "fixpoint_delta_tuples",
             Metric::ContainmentInstancesChecked => "containment_instances_checked",
+            Metric::SemanticInstancesScanned => "semantic_instances_scanned",
             Metric::CertainTuplesChecked => "certain_tuples_checked",
             Metric::CertainAnswersKept => "certain_answers_kept",
             Metric::IndexBuilds => "index_builds",

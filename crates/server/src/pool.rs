@@ -446,10 +446,10 @@ mod tests {
                 Limits::none(),
                 Request::Semantic {
                     schema: "E/2".into(),
-                    views: "V(x,y) :- E(x,y).".into(),
-                    query: "Q(x,z) :- E(x,y), E(y,z).".into(),
-                    domain: 3,
-                    space_limit: 1 << 20,
+                    views: "B() :- E(x,y).".into(),
+                    query: "Q() :- E(x,y).".into(),
+                    domain: 5,
+                    space_limit: 1 << 25,
                 },
             ),
             budget: Budget::unlimited().with_deadline(std::time::Duration::from_millis(400)),

@@ -1,0 +1,449 @@
+//! The bounded scans' bitmask kernel against a reference scan.
+//!
+//! `check_exhaustive_ctx` and `contained_bounded_budgeted` evaluate the
+//! conjunctive family on instance bitmasks (`vqd_eval::BitScan`) unless
+//! the kernel's fallback rule sends them to the per-instance evaluator.
+//! Either way they must answer exactly what the definition does. The
+//! reference scans below are written from the public enumerator and
+//! evaluators only, and the generated pairs cover `=`, `≠`, `¬`, UCQs,
+//! heads of arity 0 and 3, domains 0–3, and constants inside and
+//! outside the domain (`A` is interned first, so it is `c0`).
+//!
+//! Sequentially the verdict, the witness, the budget's steps and tuples
+//! and the `partial` text of a step-limit trip must be identical; with
+//! two shards the verdict kind must match and the witness must verify.
+//! The domain-4 cases are `#[ignore]`d; run them with
+//! `cargo test --release --test bitscan -- --ignored`.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+use vqd::budget::{Budget, Exhausted};
+use vqd::core::determinacy::{
+    check_exhaustive_ctx, verify_counterexample, Counterexample, SemanticVerdict,
+};
+use vqd::eval::{apply_views, contained_bounded_budgeted, eval_cq, eval_query, BoundedContainment};
+use vqd::exec::ExecCtx;
+use vqd::instance::gen::{space_size, InstanceEnumerator};
+use vqd::instance::{DomainNames, Instance, Relation, Schema};
+use vqd::obs::{local_snapshot, Metric};
+use vqd::query::{parse_program, parse_query, Cq, QueryExpr, ViewSet};
+
+/// The semantic scan straight from the definition: group instances by
+/// view image, refute on the first clash, with the scan's budget
+/// accounting (one checkpoint per instance, `|d| + |V(d)|` tuples per
+/// retained image).
+fn reference_scan(views: &ViewSet, q: &QueryExpr, n: usize, budget: &Budget) -> SemanticVerdict {
+    let schema = views.input_schema();
+    let total = space_size(schema, n).expect("small space");
+    let mut by_image: HashMap<Instance, (Instance, Relation)> = HashMap::new();
+    for (i, d) in InstanceEnumerator::new(schema, n).enumerate() {
+        let at = format!("scanned {i} of {total} instances over domain {n}");
+        if let Err(e) = budget.checkpoint_with(&format_args!("{at}, no counterexample")) {
+            return SemanticVerdict::Exhausted(Box::new(e));
+        }
+        let image = apply_views(views, &d);
+        let out = eval_query(q, &d);
+        match by_image.get(&image) {
+            None => {
+                let tuples = (d.total_tuples() + image.total_tuples()) as u64;
+                if let Err(e) = budget.charge_tuples(tuples, &at) {
+                    return SemanticVerdict::Exhausted(Box::new(e));
+                }
+                by_image.insert(image, (d, out));
+            }
+            Some((d1, q1)) if *q1 != out => {
+                let (d1, q1) = (d1.clone(), q1.clone());
+                let c = Counterexample {
+                    d1,
+                    d2: d,
+                    image,
+                    q1,
+                    q2: out,
+                };
+                return SemanticVerdict::NotDetermined(Box::new(c));
+            }
+            Some(_) => {}
+        }
+    }
+    SemanticVerdict::NoCounterexampleUpTo(n)
+}
+
+/// Bounded containment straight from the definition.
+fn reference_contained(q1: &Cq, q2: &Cq, n: usize, budget: &Budget) -> BoundedContainment {
+    let total = space_size(&q1.schema, n).expect("small space");
+    for (i, d) in InstanceEnumerator::new(&q1.schema, n).enumerate() {
+        let at = format!("checked containment on {i} of {total} instances, no counterexample");
+        if let Err(e) = budget.checkpoint_with(&at) {
+            return BoundedContainment::Exhausted(Box::new(e));
+        }
+        if !eval_cq(q1, &d).is_subset(&eval_cq(q2, &d)) {
+            return BoundedContainment::Refuted(Box::new(d));
+        }
+    }
+    BoundedContainment::NoCounterexampleUpTo(n)
+}
+
+/// An exhaustion with its wall time projected away.
+fn trip(e: &Exhausted) -> String {
+    format!(
+        "{:?} after {} steps, {} tuples: {}",
+        e.reason, e.work_done.steps, e.work_done.tuples, e.partial
+    )
+}
+
+/// A verdict, witness and trip text, exactly.
+fn semantic_summary(v: &SemanticVerdict) -> String {
+    match v {
+        SemanticVerdict::Exhausted(e) => trip(e),
+        other => format!("{other:?}"),
+    }
+}
+
+fn containment_summary(v: &BoundedContainment) -> String {
+    match v {
+        BoundedContainment::Exhausted(e) => trip(e),
+        other => format!("{other:?}"),
+    }
+}
+
+/// Random rules over a schema: positive atoms over up to four variables
+/// and the constants `A`–`D`, plus optional `=`, `≠` and negated atoms.
+struct Rules<'a> {
+    rng: StdRng,
+    rels: &'a [(&'a str, usize)],
+}
+
+impl Rules<'_> {
+    fn term(&mut self, vars: &[&'static str]) -> String {
+        if vars.is_empty() || self.rng.gen_bool(0.06) {
+            // Mostly `A` (`c0`), sometimes a constant past small domains.
+            ["A", "A", "A", "B", "C", "D"][self.rng.gen_range(0..6usize)].to_owned()
+        } else {
+            vars[self.rng.gen_range(0..vars.len())].to_owned()
+        }
+    }
+
+    fn atom(&mut self, vars: &[&'static str]) -> String {
+        let (rel, arity) = self.rels[self.rng.gen_range(0..self.rels.len())];
+        let args: Vec<String> = (0..arity).map(|_| self.term(vars)).collect();
+        format!("{rel}({})", args.join(","))
+    }
+
+    /// One rule `head(...) :- body.` with a head of `arity` terms.
+    fn rule(&mut self, head: &str, arity: usize) -> String {
+        const POOL: [&str; 4] = ["x", "y", "z", "w"];
+        let pool = &POOL[..self.rng.gen_range(2..=4usize)];
+        let mut body: Vec<String> = (0..self.rng.gen_range(1..=3usize))
+            .map(|_| self.atom(pool))
+            .collect();
+        // Only variables bound by a positive atom may appear elsewhere.
+        let bound: Vec<&'static str> = POOL
+            .iter()
+            .copied()
+            .filter(|v| body.iter().any(|a| a.contains(v)))
+            .collect();
+        if self.rng.gen_bool(0.3) {
+            body.push(format!("{} != {}", self.term(&bound), self.term(&bound)));
+        }
+        if self.rng.gen_bool(0.2) {
+            body.push(format!("{} = {}", self.term(&bound), self.term(&bound)));
+        }
+        if self.rng.gen_bool(0.3) {
+            body.push(format!("!{}", self.atom(&bound)));
+        }
+        let args: Vec<String> = (0..arity).map(|_| self.term(&bound)).collect();
+        format!("{head}({}) :- {}.", args.join(","), body.join(", "))
+    }
+
+    /// A CQ, or with some probability a two-disjunct UCQ.
+    fn query(&mut self, head: &str, arity: usize) -> String {
+        let mut src = self.rule(head, arity);
+        if self.rng.gen_bool(0.3) {
+            src.push('\n');
+            src.push_str(&self.rule(head, arity));
+        }
+        src
+    }
+
+    fn arity(&mut self) -> usize {
+        self.rng.gen_range(0..4usize)
+    }
+}
+
+/// A generated `(views, query)` pair over `schema`, parsed with `A`
+/// interned first (`Named(0)`, domain element `c0`).
+fn pair(rules: &mut Rules<'_>, schema: &Schema) -> (ViewSet, QueryExpr, String) {
+    let mut names = DomainNames::new();
+    for c in ["A", "B", "C", "D"] {
+        names.intern(c);
+    }
+    let views: Vec<String> = (0..rules.rng.gen_range(1..=2usize))
+        .map(|i| {
+            let arity = rules.arity();
+            rules.query(&format!("V{i}"), arity)
+        })
+        .collect();
+    let views = views.join("\n");
+    let arity = rules.arity();
+    let query = rules.query("Q", arity);
+    let prog = parse_program(schema, &mut names, &views).expect("generated views parse");
+    let q = parse_query(schema, &mut names, &query).expect("generated query parses");
+    (
+        ViewSet::new(schema, prog.defs),
+        q,
+        format!("{views}\n{query}"),
+    )
+}
+
+/// What a set of checked pairs exercised: kernel and fallback routes,
+/// refuted and completed scans.
+#[derive(Debug, Default)]
+struct Coverage {
+    kernel: usize,
+    fallback: usize,
+    refuted: usize,
+    completed: usize,
+}
+
+impl Coverage {
+    fn add(&mut self, other: Coverage) {
+        self.kernel += other.kernel;
+        self.fallback += other.fallback;
+        self.refuted += other.refuted;
+        self.completed += other.completed;
+    }
+
+    fn assert_all(&self) {
+        assert!(
+            self.kernel > 0 && self.fallback > 0 && self.refuted > 0 && self.completed > 0,
+            "a route or verdict went unexercised: {self:?}"
+        );
+    }
+}
+
+/// Checks one pair at domain `n` sequentially (verdict, witness, budget
+/// on completion and at three step-limit trips) and on two shards.
+fn check_pair(views: &ViewSet, q: &QueryExpr, n: usize, label: &str) -> Coverage {
+    let limit = 1 << 20;
+    let kernel = Budget::unlimited();
+    let reference = Budget::unlimited();
+    let mut got = None;
+    let work = counters(|| got = Some(check_exhaustive_ctx(views, q, n, limit, &kernel)));
+    let got = got.expect("ran").expect("same schema");
+    let want = reference_scan(views, q, n, &reference);
+    assert_eq!(
+        semantic_summary(&got),
+        semantic_summary(&want),
+        "{label} at domain {n}"
+    );
+    assert_eq!(
+        (kernel.steps(), kernel.tuples()),
+        (reference.steps(), reference.tuples()),
+        "{label}"
+    );
+
+    let steps = reference.steps();
+    for at in [0, steps / 2, steps.saturating_sub(1)] {
+        let kernel = Budget::unlimited().with_step_limit(at);
+        let reference = Budget::unlimited().with_step_limit(at);
+        let got = check_exhaustive_ctx(views, q, n, limit, &kernel).expect("same schema");
+        let want = reference_scan(views, q, n, &reference);
+        assert_eq!(
+            semantic_summary(&got),
+            semantic_summary(&want),
+            "{label}, step limit {at}"
+        );
+        assert_eq!(
+            kernel.tuples(),
+            reference.tuples(),
+            "{label}, step limit {at}"
+        );
+    }
+
+    let sharded = ExecCtx::with_parallelism(Budget::unlimited(), 2);
+    match (
+        check_exhaustive_ctx(views, q, n, limit, &sharded).expect("same schema"),
+        &want,
+    ) {
+        (SemanticVerdict::NotDetermined(c), SemanticVerdict::NotDetermined(_)) => {
+            assert!(
+                verify_counterexample(views, q, &c),
+                "{label}: sharded witness"
+            );
+        }
+        (SemanticVerdict::NoCounterexampleUpTo(a), SemanticVerdict::NoCounterexampleUpTo(b)) => {
+            assert_eq!(a, *b)
+        }
+        (got, want) => panic!("{label}: sharded {got:?} but sequential {want:?}"),
+    }
+    let kernel_route = work.get(Metric::IndexBuilds) == 0;
+    Coverage {
+        kernel: usize::from(kernel_route),
+        fallback: usize::from(!kernel_route),
+        refuted: usize::from(want.is_refuted()),
+        completed: usize::from(!want.is_refuted()),
+    }
+}
+
+/// Checks one containment pair at domain `n`, on completion and at
+/// three step-limit trips.
+fn check_containment(q1: &Cq, q2: &Cq, n: usize, label: &str) {
+    let reference = Budget::unlimited();
+    reference_contained(q1, q2, n, &reference);
+    let steps = reference.steps();
+    for at in [
+        None,
+        Some(0),
+        Some(steps / 2),
+        Some(steps.saturating_sub(1)),
+    ] {
+        let limited = |b: Budget| at.map_or(b.clone(), |k| b.with_step_limit(k));
+        let (kernel, reference) = (limited(Budget::unlimited()), limited(Budget::unlimited()));
+        let got = contained_bounded_budgeted(q1, q2, n, 1 << 20, &kernel);
+        let want = reference_contained(q1, q2, n, &reference);
+        assert_eq!(
+            containment_summary(&got),
+            containment_summary(&want),
+            "{label} at {at:?}"
+        );
+        assert_eq!(kernel.steps(), reference.steps(), "{label} at {at:?}");
+    }
+}
+
+/// `count` generated pairs over `rels` at each domain in `domains`.
+fn sweep(seed: u64, rels: &[(&str, usize)], domains: &[usize], count: usize) -> Coverage {
+    let schema = Schema::new(rels.iter().copied());
+    let mut rules = Rules {
+        rng: StdRng::seed_from_u64(seed),
+        rels,
+    };
+    let mut coverage = Coverage::default();
+    for &n in domains {
+        for k in 0..count {
+            let (views, q, src) = pair(&mut rules, &schema);
+            let label = format!("pair {k} of seed {seed}:\n{src}\n");
+            coverage.add(check_pair(&views, &q, n, &label));
+        }
+    }
+    coverage
+}
+
+#[test]
+fn kernel_equals_reference_on_generated_pairs() {
+    let mut coverage = sweep(1, &[("E", 2), ("P", 1), ("T", 3)], &[0, 1], 16);
+    coverage.add(sweep(2, &[("E", 2), ("P", 1), ("T", 3)], &[2], 8));
+    coverage.add(sweep(3, &[("E", 2), ("P", 1)], &[2, 3], 20));
+    coverage.add(sweep(4, &[("T", 3)], &[2], 10));
+    eprintln!("{coverage:?}");
+    coverage.assert_all();
+}
+
+#[test]
+fn kernel_equals_reference_on_fixed_pairs() {
+    let schema = Schema::new([("E", 2), ("P", 1)]);
+    let cases = [
+        // Determined, refuted, and refuted only through `¬` and `≠`.
+        ("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z)."),
+        (
+            "V(x,y) :- E(x,z), E(z,y).",
+            "Q(x,y) :- E(x,a), E(a,b), E(b,y).",
+        ),
+        ("V(x) :- E(x,y).\nW(x) :- P(x).", "Q(x) :- E(x,y), !P(y)."),
+        ("V(x,y) :- E(x,y), x != y.", "Q(x) :- E(x,x)."),
+        // `A` is `c0`: a domain element from domain 1 on.
+        ("V(x) :- E(x,A).", "Q() :- E(A,A)."),
+        ("V(x,y) :- E(x,y).\nV(x,x) :- P(x).", "Q(x,y,x) :- E(x,y)."),
+        ("B() :- E(x,y).", "Q() :- E(x,y)."),
+    ];
+    let mut names = DomainNames::new();
+    for (views, query) in cases {
+        let prog = parse_program(&schema, &mut names, views).unwrap();
+        let vs = ViewSet::new(&schema, prog.defs);
+        let q = parse_query(&schema, &mut names, query).unwrap();
+        for n in 0..=3 {
+            check_pair(&vs, &q, n, &format!("{views} / {query}"));
+        }
+    }
+}
+
+#[test]
+fn bounded_containment_equals_reference() {
+    let rels = [("E", 2), ("P", 1)];
+    let schema = Schema::new(rels);
+    let mut rules = Rules {
+        rng: StdRng::seed_from_u64(5),
+        rels: &rels,
+    };
+    for n in 0..=2 {
+        for k in 0..16 {
+            let mut names = DomainNames::new();
+            names.intern("A");
+            let arity = rules.arity();
+            let (s1, s2) = (rules.rule("Q", arity), rules.rule("Q", arity));
+            let cq = |src: &str, names: &mut DomainNames| {
+                parse_query(&schema, names, src)
+                    .unwrap()
+                    .as_cq()
+                    .unwrap()
+                    .clone()
+            };
+            let (q1, q2) = (cq(&s1, &mut names), cq(&s2, &mut names));
+            check_containment(&q1, &q2, n, &format!("containment {k}: {s1} ⊆ {s2}"));
+        }
+    }
+}
+
+/// The engine counters of `f`, run on this thread.
+fn counters(f: impl FnOnce()) -> vqd::obs::MetricsSnapshot {
+    let before = local_snapshot();
+    f();
+    local_snapshot().diff(&before)
+}
+
+#[test]
+fn the_kernel_route_builds_no_index_and_counts_every_instance() {
+    let schema = Schema::new([("E", 2)]);
+    let mut names = DomainNames::new();
+    for c in ["A", "B", "C", "D"] {
+        names.intern(c);
+    }
+    let views = ViewSet::new(
+        &schema,
+        parse_program(&schema, &mut names, "V(x,y) :- E(x,y).")
+            .unwrap()
+            .defs,
+    );
+    let cq = parse_query(&schema, &mut names, "Q(x,z) :- E(x,y), E(y,z).").unwrap();
+    let fo = parse_query(&schema, &mut names, "Q(x) := exists y. E(x,y).").unwrap();
+    let outside = parse_query(&schema, &mut names, "Q(x) :- E(x,D).").unwrap();
+    let scan = |q: &QueryExpr| {
+        counters(|| {
+            check_exhaustive_ctx(&views, q, 3, 1 << 20, &Budget::unlimited()).unwrap();
+        })
+    };
+    let kernel = scan(&cq);
+    assert_eq!(kernel.get(Metric::IndexBuilds), 0);
+    assert_eq!(kernel.get(Metric::HomCandidatesTried), 0);
+    assert_eq!(kernel.get(Metric::SemanticInstancesScanned), 512);
+    // FO and a constant outside the domain both run the evaluator.
+    for q in [&fo, &outside] {
+        let fallback = scan(q);
+        assert!(fallback.get(Metric::IndexBuilds) > 0);
+        assert!(fallback.get(Metric::SemanticInstancesScanned) > 0);
+    }
+    let both = counters(|| {
+        let cx = ExecCtx::with_parallelism(Budget::unlimited(), 2);
+        check_exhaustive_ctx(&views, &cq, 3, 1 << 20, &cx).unwrap();
+    });
+    assert_eq!(both.get(Metric::SemanticInstancesScanned), 512);
+    assert_eq!(both.get(Metric::IndexBuilds), 0);
+}
+
+#[test]
+#[ignore = "domain 4: run with --release -- --ignored"]
+fn kernel_equals_reference_at_domain_4() {
+    let mut coverage = sweep(6, &[("E", 2)], &[4], 6);
+    coverage.add(sweep(7, &[("E", 2), ("P", 1)], &[4], 2));
+    eprintln!("{coverage:?}");
+}

@@ -62,14 +62,14 @@ fn pipelined_depth_8_timelines_are_per_request_exact_and_bounded() {
     let mut blocker_client = connect(&handle);
     let blocker = std::thread::spawn(move || {
         let limits = Limits { deadline_ms: Some(200), ..Limits::none() };
-        // Identity views determine everything, so the domain-4 scan
+        // The view is the query, so the 2^25-instance domain-5 scan
         // never short-circuits and holds the worker until its deadline.
         let scan = Request::Semantic {
             schema: "E/2".to_owned(),
-            views: "V(x,y) :- E(x,y).".to_owned(),
-            query: "Q(x,z) :- E(x,y), E(y,z).".to_owned(),
-            domain: 4,
-            space_limit: 1 << 20,
+            views: "B() :- E(x,y).".to_owned(),
+            query: "Q() :- E(x,y).".to_owned(),
+            domain: 5,
+            space_limit: 1 << 25,
         };
         blocker_client.call(limits, scan).expect("blocking scan")
     });

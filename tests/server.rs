@@ -42,31 +42,34 @@ fn decide_paths(k: usize, m: usize) -> Request {
     }
 }
 
-/// A scan that must exhaust its whole space (identity views determine
-/// everything, so no counterexample ever short-circuits it). `domain` 3
-/// finishes in tens of milliseconds; `domain` 4 runs for seconds —
-/// the reliable "slow request" for budget/cancellation tests.
+/// A scan that must exhaust its whole space (the view is the query, so
+/// no counterexample ever short-circuits it, and only two images are
+/// ever retained, so memory stays flat). `domain` 3 finishes in
+/// milliseconds; `domain` 5 (2^25 instances) runs for about twenty
+/// seconds in debug builds and seconds in release — the reliable "slow
+/// request" for budget/cancellation tests.
 fn exhaustive_scan(domain: u64, space_limit: u64) -> Request {
     Request::Semantic {
         schema: "E/2".to_owned(),
-        views: "V(x,y) :- E(x,y).".to_owned(),
-        query: "Q(x,z) :- E(x,y), E(y,z).".to_owned(),
+        views: "B() :- E(x,y).".to_owned(),
+        query: "Q() :- E(x,y).".to_owned(),
         domain,
         space_limit,
     }
 }
 
-/// A three-relation exhaustive scan: 2^15 instances at domain 3, which
+/// A five-relation exhaustive scan: 2^21 instances at domain 3, which
 /// takes on the order of seconds in debug builds — long enough that a
 /// shutdown issued 150ms in reliably lands mid-request — yet completes
-/// with a definite `no-counterexample` verdict when left alone.
+/// with a definite `no-counterexample` verdict when left alone. No view
+/// reads `S` or `T`, so only 2^15 distinct images are ever retained.
 fn medium_scan() -> Request {
     Request::Semantic {
-        schema: "E/2,P/1,R/1".to_owned(),
+        schema: "E/2,P/1,R/1,S/1,T/1".to_owned(),
         views: "V(x,y) :- E(x,y). W(x) :- P(x). U(x) :- R(x).".to_owned(),
         query: "Q(x,z) :- E(x,y), E(y,z), P(x), R(z).".to_owned(),
         domain: 3,
-        space_limit: 1 << 20,
+        space_limit: 1 << 22,
     }
 }
 
@@ -163,7 +166,7 @@ fn over_budget_requests_degrade_to_exhausted_with_stats() {
     let reply = client
         .call(
             Limits { deadline_ms: Some(60), ..Limits::none() },
-            exhaustive_scan(4, 1 << 20),
+            exhaustive_scan(5, 1 << 25),
         )
         .expect("call");
     match &reply.outcome {
@@ -200,7 +203,7 @@ fn a_full_queue_rejects_with_overloaded() {
                 let reply = client
                     .call(
                         Limits { deadline_ms: Some(400), ..Limits::none() },
-                        exhaustive_scan(4, 1 << 20),
+                        exhaustive_scan(5, 1 << 25),
                     )
                     .expect("call");
                 match reply.outcome {
