@@ -30,6 +30,21 @@
 //! requirement for matching ([`crate::Client::call_many`] still checks
 //! it). Nothing about the framing changed to allow this: one envelope
 //! per line, one reply per line, in order, as in v1.
+//!
+//! **The schema table.** Every wire key is declared once, in the table
+//! near the end of this module (DESIGN.md §21). A row names a Rust
+//! field, its wire key, its type, and its rule: when it is written
+//! (always, or only when it differs from its default) and what its
+//! absence means (an error with a fixed text, or a default). The
+//! encoders ([`Envelope::to_json`], [`Response::to_json`]), the decoders
+//! ([`Envelope::from_json`], [`Response::from_json`]), [`Request::op`],
+//! [`ErrorKind::as_str`], the [`Timeline`] codec and
+//! [`Envelope::from_fields`] (the `vqd-cli` flag reader) are all
+//! generated from it. One decoding rule holds everywhere: an absent
+//! optional field takes its default, and a present field of the wrong
+//! type is a `protocol` error that names the field and keeps the id.
+
+use std::cell::Cell;
 
 use serde::json::{self, Value};
 use vqd_budget::WorkStats;
@@ -211,26 +226,13 @@ pub enum Request {
 }
 
 impl Request {
+    /// Every wire op name, in schema-table order (`certain_sound` appears
+    /// once per extent form).
+    pub const OPS: &'static [&'static str] = <Request as Variants>::NAMES;
+
     /// The wire name of this operation.
     pub fn op(&self) -> &'static str {
-        match self {
-            Request::Ping => "ping",
-            Request::Decide { .. } => "decide_unrestricted",
-            Request::Rewrite { .. } => "rewrite",
-            Request::Certain { .. } | Request::CertainHandle { .. } => "certain_sound",
-            Request::PutInstance { .. } => "put_instance",
-            Request::EvictInstance { .. } => "evict_instance",
-            Request::CacheStats => "cache_stats",
-            Request::Classify { .. } => "classify",
-            Request::Containment { .. } => "containment",
-            Request::Finite { .. } => "decide_finite",
-            Request::Semantic { .. } => "check_exhaustive",
-            Request::Stats => "stats",
-            Request::Flight => "flight",
-            Request::MetricsProm => "metrics_prom",
-            Request::Shutdown => "shutdown",
-            Request::DebugPanic => "debug_panic",
-        }
+        self.name()
     }
 }
 
@@ -365,27 +367,12 @@ impl Timeline {
     /// Encodes the wire form (durations only; instants never leave the
     /// process).
     pub fn to_json(&self) -> Value {
-        Value::object([
-            ("frame_us", Value::from(self.frame_us)),
-            ("queue_us", Value::from(self.queue_us)),
-            ("exec_us", Value::from(self.exec_us)),
-            ("reorder_us", Value::from(self.reorder_us)),
-            ("write_us", Value::from(self.write_us)),
-        ])
+        self.enc()
     }
 
     /// Decodes [`to_json`](Self::to_json); `None` on shape mismatch.
     pub fn from_json(v: &Value) -> Option<Timeline> {
-        let num = |k: &str| v.get(k).and_then(Value::as_u64);
-        Some(Timeline {
-            frame_us: num("frame_us")?,
-            queue_us: num("queue_us")?,
-            exec_us: num("exec_us")?,
-            reorder_us: num("reorder_us").unwrap_or(0),
-            write_us: num("write_us").unwrap_or(0),
-            framed: None,
-            finished: None,
-        })
+        Timeline::dec(v)
     }
 }
 
@@ -428,39 +415,6 @@ pub enum ErrorKind {
     /// The request died inside the engine (a bug server-side; the worker
     /// survived and the connection stays usable).
     Internal,
-}
-
-impl ErrorKind {
-    /// Wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorKind::Protocol => "protocol",
-            ErrorKind::Version => "version",
-            ErrorKind::Parse => "parse",
-            ErrorKind::InvalidInput => "invalid-input",
-            ErrorKind::SchemaMismatch => "schema-mismatch",
-            ErrorKind::Unsupported => "unsupported",
-            ErrorKind::UnknownHandle => "unknown-handle",
-            ErrorKind::Timeout => "timeout",
-            ErrorKind::Internal => "internal",
-        }
-    }
-
-    /// Inverse of [`ErrorKind::as_str`].
-    pub fn from_wire(s: &str) -> Option<ErrorKind> {
-        Some(match s {
-            "protocol" => ErrorKind::Protocol,
-            "version" => ErrorKind::Version,
-            "parse" => ErrorKind::Parse,
-            "invalid-input" => ErrorKind::InvalidInput,
-            "schema-mismatch" => ErrorKind::SchemaMismatch,
-            "unsupported" => ErrorKind::Unsupported,
-            "unknown-handle" => ErrorKind::UnknownHandle,
-            "timeout" => ErrorKind::Timeout,
-            "internal" => ErrorKind::Internal,
-            _ => return None,
-        })
-    }
 }
 
 /// A rendered determinacy counterexample: two instances with equal view
@@ -763,236 +717,22 @@ impl Response {
 }
 
 // ---------------------------------------------------------------------
-// Encoding
+// Entry points
 // ---------------------------------------------------------------------
-
-fn num_field(obj: &mut Vec<(String, Value)>, key: &str, v: Option<u64>) {
-    if let Some(v) = v {
-        obj.push((key.to_owned(), Value::from(v)));
-    }
-}
-
-fn str_field(obj: &mut Vec<(String, Value)>, key: &str, v: &Option<String>) {
-    if let Some(v) = v {
-        obj.push((key.to_owned(), Value::from(v.clone())));
-    }
-}
 
 impl Envelope {
     /// Encodes the envelope as one compact JSON document (no newline).
     pub fn to_json(&self) -> Value {
-        let mut req: Vec<(String, Value)> =
-            vec![("op".to_owned(), Value::from(self.request.op()))];
-        let mut s = |k: &str, v: &str| req.push((k.to_owned(), Value::from(v)));
-        match &self.request {
-            Request::Ping
-            | Request::Stats
-            | Request::Flight
-            | Request::MetricsProm
-            | Request::Shutdown
-            | Request::DebugPanic => {}
-            Request::Decide { schema, views, query }
-            | Request::Rewrite { schema, views, query } => {
-                s("schema", schema);
-                s("views", views);
-                s("query", query);
-            }
-            Request::Certain { schema, views, query, extent } => {
-                s("schema", schema);
-                s("views", views);
-                s("query", query);
-                s("extent", extent);
-            }
-            Request::CertainHandle { schema, views, query, handle } => {
-                s("schema", schema);
-                s("views", views);
-                s("query", query);
-                req.push((
-                    "extent".to_owned(),
-                    Value::object([("handle", Value::from(handle.clone()))]),
-                ));
-            }
-            Request::PutInstance { schema, extent } => {
-                s("schema", schema);
-                s("extent", extent);
-            }
-            Request::EvictInstance { handle } => {
-                s("handle", handle);
-            }
-            Request::CacheStats => {}
-            Request::Classify { schema, views, query } => {
-                s("schema", schema);
-                s("views", views);
-                s("query", query);
-            }
-            Request::Containment { schema, q1, q2, max_domain, space_limit } => {
-                s("schema", schema);
-                s("q1", q1);
-                s("q2", q2);
-                req.push(("max_domain".to_owned(), Value::from(*max_domain)));
-                req.push(("space_limit".to_owned(), Value::from(*space_limit)));
-            }
-            Request::Finite { schema, views, query, max_domain, space_limit } => {
-                s("schema", schema);
-                s("views", views);
-                s("query", query);
-                req.push(("max_domain".to_owned(), Value::from(*max_domain)));
-                req.push(("space_limit".to_owned(), Value::from(*space_limit)));
-            }
-            Request::Semantic { schema, views, query, domain, space_limit } => {
-                s("schema", schema);
-                s("views", views);
-                s("query", query);
-                req.push(("domain".to_owned(), Value::from(*domain)));
-                req.push(("space_limit".to_owned(), Value::from(*space_limit)));
-            }
-        }
-        let mut obj: Vec<(String, Value)> = vec![
-            ("v".to_owned(), Value::from(self.version)),
-            ("id".to_owned(), Value::from(self.id.clone())),
-        ];
-        num_field(&mut obj, "deadline_ms", self.limits.deadline_ms);
-        num_field(&mut obj, "step_limit", self.limits.step_limit);
-        num_field(&mut obj, "tuple_limit", self.limits.tuple_limit);
-        if self.profile {
-            obj.push(("profile".to_owned(), Value::from(true)));
-        }
-        if self.trace {
-            obj.push(("trace".to_owned(), Value::from(true)));
-        }
-        if let Some(p) = self.parallelism {
-            obj.push(("parallelism".to_owned(), Value::from(p)));
-        }
-        obj.push(("request".to_owned(), Value::Obj(req)));
-        Value::Obj(obj)
+        self.enc()
     }
 
     /// Decodes an envelope from parsed JSON. `Err` carries the error
     /// kind and message (plus whatever correlation id was recoverable).
     pub fn from_json(v: &Value) -> Result<Envelope, (ErrorKind, String, String)> {
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .unwrap_or_default()
-            .to_owned();
-        let fail = |kind, msg: &str| Err((kind, msg.to_owned(), id.clone()));
-        let Some(version) = v.get("v").and_then(Value::as_u64) else {
-            return fail(ErrorKind::Protocol, "missing or non-numeric `v`");
-        };
-        if version != PROTOCOL_VERSION {
-            return fail(
-                ErrorKind::Version,
-                &format!("unsupported protocol version {version} (expected {PROTOCOL_VERSION})"),
-            );
-        }
-        let limits = Limits {
-            deadline_ms: v.get("deadline_ms").and_then(Value::as_u64),
-            step_limit: v.get("step_limit").and_then(Value::as_u64),
-            tuple_limit: v.get("tuple_limit").and_then(Value::as_u64),
-        };
-        let profile = v.get("profile").and_then(Value::as_bool).unwrap_or(false);
-        let trace = v.get("trace").and_then(Value::as_bool).unwrap_or(false);
-        // Additive like `profile`/`trace`: absent means sequential.
-        let parallelism = v.get("parallelism").and_then(Value::as_u64);
-        let Some(req) = v.get("request") else {
-            return fail(ErrorKind::Protocol, "missing `request`");
-        };
-        let Some(op) = req.get("op").and_then(Value::as_str) else {
-            return fail(ErrorKind::Protocol, "missing `request.op`");
-        };
-        let text = |key: &str| -> Result<String, (ErrorKind, String, String)> {
-            match req.get(key).and_then(Value::as_str) {
-                Some(s) => Ok(s.to_owned()),
-                None => Err((
-                    ErrorKind::Protocol,
-                    format!("op `{op}` needs string field `{key}`"),
-                    id.clone(),
-                )),
-            }
-        };
-        let num = |key: &str, default: u64| -> Result<u64, (ErrorKind, String, String)> {
-            match req.get(key) {
-                None => Ok(default),
-                Some(v) => v.as_u64().ok_or((
-                    ErrorKind::Protocol,
-                    format!("op `{op}` field `{key}` must be a non-negative integer"),
-                    id.clone(),
-                )),
-            }
-        };
-        let request = match op {
-            "ping" => Request::Ping,
-            "stats" => Request::Stats,
-            "flight" => Request::Flight,
-            "metrics_prom" => Request::MetricsProm,
-            "shutdown" => Request::Shutdown,
-            "debug_panic" => Request::DebugPanic,
-            "decide_unrestricted" => Request::Decide {
-                schema: text("schema")?,
-                views: text("views")?,
-                query: text("query")?,
-            },
-            "rewrite" => Request::Rewrite {
-                schema: text("schema")?,
-                views: text("views")?,
-                query: text("query")?,
-            },
-            "certain_sound" => {
-                // The `extent` field is either inline facts (a string,
-                // the v1 form) or a handle reference (an object).
-                match req.get("extent").and_then(|e| e.get("handle")).and_then(Value::as_str)
-                {
-                    Some(handle) => Request::CertainHandle {
-                        schema: text("schema")?,
-                        views: text("views")?,
-                        query: text("query")?,
-                        handle: handle.to_owned(),
-                    },
-                    None => Request::Certain {
-                        schema: text("schema")?,
-                        views: text("views")?,
-                        query: text("query")?,
-                        extent: text("extent")?,
-                    },
-                }
-            }
-            "put_instance" => Request::PutInstance {
-                schema: text("schema")?,
-                extent: text("extent")?,
-            },
-            "evict_instance" => Request::EvictInstance { handle: text("handle")? },
-            "cache_stats" => Request::CacheStats,
-            "classify" => Request::Classify {
-                schema: text("schema")?,
-                views: text("views")?,
-                query: text("query")?,
-            },
-            "containment" => Request::Containment {
-                schema: text("schema")?,
-                q1: text("q1")?,
-                q2: text("q2")?,
-                max_domain: num("max_domain", 3)?,
-                space_limit: num("space_limit", 1 << 22)?,
-            },
-            "decide_finite" => Request::Finite {
-                schema: text("schema")?,
-                views: text("views")?,
-                query: text("query")?,
-                max_domain: num("max_domain", 3)?,
-                space_limit: num("space_limit", 1 << 22)?,
-            },
-            "check_exhaustive" => Request::Semantic {
-                schema: text("schema")?,
-                views: text("views")?,
-                query: text("query")?,
-                domain: num("domain", 2)?,
-                space_limit: num("space_limit", 1 << 22)?,
-            },
-            other => {
-                return fail(ErrorKind::Unsupported, &format!("unknown op `{other}`"));
-            }
-        };
-        Ok(Envelope { version, id, limits, profile, trace, parallelism, request })
+        Envelope::take_fields(Src::wire(v), Scope::Top).map_err(|(kind, message)| {
+            let id = v.get(ID).and_then(Value::as_str).unwrap_or_default();
+            (kind, message, id.to_owned())
+        })
     }
 
     /// Parses an envelope from one wire line.
@@ -1001,353 +741,38 @@ impl Envelope {
             .map_err(|e| (ErrorKind::Protocol, e.to_string(), String::new()))?;
         Envelope::from_json(&v)
     }
-}
 
-fn counterexample_to_json(c: &WireCounterexample) -> Value {
-    Value::object([
-        ("d1", Value::from(c.d1.clone())),
-        ("d2", Value::from(c.d2.clone())),
-        ("image", Value::from(c.image.clone())),
-        ("q1", Value::from(c.q1.clone())),
-        ("q2", Value::from(c.q2.clone())),
-    ])
-}
-
-fn counterexample_from_json(v: &Value) -> Option<WireCounterexample> {
-    let f = |k: &str| v.get(k).and_then(Value::as_str).map(str::to_owned);
-    Some(WireCounterexample {
-        d1: f("d1")?,
-        d2: f("d2")?,
-        image: f("image")?,
-        q1: f("q1")?,
-        q2: f("q2")?,
-    })
+    /// Builds an envelope from text values named by Rust field, the way
+    /// `vqd-cli request` reads `--max-domain 3` as `max_domain`. `op`
+    /// picks the [`Request`] variant; every other name is a field of
+    /// [`Envelope`], [`Limits`] or that variant. The schema table decodes
+    /// them as it decodes the wire: numbers parse from text, an empty
+    /// value is `true`, and absent fields take the table's defaults. The
+    /// version is always [`PROTOCOL_VERSION`]. `Err` names the first
+    /// missing or malformed field, or a name the op does not use.
+    pub fn from_fields(fields: &[(String, String)]) -> Result<Envelope, String> {
+        let obj = Value::Obj(
+            fields.iter().map(|(k, v)| (k.clone(), Value::from(v.as_str()))).collect(),
+        );
+        let used = Cell::new(0);
+        let src = Src { obj: &obj, used: Some(&used) };
+        let envelope = Envelope::take_fields(src, Scope::Top).map_err(|(_, message)| message)?;
+        match (0..fields.len()).find(|&i| used.get() & 1 << i.min(63) == 0) {
+            Some(i) => Err(format!("op `{}` takes no field `{}`", envelope.request.op(), fields[i].0)),
+            None => Ok(envelope),
+        }
+    }
 }
 
 impl Response {
     /// Encodes the response as one compact JSON document (no newline).
     pub fn to_json(&self) -> Value {
-        let mut result: Vec<(String, Value)> = Vec::new();
-        let kind: &str = match &self.outcome {
-            Outcome::Pong => "pong",
-            Outcome::Decided { determined, rewriting } => {
-                result.push(("determined".to_owned(), Value::from(*determined)));
-                str_field(&mut result, "rewriting", rewriting);
-                "decided"
-            }
-            Outcome::Rewritten { exists, rewriting } => {
-                result.push(("exists".to_owned(), Value::from(*exists)));
-                str_field(&mut result, "rewriting", rewriting);
-                "rewritten"
-            }
-            Outcome::CertainAnswers { answers, count } => {
-                result.push(("answers".to_owned(), Value::from(answers.clone())));
-                result.push(("count".to_owned(), Value::from(*count)));
-                "certain"
-            }
-            Outcome::InstancePut { handle, fingerprint, tuples } => {
-                result.push(("handle".to_owned(), Value::from(handle.clone())));
-                result.push(("fingerprint".to_owned(), Value::from(fingerprint.clone())));
-                result.push(("tuples".to_owned(), Value::from(*tuples)));
-                "put"
-            }
-            Outcome::Evicted { handle, existed } => {
-                result.push(("handle".to_owned(), Value::from(handle.clone())));
-                result.push(("existed".to_owned(), Value::from(*existed)));
-                "evicted"
-            }
-            Outcome::CacheStatsSnapshot {
-                entries,
-                bytes,
-                hits,
-                misses,
-                evictions,
-                puts,
-                max_entries,
-                max_bytes,
-                disk_hits,
-                disk_misses,
-                disk_spills,
-                disk_promotions,
-                disk_corrupt_dropped,
-                disk_io_errors,
-                disk_bytes,
-            } => {
-                for (k, v) in [
-                    ("entries", *entries),
-                    ("bytes", *bytes),
-                    ("hits", *hits),
-                    ("misses", *misses),
-                    ("evictions", *evictions),
-                    ("puts", *puts),
-                    ("max_entries", *max_entries),
-                    ("max_bytes", *max_bytes),
-                    ("disk_hits", *disk_hits),
-                    ("disk_misses", *disk_misses),
-                    ("disk_spills", *disk_spills),
-                    ("disk_promotions", *disk_promotions),
-                    ("disk_corrupt_dropped", *disk_corrupt_dropped),
-                    ("disk_io_errors", *disk_io_errors),
-                    ("disk_bytes", *disk_bytes),
-                ] {
-                    result.push((k.to_owned(), Value::from(v)));
-                }
-                "cache-stats"
-            }
-            Outcome::Classified { fragment, decidable, route } => {
-                result.push(("fragment".to_owned(), Value::from(fragment.clone())));
-                result.push(("decidable".to_owned(), Value::from(*decidable)));
-                result.push(("route".to_owned(), Value::from(route.clone())));
-                "classified"
-            }
-            Outcome::Contained { verdict, bound, witness } => {
-                result.push(("verdict".to_owned(), Value::from(verdict.clone())));
-                num_field(&mut result, "bound", *bound);
-                str_field(&mut result, "witness", witness);
-                "containment"
-            }
-            Outcome::FiniteOutcome { verdict, rewriting, searched_up_to, counterexample } => {
-                result.push(("verdict".to_owned(), Value::from(verdict.clone())));
-                str_field(&mut result, "rewriting", rewriting);
-                num_field(&mut result, "searched_up_to", *searched_up_to);
-                if let Some(c) = counterexample {
-                    result.push(("counterexample".to_owned(), counterexample_to_json(c)));
-                }
-                "finite"
-            }
-            Outcome::SemanticOutcome { verdict, bound, counterexample } => {
-                result.push(("verdict".to_owned(), Value::from(verdict.clone())));
-                num_field(&mut result, "bound", *bound);
-                if let Some(c) = counterexample {
-                    result.push(("counterexample".to_owned(), counterexample_to_json(c)));
-                }
-                "semantic"
-            }
-            Outcome::StatsSnapshot { metrics: m, registry } => {
-                for (k, v) in [
-                    ("accepted", m.accepted),
-                    ("completed_ok", m.completed_ok),
-                    ("exhausted", m.exhausted),
-                    ("rejected", m.rejected),
-                    ("errors", m.errors),
-                    ("queue_depth", m.queue_depth),
-                    ("max_queue_depth", m.max_queue_depth),
-                    ("connections_open", m.connections_open),
-                    ("connections_total", m.connections_total),
-                    ("workers", m.workers),
-                ] {
-                    result.push((k.to_owned(), Value::from(v)));
-                }
-                result.push(("registry".to_owned(), registry.to_json()));
-                "stats"
-            }
-            Outcome::FlightSnapshot { jsonl } => {
-                result.push(("jsonl".to_owned(), Value::from(jsonl.clone())));
-                "flight"
-            }
-            Outcome::MetricsText { text } => {
-                result.push(("text".to_owned(), Value::from(text.clone())));
-                "metrics-text"
-            }
-            Outcome::ShuttingDown => "shutting-down",
-            Outcome::Exhausted { reason, partial } => {
-                result.push(("reason".to_owned(), Value::from(reason.clone())));
-                result.push(("partial".to_owned(), Value::from(partial.clone())));
-                "exhausted"
-            }
-            Outcome::Overloaded { queue_depth, queue_capacity } => {
-                result.push(("queue_depth".to_owned(), Value::from(*queue_depth)));
-                result.push(("queue_capacity".to_owned(), Value::from(*queue_capacity)));
-                "overloaded"
-            }
-            Outcome::Error { kind, message } => {
-                result.push(("error_kind".to_owned(), Value::from(kind.as_str())));
-                result.push(("message".to_owned(), Value::from(message.clone())));
-                "error"
-            }
-        };
-        result.insert(0, ("kind".to_owned(), Value::from(kind)));
-        let mut work: Vec<(String, Value)> = vec![
-            ("steps".to_owned(), Value::from(self.work.steps)),
-            ("tuples".to_owned(), Value::from(self.work.tuples)),
-            ("elapsed_ms".to_owned(), Value::from(self.work.elapsed_ms)),
-            ("index_builds".to_owned(), Value::from(self.work.index_builds)),
-            ("index_tuples".to_owned(), Value::from(self.work.index_tuples)),
-        ];
-        // Additive: only parallel requests carry the fan-out width.
-        if self.work.threads_used != 0 {
-            work.push(("threads_used".to_owned(), Value::from(self.work.threads_used)));
-        }
-        let mut obj: Vec<(String, Value)> = vec![
-            ("v".to_owned(), Value::from(self.version)),
-            ("id".to_owned(), Value::from(self.id.clone())),
-            ("status".to_owned(), Value::from(self.outcome.status())),
-            ("work".to_owned(), Value::Obj(work)),
-        ];
-        if let Some(p) = &self.profile {
-            obj.push(("profile".to_owned(), p.to_json()));
-        }
-        if let Some(t) = &self.trace {
-            obj.push(("trace".to_owned(), Value::from(t.clone())));
-        }
-        if let Some(f) = &self.fragment {
-            obj.push(("fragment".to_owned(), Value::from(f.clone())));
-        }
-        if let Some(t) = &self.timeline {
-            obj.push(("timeline".to_owned(), t.to_json()));
-        }
-        obj.push(("result".to_owned(), Value::Obj(result)));
-        Value::Obj(obj)
+        self.enc()
     }
 
     /// Decodes a response from parsed JSON.
     pub fn from_json(v: &Value) -> Result<Response, String> {
-        let version = v.get("v").and_then(Value::as_u64).ok_or("missing `v`")?;
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or("missing `id`")?
-            .to_owned();
-        let work = match v.get("work") {
-            Some(w) => WireStats {
-                steps: w.get("steps").and_then(Value::as_u64).unwrap_or(0),
-                tuples: w.get("tuples").and_then(Value::as_u64).unwrap_or(0),
-                elapsed_ms: w.get("elapsed_ms").and_then(Value::as_u64).unwrap_or(0),
-                index_builds: w.get("index_builds").and_then(Value::as_u64).unwrap_or(0),
-                index_tuples: w.get("index_tuples").and_then(Value::as_u64).unwrap_or(0),
-                threads_used: w.get("threads_used").and_then(Value::as_u64).unwrap_or(0),
-            },
-            None => WireStats::default(),
-        };
-        let r = v.get("result").ok_or("missing `result`")?;
-        let kind = r.get("kind").and_then(Value::as_str).ok_or("missing `result.kind`")?;
-        let text = |k: &str| -> Result<String, String> {
-            r.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("result kind `{kind}` needs string `{k}`"))
-        };
-        let opt_text = |k: &str| r.get(k).and_then(Value::as_str).map(str::to_owned);
-        let outcome = match kind {
-            "pong" => Outcome::Pong,
-            "decided" => Outcome::Decided {
-                determined: r
-                    .get("determined")
-                    .and_then(Value::as_bool)
-                    .ok_or("missing `determined`")?,
-                rewriting: opt_text("rewriting"),
-            },
-            "rewritten" => Outcome::Rewritten {
-                exists: r.get("exists").and_then(Value::as_bool).ok_or("missing `exists`")?,
-                rewriting: opt_text("rewriting"),
-            },
-            "certain" => Outcome::CertainAnswers {
-                answers: text("answers")?,
-                count: r.get("count").and_then(Value::as_u64).unwrap_or(0),
-            },
-            "put" => Outcome::InstancePut {
-                handle: text("handle")?,
-                fingerprint: text("fingerprint")?,
-                tuples: r.get("tuples").and_then(Value::as_u64).unwrap_or(0),
-            },
-            "evicted" => Outcome::Evicted {
-                handle: text("handle")?,
-                existed: r.get("existed").and_then(Value::as_bool).unwrap_or(false),
-            },
-            "cache-stats" => {
-                let g = |k: &str| r.get(k).and_then(Value::as_u64).unwrap_or(0);
-                Outcome::CacheStatsSnapshot {
-                    entries: g("entries"),
-                    bytes: g("bytes"),
-                    hits: g("hits"),
-                    misses: g("misses"),
-                    evictions: g("evictions"),
-                    puts: g("puts"),
-                    max_entries: g("max_entries"),
-                    max_bytes: g("max_bytes"),
-                    // Additive: absent on replies from servers without
-                    // a disk tier (or older servers) decodes as 0.
-                    disk_hits: g("disk_hits"),
-                    disk_misses: g("disk_misses"),
-                    disk_spills: g("disk_spills"),
-                    disk_promotions: g("disk_promotions"),
-                    disk_corrupt_dropped: g("disk_corrupt_dropped"),
-                    disk_io_errors: g("disk_io_errors"),
-                    disk_bytes: g("disk_bytes"),
-                }
-            }
-            "classified" => Outcome::Classified {
-                fragment: text("fragment")?,
-                decidable: r.get("decidable").and_then(Value::as_bool).unwrap_or(false),
-                route: text("route")?,
-            },
-            "containment" => Outcome::Contained {
-                verdict: text("verdict")?,
-                bound: r.get("bound").and_then(Value::as_u64),
-                witness: opt_text("witness"),
-            },
-            "finite" => Outcome::FiniteOutcome {
-                verdict: text("verdict")?,
-                rewriting: opt_text("rewriting"),
-                searched_up_to: r.get("searched_up_to").and_then(Value::as_u64),
-                counterexample: r.get("counterexample").and_then(counterexample_from_json),
-            },
-            "semantic" => Outcome::SemanticOutcome {
-                verdict: text("verdict")?,
-                bound: r.get("bound").and_then(Value::as_u64),
-                counterexample: r.get("counterexample").and_then(counterexample_from_json),
-            },
-            "stats" => {
-                let g = |k: &str| r.get(k).and_then(Value::as_u64).unwrap_or(0);
-                Outcome::StatsSnapshot {
-                    metrics: WireMetrics {
-                        accepted: g("accepted"),
-                        completed_ok: g("completed_ok"),
-                        exhausted: g("exhausted"),
-                        rejected: g("rejected"),
-                        errors: g("errors"),
-                        queue_depth: g("queue_depth"),
-                        max_queue_depth: g("max_queue_depth"),
-                        connections_open: g("connections_open"),
-                        connections_total: g("connections_total"),
-                        workers: g("workers"),
-                    },
-                    registry: r
-                        .get("registry")
-                        .and_then(RegistrySnapshot::from_json)
-                        .unwrap_or_default(),
-                }
-            }
-            "flight" => Outcome::FlightSnapshot { jsonl: text("jsonl")? },
-            "metrics-text" => Outcome::MetricsText { text: text("text")? },
-            "shutting-down" => Outcome::ShuttingDown,
-            "exhausted" => Outcome::Exhausted {
-                reason: text("reason")?,
-                partial: text("partial")?,
-            },
-            "overloaded" => Outcome::Overloaded {
-                queue_depth: r.get("queue_depth").and_then(Value::as_u64).unwrap_or(0),
-                queue_capacity: r.get("queue_capacity").and_then(Value::as_u64).unwrap_or(0),
-            },
-            "error" => Outcome::Error {
-                kind: r
-                    .get("error_kind")
-                    .and_then(Value::as_str)
-                    .and_then(ErrorKind::from_wire)
-                    .unwrap_or(ErrorKind::Internal),
-                message: text("message")?,
-            },
-            other => return Err(format!("unknown result kind `{other}`")),
-        };
-        let profile = v.get("profile").and_then(MetricsSnapshot::from_json);
-        let trace = v.get("trace").and_then(Value::as_str).map(str::to_owned);
-        // Additive: replies from pre-router servers carry no `fragment`
-        // key, which decodes to `None`.
-        let fragment = v.get("fragment").and_then(Value::as_str).map(str::to_owned);
-        // Additive like `fragment`: pre-lifecycle servers send no
-        // `timeline` key, which decodes to `None`.
-        let timeline = v.get("timeline").and_then(Timeline::from_json);
-        Ok(Response { version, id, outcome, work, profile, trace, fragment, timeline })
+        Response::take_fields(Src::wire(v), Scope::Top).map_err(|(_, message)| message)
     }
 
     /// Parses a response from one wire line.
@@ -1356,6 +781,756 @@ impl Response {
         Response::from_json(&v)
     }
 }
+
+// ---------------------------------------------------------------------
+// Schema machinery: leaf codecs, row rules, and the table macros
+// ---------------------------------------------------------------------
+
+/// A JSON object under construction, in key order.
+type Obj = Vec<(String, Value)>;
+
+/// A decode failure: the taxonomy bucket and the message.
+type Fail = (ErrorKind, String);
+
+fn protocol(message: String) -> Fail {
+    (ErrorKind::Protocol, message)
+}
+
+/// Where a row sits, which decides how its error texts read.
+#[derive(Clone, Copy)]
+enum Scope {
+    Top,
+    Op(&'static str),
+    Kind(&'static str),
+}
+
+impl Scope {
+    /// The text for an absent (or wrong-typed) required field.
+    fn required(self, key: &str, noun: &str) -> String {
+        match self {
+            Scope::Top => format!("missing `{key}`"),
+            Scope::Op(op) => format!("op `{op}` needs {noun} field `{key}`"),
+            Scope::Kind(kind) => format!("result kind `{kind}` needs {noun} `{key}`"),
+        }
+    }
+
+    /// The text for a present optional field of the wrong type.
+    fn wrong(self, key: &str, noun: &str) -> String {
+        match self {
+            Scope::Top => format!("field `{key}` must be a {noun}"),
+            Scope::Op(op) => format!("op `{op}` field `{key}` must be a {noun}"),
+            Scope::Kind(kind) => format!("result kind `{kind}` field `{key}` must be a {noun}"),
+        }
+    }
+}
+
+/// What a decoder reads. On the wire it is a JSON object keyed by wire
+/// keys. For [`Envelope::from_fields`] it is one flat object of text
+/// values keyed by Rust field names, and `used` marks each field read.
+#[derive(Clone, Copy)]
+struct Src<'a> {
+    obj: &'a Value,
+    used: Option<&'a Cell<u64>>,
+}
+
+impl<'a> Src<'a> {
+    fn wire(obj: &'a Value) -> Src<'a> {
+        Src { obj, used: None }
+    }
+
+    fn text(self) -> bool {
+        self.used.is_some()
+    }
+
+    /// The value under `key` (`field` for text); the last duplicate wins.
+    fn get(self, key: &str, field: &str) -> Option<&'a Value> {
+        let Value::Obj(fields) = self.obj else { return None };
+        let name = if self.text() { field } else { key };
+        let i = fields.iter().rposition(|(k, _)| k == name)?;
+        if let Some(used) = self.used {
+            // The 64th text field onward share one bit.
+            used.set(used.get() | 1 << i.min(63));
+        }
+        Some(&fields[i].1)
+    }
+
+    /// `Ok(None)` when absent, `Err(())` when present with the wrong type.
+    fn leaf<T: Leaf>(self, key: &str, field: &str) -> Result<Option<T>, ()> {
+        let Some(v) = self.get(key, field) else { return Ok(None) };
+        let text = || v.as_str().filter(|_| self.text()).and_then(T::from_text);
+        T::dec(v).or_else(text).map(Some).ok_or(())
+    }
+}
+
+/// A value that travels as one JSON value.
+trait Leaf: Sized {
+    /// What the value is, for error texts.
+    const NOUN: &'static str;
+    fn enc(&self) -> Value;
+    /// `None` when `v` has the wrong type.
+    fn dec(v: &Value) -> Option<Self>;
+    /// Parses a command-line value ([`Envelope::from_fields`]).
+    fn from_text(_: &str) -> Option<Self> {
+        None
+    }
+}
+
+/// `leaf!(Type, noun, |x| encode, |json| decode [, |text| parse])`.
+macro_rules! leaf {
+    ($T:ty, $noun:literal, |$x:ident| $enc:expr, |$v:ident| $dec:expr $(, |$s:ident| $text:expr)?) => {
+        impl Leaf for $T {
+            const NOUN: &'static str = $noun;
+            fn enc(&self) -> Value {
+                let $x = self;
+                $enc
+            }
+            fn dec($v: &Value) -> Option<$T> {
+                $dec
+            }
+            $( fn from_text($s: &str) -> Option<$T> {
+                $text
+            } )?
+        }
+    };
+}
+
+// Up to 2^64, not just 2^53: the writer rounds a large `u64` (a `u64::MAX`
+// cap) to the nearest `f64`, and it must read back, saturated.
+leaf!(u64, "non-negative integer", |n| Value::from(*n), |v| match v.as_f64() {
+    Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => Some(n as u64),
+    _ => None,
+}, |s| s.parse().ok());
+leaf!(bool, "boolean", |b| Value::from(*b), |v| v.as_bool(), |s| match s {
+    // A bare switch (`--profile`) is `true`.
+    "" | "true" => Some(true),
+    "false" => Some(false),
+    _ => None,
+});
+leaf!(String, "string", |s| Value::from(s.as_str()), |v| v.as_str().map(str::to_owned), |s| {
+    Some(s.to_owned())
+});
+// Unknown names read as `internal`, so a newer server's kinds still read
+// as errors.
+leaf!(ErrorKind, "string", |k| Value::from(k.as_str()), |v| {
+    v.as_str().map(|s| ErrorKind::from_wire(s).unwrap_or(ErrorKind::Internal))
+});
+leaf!(MetricsSnapshot, "counter object", |m| m.to_json(), |v| MetricsSnapshot::from_json(v));
+leaf!(RegistrySnapshot, "registry object", |r| r.to_json(), |v| RegistrySnapshot::from_json(v));
+
+impl<T: Leaf> Leaf for Option<T> {
+    const NOUN: &'static str = T::NOUN;
+    fn enc(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::enc)
+    }
+    fn dec(v: &Value) -> Option<Option<T>> {
+        T::dec(v).map(Some)
+    }
+    fn from_text(s: &str) -> Option<Option<T>> {
+        T::from_text(s).map(Some)
+    }
+}
+
+/// A struct whose fields are rows ([`wire_record!`]).
+trait Record: Sized {
+    fn put_fields(&self, out: &mut Obj);
+    fn take_fields(src: Src, scope: Scope) -> Result<Self, Fail>;
+    #[cfg(test)]
+    fn probes(&self, path: &[&'static str], scope: Scope, out: &mut Vec<Probe>);
+}
+
+/// An enum whose variants are named row lists ([`wire_enum!`]).
+trait Variants: Sized {
+    /// The key holding the variant name.
+    const TAG: &'static str;
+    /// Variant names, in table order.
+    const NAMES: &'static [&'static str];
+    fn name(&self) -> &'static str;
+    fn put_fields(&self, out: &mut Obj);
+    /// `None` when no variant has this name.
+    fn take_variant(name: &str, src: Src) -> Option<Result<Self, Fail>>;
+    fn unknown(name: &str) -> Fail;
+    #[cfg(test)]
+    fn probes(&self, path: &[&'static str], out: &mut Vec<Probe>);
+}
+
+/// How one row is written and read.
+trait Rule<T> {
+    fn put(&self, key: &str, v: &T, out: &mut Obj);
+    fn take(self, src: Src, key: &str, field: &str, scope: Scope) -> Result<T, Fail>;
+    /// What deleting the key, or giving it a wrong-typed value, decodes to.
+    #[cfg(test)]
+    fn probe(&self, key: &'static str, v: &T, scope: Scope, path: &[&'static str], out: &mut Vec<Probe>);
+}
+
+/// A leaf row. Without a default it is required: absent or wrong-typed
+/// is an error, worded by its scope (or "missing `key`" when `bare`).
+/// With one, absent decodes as the default, wrong-typed is an error, and
+/// `skip` leaves the key off when the value is the default.
+struct Row<T> {
+    default: Option<T>,
+    skip: bool,
+    bare: bool,
+}
+
+fn req<T>() -> Row<T> {
+    Row { default: None, skip: false, bare: false }
+}
+
+fn missing<T>() -> Row<T> {
+    Row { bare: true, ..req() }
+}
+
+fn or<T>(default: T) -> Row<T> {
+    Row { default: Some(default), ..req() }
+}
+
+fn skip<T>(default: T) -> Row<T> {
+    Row { skip: true, ..or(default) }
+}
+
+impl<T: Leaf + PartialEq> Rule<T> for Row<T> {
+    fn put(&self, key: &str, v: &T, out: &mut Obj) {
+        if !self.skip || self.default.as_ref() != Some(v) {
+            out.push((key.to_owned(), v.enc()));
+        }
+    }
+    fn take(self, src: Src, key: &str, field: &str, scope: Scope) -> Result<T, Fail> {
+        let got = src.leaf(key, field);
+        match self.default {
+            Some(default) => match got {
+                Ok(v) => Ok(v.unwrap_or(default)),
+                Err(()) => Err(protocol(scope.wrong(key, T::NOUN))),
+            },
+            None => {
+                let scope = if self.bare { Scope::Top } else { scope };
+                got.ok().flatten().ok_or_else(|| protocol(scope.required(key, T::NOUN)))
+            }
+        }
+    }
+    #[cfg(test)]
+    fn probe(&self, key: &'static str, _: &T, scope: Scope, path: &[&'static str], out: &mut Vec<Probe>) {
+        out.push(match &self.default {
+            Some(default) => {
+                let mut written = Vec::new();
+                self.put(key, default, &mut written);
+                Probe::new(path, key, Ok(written), scope.wrong(key, T::NOUN))
+            }
+            None => {
+                let scope = if self.bare { Scope::Top } else { scope };
+                Probe::required(path, key, scope.required(key, T::NOUN))
+            }
+        });
+    }
+}
+
+/// The field's own rows, inlined into the enclosing object.
+struct Flat;
+
+fn flat() -> Flat {
+    Flat
+}
+
+impl<T: Record> Rule<T> for Flat {
+    fn put(&self, _: &str, v: &T, out: &mut Obj) {
+        v.put_fields(out);
+    }
+    fn take(self, src: Src, _: &str, _: &str, scope: Scope) -> Result<T, Fail> {
+        T::take_fields(src, scope)
+    }
+    #[cfg(test)]
+    fn probe(&self, _: &'static str, v: &T, scope: Scope, path: &[&'static str], out: &mut Vec<Probe>) {
+        v.probes(path, scope, out);
+    }
+}
+
+/// A nested object: its tag key names the variant, the rest are the
+/// variant's rows. Text fields are flat, so there the rows share one
+/// object.
+struct Tagged;
+
+fn tagged() -> Tagged {
+    Tagged
+}
+
+impl<T: Variants> Rule<T> for Tagged {
+    fn put(&self, key: &str, v: &T, out: &mut Obj) {
+        let mut inner = vec![(T::TAG.to_owned(), Value::from(v.name()))];
+        v.put_fields(&mut inner);
+        out.push((key.to_owned(), Value::Obj(inner)));
+    }
+    fn take(self, src: Src, key: &str, field: &str, _: Scope) -> Result<T, Fail> {
+        let inner = if src.text() {
+            src
+        } else {
+            let obj = src.get(key, field).ok_or_else(|| protocol(format!("missing `{key}`")))?;
+            Src::wire(obj)
+        };
+        let Some(name) = inner.get(T::TAG, T::TAG).and_then(Value::as_str) else {
+            return Err(protocol(format!("missing `{key}.{}`", T::TAG)));
+        };
+        T::take_variant(name, inner).unwrap_or_else(|| Err(T::unknown(name)))
+    }
+    #[cfg(test)]
+    fn probe(&self, key: &'static str, v: &T, _: Scope, path: &[&'static str], out: &mut Vec<Probe>) {
+        let wrong = format!("missing `{key}.{}`", T::TAG);
+        out.push(Probe::new(path, key, Err(format!("missing `{key}`")), wrong));
+        v.probes(&[path, &[key]].concat(), out);
+    }
+}
+
+/// The protocol version: required, and equal to [`PROTOCOL_VERSION`].
+struct Version;
+
+fn version() -> Version {
+    Version
+}
+
+impl Rule<u64> for Version {
+    fn put(&self, key: &str, v: &u64, out: &mut Obj) {
+        out.push((key.to_owned(), v.enc()));
+    }
+    fn take(self, src: Src, key: &str, field: &str, _: Scope) -> Result<u64, Fail> {
+        if src.text() {
+            return Ok(PROTOCOL_VERSION);
+        }
+        match src.get(key, field).and_then(Value::as_u64) {
+            Some(PROTOCOL_VERSION) => Ok(PROTOCOL_VERSION),
+            Some(v) => Err((
+                ErrorKind::Version,
+                format!("unsupported protocol version {v} (expected {PROTOCOL_VERSION})"),
+            )),
+            None => Err(protocol(format!("missing or non-numeric `{key}`"))),
+        }
+    }
+    #[cfg(test)]
+    fn probe(&self, key: &'static str, _: &u64, _: Scope, path: &[&'static str], out: &mut Vec<Probe>) {
+        out.push(Probe::required(path, key, format!("missing or non-numeric `{key}`")));
+    }
+}
+
+/// A required handle reference, `{"handle": "..."}` on the wire. Its
+/// error text is the inline string form's, since the two share an op.
+struct HandleRef;
+
+fn handle_ref() -> HandleRef {
+    HandleRef
+}
+
+impl HandleRef {
+    const KEY: &'static str = "handle";
+}
+
+impl Rule<String> for HandleRef {
+    fn put(&self, key: &str, v: &String, out: &mut Obj) {
+        out.push((key.to_owned(), Value::object([(HandleRef::KEY, v.enc())])));
+    }
+    fn take(self, src: Src, key: &str, field: &str, scope: Scope) -> Result<String, Fail> {
+        let v = src.get(key, field);
+        let handle = if src.text() { v } else { v.and_then(|e| e.get(HandleRef::KEY)) };
+        let text = || protocol(scope.required(key, String::NOUN));
+        handle.and_then(String::dec).ok_or_else(text)
+    }
+    #[cfg(test)]
+    fn probe(&self, key: &'static str, _: &String, scope: Scope, path: &[&'static str], out: &mut Vec<Probe>) {
+        out.push(Probe::required(path, key, scope.required(key, String::NOUN)));
+    }
+}
+
+/// In-process state: never written, read as the default.
+struct Never;
+
+fn never() -> Never {
+    Never
+}
+
+impl<T: Default> Rule<T> for Never {
+    fn put(&self, _: &str, _: &T, _: &mut Obj) {}
+    fn take(self, _: Src, _: &str, _: &str, _: Scope) -> Result<T, Fail> {
+        Ok(T::default())
+    }
+    #[cfg(test)]
+    fn probe(&self, _: &'static str, _: &T, _: Scope, _: &[&'static str], _: &mut Vec<Probe>) {}
+}
+
+/// One row's expected behaviour, for the generated row test.
+#[cfg(test)]
+struct Probe {
+    /// Keys from the record's top to the object holding the row.
+    path: Vec<&'static str>,
+    key: &'static str,
+    /// Deleting the key: what re-encoding writes in its place, or the error.
+    absent: Result<Obj, String>,
+    /// The error for a wrong-typed value.
+    wrong: String,
+}
+
+#[cfg(test)]
+impl Probe {
+    fn new(path: &[&'static str], key: &'static str, absent: Result<Obj, String>, wrong: String) -> Probe {
+        Probe { path: path.to_vec(), key, absent, wrong }
+    }
+
+    fn required(path: &[&'static str], key: &'static str, text: String) -> Probe {
+        Probe::new(path, key, Err(text.clone()), text)
+    }
+}
+
+/// A row's wire key: the field name unless the row gives one.
+macro_rules! key {
+    ($field:ident []) => {
+        stringify!($field)
+    };
+    ($field:ident [$key:tt]) => {
+        $key
+    };
+}
+
+/// One record row's code: `@put`, `@take` or `@probe`.
+macro_rules! row {
+    (@put $this:ident $out:ident (field $field:ident [$($key:tt)?] $ty:ty, $rule:expr)) => {
+        Rule::<$ty>::put(&$rule, key!($field [$($key)?]), &$this.$field, $out)
+    };
+    (@put $this:ident $out:ident (derived $key:tt $field:ident $method:ident)) => {
+        $out.push(($key.to_owned(), Value::from($this.$field.$method())))
+    };
+    (@take $src:ident $scope:ident (field $field:ident [$($key:tt)?] $ty:ty, $rule:expr)) => {
+        let $field = Rule::<$ty>::take($rule, $src, key!($field [$($key)?]), stringify!($field), $scope)?;
+    };
+    (@probe $this:ident $path:ident $scope:ident $out:ident (field $field:ident [$($key:tt)?] $ty:ty, $rule:expr)) => {
+        Rule::<$ty>::probe(&$rule, key!($field [$($key)?]), &$this.$field, $scope, $path, $out)
+    };
+    (@$what:ident $($ident:ident)* (derived $($rest:tt)*)) => {};
+}
+
+/// Implements [`Record`] and [`Leaf`] for a struct from its rows; a row
+/// `@ KEY = field.method,` is written from `self.field.method()` only.
+macro_rules! wire_record {
+    ($T:ident, $noun:literal, { $($rows:tt)* }) => {
+        wire_record!(@munch $T $noun [] [] $($rows)*);
+    };
+    (@munch $T:ident $noun:literal [$($row:tt)*] [$($name:ident)*]
+        @ $key:tt = $field:ident . $method:ident, $($rest:tt)*) => {
+        wire_record!(@munch $T $noun [$($row)* (derived $key $field $method)] [$($name)*] $($rest)*);
+    };
+    (@munch $T:ident $noun:literal [$($row:tt)*] [$($name:ident)*]
+        $field:ident $(as $key:tt)? : $ty:ty = $rule:expr, $($rest:tt)*) => {
+        wire_record!(@munch $T $noun [$($row)* (field $field [$($key)?] $ty, $rule)]
+            [$($name)* $field] $($rest)*);
+    };
+    (@munch $T:ident $noun:literal [$($row:tt)*] [$($name:ident)*]) => {
+        impl Record for $T {
+            fn put_fields(&self, out: &mut Obj) {
+                let this = self;
+                $( row!(@put this out $row); )*
+            }
+            fn take_fields(src: Src, scope: Scope) -> Result<$T, Fail> {
+                $( row!(@take src scope $row); )*
+                Ok($T { $($name),* })
+            }
+            #[cfg(test)]
+            fn probes(&self, path: &[&'static str], scope: Scope, out: &mut Vec<Probe>) {
+                let this = self;
+                $( row!(@probe this path scope out $row); )*
+            }
+        }
+
+        impl Leaf for $T {
+            const NOUN: &'static str = $noun;
+            fn enc(&self) -> Value {
+                let mut out = Vec::new();
+                self.put_fields(&mut out);
+                Value::Obj(out)
+            }
+            fn dec(v: &Value) -> Option<$T> {
+                let Value::Obj(_) = v else { return None };
+                $T::take_fields(Src::wire(v), Scope::Top).ok()
+            }
+        }
+    };
+}
+
+/// Implements [`Variants`] for an enum: one named row list per variant.
+/// Variants sharing a name are tried in order; when none decodes, the
+/// last one's error is the reply.
+macro_rules! wire_enum {
+    ($E:ident, tag $tag:literal, $scope:ident, unknown($kind:expr, $what:literal), {
+        $( $V:ident $name:literal { $( $field:ident $(as $key:tt)? : $ty:ty = $rule:expr ),* $(,)? } )*
+    }) => {
+        impl Variants for $E {
+            const TAG: &'static str = $tag;
+            const NAMES: &'static [&'static str] = &[$($name),*];
+
+            fn name(&self) -> &'static str {
+                match self {
+                    $( $E::$V { .. } => $name, )*
+                }
+            }
+
+            fn put_fields(&self, out: &mut Obj) {
+                match self {
+                    $( $E::$V { $($field),* } => {
+                        $( Rule::<$ty>::put(&$rule, key!($field [$($key)?]), $field, out); )*
+                    } )*
+                }
+            }
+
+            #[allow(unused_labels)]
+            fn take_variant(name: &str, src: Src) -> Option<Result<$E, Fail>> {
+                let mut last = None;
+                $( if name == $name {
+                    let tried: Result<$E, Fail> = 'variant: {
+                        $( let $field = match Rule::<$ty>::take(
+                            $rule, src, key!($field [$($key)?]), stringify!($field), Scope::$scope($name),
+                        ) {
+                            Ok(v) => v,
+                            Err(e) => break 'variant Err(e),
+                        }; )*
+                        Ok($E::$V { $($field),* })
+                    };
+                    match tried {
+                        Ok(v) => return Some(Ok(v)),
+                        Err(e) => last = Some(Err(e)),
+                    }
+                } )*
+                last
+            }
+
+            fn unknown(name: &str) -> Fail {
+                ($kind, format!("{} `{name}`", $what))
+            }
+
+            #[cfg(test)]
+            fn probes(&self, path: &[&'static str], out: &mut Vec<Probe>) {
+                match self {
+                    $( $E::$V { $($field),* } => {
+                        $( Rule::<$ty>::probe(
+                            &$rule, key!($field [$($key)?]), $field, Scope::$scope($name), path, out,
+                        ); )*
+                    } )*
+                }
+            }
+        }
+    };
+}
+
+/// The wire names of a fieldless enum, both ways.
+macro_rules! wire_names {
+    ($E:ident { $($V:ident $name:literal),* $(,)? }) => {
+        impl $E {
+            /// Wire name.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $( $E::$V => $name, )*
+                }
+            }
+
+            /// Inverse of [`as_str`](Self::as_str).
+            pub fn from_wire(s: &str) -> Option<$E> {
+                [$($E::$V),*].into_iter().find(|k| k.as_str() == s)
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------
+// The wire schema table
+// ---------------------------------------------------------------------
+//
+// One row per wire field, `field [as KEY]: Type = rule,`, in wire key
+// order; the key is the field name unless the row gives one. `req()` and
+// `missing()` are required, `or(d)` reads an absent field as `d`, and
+// `skip(d)` also leaves `d` off the wire. The other rules are described
+// where they are defined, and all of them in DESIGN.md §21. A row
+// `@ KEY = field.method,` is written from `self.field.method()` only.
+
+/// The version's key, a row of both envelopes and replies.
+const V: &str = "v";
+/// The correlation id's key: a row of both envelopes and replies, and
+/// the error path's source for the id of an envelope that fails to decode.
+const ID: &str = "id";
+/// Largest active-domain size a bounded search covers by default.
+const MAX_DOMAIN: u64 = 3;
+/// Default cap on instances a bounded search enumerates.
+const SPACE_LIMIT: u64 = 1 << 22;
+
+wire_record!(Envelope, "envelope object", {
+    version as V: u64 = version(),
+    id as ID: String = or(String::new()),
+    limits: Limits = flat(),
+    profile: bool = skip(false),
+    trace: bool = skip(false),
+    parallelism: Option<u64> = skip(None),
+    request: Request = tagged(),
+});
+
+wire_record!(Limits, "limits object", {
+    deadline_ms: Option<u64> = skip(None),
+    step_limit: Option<u64> = skip(None),
+    tuple_limit: Option<u64> = skip(None),
+});
+
+wire_enum!(Request, tag "op", Op, unknown(ErrorKind::Unsupported, "unknown op"), {
+    Ping "ping" {}
+    Decide "decide_unrestricted" { schema: String = req(), views: String = req(), query: String = req() }
+    Rewrite "rewrite" { schema: String = req(), views: String = req(), query: String = req() }
+    // Tried before `Certain`; when both fail, `Certain`'s error is the reply.
+    CertainHandle "certain_sound" {
+        schema: String = req(),
+        views: String = req(),
+        query: String = req(),
+        handle as "extent": String = handle_ref(),
+    }
+    Certain "certain_sound" {
+        schema: String = req(),
+        views: String = req(),
+        query: String = req(),
+        extent: String = req(),
+    }
+    PutInstance "put_instance" { schema: String = req(), extent: String = req() }
+    EvictInstance "evict_instance" { handle: String = req() }
+    CacheStats "cache_stats" {}
+    Classify "classify" { schema: String = req(), views: String = req(), query: String = req() }
+    Containment "containment" {
+        schema: String = req(),
+        q1: String = req(),
+        q2: String = req(),
+        max_domain: u64 = or(MAX_DOMAIN),
+        space_limit: u64 = or(SPACE_LIMIT),
+    }
+    Finite "decide_finite" {
+        schema: String = req(),
+        views: String = req(),
+        query: String = req(),
+        max_domain: u64 = or(MAX_DOMAIN),
+        space_limit: u64 = or(SPACE_LIMIT),
+    }
+    Semantic "check_exhaustive" {
+        schema: String = req(),
+        views: String = req(),
+        query: String = req(),
+        domain: u64 = or(2),
+        space_limit: u64 = or(SPACE_LIMIT),
+    }
+    Stats "stats" {}
+    Flight "flight" {}
+    MetricsProm "metrics_prom" {}
+    Shutdown "shutdown" {}
+    DebugPanic "debug_panic" {}
+});
+
+wire_record!(Response, "reply object", {
+    version as V: u64 = req(),
+    id as ID: String = req(),
+    @ "status" = outcome.status,
+    work: WireStats = or(WireStats::default()),
+    profile: Option<MetricsSnapshot> = skip(None),
+    trace: Option<String> = skip(None),
+    fragment: Option<String> = skip(None),
+    timeline: Option<Timeline> = skip(None),
+    outcome as "result": Outcome = tagged(),
+});
+
+wire_record!(WireStats, "work object", {
+    steps: u64 = or(0),
+    tuples: u64 = or(0),
+    elapsed_ms: u64 = or(0),
+    index_builds: u64 = or(0),
+    index_tuples: u64 = or(0),
+    threads_used: u64 = skip(0),
+});
+
+wire_record!(Timeline, "timeline object", {
+    frame_us: u64 = req(),
+    queue_us: u64 = req(),
+    exec_us: u64 = req(),
+    reorder_us: u64 = or(0),
+    write_us: u64 = or(0),
+    framed: Option<std::time::Instant> = never(),
+    finished: Option<std::time::Instant> = never(),
+});
+
+wire_record!(WireCounterexample, "counterexample object", {
+    d1: String = req(),
+    d2: String = req(),
+    image: String = req(),
+    q1: String = req(),
+    q2: String = req(),
+});
+
+wire_record!(WireMetrics, "metrics object", {
+    accepted: u64 = or(0),
+    completed_ok: u64 = or(0),
+    exhausted: u64 = or(0),
+    rejected: u64 = or(0),
+    errors: u64 = or(0),
+    queue_depth: u64 = or(0),
+    max_queue_depth: u64 = or(0),
+    connections_open: u64 = or(0),
+    connections_total: u64 = or(0),
+    workers: u64 = or(0),
+});
+
+wire_enum!(Outcome, tag "kind", Kind, unknown(ErrorKind::Protocol, "unknown result kind"), {
+    Pong "pong" {}
+    Decided "decided" { determined: bool = missing(), rewriting: Option<String> = skip(None) }
+    Rewritten "rewritten" { exists: bool = missing(), rewriting: Option<String> = skip(None) }
+    CertainAnswers "certain" { answers: String = req(), count: u64 = or(0) }
+    InstancePut "put" { handle: String = req(), fingerprint: String = req(), tuples: u64 = or(0) }
+    Evicted "evicted" { handle: String = req(), existed: bool = or(false) }
+    CacheStatsSnapshot "cache-stats" {
+        entries: u64 = or(0),
+        bytes: u64 = or(0),
+        hits: u64 = or(0),
+        misses: u64 = or(0),
+        evictions: u64 = or(0),
+        puts: u64 = or(0),
+        max_entries: u64 = or(0),
+        max_bytes: u64 = or(0),
+        disk_hits: u64 = or(0),
+        disk_misses: u64 = or(0),
+        disk_spills: u64 = or(0),
+        disk_promotions: u64 = or(0),
+        disk_corrupt_dropped: u64 = or(0),
+        disk_io_errors: u64 = or(0),
+        disk_bytes: u64 = or(0),
+    }
+    Classified "classified" { fragment: String = req(), decidable: bool = or(false), route: String = req() }
+    Contained "containment" {
+        verdict: String = req(),
+        bound: Option<u64> = skip(None),
+        witness: Option<String> = skip(None),
+    }
+    FiniteOutcome "finite" {
+        verdict: String = req(),
+        rewriting: Option<String> = skip(None),
+        searched_up_to: Option<u64> = skip(None),
+        counterexample: Option<WireCounterexample> = skip(None),
+    }
+    SemanticOutcome "semantic" {
+        verdict: String = req(),
+        bound: Option<u64> = skip(None),
+        counterexample: Option<WireCounterexample> = skip(None),
+    }
+    StatsSnapshot "stats" { metrics: WireMetrics = flat(), registry: RegistrySnapshot = or(RegistrySnapshot::default()) }
+    FlightSnapshot "flight" { jsonl: String = req() }
+    MetricsText "metrics-text" { text: String = req() }
+    ShuttingDown "shutting-down" {}
+    Exhausted "exhausted" { reason: String = req(), partial: String = req() }
+    Overloaded "overloaded" { queue_depth: u64 = or(0), queue_capacity: u64 = or(0) }
+    Error "error" { kind as "error_kind": ErrorKind = or(ErrorKind::Internal), message: String = req() }
+});
+
+wire_names!(ErrorKind {
+    Protocol "protocol",
+    Version "version",
+    Parse "parse",
+    InvalidInput "invalid-input",
+    SchemaMismatch "schema-mismatch",
+    Unsupported "unsupported",
+    UnknownHandle "unknown-handle",
+    Timeout "timeout",
+    Internal "internal",
+});
 
 impl std::fmt::Display for Outcome {
     /// Human-oriented one-to-few-line rendering (used by `vqd request`).
@@ -1528,346 +1703,6 @@ impl std::fmt::Display for Outcome {
 mod tests {
     use super::*;
 
-    fn round_trip_envelope(e: Envelope) {
-        let line = e.to_json().to_string();
-        assert!(!line.contains('\n'), "wire lines must be single-line");
-        let back = Envelope::from_line(&line).expect("round trip");
-        assert_eq!(back, e);
-    }
-
-    #[test]
-    fn envelopes_round_trip() {
-        round_trip_envelope(Envelope::new("1", Limits::none(), Request::Ping));
-        round_trip_envelope(Envelope::new(
-            "abc",
-            Limits { deadline_ms: Some(250), step_limit: Some(10_000), tuple_limit: None },
-            Request::Decide {
-                schema: "E/2".into(),
-                views: "V(x,y) :- E(x,y).".into(),
-                query: "Q(x,z) :- E(x,y), E(y,z).".into(),
-            },
-        ));
-        round_trip_envelope(Envelope::new(
-            "c",
-            Limits::none(),
-            Request::Containment {
-                schema: "E/2,P/1".into(),
-                q1: "Q(x) :- P(x).".into(),
-                q2: "Q(x) :- P(x), E(x,x).".into(),
-                max_domain: 2,
-                space_limit: 1 << 16,
-            },
-        ));
-        round_trip_envelope(Envelope::new(
-            "f",
-            Limits::none(),
-            Request::Finite {
-                schema: "E/2".into(),
-                views: "V(x,y) :- E(x,z), E(z,y).".into(),
-                query: "Q(x,y) :- E(x,y).".into(),
-                max_domain: 2,
-                space_limit: 4096,
-            },
-        ));
-        round_trip_envelope(Envelope::new("s", Limits::none(), Request::Stats));
-        round_trip_envelope(Envelope::new("x", Limits::none(), Request::Shutdown));
-        round_trip_envelope(Envelope::new("p", Limits::none(), Request::Ping).with_profile(true));
-        round_trip_envelope(Envelope::new("t", Limits::none(), Request::Ping).with_trace(true));
-        round_trip_envelope(Envelope::new(
-            "h",
-            Limits::none(),
-            Request::CertainHandle {
-                schema: "E/2".into(),
-                views: "V(x,y) :- E(x,y).".into(),
-                query: "Q(x,z) :- E(x,y), E(y,z).".into(),
-                handle: "h42".into(),
-            },
-        ));
-        round_trip_envelope(Envelope::new(
-            "put",
-            Limits::none(),
-            Request::PutInstance { schema: "V/2".into(), extent: "V(a,b).".into() },
-        ));
-        round_trip_envelope(Envelope::new(
-            "ev",
-            Limits::none(),
-            Request::EvictInstance { handle: "h42".into() },
-        ));
-        round_trip_envelope(Envelope::new("cs", Limits::none(), Request::CacheStats));
-        round_trip_envelope(Envelope::new(
-            "cl",
-            Limits::none(),
-            Request::Classify {
-                schema: "E/2".into(),
-                views: "V(x,y) :- E(x,y).".into(),
-                query: "Q(x) :- E(x,x).".into(),
-            },
-        ));
-    }
-
-    #[test]
-    fn classified_outcome_round_trips_with_fragment_note() {
-        let r = Response::new(
-            "cl",
-            Outcome::Classified {
-                fragment: "project-select".into(),
-                decidable: true,
-                route: "direct polynomial decision procedure".into(),
-            },
-            WireStats::default(),
-        )
-        .with_fragment("project-select");
-        let line = r.to_json().to_string();
-        assert!(!line.contains('\n'));
-        let back = Response::from_line(&line).expect("round trip");
-        assert_eq!(back, r);
-        assert_eq!(back.fragment.as_deref(), Some("project-select"));
-    }
-
-    #[test]
-    fn absent_fragment_field_decodes_as_none() {
-        // A pre-router reply has no `fragment` key: the new field is
-        // additive, exactly like `profile`/`trace`/`disk_*`.
-        let line = r#"{"v":1,"id":"x","status":"ok",
-            "work":{"steps":0,"tuples":0,"elapsed_ms":0,"index_builds":0,"index_tuples":0},
-            "result":{"kind":"pong"}}"#
-            .replace('\n', "");
-        let back = Response::from_line(&line).unwrap();
-        assert_eq!(back.fragment, None);
-    }
-
-    #[test]
-    fn fragment_field_is_additive_on_otherwise_identical_replies() {
-        // The same reply with and without attribution differs ONLY in
-        // the `fragment` key: stripping it restores the v1 bytes.
-        let base = Response::new(
-            "d",
-            Outcome::Decided { determined: true, rewriting: Some("R(x) :- V(x).".into()) },
-            WireStats::default(),
-        );
-        let v1 = base.clone().to_json().to_string();
-        let v2 = base.with_fragment("project-select").to_json().to_string();
-        assert_ne!(v1, v2);
-        assert_eq!(v2.replace(r#","fragment":"project-select""#, ""), v1);
-    }
-
-    #[test]
-    fn absent_profile_flag_decodes_as_false() {
-        let e = Envelope::from_line(r#"{"v":1,"id":"x","request":{"op":"ping"}}"#).unwrap();
-        assert!(!e.profile);
-    }
-
-    #[test]
-    fn absent_trace_flag_decodes_as_false() {
-        let e = Envelope::from_line(r#"{"v":1,"id":"x","request":{"op":"ping"}}"#).unwrap();
-        assert!(!e.trace);
-    }
-
-    #[test]
-    fn absent_parallelism_decodes_as_none_and_round_trips_when_set() {
-        // v1 envelope: no `parallelism` key anywhere.
-        let e = Envelope::from_line(r#"{"v":1,"id":"x","request":{"op":"ping"}}"#).unwrap();
-        assert_eq!(e.parallelism, None);
-        let base = Envelope::new("p", Limits::none(), Request::Ping);
-        assert!(!base.to_json().to_string().contains("parallelism"));
-        round_trip_envelope(base.with_parallelism(4));
-    }
-
-    #[test]
-    fn threads_used_is_additive_on_the_work_envelope() {
-        // Sequential replies encode no `threads_used`; absent decodes 0.
-        let seq = Response::new("s", Outcome::Pong, WireStats::default());
-        assert!(!seq.to_json().to_string().contains("threads_used"));
-        let line = r#"{"v":1,"id":"x","status":"ok",
-            "work":{"steps":5,"tuples":0,"elapsed_ms":1,"index_builds":0,"index_tuples":0},
-            "result":{"kind":"pong"}}"#
-            .replace('\n', "");
-        let back = Response::from_line(&line).unwrap();
-        assert_eq!(back.work.threads_used, 0);
-        // A parallel reply carries it and round-trips.
-        let work = WireStats { steps: 5, threads_used: 8, ..WireStats::default() };
-        let par = Response::new("p", Outcome::Pong, work);
-        assert!(par.to_json().to_string().contains(r#""threads_used":8"#));
-        round_trip_response(par);
-    }
-
-    #[test]
-    fn certain_extent_forms_share_one_op() {
-        // Inline string extent: the v1 form.
-        let inline = Envelope::from_line(
-            r#"{"v":1,"id":"a","request":{"op":"certain_sound","schema":"E/2",
-                "views":"V(x,y) :- E(x,y).","query":"Q(x) :- E(x,y).","extent":"V(a,b)."}}"#,
-        )
-        .unwrap();
-        assert!(matches!(inline.request, Request::Certain { .. }));
-        // Handle-object extent: the session form, same wire op.
-        let by_handle = Envelope::from_line(
-            r#"{"v":1,"id":"b","request":{"op":"certain_sound","schema":"E/2",
-                "views":"V(x,y) :- E(x,y).","query":"Q(x) :- E(x,y).",
-                "extent":{"handle":"h7"}}}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            by_handle.request,
-            Request::CertainHandle {
-                schema: "E/2".into(),
-                views: "V(x,y) :- E(x,y).".into(),
-                query: "Q(x) :- E(x,y).".into(),
-                handle: "h7".into(),
-            }
-        );
-        assert_eq!(inline.request.op(), by_handle.request.op());
-    }
-
-    fn round_trip_response(r: Response) {
-        let line = r.to_json().to_string();
-        assert!(!line.contains('\n'));
-        let back = Response::from_line(&line).expect("round trip");
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        let work = WireStats {
-            steps: 12,
-            tuples: 3,
-            elapsed_ms: 40,
-            index_builds: 2,
-            index_tuples: 17,
-            threads_used: 4,
-        };
-        round_trip_response(Response::new("1", Outcome::Pong, WireStats::default()));
-        round_trip_response(Response::new(
-            "2",
-            Outcome::Decided { determined: true, rewriting: Some("R(x,y) :- V(x,y).".into()) },
-            work,
-        ));
-        round_trip_response(Response::new(
-            "3",
-            Outcome::Exhausted { reason: "deadline exceeded".into(), partial: "scanned 10".into() },
-            work,
-        ));
-        round_trip_response(Response::new(
-            "4",
-            Outcome::Overloaded { queue_depth: 64, queue_capacity: 64 },
-            WireStats::default(),
-        ));
-        round_trip_response(Response::new(
-            "5",
-            Outcome::FiniteOutcome {
-                verdict: "not-determined".into(),
-                rewriting: None,
-                searched_up_to: None,
-                counterexample: Some(WireCounterexample {
-                    d1: "E(a,b).".into(),
-                    d2: "E(a,a).".into(),
-                    image: "{}".into(),
-                    q1: "{}".into(),
-                    q2: "{(a)}".into(),
-                }),
-            },
-            work,
-        ));
-        round_trip_response(Response::error("6", ErrorKind::Parse, "bad query"));
-        round_trip_response(Response::error("6b", ErrorKind::UnknownHandle, "no such handle"));
-        round_trip_response(Response::new(
-            "p1",
-            Outcome::InstancePut {
-                handle: "h3".into(),
-                fingerprint: "ab12".into(),
-                tuples: 7,
-            },
-            WireStats::default(),
-        ));
-        round_trip_response(Response::new(
-            "e1",
-            Outcome::Evicted { handle: "h3".into(), existed: true },
-            WireStats::default(),
-        ));
-        round_trip_response(Response::new(
-            "c1",
-            Outcome::CacheStatsSnapshot {
-                entries: 2,
-                bytes: 4096,
-                hits: 5,
-                misses: 1,
-                evictions: 0,
-                puts: 2,
-                max_entries: 128,
-                max_bytes: 64 << 20,
-                disk_hits: 3,
-                disk_misses: 2,
-                disk_spills: 4,
-                disk_promotions: 3,
-                disk_corrupt_dropped: 1,
-                disk_io_errors: 1,
-                disk_bytes: 8192,
-            },
-            WireStats::default(),
-        ));
-        round_trip_response(
-            Response::new("t1", Outcome::Pong, work)
-                .with_trace("{\"name\":\"chase.round\"}"),
-        );
-        let registry_sample = {
-            let reg = vqd_obs::Registry::new();
-            reg.counter("op.ping.requests").add(3);
-            reg.gauge("server.uptime_ms").set(1234);
-            reg.histogram("op.ping.latency_ms", &vqd_obs::LATENCY_BOUNDS_MS)
-                .observe(7);
-            reg.snapshot()
-        };
-        round_trip_response(Response::new(
-            "7",
-            Outcome::StatsSnapshot {
-                metrics: WireMetrics {
-                    accepted: 10,
-                    completed_ok: 8,
-                    exhausted: 1,
-                    rejected: 1,
-                    errors: 0,
-                    queue_depth: 0,
-                    max_queue_depth: 4,
-                    connections_open: 2,
-                    connections_total: 5,
-                    workers: 4,
-                },
-                registry: registry_sample,
-            },
-            WireStats::default(),
-        ));
-        let mut profiled = MetricsSnapshot::default();
-        profiled.set(vqd_obs::Metric::ChaseRounds, 4);
-        profiled.set(vqd_obs::Metric::HomCandidatesTried, 19);
-        round_trip_response(
-            Response::new("8", Outcome::Pong, work).with_profile(profiled),
-        );
-    }
-
-    #[test]
-    fn version_mismatch_is_a_version_error() {
-        let (kind, _, _) =
-            Envelope::from_line(r#"{"v":99,"id":"x","request":{"op":"ping"}}"#).unwrap_err();
-        assert_eq!(kind, ErrorKind::Version);
-    }
-
-    #[test]
-    fn unknown_op_is_unsupported_and_keeps_the_id() {
-        let (kind, _, id) =
-            Envelope::from_line(r#"{"v":1,"id":"req-7","request":{"op":"frobnicate"}}"#)
-                .unwrap_err();
-        assert_eq!(kind, ErrorKind::Unsupported);
-        assert_eq!(id, "req-7");
-    }
-
-    #[test]
-    fn malformed_json_is_a_protocol_error() {
-        let (kind, msg, id) = Envelope::from_line("{not json").unwrap_err();
-        assert_eq!(kind, ErrorKind::Protocol);
-        assert!(!msg.is_empty());
-        assert!(id.is_empty());
-    }
-
     #[test]
     fn limits_build_matching_budgets() {
         let l = Limits { deadline_ms: Some(5), step_limit: Some(9), tuple_limit: Some(2) };
@@ -1879,62 +1714,219 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_ops_round_trip() {
-        round_trip_envelope(Envelope::new("fl", Limits::none(), Request::Flight));
-        round_trip_envelope(Envelope::new("mp", Limits::none(), Request::MetricsProm));
-        let flight = Response::new(
-            "fl",
-            Outcome::FlightSnapshot { jsonl: "{\"seq\":1,\"op\":\"ping\"}\n".into() },
-            WireStats::default(),
-        );
-        let back = Response::from_line(&flight.to_json().to_string()).expect("flight");
-        assert_eq!(back, flight);
-        let prom = Response::new(
-            "mp",
-            Outcome::MetricsText { text: "# TYPE server_e2e_ms histogram\n".into() },
-            WireStats::default(),
-        );
-        let back = Response::from_line(&prom.to_json().to_string()).expect("metrics");
-        assert_eq!(back, prom);
+    fn a_u64_max_cap_reads_back_saturated() {
+        let stats = Outcome::Overloaded { queue_depth: u64::MAX, queue_capacity: 1 << 60 };
+        let r = Response::new("m", stats, WireStats::default());
+        assert_eq!(Response::from_line(&r.to_json().to_string()), Ok(r));
     }
 
     #[test]
-    fn timeline_round_trips_and_sums() {
-        let tl = Timeline {
-            frame_us: 10,
-            queue_us: 250,
-            exec_us: 4000,
-            reorder_us: 30,
-            write_us: 0,
-            framed: None,
-            finished: None,
-        };
-        assert_eq!(tl.total_us(), 4290);
-        let r = Response::new("t", Outcome::Pong, WireStats::default()).with_timeline(tl);
-        let line = r.to_json().to_string();
-        assert!(!line.contains('\n'));
-        let back = Response::from_line(&line).expect("round trip");
-        assert_eq!(back, r);
-        assert_eq!(back.timeline, Some(tl));
-        // In-process instants never reach the wire: a timeline carrying
-        // them encodes identically to one without.
-        let stamped = Timeline {
-            framed: Some(std::time::Instant::now()),
-            finished: Some(std::time::Instant::now()),
-            ..tl
-        };
+    fn timelines_sum_and_keep_instants_off_the_wire() {
+        let tl = sample_timeline();
+        assert_eq!(tl.total_us(), 15);
+        let now = Some(std::time::Instant::now());
+        let stamped = Timeline { framed: now, finished: now, ..tl };
         assert_eq!(stamped.to_json().to_string(), tl.to_json().to_string());
+        assert_eq!(Timeline::from_json(&stamped.to_json()), Some(tl));
+    }
+
+    /// The object at `path` (keys from the top).
+    fn obj_at<'a>(v: &'a mut Value, path: &[&str]) -> &'a mut Obj {
+        let mut v = v;
+        for key in path {
+            let Value::Obj(fields) = v else { panic!("{path:?} is not an object") };
+            v = &mut fields.iter_mut().find(|(k, _)| k == key).expect("path key").1;
+        }
+        let Value::Obj(fields) = v else { panic!("{path:?} is not an object") };
+        fields
+    }
+
+    /// `sample` round-trips, and for every schema row it writes: deleting
+    /// the key decodes to the row's default (re-encoding writes exactly what the row writes
+    /// for it) or to its required-field error, and a wrong-typed value is
+    /// a `protocol` error naming the field. Returns the rows checked.
+    fn check_rows<T: Record + PartialEq + std::fmt::Debug>(sample: &T) -> usize {
+        let encode = |t: &T| {
+            let mut out = Vec::new();
+            t.put_fields(&mut out);
+            Value::Obj(out)
+        };
+        let decode = |v: &Value| T::take_fields(Src::wire(v), Scope::Top).map(|t| encode(&t));
+        let json = encode(sample);
+        let line = json.to_string();
+        assert!(!line.contains('\n'), "wire lines are single lines");
+        let back = T::take_fields(Src::wire(&json::parse(&line).expect("json")), Scope::Top);
+        assert_eq!(back.as_ref(), Ok(sample), "the sample round-trips");
+        let mut probes = Vec::new();
+        sample.probes(&[], Scope::Top, &mut probes);
+        for p in &probes {
+            let at = |v: &mut Value| {
+                let i = obj_at(v, &p.path).iter().position(|(k, _)| k == p.key);
+                i.unwrap_or_else(|| panic!("the sample writes no `{}` at {:?}", p.key, p.path))
+            };
+            let mut cut = json.clone();
+            let i = at(&mut cut);
+            obj_at(&mut cut, &p.path).remove(i);
+            let want = match &p.absent {
+                Ok(written) => {
+                    let mut w = cut.clone();
+                    obj_at(&mut w, &p.path).splice(i..i, written.iter().cloned());
+                    Ok(w)
+                }
+                Err(text) => Err((ErrorKind::Protocol, text.clone())),
+            };
+            assert_eq!(decode(&cut), want, "absent `{}` at {:?}", p.key, p.path);
+            let mut bad = json.clone();
+            let i = at(&mut bad);
+            obj_at(&mut bad, &p.path)[i].1 = Value::Num(-1.5);
+            let want = Err((ErrorKind::Protocol, p.wrong.clone()));
+            assert_eq!(decode(&bad), want, "wrong-typed `{}` at {:?}", p.key, p.path);
+        }
+        probes.len()
+    }
+
+    /// One request object per variant, every optional field set.
+    const REQUESTS: &[&str] = &[
+        r#"{"op":"ping"}"#,
+        r#"{"op":"decide_unrestricted","schema":"E/2","views":"V(x) :- E(x,y).","query":"Q"}"#,
+        r#"{"op":"rewrite","schema":"E/2","views":"V(x) :- E(x,y).","query":"Q(x) :- E(x,x)."}"#,
+        r#"{"op":"certain_sound","schema":"E/2","views":"V","query":"Q","extent":{"handle":"h1"}}"#,
+        r#"{"op":"certain_sound","schema":"E/2","views":"V","query":"Q","extent":"V(A,B)."}"#,
+        r#"{"op":"put_instance","schema":"V/2","extent":"V(A,B)."}"#,
+        r#"{"op":"evict_instance","handle":"h1"}"#,
+        r#"{"op":"cache_stats"}"#,
+        r#"{"op":"classify","schema":"E/2","views":"V","query":"Q"}"#,
+        r#"{"op":"containment","schema":"E/2","q1":"Q","q2":"Q","max_domain":4,"space_limit":9}"#,
+        r#"{"op":"decide_finite","schema":"E/2","views":"V","query":"Q","max_domain":4,"space_limit":9}"#,
+        r#"{"op":"check_exhaustive","schema":"E/2","views":"V","query":"Q","domain":4,"space_limit":9}"#,
+        r#"{"op":"stats"}"#,
+        r#"{"op":"flight"}"#,
+        r#"{"op":"metrics_prom"}"#,
+        r#"{"op":"shutdown"}"#,
+        r#"{"op":"debug_panic"}"#,
+    ];
+
+    /// One result object per outcome variant, every optional field set.
+    const RESULTS: &[&str] = &[
+        r#"{"kind":"pong"}"#,
+        r#"{"kind":"decided","determined":true,"rewriting":"R(x) :- V(x)."}"#,
+        r#"{"kind":"rewritten","exists":true,"rewriting":"R(x) :- V(x)."}"#,
+        r#"{"kind":"certain","answers":"{(A)}","count":1}"#,
+        r#"{"kind":"put","handle":"h1","fingerprint":"ab","tuples":2}"#,
+        r#"{"kind":"evicted","handle":"h1","existed":true}"#,
+        r#"{"kind":"cache-stats","entries":1,"bytes":2,"hits":3,"misses":4,"evictions":5,"puts":6,
+            "max_entries":7,"max_bytes":8,"disk_hits":9,"disk_misses":10,"disk_spills":11,
+            "disk_promotions":12,"disk_corrupt_dropped":13,"disk_io_errors":14,"disk_bytes":15}"#,
+        r#"{"kind":"classified","fragment":"path","decidable":true,"route":"r"}"#,
+        r#"{"kind":"containment","verdict":"refuted","bound":2,"witness":"P(A)."}"#,
+        r#"{"kind":"finite","verdict":"not-determined","rewriting":"R","searched_up_to":3,
+            "counterexample":{"d1":"E(A,B).","d2":"E(A,A).","image":"{}","q1":"{}","q2":"{(A)}"}}"#,
+        r#"{"kind":"semantic","verdict":"not-determined","bound":2,
+            "counterexample":{"d1":"E(A,B).","d2":"E(A,A).","image":"{}","q1":"{}","q2":"{(A)}"}}"#,
+        r#"{"kind":"stats","accepted":1,"completed_ok":2,"exhausted":3,"rejected":4,"errors":5,
+            "queue_depth":6,"max_queue_depth":7,"connections_open":8,"connections_total":9,
+            "workers":10,"registry":{"counters":{"c":1},"gauges":{},"histograms":{}}}"#,
+        r#"{"kind":"flight","jsonl":"{}"}"#,
+        r#"{"kind":"metrics-text","text":"x_total 1"}"#,
+        r#"{"kind":"shutting-down"}"#,
+        r#"{"kind":"exhausted","reason":"deadline exceeded","partial":"p"}"#,
+        r#"{"kind":"overloaded","queue_depth":1,"queue_capacity":2}"#,
+        r#"{"kind":"error","error_kind":"parse","message":"m"}"#,
+    ];
+
+    fn sample_timeline() -> Timeline {
+        Timeline { frame_us: 1, queue_us: 2, exec_us: 3, reorder_us: 4, write_us: 5, ..Timeline::default() }
+    }
+
+    fn sample_work() -> WireStats {
+        WireStats { steps: 1, tuples: 2, elapsed_ms: 3, index_builds: 4, index_tuples: 5, threads_used: 6 }
     }
 
     #[test]
-    fn absent_timeline_field_decodes_as_none() {
-        // v1 replies have no `timeline` key: the section is additive,
-        // exactly like `fragment`.
-        let line = r#"{"v":1,"id":"x","status":"ok",
-            "work":{"steps":0,"tuples":0,"elapsed_ms":0,"index_builds":0,"index_tuples":0},
-            "result":{"kind":"pong"}}"#
-            .replace('\n', "");
-        let back = Response::from_line(&line).unwrap();
-        assert_eq!(back.timeline, None);
+    fn every_schema_row_honours_its_absent_and_wrong_type_rules() {
+        let mut rows = 0;
+        for request in REQUESTS {
+            let line = format!(
+                r#"{{"v":1,"id":"e","deadline_ms":5,"step_limit":6,"tuple_limit":7,"profile":true,
+                "trace":true,"parallelism":2,"request":{request}}}"#
+            );
+            rows += check_rows(&Envelope::from_line(&line).expect(request));
+        }
+        let sections = format!(
+            r#""work":{},"profile":{{"chase_rounds":4}},"trace":"{{}}","fragment":"path","timeline":{}"#,
+            sample_work().enc(),
+            sample_timeline().enc()
+        );
+        for result in RESULTS {
+            let line = format!(r#"{{"v":1,"id":"r",{sections},"result":{result}}}"#);
+            rows += check_rows(&Response::from_line(&line).expect(result));
+        }
+        rows += check_rows(&sample_timeline());
+        rows += check_rows(&sample_work());
+        rows += check_rows(&WireCounterexample::default());
+        assert_eq!(rows, 406, "rows checked");
+    }
+
+    #[test]
+    fn wrong_typed_envelope_fields_are_protocol_errors_that_keep_the_id() {
+        let cases = [
+            ("deadline_ms", r#""50""#),
+            ("step_limit", "-3"),
+            ("tuple_limit", "1.5"),
+            ("parallelism", "true"),
+            ("profile", r#""yes""#),
+            ("trace", "1"),
+            ("id", "7"),
+        ];
+        for (field, value) in cases {
+            let line = format!(r#"{{"v":1,"id":"w","{field}":{value},"request":{{"op":"ping"}}}}"#);
+            let (kind, message, id) = Envelope::from_line(&line).unwrap_err();
+            assert_eq!(kind, ErrorKind::Protocol, "{line}");
+            assert!(message.contains(&format!("`{field}`")), "{line}: {message}");
+            if field != "id" {
+                assert_eq!(id, "w", "{line}");
+            }
+        }
+    }
+
+    #[test]
+    fn fields_build_requests_with_the_table_defaults() {
+        let build = |pairs: &[(&str, &str)]| {
+            let fields: Vec<(String, String)> =
+                pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+            Envelope::from_fields(&fields)
+        };
+        let q = "Q(x) :- P(x).";
+        let e = build(&[
+            ("op", "containment"),
+            ("schema", "P/1"),
+            ("q1", q),
+            ("q2", q),
+            ("deadline_ms", "50"),
+            ("profile", ""),
+        ])
+        .unwrap();
+        let containment = Request::Containment {
+            schema: "P/1".into(),
+            q1: q.into(),
+            q2: q.into(),
+            max_domain: 3,
+            space_limit: 1 << 22,
+        };
+        let limits = Limits { deadline_ms: Some(50), ..Limits::none() };
+        assert_eq!(e, Envelope::new("", limits, containment).with_profile(true));
+        let certain = [("op", "certain_sound"), ("schema", "E/2"), ("views", q), ("query", q)];
+        let by_handle = build(&[&certain[..], &[("handle", "h1")]].concat()).unwrap();
+        assert!(matches!(by_handle.request, Request::CertainHandle { .. }));
+        let inline = build(&[&certain[..], &[("extent", "V(A).")]].concat()).unwrap();
+        assert!(matches!(inline.request, Request::Certain { .. }));
+        let no_extent = build(&certain).unwrap_err();
+        assert_eq!(no_extent, "op `certain_sound` needs string field `extent`");
+        let unused = build(&[("op", "ping"), ("schema", "E/2")]).unwrap_err();
+        assert_eq!(unused, "op `ping` takes no field `schema`");
+        assert_eq!(build(&[("op", "frobnicate")]).unwrap_err(), "unknown op `frobnicate`");
+        let semantic = [("op", "check_exhaustive"), ("schema", "E/2"), ("views", q), ("query", q)];
+        let bad_domain = build(&[&semantic[..], &[("domain", "x")]].concat()).unwrap_err();
+        assert_eq!(bad_domain, "op `check_exhaustive` field `domain` must be a non-negative integer");
     }
 }

@@ -15,7 +15,7 @@
 //!                 --schema "E/2" --views "..." --query "..." \
 //!                 [--extent E | --handle H] \
 //!                 [--deadline-ms N] [--step-limit N] [--tuple-limit N] \
-//!                 [--profile] [--trace]
+//!                 [--profile] [--trace] [--parallelism N]
 //!
 //! vqd-cli put      [--addr 127.0.0.1:7471] --schema "V/2" --extent "V(a,b)."
 //! vqd-cli evict    [--addr 127.0.0.1:7471] --handle h1
@@ -25,8 +25,11 @@
 //! vqd-cli classify [--addr 127.0.0.1:7471] --schema "E/2" --views "..." --query "..."
 //! ```
 //!
-//! Views and query may also be read from files (`@path`). Running with
-//! flags and no subcommand behaves like `analyze` (the original CLI).
+//! `request`, `put`, `evict` and `classify` read their flags through the
+//! server's wire schema table: `--foo-bar V` sets wire field `foo_bar`,
+//! absent fields take the table's defaults, and any value may be read
+//! from a file (`@path`), as `analyze`'s views and query may. Running
+//! with flags and no subcommand behaves like `analyze` (the original CLI).
 //! `serve` runs the [`vqd_server`] service until a wire `shutdown`
 //! request arrives; `request` issues one request against a running
 //! server and exits 0 on `ok`, 3 on `error`, 4 on `exhausted`, and 5 on
@@ -345,107 +348,72 @@ fn cmd_serve(argv: &[String]) {
 // ---------------------------------------------------------------------
 
 fn request_usage() -> ! {
+    let mut ops = Request::OPS.to_vec();
+    ops.dedup();
     eprintln!(
-        "usage: vqd-cli request [--addr HOST:PORT] --op \
-         <ping|decide|rewrite|classify|certain|containment|finite|semantic|put_instance|\
-         evict_instance|cache_stats|stats|metrics_prom|flight|shutdown> \
-         [--schema S] [--views V] [--query Q] [--extent E | --handle H] \
-         [--q1 Q] [--q2 Q] [--max-domain N] [--domain N] [--space-limit N] \
-         [--deadline-ms N] [--step-limit N] [--tuple-limit N] [--profile] [--trace] \
-         [--parallelism N]"
+        "usage: vqd-cli request [--addr HOST:PORT] --op <{}> [--FIELD [VALUE]]...\n\
+         --foo-bar sets wire field foo_bar of the op, its limits or its envelope; \
+         absent fields take the schema's defaults; `@path` reads a file; \
+         op aliases: decide, certain, put, evict, finite, semantic",
+        ops.join("|")
     );
     std::process::exit(2)
 }
 
-fn cmd_request(argv: &[String]) {
+/// The wire op an `--op` value names (short aliases, `-` for `_`).
+fn wire_op(op: &str) -> String {
+    match op {
+        "decide" => "decide_unrestricted".to_owned(),
+        "certain" => "certain_sound".to_owned(),
+        "put" => "put_instance".to_owned(),
+        "evict" => "evict_instance".to_owned(),
+        "finite" => "decide_finite".to_owned(),
+        "semantic" => "check_exhaustive".to_owned(),
+        other => other.replace('-', "_"),
+    }
+}
+
+/// Reads `--addr` and wire-field flags into `(addr, envelope)`. `--foo-bar
+/// VALUE` is field `foo_bar` of the schema table; a flag followed by
+/// another flag (or nothing) is a switch with an empty value. `op`, when
+/// given, names the request as `--op` would.
+fn read_request(argv: &[String], op: Option<&str>, usage: fn() -> !) -> (String, server::Envelope) {
     let mut addr = "127.0.0.1:7471".to_owned();
-    let mut op = None;
-    let mut schema = String::new();
-    let mut views = String::new();
-    let mut query = String::new();
-    let mut extent = String::new();
-    let mut handle = String::new();
-    let mut q1 = String::new();
-    let mut q2 = String::new();
-    let mut max_domain = 3u64;
-    let mut domain = 2u64;
-    let mut space_limit = 1u64 << 22;
-    let mut limits = Limits::none();
-    let mut profile = false;
-    let mut trace = false;
-    let mut parallelism: Option<u64> = None;
-    let mut it = argv.iter();
+    let mut fields: Vec<(String, String)> = Vec::new();
+    let op = op.map(|op| ["--op".to_owned(), op.to_owned()]);
+    let mut it = op.iter().flatten().chain(argv).peekable();
     while let Some(flag) = it.next() {
+        let value = it.next_if(|v| !v.starts_with("--")).cloned().unwrap_or_default();
         match flag.as_str() {
-            "--addr" => addr = value_of(&mut it, flag),
-            "--profile" => profile = true,
-            "--trace" => trace = true,
-            "--parallelism" => parallelism = Some(num_of(&mut it, flag)),
-            "--op" => op = Some(value_of(&mut it, flag)),
-            "--schema" => schema = load(&value_of(&mut it, flag)),
-            "--views" => views = load(&value_of(&mut it, flag)),
-            "--query" => query = load(&value_of(&mut it, flag)),
-            "--extent" => extent = load(&value_of(&mut it, flag)),
-            "--handle" => handle = value_of(&mut it, flag),
-            "--q1" => q1 = load(&value_of(&mut it, flag)),
-            "--q2" => q2 = load(&value_of(&mut it, flag)),
-            "--max-domain" => max_domain = num_of(&mut it, flag),
-            "--domain" => domain = num_of(&mut it, flag),
-            "--space-limit" => space_limit = num_of(&mut it, flag),
-            "--deadline-ms" => limits.deadline_ms = Some(num_of(&mut it, flag)),
-            "--step-limit" => limits.step_limit = Some(num_of(&mut it, flag)),
-            "--tuple-limit" => limits.tuple_limit = Some(num_of(&mut it, flag)),
-            "--help" | "-h" => request_usage(),
+            "--addr" => addr = value,
+            "--help" | "-h" => usage(),
+            f if f.starts_with("--") => {
+                let value = if f == "--op" { wire_op(&value) } else { load(&value) };
+                fields.push((f[2..].replace('-', "_"), value));
+            }
             other => {
                 eprintln!("unknown flag `{other}`");
-                request_usage()
+                usage()
             }
         }
     }
-    let Some(op) = op else { request_usage() };
-    let request = match op.as_str() {
-        "ping" => Request::Ping,
-        "stats" => Request::Stats,
-        "metrics_prom" | "metrics-prom" => Request::MetricsProm,
-        "flight" => Request::Flight,
-        "shutdown" => Request::Shutdown,
-        "decide" | "decide_unrestricted" => {
-            Request::Decide { schema, views, query }
-        }
-        "rewrite" => Request::Rewrite { schema, views, query },
-        "classify" => Request::Classify { schema, views, query },
-        "certain" | "certain_sound" if !handle.is_empty() => {
-            Request::CertainHandle { schema, views, query, handle }
-        }
-        "certain" | "certain_sound" => Request::Certain { schema, views, query, extent },
-        "put" | "put_instance" => Request::PutInstance { schema, extent },
-        "evict" | "evict_instance" => Request::EvictInstance { handle },
-        "cache_stats" | "cache-stats" => Request::CacheStats,
-        "containment" => Request::Containment { schema, q1, q2, max_domain, space_limit },
-        "finite" | "decide_finite" => {
-            Request::Finite { schema, views, query, max_domain, space_limit }
-        }
-        "semantic" | "check_exhaustive" => {
-            Request::Semantic { schema, views, query, domain, space_limit }
-        }
-        other => die(&format!("unknown op `{other}`")),
-    };
-    let mut client = Client::connect(&addr).unwrap_or_else(|e| {
-        eprintln!("cannot connect to {addr}: {e}");
+    let mut envelope = server::Envelope::from_fields(&fields).unwrap_or_else(|e| die(&e));
+    envelope.id = "cli".to_owned();
+    (addr, envelope)
+}
+
+/// Sends one envelope and returns the reply; exits 1 when the server
+/// cannot be reached.
+fn call(addr: &str, envelope: &server::Envelope, what: &str) -> server::Response {
+    connect(addr).call_raw(&envelope.to_json().to_string()).unwrap_or_else(|e| {
+        eprintln!("{what} failed: {e}");
         std::process::exit(1)
-    });
-    let mut envelope = server::Envelope::new("cli", limits, request)
-        .with_profile(profile)
-        .with_trace(trace);
-    if let Some(p) = parallelism {
-        envelope = envelope.with_parallelism(p);
-    }
-    let response = client
-        .call_raw(&envelope.to_json().to_string())
-        .unwrap_or_else(|e| {
-            eprintln!("request failed: {e}");
-            std::process::exit(1)
-        });
+    })
+}
+
+fn cmd_request(argv: &[String]) {
+    let (addr, envelope) = read_request(argv, None, request_usage);
+    let response = call(&addr, &envelope, "request");
     println!("{}", response.outcome);
     if let Some(fragment) = &response.fragment {
         println!("[fragment: {fragment}]");
@@ -507,35 +475,14 @@ fn connect(addr: &str) -> Client {
     })
 }
 
+fn put_usage() -> ! {
+    eprintln!("usage: vqd-cli put [--addr HOST:PORT] --schema \"V/2\" --extent \"<facts or @file>\"");
+    std::process::exit(2)
+}
+
 fn cmd_put(argv: &[String]) {
-    let mut addr = "127.0.0.1:7471".to_owned();
-    let mut schema = String::new();
-    let mut extent = String::new();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--addr" => addr = value_of(&mut it, flag),
-            "--schema" => schema = load(&value_of(&mut it, flag)),
-            "--extent" => extent = load(&value_of(&mut it, flag)),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: vqd-cli put [--addr HOST:PORT] --schema \"V/2\" \
-                     --extent \"<facts or @file>\""
-                );
-                std::process::exit(2)
-            }
-            other => die(&format!("unknown flag `{other}`")),
-        }
-    }
-    if schema.is_empty() || extent.is_empty() {
-        die("`put` needs --schema and --extent");
-    }
-    let response = connect(&addr)
-        .call(Limits::none(), Request::PutInstance { schema, extent })
-        .unwrap_or_else(|e| {
-            eprintln!("put failed: {e}");
-            std::process::exit(1)
-        });
+    let (addr, envelope) = read_request(argv, Some("put_instance"), put_usage);
+    let response = call(&addr, &envelope, "put");
     println!("{}", response.outcome);
     std::process::exit(match &response.outcome {
         Outcome::InstancePut { .. } => 0,
@@ -543,30 +490,14 @@ fn cmd_put(argv: &[String]) {
     });
 }
 
+fn evict_usage() -> ! {
+    eprintln!("usage: vqd-cli evict [--addr HOST:PORT] --handle H");
+    std::process::exit(2)
+}
+
 fn cmd_evict(argv: &[String]) {
-    let mut addr = "127.0.0.1:7471".to_owned();
-    let mut handle = String::new();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--addr" => addr = value_of(&mut it, flag),
-            "--handle" => handle = value_of(&mut it, flag),
-            "--help" | "-h" => {
-                eprintln!("usage: vqd-cli evict [--addr HOST:PORT] --handle H");
-                std::process::exit(2)
-            }
-            other => die(&format!("unknown flag `{other}`")),
-        }
-    }
-    if handle.is_empty() {
-        die("`evict` needs --handle");
-    }
-    let response = connect(&addr)
-        .call(Limits::none(), Request::EvictInstance { handle })
-        .unwrap_or_else(|e| {
-            eprintln!("evict failed: {e}");
-            std::process::exit(1)
-        });
+    let (addr, envelope) = read_request(argv, Some("evict_instance"), evict_usage);
+    let response = call(&addr, &envelope, "evict");
     println!("{}", response.outcome);
     std::process::exit(match &response.outcome {
         Outcome::Evicted { .. } => 0,
@@ -633,37 +564,17 @@ fn cmd_flight(argv: &[String]) {
 // `classify`
 // ---------------------------------------------------------------------
 
+fn classify_usage() -> ! {
+    eprintln!(
+        "usage: vqd-cli classify [--addr HOST:PORT] --schema \"E/2\" \
+         --views \"<rules or @file>\" --query \"<rule or @file>\""
+    );
+    std::process::exit(2)
+}
+
 fn cmd_classify(argv: &[String]) {
-    let mut addr = "127.0.0.1:7471".to_owned();
-    let mut schema = String::new();
-    let mut views = String::new();
-    let mut query = String::new();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--addr" => addr = value_of(&mut it, flag),
-            "--schema" => schema = load(&value_of(&mut it, flag)),
-            "--views" => views = load(&value_of(&mut it, flag)),
-            "--query" => query = load(&value_of(&mut it, flag)),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: vqd-cli classify [--addr HOST:PORT] --schema \"E/2\" \
-                     --views \"<rules or @file>\" --query \"<rule or @file>\""
-                );
-                std::process::exit(2)
-            }
-            other => die(&format!("unknown flag `{other}`")),
-        }
-    }
-    if schema.is_empty() || views.is_empty() || query.is_empty() {
-        die("`classify` needs --schema, --views, and --query");
-    }
-    let response = connect(&addr)
-        .call(Limits::none(), Request::Classify { schema, views, query })
-        .unwrap_or_else(|e| {
-            eprintln!("classify failed: {e}");
-            std::process::exit(1)
-        });
+    let (addr, envelope) = read_request(argv, Some("classify"), classify_usage);
+    let response = call(&addr, &envelope, "classify");
     println!("{}", response.outcome);
     std::process::exit(match &response.outcome {
         Outcome::Classified { .. } => 0,
