@@ -42,10 +42,10 @@ pub struct FlightDigest {
     pub outcome: String,
     /// Fragment attribution for determinacy-family ops, when routed.
     pub fragment: Option<String>,
-    /// Whether a cross-request cache lookup served this request
-    /// (`None` for ops that never consult the cache).
+    /// For a cached-handle request: whether the cache lookup found its
+    /// derived entry (`None` for ops that never consult the cache).
     pub cache_hit: Option<bool>,
-    /// frame-complete → admission-enqueue, µs (0 for direct callers).
+    /// frame-complete → admission-enqueue, µs.
     pub frame_us: u64,
     /// admission-enqueue → worker-start (queue wait), µs.
     pub queue_us: u64,

@@ -16,12 +16,12 @@
 
 use crate::cache::{derived_key, CacheConfig, Derived, HandleEntry, InstanceCache};
 use crate::metrics::Metrics;
-use crate::proto::{ErrorKind, Outcome, Request, WireCounterexample};
+use crate::proto::{ErrorKind, Outcome, Request, WireCounterexample, WireMetrics};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
-use vqd_budget::{Budget, CancelToken, VqdError};
+use vqd_budget::{Budget, CancelToken, Exhausted, VqdError};
 use vqd_obs::Registry;
 use vqd_chase::CqViews;
 use vqd_core::certain::{canonical_database_budgeted, certain_from_canonical, certain_sound_ctx};
@@ -93,13 +93,15 @@ fn err(kind: ErrorKind, message: impl Into<String>) -> Outcome {
     Outcome::Error { kind, message: message.into() }
 }
 
+/// A budget trip, with the engine's own partial-progress message.
+fn exhausted(e: &Exhausted) -> Outcome {
+    Outcome::Exhausted { reason: e.reason.to_string(), partial: e.partial.clone() }
+}
+
 /// Maps an engine-level [`VqdError`] onto the wire taxonomy.
 fn vqd_error(e: VqdError) -> Outcome {
     match e {
-        VqdError::Exhausted(ex) => Outcome::Exhausted {
-            reason: ex.reason.to_string(),
-            partial: ex.partial.clone(),
-        },
+        VqdError::Exhausted(ex) => exhausted(&ex),
         VqdError::Parse(msg) => err(ErrorKind::Parse, msg),
         e @ VqdError::SchemaMismatch { .. } => err(ErrorKind::SchemaMismatch, e.to_string()),
         e @ VqdError::InvalidInput { .. } => err(ErrorKind::InvalidInput, e.to_string()),
@@ -137,9 +139,15 @@ fn parse_pair(schema: &str, views: &str, query: &str) -> Result<ParsedPair, Outc
     Ok(ParsedPair { names, views, query })
 }
 
-/// The Section 3 hypotheses: plain-CQ views and a plain-CQ query.
-fn require_cq(pair: &ParsedPair) -> Result<(CqViews, Cq), Outcome> {
-    let views = CqViews::try_new(pair.views.clone()).map_err(vqd_error)?;
+/// [`parse_pair`] under the Section 3 hypotheses: plain-CQ views and a
+/// plain-CQ query.
+fn parse_cq_pair(
+    schema: &str,
+    views: &str,
+    query: &str,
+) -> Result<(DomainNames, CqViews, Cq), Outcome> {
+    let pair = parse_pair(schema, views, query)?;
+    let views = CqViews::try_new(pair.views).map_err(vqd_error)?;
     let q = pair
         .query
         .as_cq()
@@ -150,7 +158,7 @@ fn require_cq(pair: &ParsedPair) -> Result<(CqViews, Cq), Outcome> {
                 "this operation requires a plain CQ query (no =, ≠, ¬, FO)",
             )
         })?;
-    Ok((views, q.clone()))
+    Ok((pair.names, views, q.clone()))
 }
 
 fn render_counterexample(c: &Counterexample, names: &DomainNames) -> WireCounterexample {
@@ -189,14 +197,23 @@ pub fn execute(request: &Request, budget: &Budget, ctx: &EngineCtx) -> Outcome {
     execute_attributed_ctx(request, &ExecCtx::sequential(budget.clone()), ctx).0
 }
 
-/// Executes one request under an execution context, with the router's
-/// per-request fragment attribution: the second component is the
-/// additive `fragment` wire note
-/// (`project-select` / `path` / `undecidable-in-general`) for the ops
-/// the router classifies, `None` otherwise. The note is attached even
-/// when the outcome is an error or exhaustion — a `general` request
-/// that runs out of budget still tells the client *why* no definite
-/// verdict was possible.
+/// What the engine reports about a request besides its outcome.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Attribution {
+    /// The router's additive `fragment` wire note
+    /// (`project-select` / `path` / `undecidable-in-general`) for the
+    /// ops it classifies. Attached even when the outcome is an error or
+    /// exhaustion — a `general` request that runs out of budget still
+    /// tells the client *why* no definite verdict was possible.
+    pub fragment: Option<&'static str>,
+    /// For `certain_sound` by handle: whether the cache lookup found the
+    /// derived entry (the chased extent), so the chase was skipped.
+    /// `None` for other ops.
+    pub cache_hit: Option<bool>,
+}
+
+/// Executes one request under an execution context, with its
+/// [`Attribution`].
 ///
 /// The execution context carries both the request's clamped budget and
 /// its (clamped) parallelism: the certain-answer and semantic-scan ops
@@ -206,82 +223,47 @@ pub fn execute_attributed_ctx(
     request: &Request,
     exec: &ExecCtx,
     ctx: &EngineCtx,
-) -> (Outcome, Option<&'static str>) {
+) -> (Outcome, Attribution) {
     let budget = exec.budget();
-    match request {
-        Request::Decide { schema, views, query } => {
+    let mut attribution = Attribution::default();
+    let outcome = match request {
+        Request::Decide { schema, views, query } | Request::Rewrite { schema, views, query } => {
             let (res, fragment) = run_decide(schema, views, query, budget);
-            let note = attribute(fragment, ctx, true);
-            let outcome = match res {
-                Ok((determined, rewriting)) => Outcome::Decided { determined, rewriting },
+            attribution.fragment = attribute(fragment, ctx, true);
+            match res {
+                Ok((determined, rewriting)) if matches!(request, Request::Decide { .. }) => {
+                    Outcome::Decided { determined, rewriting }
+                }
+                Ok((exists, rewriting)) => Outcome::Rewritten { exists, rewriting },
                 Err(o) => o,
-            };
-            (outcome, note)
+            }
         }
-        Request::Rewrite { schema, views, query } => {
-            let (res, fragment) = run_decide(schema, views, query, budget);
-            let note = attribute(fragment, ctx, true);
-            let outcome = match res {
-                Ok((determined, rewriting)) => Outcome::Rewritten { exists: determined, rewriting },
-                Err(o) => o,
-            };
-            (outcome, note)
+        Request::Classify { schema, views, query } => {
+            let (outcome, fragment) = run_classify(schema, views, query, ctx);
+            attribution.fragment = fragment;
+            outcome
         }
-        Request::Classify { schema, views, query } => run_classify(schema, views, query, ctx),
-        other => (execute_unattributed(other, exec, ctx), None),
-    }
-}
-
-/// The ops the router does not classify.
-fn execute_unattributed(request: &Request, exec: &ExecCtx, ctx: &EngineCtx) -> Outcome {
-    let budget = exec.budget();
-    match request {
+        Request::CertainHandle { schema, views, query, handle } => {
+            let (outcome, hit) = run_certain_handle(schema, views, query, handle, exec, ctx);
+            attribution.cache_hit = Some(hit);
+            outcome
+        }
         Request::Ping => Outcome::Pong,
         Request::Stats => {
-            let metrics = ctx.metrics.snapshot();
-            // Refresh the point-in-time gauges so the registry snapshot
-            // is self-contained.
-            ctx.registry
-                .gauge("server.uptime_ms")
-                .set(ctx.started.elapsed().as_millis() as u64);
-            ctx.registry.gauge("server.queue_depth").set(metrics.queue_depth);
-            ctx.registry
-                .gauge("server.queue_depth_hwm")
-                .raise_to(metrics.max_queue_depth);
-            ctx.registry
-                .gauge("server.connections_open")
-                .set(metrics.connections_open);
+            let metrics = refresh_gauges(ctx);
             Outcome::StatsSnapshot { metrics, registry: ctx.registry.snapshot() }
         }
         Request::Flight => Outcome::FlightSnapshot { jsonl: vqd_obs::flight_jsonl() },
         Request::MetricsProm => {
-            // Same point-in-time gauge refresh as `stats`, so a scrape
-            // sees current depth/uptime rather than last-request values.
-            let metrics = ctx.metrics.snapshot();
-            ctx.registry
-                .gauge("server.uptime_ms")
-                .set(ctx.started.elapsed().as_millis() as u64);
-            ctx.registry.gauge("server.queue_depth").set(metrics.queue_depth);
-            ctx.registry
-                .gauge("server.queue_depth_hwm")
-                .raise_to(metrics.max_queue_depth);
-            ctx.registry
-                .gauge("server.connections_open")
-                .set(metrics.connections_open);
+            refresh_gauges(ctx);
             Outcome::MetricsText { text: vqd_obs::render_prometheus(&ctx.registry.snapshot()) }
         }
         Request::Shutdown => {
             ctx.shutdown.cancel();
             Outcome::ShuttingDown
         }
-        Request::Decide { .. } | Request::Rewrite { .. } | Request::Classify { .. } => {
-            unreachable!("attributed ops are handled by execute_attributed_ctx")
-        }
         Request::Certain { schema, views, query, extent } => {
             run_certain(schema, views, query, extent, exec)
-        }
-        Request::CertainHandle { schema, views, query, handle } => {
-            run_certain_handle(schema, views, query, handle, exec, ctx)
         }
         Request::PutInstance { schema, extent } => run_put_instance(schema, extent, ctx),
         Request::EvictInstance { handle } => Outcome::Evicted {
@@ -327,7 +309,20 @@ fn execute_unattributed(request: &Request, exec: &ExecCtx, ctx: &EngineCtx) -> O
         Request::Semantic { schema, views, query, domain, space_limit } => {
             run_semantic(schema, views, query, *domain, *space_limit, exec)
         }
-    }
+    };
+    (outcome, attribution)
+}
+
+/// Refreshes the point-in-time gauges, so a registry snapshot (for
+/// `stats` or a Prometheus scrape) sees current depth and uptime rather
+/// than last-request values.
+fn refresh_gauges(ctx: &EngineCtx) -> WireMetrics {
+    let metrics = ctx.metrics.snapshot();
+    ctx.registry.gauge("server.uptime_ms").set(ctx.started.elapsed().as_millis() as u64);
+    ctx.registry.gauge("server.queue_depth").set(metrics.queue_depth);
+    ctx.registry.gauge("server.queue_depth_hwm").raise_to(metrics.max_queue_depth);
+    ctx.registry.gauge("server.connections_open").set(metrics.connections_open);
+    metrics
 }
 
 /// Verdict + optional rendered rewriting, or a ready-made error outcome.
@@ -344,12 +339,8 @@ fn run_decide(
     query: &str,
     budget: &Budget,
 ) -> (DecideResult, Option<Fragment>) {
-    let pair = match parse_pair(schema, views, query) {
+    let (_, cq_views, q) = match parse_cq_pair(schema, views, query) {
         Ok(p) => p,
-        Err(o) => return (Err(o), None),
-    };
-    let (cq_views, q) = match require_cq(&pair) {
-        Ok(v) => v,
         Err(o) => return (Err(o), None),
     };
     let fragment = vqd_router::classify(&cq_views, &q);
@@ -387,15 +378,10 @@ fn run_classify(
 }
 
 fn run_certain(schema: &str, views: &str, query: &str, extent: &str, exec: &ExecCtx) -> Outcome {
-    let pair = match parse_pair(schema, views, query) {
+    let (mut names, cq_views, q) = match parse_cq_pair(schema, views, query) {
         Ok(p) => p,
         Err(o) => return o,
     };
-    let (cq_views, q) = match require_cq(&pair) {
-        Ok(v) => v,
-        Err(o) => return o,
-    };
-    let mut names = pair.names;
     let extent = match parse_instance(cq_views.as_view_set().output_schema(), &mut names, extent)
     {
         Ok(i) => i,
@@ -455,6 +441,9 @@ fn run_put_instance(schema: &str, extent: &str, ctx: &EngineCtx) -> Outcome {
 /// request-local interning an inline request would build, so every
 /// route renders byte-identically to the inline form modulo the work
 /// envelope.
+///
+/// The flag is the cache lookup's answer: whether a derived entry for
+/// the key was found, so the request skipped the chase.
 fn run_certain_handle(
     schema: &str,
     views: &str,
@@ -462,36 +451,36 @@ fn run_certain_handle(
     handle: &str,
     exec: &ExecCtx,
     ctx: &EngineCtx,
-) -> Outcome {
+) -> (Outcome, bool) {
     let Some(entry) = ctx.cache.get_handle(handle) else {
-        return err(
-            ErrorKind::UnknownHandle,
-            format!("unknown instance handle `{handle}` (never put, or evicted): re-put and retry"),
-        );
+        let message =
+            format!("unknown instance handle `{handle}` (never put, or evicted): re-put and retry");
+        return (err(ErrorKind::UnknownHandle, message), false);
     };
     let key = derived_key(schema, views, query, &entry.fingerprint);
-    let pair = match parse_pair(schema, views, query) {
+    let (names, cq_views, q) = match parse_cq_pair(schema, views, query) {
         Ok(p) => p,
-        Err(o) => return o,
+        Err(o) => return (o, false),
     };
-    let (cq_views, q) = match require_cq(&pair) {
-        Ok(v) => v,
-        Err(o) => return o,
-    };
-    let (chased, names) = match ctx.cache.get_derived(&key) {
+    let cached = ctx.cache.get_derived(&key);
+    let hit = cached.is_some();
+    let (chased, names) = match cached {
         Some(Derived { index, names: Some(names) }) => (index, names),
         cached => {
-            let mut names = pair.names;
+            let mut names = names;
             let out_schema = cq_views.as_view_set().output_schema();
             let extent = match parse_instance(out_schema, &mut names, &entry.extent) {
                 Ok(i) => i,
-                Err(e) => return err(ErrorKind::Parse, format!("extent (handle {handle}): {e}")),
+                Err(e) => {
+                    let message = format!("extent (handle {handle}): {e}");
+                    return (err(ErrorKind::Parse, message), hit);
+                }
             };
             let index = match cached {
-                Some(hit) => hit.index,
+                Some(derived) => derived.index,
                 None => match canonical_database_budgeted(&cq_views, &extent, exec) {
                     Ok(chased) => chased.into_shared(),
-                    Err(e) => return vqd_error(e),
+                    Err(e) => return (vqd_error(e), false),
                 },
             };
             let names = Arc::new(NameTable::new(&names));
@@ -500,13 +489,14 @@ fn run_certain_handle(
             (index, names)
         }
     };
-    match certain_from_canonical(&q, &chased, exec) {
+    let outcome = match certain_from_canonical(&q, &chased, exec) {
         Ok(rel) => Outcome::CertainAnswers {
             count: rel.len() as u64,
             answers: rel.render(&*names),
         },
         Err(e) => vqd_error(e),
-    }
+    };
+    (outcome, hit)
 }
 
 fn run_containment(
@@ -565,10 +555,7 @@ fn run_containment(
             bound: None,
             witness: None,
         },
-        BoundedContainment::Exhausted(e) => Outcome::Exhausted {
-            reason: e.reason.to_string(),
-            partial: e.partial.clone(),
-        },
+        BoundedContainment::Exhausted(e) => exhausted(&e),
     }
 }
 
@@ -580,12 +567,8 @@ fn run_finite(
     space_limit: u64,
     budget: &Budget,
 ) -> Outcome {
-    let pair = match parse_pair(schema, views, query) {
+    let (names, cq_views, q) = match parse_cq_pair(schema, views, query) {
         Ok(p) => p,
-        Err(o) => return o,
-    };
-    let (cq_views, q) = match require_cq(&pair) {
-        Ok(v) => v,
         Err(o) => return o,
     };
     match decide_finite_budgeted(
@@ -605,7 +588,7 @@ fn run_finite(
             verdict: "not-determined".into(),
             rewriting: None,
             searched_up_to: None,
-            counterexample: Some(render_counterexample(&c, &pair.names)),
+            counterexample: Some(render_counterexample(&c, &names)),
         },
         Ok(FiniteVerdict::Open { searched_up_to }) => Outcome::FiniteOutcome {
             verdict: "open".into(),
@@ -613,10 +596,7 @@ fn run_finite(
             searched_up_to: Some(searched_up_to as u64),
             counterexample: None,
         },
-        Ok(FiniteVerdict::Exhausted(e)) => Outcome::Exhausted {
-            reason: e.reason.to_string(),
-            partial: e.partial.clone(),
-        },
+        Ok(FiniteVerdict::Exhausted(e)) => exhausted(&e),
         Err(e) => vqd_error(e),
     }
 }
@@ -655,10 +635,7 @@ fn run_semantic(
             bound: None,
             counterexample: None,
         },
-        Ok(SemanticVerdict::Exhausted(e)) => Outcome::Exhausted {
-            reason: e.reason.to_string(),
-            partial: e.partial.clone(),
-        },
+        Ok(SemanticVerdict::Exhausted(e)) => exhausted(&e),
         Err(e) => vqd_error(e),
     }
 }

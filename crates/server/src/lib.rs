@@ -14,8 +14,8 @@
 //!   non-blocking sockets via level-triggered `poll(2)` — idle
 //!   connections consume zero CPU, and pipelined requests on one
 //!   connection are answered strictly in request order;
-//! * **admission control** ([`pool`]): a bounded request queue; a full
-//!   queue rejects instantly with `overloaded` instead of buffering;
+//! * **admission control** (the worker pool): a bounded request queue;
+//!   a full queue rejects instantly with `overloaded` instead of buffering;
 //!   two more backpressure tiers (per-connection in-flight caps and a
 //!   global connection limit) degrade the same way;
 //! * **budget clamping** ([`server`]): every request runs under
@@ -69,15 +69,15 @@ pub mod disk;
 pub mod engine;
 pub mod metrics;
 pub mod netpoll;
-pub mod pool;
+mod pool;
 pub mod proto;
+mod record;
 pub mod server;
 
 pub use cache::{CacheConfig, CacheCounters, Derived, HandleEntry, InstanceCache};
 pub use client::{Client, RetryPolicy};
 pub use disk::{DiskConfig, DiskCounters, DiskFault, DiskTier};
 pub use metrics::Metrics;
-pub use pool::{Pool, QueueHandle, ReplyTo, SubmitError};
 pub use proto::{
     Envelope, ErrorKind, Limits, Outcome, Request, Response, Timeline, WireCounterexample,
     WireMetrics, WireStats, PROTOCOL_VERSION,

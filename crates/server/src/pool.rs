@@ -1,11 +1,12 @@
 //! The worker pool: a bounded request queue with admission control.
 //!
-//! Requests flow `connection thread → bounded queue → worker thread`.
-//! The queue is a [`std::sync::mpsc::sync_channel`] of fixed depth:
-//! [`Pool::submit`] uses `try_send`, so a full queue rejects *instantly*
-//! — the caller turns that into an [`Outcome::Overloaded`] wire response
-//! and the server never buffers unboundedly (hostile load degrades to
-//! fast rejections, not memory growth and compounding latency).
+//! Requests flow `event loop → bounded queue → worker thread`. The
+//! queue is a [`std::sync::mpsc::sync_channel`] of fixed depth:
+//! [`QueueHandle::submit`] uses `try_send`, so a full queue rejects
+//! *instantly* — the caller turns that into an [`Outcome::Overloaded`]
+//! wire response and the server never buffers unboundedly (hostile load
+//! degrades to fast rejections, not memory growth and compounding
+//! latency).
 //!
 //! Workers wrap the engine in `catch_unwind`: a panicking request is
 //! answered with an `internal` error and the worker lives on. On
@@ -14,15 +15,20 @@
 //! but their budgets observe the token and come back `exhausted
 //! (canceled)` with whatever partial work was done — a drain, not a
 //! drop.
+//!
+//! A worker writes down what happened to each job once, as a
+//! [`RequestRecord`], and hands it to the reply callback next to the
+//! [`Response`]; the record's own module says which consumer reads what.
 
 // A rejected submission hands the `Job` back so the caller can still
 // reply on its channel with the envelope's id; the large Err variant is
 // the point, not an accident, so the lint is off for this module.
 #![allow(clippy::result_large_err)]
 
-use crate::engine::{self, EngineCtx};
+use crate::engine::{self, Attribution, EngineCtx};
 use crate::metrics::Metrics;
-use crate::proto::{Envelope, ErrorKind, Outcome, Request, Response, Timeline, WireStats};
+use crate::proto::{Envelope, ErrorKind, Outcome, Response};
+use crate::record::{PhaseStamps, RequestRecord};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -31,72 +37,26 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use vqd_budget::Budget;
 use vqd_exec::ExecCtx;
-use vqd_obs::{FlightDigest, Metric, MetricsSnapshot};
+use vqd_obs::MetricsSnapshot;
 
-/// Lifecycle stamps taken by the owning event loop before a job reaches
-/// the queue; the worker adds its own start/end stamps to complete the
-/// pre-release part of the request's [`Timeline`].
-#[derive(Clone, Copy, Debug)]
-pub struct PhaseStamps {
-    /// The request's full line was framed out of the read buffer.
-    pub framed: Instant,
-    /// The decoded job was accepted by the bounded queue.
-    pub enqueued: Instant,
-}
+/// Where a finished job's reply and record go: a completion callback,
+/// invoked exactly once on the worker thread. The event loops use it to
+/// get `(connection, sequence)`-tagged completions without a thread
+/// parked per in-flight request.
+pub type ReplyTo = Box<dyn FnOnce(Response, RequestRecord) + Send>;
 
-impl PhaseStamps {
-    /// Stamps both points "now" — for direct submitters (tests, blocking
-    /// channel callers) that have no framing stage.
-    pub fn now() -> PhaseStamps {
-        let now = Instant::now();
-        PhaseStamps { framed: now, enqueued: now }
-    }
-}
-
-/// One admitted request: the envelope, its clamped budget, and where to
-/// send the reply.
+/// One admitted request: the envelope, its clamped budget, where to
+/// send the reply, and the loop's phase stamps.
 pub struct Job {
     /// The decoded request envelope.
     pub envelope: Envelope,
     /// Budget already clamped against server caps (its cancel token is
     /// the server's shutdown token).
     pub budget: Budget,
-    /// Reply destination: a blocking caller's channel, or a completion
-    /// callback routing the response back to an I/O event loop.
+    /// Reply destination.
     pub reply: ReplyTo,
-    /// Frame/enqueue stamps for the phase timeline. `None` for direct
-    /// submitters: their replies then carry no timeline and feed no
-    /// phase histograms, which keeps loop-served attribution exact.
-    pub stamps: Option<PhaseStamps>,
-}
-
-/// Where a finished job's response goes. Exactly one response is
-/// delivered per job, whichever variant carries it.
-pub enum ReplyTo {
-    /// A paired `mpsc` receiver (blocking callers, tests). A dead
-    /// receiver is fine: the response is dropped.
-    Channel(std::sync::mpsc::Sender<Response>),
-    /// A completion callback, invoked on the worker thread. The server's
-    /// event loops use this to get `(connection, sequence)`-tagged
-    /// completions without a thread parked per in-flight request.
-    Callback(Box<dyn FnOnce(Response) + Send>),
-}
-
-impl ReplyTo {
-    /// Delivers the response (consuming the destination).
-    pub fn send(self, response: Response) {
-        match self {
-            // The connection may have hung up; a dead channel is fine.
-            ReplyTo::Channel(tx) => drop(tx.send(response)),
-            ReplyTo::Callback(f) => f(response),
-        }
-    }
-}
-
-impl From<std::sync::mpsc::Sender<Response>> for ReplyTo {
-    fn from(tx: std::sync::mpsc::Sender<Response>) -> ReplyTo {
-        ReplyTo::Channel(tx)
-    }
+    /// Frame/enqueue stamps for the request record.
+    pub stamps: PhaseStamps,
 }
 
 /// Why a submission failed.
@@ -110,10 +70,8 @@ pub enum SubmitError {
 
 /// A fixed-size worker pool over a bounded queue.
 pub struct Pool {
-    tx: SyncSender<Job>,
+    queue: QueueHandle,
     workers: Vec<JoinHandle<()>>,
-    queue_capacity: usize,
-    metrics: Arc<Metrics>,
 }
 
 impl Pool {
@@ -135,33 +93,19 @@ impl Pool {
                     .unwrap_or_else(|e| panic!("spawning worker {i}: {e}"))
             })
             .collect();
-        Pool { tx, workers: handles, queue_capacity: queue_depth, metrics }
+        Pool { queue: QueueHandle { tx, capacity: queue_depth, metrics }, workers: handles }
     }
 
-    /// The bounded queue's capacity.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
-    }
-
-    /// A cloneable submission handle for connection threads.
+    /// A cloneable submission handle for the event loops.
     pub fn queue_handle(&self) -> QueueHandle {
-        QueueHandle {
-            tx: self.tx.clone(),
-            capacity: self.queue_capacity,
-            metrics: Arc::clone(&self.metrics),
-        }
-    }
-
-    /// Admission control: enqueue without blocking, or reject.
-    pub fn submit(&self, job: Job) -> Result<(), (Job, SubmitError)> {
-        try_submit(&self.tx, &self.metrics, job)
+        self.queue.clone()
     }
 
     /// Drops the queue's sender and joins every worker. Queued jobs are
     /// drained (executed) first; call this only after tripping the
     /// server's shutdown token so the drain is fast.
     pub fn shutdown(self) {
-        drop(self.tx);
+        drop(self.queue);
         for h in self.workers {
             // A worker that panicked already answered its job with an
             // `internal` error via catch_unwind; a join error here means
@@ -175,7 +119,7 @@ impl Pool {
 
 /// A cloneable submission handle onto the pool's bounded queue. Each
 /// clone holds a sender; workers drain and exit only once the [`Pool`]
-/// *and* every handle are dropped, so connection threads must release
+/// *and* every handle are dropped, so the event loops must release
 /// their handles (by exiting on the shutdown token) before
 /// [`Pool::shutdown`] is called.
 #[derive(Clone)]
@@ -193,31 +137,24 @@ impl QueueHandle {
 
     /// Admission control: enqueue without blocking, or reject.
     pub fn submit(&self, job: Job) -> Result<(), (Job, SubmitError)> {
-        try_submit(&self.tx, &self.metrics, job)
-    }
-}
-
-fn try_submit(
-    tx: &SyncSender<Job>,
-    metrics: &Metrics,
-    job: Job,
-) -> Result<(), (Job, SubmitError)> {
-    // Count the admission *before* sending: once the job is in the
-    // channel a worker may dequeue (and decrement) it immediately, so
-    // counting afterwards could drive the depth counter below zero.
-    let depth = metrics.enqueued();
-    match tx.try_send(job) {
-        Ok(()) => {
-            metrics.admitted(depth);
-            Ok(())
-        }
-        Err(TrySendError::Full(job)) => {
-            metrics.unenqueued();
-            Err((job, SubmitError::Full))
-        }
-        Err(TrySendError::Disconnected(job)) => {
-            metrics.unenqueued();
-            Err((job, SubmitError::Closed))
+        // Count the admission *before* sending: once the job is in the
+        // channel a worker may dequeue (and decrement) it immediately,
+        // so counting afterwards could drive the depth counter below
+        // zero.
+        let depth = self.metrics.enqueued();
+        match self.tx.try_send(job) {
+            Ok(()) => {
+                self.metrics.admitted(depth);
+                Ok(())
+            }
+            Err(TrySendError::Full(job)) => {
+                self.metrics.unenqueued();
+                Err((job, SubmitError::Full))
+            }
+            Err(TrySendError::Disconnected(job)) => {
+                self.metrics.unenqueued();
+                Err((job, SubmitError::Closed))
+            }
         }
     }
 }
@@ -239,13 +176,9 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, ctx: &EngineCtx) {
     }
 }
 
-/// Executes one job and sends exactly one reply.
+/// Executes one job, records it, and sends exactly one reply.
 fn run_job(job: Job, ctx: &EngineCtx) {
     let Job { envelope, budget, reply, stamps } = job;
-    let op = envelope.request.op();
-    // Workers serve one job at a time, so diffing the thread-local engine
-    // counters around `execute` attributes exactly this request's work —
-    // a snapshot *delta*, never the absolute (still-growing) totals.
     if envelope.trace {
         // Scope tracing to this job via the worker's thread-local
         // override, and discard whatever a previous (untraced or
@@ -254,6 +187,9 @@ fn run_job(job: Job, ctx: &EngineCtx) {
         let _ = vqd_obs::drain_spans();
         let _ = vqd_obs::dropped_spans();
     }
+    // Workers serve one job at a time, so diffing the thread-local engine
+    // counters around `execute` attributes exactly this request's work —
+    // a snapshot *delta*, never the absolute (still-growing) totals.
     let before = MetricsSnapshot::capture();
     let started = Instant::now();
     let mut panicked = false;
@@ -262,7 +198,7 @@ fn run_job(job: Job, ctx: &EngineCtx) {
     // started with, and an absent field stays exactly sequential.
     let parallelism = (envelope.parallelism.unwrap_or(1) as usize).min(ctx.exec.threads());
     let exec = ExecCtx::on_pool(budget.clone(), parallelism, Arc::clone(&ctx.exec));
-    let (outcome, fragment) = catch_unwind(AssertUnwindSafe(|| {
+    let (outcome, attribution) = catch_unwind(AssertUnwindSafe(|| {
         engine::execute_attributed_ctx(&envelope.request, &exec, ctx)
     }))
     .unwrap_or_else(|panic| {
@@ -276,55 +212,28 @@ fn run_job(job: Job, ctx: &EngineCtx) {
         // visible to `stats`/BENCH instead of silently absorbed.
         ctx.registry.counter("server.worker_panics").inc();
         panicked = true;
-        (Outcome::Error { kind: ErrorKind::Internal, message: msg }, None)
+        (Outcome::Error { kind: ErrorKind::Internal, message: msg }, Attribution::default())
     });
     let finished = Instant::now();
-    let elapsed_ms = finished.duration_since(started).as_millis() as u64;
-    let profile = MetricsSnapshot::capture().diff(&before);
-    match &outcome {
-        Outcome::Error { .. } => ctx.metrics.errors.fetch_add(1, Ordering::Relaxed),
-        Outcome::Exhausted { .. } => ctx.metrics.exhausted.fetch_add(1, Ordering::Relaxed),
-        _ => ctx.metrics.completed_ok.fetch_add(1, Ordering::Relaxed),
+    let record = RequestRecord {
+        id: envelope.id.clone(),
+        op: envelope.request.op(),
+        profile: envelope.profile,
+        status: if panicked { "panic" } else { outcome.status() },
+        attribution,
+        work: budget.work_done(),
+        counters: MetricsSnapshot::capture().diff(&before),
+        threads_used: exec.threads_used(),
+        stamps,
+        started,
+        finished,
+        released: None,
+        drained: None,
     };
-    record_request(ctx, op, &outcome, elapsed_ms, &profile);
-    let mut work = WireStats::from(budget.work_done());
-    work.index_builds = profile.get(Metric::IndexBuilds);
-    work.index_tuples = profile.get(Metric::IndexDeltaTuples);
-    work.threads_used = exec.threads_used();
-    // The worker fills the pre-release part of the timeline; the owning
-    // event loop stamps reorder-release (and write-drain, off-reply) on
-    // the way out.
-    let timeline = stamps.map(|s| Timeline {
-        frame_us: s.enqueued.duration_since(s.framed).as_micros() as u64,
-        queue_us: started.duration_since(s.enqueued).as_micros() as u64,
-        exec_us: finished.duration_since(started).as_micros() as u64,
-        reorder_us: 0,
-        write_us: 0,
-        framed: Some(s.framed),
-        finished: Some(finished),
-    });
+    record.count(&ctx.metrics, &ctx.registry);
     // Black box first, reply second: the digest must be in the ring
     // before any dump triggered by this request fires.
-    let tl = timeline.unwrap_or_default();
-    vqd_obs::flight_record(FlightDigest {
-        seq: 0, // assigned by the recorder
-        id: envelope.id.clone(),
-        op: op.to_owned(),
-        outcome: if panicked { "panic".to_owned() } else { outcome.status().to_owned() },
-        fragment: fragment.map(str::to_owned),
-        cache_hit: match &envelope.request {
-            // A handle request that built no index was served entirely
-            // from the cross-request cache; other ops never consult it.
-            Request::CertainHandle { .. } => Some(work.index_builds == 0),
-            _ => None,
-        },
-        frame_us: tl.frame_us,
-        queue_us: tl.queue_us,
-        exec_us: tl.exec_us,
-        steps: work.steps,
-        tuples: work.tuples,
-        index_builds: work.index_builds,
-    });
+    vqd_obs::flight_record(record.digest());
     if panicked {
         vqd_obs::flight_dump("worker_panic");
     } else if matches!(outcome, Outcome::Exhausted { .. }) {
@@ -332,20 +241,17 @@ fn run_job(job: Job, ctx: &EngineCtx) {
         // black box never becomes a stderr firehose.
         vqd_obs::flight_dump_throttled("exhausted");
     }
-    let mut response = Response::new(envelope.id.clone(), outcome, work);
-    if let Some(fragment) = fragment {
+    let mut response = Response::new(envelope.id, outcome, record.work());
+    if let Some(fragment) = attribution.fragment {
         response = response.with_fragment(fragment);
     }
     if envelope.profile {
-        response = response.with_profile(profile);
+        response = response.with_profile(record.counters);
     }
     if envelope.trace {
         vqd_obs::set_thread_tracing(false);
         let events = vqd_obs::drain_spans();
         response = response.with_trace(vqd_obs::spans_to_jsonl(&events));
-    }
-    if let Some(tl) = timeline {
-        response = response.with_timeline(tl);
     }
     // Span-ring health: fold this thread's overwrite count into a
     // server-wide counter and publish its current (un-drained)
@@ -356,53 +262,39 @@ fn run_job(job: Job, ctx: &EngineCtx) {
     ctx.registry
         .gauge(&format!("trace.ring_occupancy.{}", thread.name().unwrap_or("worker")))
         .set(vqd_obs::ring_occupancy() as u64);
-    reply.send(response);
-}
-
-/// Folds one finished request into the server-wide registry: per-op
-/// request/error/exhausted counters, a latency histogram, and the
-/// request's engine-counter deltas under `engine.*`.
-fn record_request(
-    ctx: &EngineCtx,
-    op: &str,
-    outcome: &Outcome,
-    elapsed_ms: u64,
-    profile: &MetricsSnapshot,
-) {
-    let reg = &ctx.registry;
-    reg.counter(&format!("op.{op}.requests")).inc();
-    match outcome {
-        Outcome::Error { .. } => reg.counter(&format!("op.{op}.errors")).inc(),
-        Outcome::Exhausted { .. } => reg.counter(&format!("op.{op}.exhausted")).inc(),
-        _ => {}
-    }
-    reg.histogram(&format!("op.{op}.latency_ms"), &vqd_obs::LATENCY_BOUNDS_MS)
-        .observe(elapsed_ms);
-    for m in Metric::ALL {
-        let d = profile.get(m);
-        if d != 0 {
-            reg.counter(&format!("engine.{}", m.name())).add(d);
-        }
-    }
+    reply(response, record);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proto::{Limits, Request};
-    use std::sync::mpsc::channel;
+    use std::sync::mpsc::{channel, Sender};
     use vqd_budget::CancelToken;
+    use vqd_obs::Metric;
 
     fn ctx() -> EngineCtx {
         EngineCtx::new(CancelToken::new())
     }
 
-    fn ping_job(reply: std::sync::mpsc::Sender<Response>) -> Job {
+    /// A callback forwarding the reply to a channel (a dead receiver is
+    /// fine: the reply is dropped).
+    fn reply_to(tx: &Sender<Response>) -> ReplyTo {
+        let tx = tx.clone();
+        Box::new(move |response, _| drop(tx.send(response)))
+    }
+
+    fn stamps() -> PhaseStamps {
+        let now = Instant::now();
+        PhaseStamps { framed: now, enqueued: now }
+    }
+
+    fn ping_job(reply: &Sender<Response>) -> Job {
         Job {
             envelope: Envelope::new("t", Limits::none(), Request::Ping),
             budget: Budget::unlimited(),
-            reply: reply.into(),
-            stamps: None,
+            reply: reply_to(reply),
+            stamps: stamps(),
         }
     }
 
@@ -410,11 +302,12 @@ mod tests {
     fn pool_answers_submitted_jobs() {
         let ctx = ctx();
         let pool = Pool::new(2, 4, ctx.clone());
+        let queue = pool.queue_handle();
         let (tx, rx) = channel();
         for _ in 0..8 {
-            let mut job = ping_job(tx.clone());
+            let mut job = ping_job(&tx);
             loop {
-                match pool.submit(job) {
+                match queue.submit(job) {
                     Ok(()) => break,
                     Err((j, SubmitError::Full)) => {
                         job = j;
@@ -428,6 +321,7 @@ mod tests {
             let r = rx.recv().expect("reply");
             assert_eq!(r.outcome, Outcome::Pong);
         }
+        drop(queue);
         pool.shutdown();
         assert_eq!(ctx.metrics.snapshot().completed_ok, 8);
         assert_eq!(ctx.metrics.snapshot().queue_depth, 0);
@@ -439,6 +333,7 @@ mod tests {
         // One worker wedged on a slow job + queue depth 1 ⇒ the third
         // submission must be rejected.
         let pool = Pool::new(1, 1, ctx.clone());
+        let queue = pool.queue_handle();
         let (tx, rx) = channel();
         let slow = Job {
             envelope: Envelope::new(
@@ -453,17 +348,17 @@ mod tests {
                 },
             ),
             budget: Budget::unlimited().with_deadline(std::time::Duration::from_millis(400)),
-            reply: tx.clone().into(),
-            stamps: None,
+            reply: reply_to(&tx),
+            stamps: stamps(),
         };
-        pool.submit(slow).map_err(|_| ()).expect("first admit");
+        queue.submit(slow).map_err(|_| ()).expect("first admit");
         // Give the worker a moment to pick the slow job up, then fill
         // the queue and overflow it.
         let mut rejected = 0;
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while rejected == 0 {
             assert!(std::time::Instant::now() < deadline, "no rejection observed");
-            match pool.submit(ping_job(tx.clone())) {
+            match queue.submit(ping_job(&tx)) {
                 Ok(()) => {}
                 Err((_, SubmitError::Full)) => rejected += 1,
                 Err((_, SubmitError::Closed)) => panic!("pool closed early"),
@@ -472,6 +367,7 @@ mod tests {
         assert!(rejected > 0);
         drop(tx);
         while rx.recv().is_ok() {}
+        drop(queue);
         pool.shutdown();
     }
 
@@ -489,9 +385,10 @@ mod tests {
         let job = Job {
             envelope: Envelope::new("p", Limits::none(), Request::Ping),
             budget: Budget::unlimited(),
-            reply: tx.into(),
-            stamps: Some(PhaseStamps::now()),
+            reply: reply_to(&tx),
+            stamps: stamps(),
         };
+        drop(tx);
         // run_job must always reply exactly once.
         run_job(job, &ctx);
         assert_eq!(rx.recv().expect("reply").outcome, Outcome::Pong);
@@ -519,8 +416,8 @@ mod tests {
                     None => envelope,
                 },
                 budget: Budget::unlimited(),
-                reply: tx.clone().into(),
-                stamps: None,
+                reply: reply_to(&tx),
+                stamps: stamps(),
             }
         };
         run_job(certain(None), &ctx);
@@ -550,8 +447,8 @@ mod tests {
             )
             .with_profile(true),
             budget: Budget::unlimited(),
-            reply: tx.clone().into(),
-            stamps: None,
+            reply: reply_to(&tx),
+            stamps: stamps(),
         };
         // Both jobs run on this thread, so the thread-local engine
         // counters keep growing across them; a leaky diff would make the

@@ -333,7 +333,11 @@ pub struct WireStats {
 /// write-drained) is recorded separately in the `server.e2e_ms`
 /// histogram, and each interval feeds its own
 /// `server.phase.{frame,queue,exec,reorder,write}_ms` histogram.
+///
+/// Non-exhaustive: only the server builds timelines, and a new phase
+/// stays an additive change for readers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[non_exhaustive]
 pub struct Timeline {
     /// frame-complete → admission-enqueue (decode + admission), µs.
     pub frame_us: u64,
@@ -349,12 +353,6 @@ pub struct Timeline {
     /// after encoding. The measured drain feeds `server.phase.write_ms`
     /// and the slow-request log instead; at loopback it is ~0.
     pub write_us: u64,
-    /// Frame-complete instant, carried in-process so the event loop can
-    /// compute end-to-end latency at write-drain. Never on the wire.
-    pub(crate) framed: Option<std::time::Instant>,
-    /// Worker-end instant, carried in-process so the event loop can
-    /// compute the reorder interval at release. Never on the wire.
-    pub(crate) finished: Option<std::time::Instant>,
 }
 
 impl Timeline {
@@ -364,8 +362,7 @@ impl Timeline {
         self.frame_us + self.queue_us + self.exec_us + self.reorder_us + self.write_us
     }
 
-    /// Encodes the wire form (durations only; instants never leave the
-    /// process).
+    /// Encodes the wire form.
     pub fn to_json(&self) -> Value {
         self.enc()
     }
@@ -1136,22 +1133,6 @@ impl Rule<String> for HandleRef {
     }
 }
 
-/// In-process state: never written, read as the default.
-struct Never;
-
-fn never() -> Never {
-    Never
-}
-
-impl<T: Default> Rule<T> for Never {
-    fn put(&self, _: &str, _: &T, _: &mut Obj) {}
-    fn take(self, _: Src, _: &str, _: &str, _: Scope) -> Result<T, Fail> {
-        Ok(T::default())
-    }
-    #[cfg(test)]
-    fn probe(&self, _: &'static str, _: &T, _: Scope, _: &[&'static str], _: &mut Vec<Probe>) {}
-}
-
 /// One row's expected behaviour, for the generated row test.
 #[cfg(test)]
 struct Probe {
@@ -1445,8 +1426,6 @@ wire_record!(Timeline, "timeline object", {
     exec_us: u64 = req(),
     reorder_us: u64 = or(0),
     write_us: u64 = or(0),
-    framed: Option<std::time::Instant> = never(),
-    finished: Option<std::time::Instant> = never(),
 });
 
 wire_record!(WireCounterexample, "counterexample object", {
@@ -1721,13 +1700,10 @@ mod tests {
     }
 
     #[test]
-    fn timelines_sum_and_keep_instants_off_the_wire() {
+    fn timelines_sum_and_round_trip() {
         let tl = sample_timeline();
         assert_eq!(tl.total_us(), 15);
-        let now = Some(std::time::Instant::now());
-        let stamped = Timeline { framed: now, finished: now, ..tl };
-        assert_eq!(stamped.to_json().to_string(), tl.to_json().to_string());
-        assert_eq!(Timeline::from_json(&stamped.to_json()), Some(tl));
+        assert_eq!(Timeline::from_json(&tl.to_json()), Some(tl));
     }
 
     /// The object at `path` (keys from the top).
@@ -1835,7 +1811,7 @@ mod tests {
     ];
 
     fn sample_timeline() -> Timeline {
-        Timeline { frame_us: 1, queue_us: 2, exec_us: 3, reorder_us: 4, write_us: 5, ..Timeline::default() }
+        Timeline { frame_us: 1, queue_us: 2, exec_us: 3, reorder_us: 4, write_us: 5 }
     }
 
     fn sample_work() -> WireStats {

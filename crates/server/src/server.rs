@@ -10,8 +10,8 @@
 //!   round-robin; an idle connection costs a poll-set entry, not a
 //!   thread, and consumes zero CPU between readiness events;
 //! * `workers` **worker** threads execute requests under clamped
-//!   budgets (see [`Pool`]) and hand completions back to the owning
-//!   loop through a callback + waker (see [`ReplyTo`]).
+//!   budgets and hand each reply, with the request's record, back to
+//!   the owning loop through a callback + waker.
 //!
 //! **Pipelining, in order.** A client may write any number of request
 //! lines before reading replies. Each parsed line gets a per-connection
@@ -46,10 +46,9 @@ use crate::cache::{CacheConfig, InstanceCache};
 use crate::engine::EngineCtx;
 use crate::metrics::Metrics;
 use crate::netpoll::{self, PollFd, WakeRx, Waker, POLLCLOSED, POLLIN, POLLOUT};
-use crate::pool::{Job, PhaseStamps, Pool, QueueHandle, ReplyTo, SubmitError};
-use crate::proto::{
-    Envelope, ErrorKind, Limits, Outcome, Response, Timeline, WireMetrics, WireStats,
-};
+use crate::pool::{Job, Pool, QueueHandle, SubmitError};
+use crate::proto::{Envelope, ErrorKind, Limits, Outcome, Response, WireMetrics, WireStats};
+use crate::record::{PhaseHistograms, PhaseStamps, RequestRecord};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -187,15 +186,8 @@ struct Shared {
     g_conns_open: Arc<vqd_obs::Gauge>,
     g_pipelined: Arc<vqd_obs::Gauge>,
     g_writeq: Arc<vqd_obs::Gauge>,
-    /// Per-phase latency histograms observed for *every* loop-served
-    /// request (profiled or not): frame/queue/exec/reorder at reply
-    /// serialization, write + end-to-end at kernel drain.
-    h_frame: Arc<vqd_obs::Histogram>,
-    h_queue: Arc<vqd_obs::Histogram>,
-    h_exec: Arc<vqd_obs::Histogram>,
-    h_reorder: Arc<vqd_obs::Histogram>,
-    h_write: Arc<vqd_obs::Histogram>,
-    h_e2e: Arc<vqd_obs::Histogram>,
+    /// Phase histograms, observed for every worker-served request.
+    phases: PhaseHistograms,
 }
 
 impl Shared {
@@ -209,13 +201,7 @@ impl Shared {
         let g_conns_open = registry.gauge("server.conns_open");
         let g_pipelined = registry.gauge("server.pipelined_depth");
         let g_writeq = registry.gauge("server.writeq_bytes");
-        let bounds = &vqd_obs::LATENCY_BOUNDS_MS;
-        let h_frame = registry.histogram("server.phase.frame_ms", bounds);
-        let h_queue = registry.histogram("server.phase.queue_ms", bounds);
-        let h_exec = registry.histogram("server.phase.exec_ms", bounds);
-        let h_reorder = registry.histogram("server.phase.reorder_ms", bounds);
-        let h_write = registry.histogram("server.phase.write_ms", bounds);
-        let h_e2e = registry.histogram("server.e2e_ms", bounds);
+        let phases = PhaseHistograms::new(&registry);
         Shared {
             master: Budget::unlimited(),
             caps,
@@ -227,12 +213,7 @@ impl Shared {
             g_conns_open,
             g_pipelined,
             g_writeq,
-            h_frame,
-            h_queue,
-            h_exec,
-            h_reorder,
-            h_write,
-            h_e2e,
+            phases,
         }
     }
 
@@ -428,9 +409,9 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
 enum LoopMsg {
     /// A freshly accepted connection, dispatched round-robin by loop 0.
     Conn(TcpStream),
-    /// A finished job for `(connection, sequence)`; the loop reorders
-    /// these so replies leave in request order.
-    Done { conn: u64, seq: u64, response: Box<Response> },
+    /// A finished job for `(connection, sequence)` and its record; the
+    /// loop reorders these so replies leave in request order.
+    Done { conn: u64, seq: u64, response: Box<Response>, record: Box<RequestRecord> },
 }
 
 /// The sending side of one loop's mailbox.
@@ -452,23 +433,20 @@ impl LoopHandle {
     }
 }
 
-/// A serialized reply awaiting its kernel drain, identified by the
-/// cumulative byte offset its last byte occupies in the connection's
-/// write stream. When `flush_writes` advances `Conn::write_base` past
-/// `end`, the reply has fully left the process: that instant closes the
-/// write phase (`server.phase.write_ms`), the end-to-end histogram
-/// (`server.e2e_ms`), and — past `ServerCaps::slow_log_ms` — feeds the
-/// slow-request log.
+/// A reply and, for a worker-served one, its record (the loop answers
+/// decode errors, overloads and timeouts itself, without one).
+type Reply = (Response, Option<Box<RequestRecord>>);
+
+/// A serialized worker reply awaiting its kernel drain, identified by
+/// the cumulative byte offset its last byte occupies in the
+/// connection's write stream. When `flush_writes` advances
+/// `Conn::write_base` past `end`, the reply has fully left the process
+/// and its record is drained.
 struct ReplyMark {
     /// Cumulative stream offset one past this reply's final byte.
     end: u64,
-    /// Correlation id, for the slow-request log line.
-    id: String,
-    /// When `deliver` serialized the reply (closes the reorder phase,
-    /// opens the write phase).
-    released: Instant,
-    /// The finalized phase timeline (reorder filled, write still open).
-    timeline: Timeline,
+    /// The request's record (released, not yet drained).
+    record: Box<RequestRecord>,
 }
 
 /// Per-connection state owned by exactly one event loop.
@@ -491,7 +469,7 @@ struct Conn {
     /// Sequence number whose reply is next in line to be serialized.
     next_to_send: u64,
     /// Completed replies waiting for an earlier sequence to finish.
-    pending: BTreeMap<u64, Response>,
+    pending: BTreeMap<u64, Reply>,
     /// Jobs submitted to the pool whose completion has not come back.
     in_flight: usize,
     /// When the oldest *partial* request line started waiting.
@@ -673,7 +651,7 @@ impl IoLoop {
                         self.register(stream);
                     }
                 }
-                LoopMsg::Done { conn: id, seq, response } => {
+                LoopMsg::Done { conn: id, seq, response, record } => {
                     // The connection may have closed while its job ran;
                     // the completion is simply dropped then.
                     let Some(mut conn) = self.conns.remove(&id) else { continue };
@@ -683,7 +661,7 @@ impl IoLoop {
                         // re-flush only to re-check the close condition.
                         flush_writes(&mut conn, &self.shared);
                     } else {
-                        self.deliver(&mut conn, seq, *response);
+                        self.deliver(&mut conn, seq, (*response, Some(record)));
                     }
                     self.reinsert(id, conn);
                 }
@@ -849,8 +827,8 @@ impl IoLoop {
     /// leave in request order even when request 5 fails fast while
     /// request 2 is still on a worker.
     fn process_one_line(&mut self, conn: &mut Conn, raw: &[u8]) {
-        // Phase stamp 1 of 6 (frame-complete): a full request line is in
-        // hand; decode + admission happen between here and enqueue.
+        // Frame-complete: a full request line is in hand; decode and
+        // admission happen between here and enqueue.
         let framed = Instant::now();
         let text = String::from_utf8_lossy(raw);
         let line = text.trim();
@@ -862,7 +840,7 @@ impl IoLoop {
         let envelope = match Envelope::from_line(line) {
             Err((kind, message, id)) => {
                 self.shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                self.deliver(conn, seq, Response::error(id, kind, message));
+                self.deliver(conn, seq, (Response::error(id, kind, message), None));
                 return;
             }
             Ok(env) => env,
@@ -878,18 +856,20 @@ impl IoLoop {
                 },
                 WireStats::default(),
             );
-            self.deliver(conn, seq, response);
+            self.deliver(conn, seq, (response, None));
             return;
         }
         let budget = self.shared.clamp(&envelope.limits);
         let home = self.loops[self.idx].clone();
         let conn_id = conn.id;
-        let reply = ReplyTo::Callback(Box::new(move |response| {
-            home.send(LoopMsg::Done { conn: conn_id, seq, response: Box::new(response) });
-        }));
-        // Phase stamp 2 of 6 (admission-enqueue); stamps 3–4 land in the
-        // pool worker, 5–6 back here in `deliver`/`flush_writes`.
-        let stamps = Some(PhaseStamps { framed, enqueued: Instant::now() });
+        let reply = Box::new(move |response, record| {
+            let (response, record) = (Box::new(response), Box::new(record));
+            home.send(LoopMsg::Done { conn: conn_id, seq, response, record });
+        });
+        // Admission-enqueue; the worker stamps start and finish, and the
+        // record comes back here for release (`deliver`) and drain
+        // (`flush_writes`).
+        let stamps = PhaseStamps { framed, enqueued: Instant::now() };
         match self.queue.submit(Job { envelope, budget, reply, stamps }) {
             Ok(()) => {
                 conn.in_flight += 1;
@@ -905,12 +885,12 @@ impl IoLoop {
                     },
                     WireStats::default(),
                 );
-                self.deliver(conn, seq, response);
+                self.deliver(conn, seq, (response, None));
             }
             Err((job, SubmitError::Closed)) => {
                 let response =
                     Response::new(job.envelope.id, Outcome::ShuttingDown, WireStats::default());
-                self.deliver(conn, seq, response);
+                self.deliver(conn, seq, (response, None));
             }
         }
     }
@@ -918,43 +898,25 @@ impl IoLoop {
     /// The ordered-pipelining invariant lives here: a completion parks
     /// in `pending` until every earlier sequence has been serialized,
     /// then as many consecutive replies as are ready are appended to the
-    /// write queue and flushed.
-    fn deliver(&mut self, conn: &mut Conn, seq: u64, response: Response) {
-        conn.pending.insert(seq, response);
+    /// write queue and flushed. A worker reply's record is released as
+    /// its reply is serialized (the wire timeline stays profiled-only)
+    /// and left in a mark for the kernel drain.
+    fn deliver(&mut self, conn: &mut Conn, seq: u64, reply: Reply) {
+        conn.pending.insert(seq, reply);
         let before = conn.write_buf.len();
-        while let Some(mut r) = conn.pending.remove(&conn.next_to_send) {
-            // Phase stamp 5 of 6 (reorder-release): the reply is next in
-            // line and is serialized now. Close the reorder phase,
-            // observe the worker-side phases for every request (the wire
-            // timeline stays profiled-only), and leave a mark so the
-            // kernel drain can close write/e2e.
-            let released = Instant::now();
-            let mut mark = None;
-            if let Some(tl) = r.timeline.as_mut() {
-                if let Some(finished) = tl.finished {
-                    tl.reorder_us = released.duration_since(finished).as_micros() as u64;
+        while let Some((mut r, mut record)) = conn.pending.remove(&conn.next_to_send) {
+            if let Some(record) = record.as_mut() {
+                record.release(Instant::now(), &self.shared.phases);
+                if record.profile {
+                    r.timeline = Some(record.timeline());
                 }
-                self.shared.h_frame.observe(tl.frame_us / 1000);
-                self.shared.h_queue.observe(tl.queue_us / 1000);
-                self.shared.h_exec.observe(tl.exec_us / 1000);
-                self.shared.h_reorder.observe(tl.reorder_us / 1000);
-                if tl.framed.is_some() {
-                    mark = Some((r.id.clone(), *tl));
-                }
-            }
-            if r.profile.is_none() {
-                r.timeline = None;
             }
             let line = r.to_json().to_string();
             conn.write_buf.extend_from_slice(line.as_bytes());
             conn.write_buf.push(b'\n');
-            if let Some((id, timeline)) = mark {
-                conn.write_marks.push_back(ReplyMark {
-                    end: conn.write_base + conn.write_buf.len() as u64,
-                    id,
-                    released,
-                    timeline,
-                });
+            if let Some(record) = record {
+                let end = conn.write_base + conn.write_buf.len() as u64;
+                conn.write_marks.push_back(ReplyMark { end, record });
             }
             conn.next_to_send += 1;
         }
@@ -1026,7 +988,7 @@ impl IoLoop {
                 ErrorKind::Timeout,
                 format!("no complete request line within {}ms", read_timeout.as_millis()),
             );
-            self.deliver(&mut conn, seq, response);
+            self.deliver(&mut conn, seq, (response, None));
             conn.partial_since = None;
             conn.closing = true;
             conn.discard = true;
@@ -1062,30 +1024,12 @@ fn flush_writes(conn: &mut Conn, shared: &Shared) {
     if written > 0 {
         conn.write_buf.drain(..written);
         conn.write_base += written as u64;
-        // Phase stamp 6 of 6 (write-drained) for every reply whose last
-        // byte the kernel just accepted: close the write phase and the
-        // end-to-end clock, and apply the slow-request threshold.
+        // Write-drained for every reply whose last byte the kernel just
+        // accepted.
         let drained = Instant::now();
         while conn.write_marks.front().is_some_and(|m| m.end <= conn.write_base) {
-            let Some(m) = conn.write_marks.pop_front() else { break };
-            let write_us = drained.duration_since(m.released).as_micros() as u64;
-            shared.h_write.observe(write_us / 1000);
-            let Some(framed) = m.timeline.framed else { continue };
-            let e2e_ms = drained.duration_since(framed).as_millis() as u64;
-            shared.h_e2e.observe(e2e_ms);
-            if shared.caps.slow_log_ms.is_some_and(|t| e2e_ms >= t) {
-                eprintln!(
-                    "slow-request id={:?} e2e_ms={} frame_us={} queue_us={} exec_us={} \
-                     reorder_us={} write_us={}",
-                    m.id,
-                    e2e_ms,
-                    m.timeline.frame_us,
-                    m.timeline.queue_us,
-                    m.timeline.exec_us,
-                    m.timeline.reorder_us,
-                    write_us,
-                );
-            }
+            let Some(mut m) = conn.write_marks.pop_front() else { break };
+            m.record.drain(drained, &shared.phases, shared.caps.slow_log_ms);
         }
     }
     shared.writeq_delta(before, conn.write_buf.len());

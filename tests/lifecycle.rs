@@ -17,10 +17,15 @@
 //! * an injected worker panic dumps the flight recorder, and the
 //!   `flight` wire op returns a digest for the offending request;
 //! * `metrics_prom` renders valid Prometheus text exposition with the
-//!   five phase histograms in full cumulative form.
+//!   five phase histograms in full cumulative form;
+//! * a handle request's digest says whether the cache lookup found the
+//!   chased extent, whatever the request built or failed on;
+//! * the flight digest, the reply's `work`/`timeline` and the registry
+//!   agree exactly per request: they read one record.
 
 use std::time::{Duration, Instant};
-use vqd::server::{self, Client, Limits, Outcome, Request, ServerCaps, ServerConfig};
+use vqd::obs::{FlightDigest, RegistrySnapshot};
+use vqd::server::{self, Client, Limits, Outcome, Request, Response, ServerCaps, ServerConfig};
 
 fn spawn_with(workers: usize, caps: ServerCaps) -> server::ServerHandle {
     server::spawn(ServerConfig {
@@ -36,6 +41,22 @@ fn connect(handle: &server::ServerHandle) -> Client {
     let client = Client::connect(handle.addr()).expect("connect");
     client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
     client
+}
+
+/// One request under a pinned id. The flight ring is process-global and
+/// other tests in this binary write to it too, so ids must be unique.
+fn call_as(client: &mut Client, id: &str, request: Request, profile: bool) -> Response {
+    let envelope = server::Envelope::new(id, Limits::none(), request).with_profile(profile);
+    client.call_raw(&envelope.to_json().to_string()).expect("call")
+}
+
+/// The flight digest of request `id` in a `flight` JSONL dump.
+fn digest(jsonl: &str, id: &str) -> FlightDigest {
+    jsonl
+        .lines()
+        .filter_map(|l| FlightDigest::from_json(&serde::json::parse(l).ok()?))
+        .find(|d| d.id == id)
+        .unwrap_or_else(|| panic!("no flight digest for {id}:\n{jsonl}"))
 }
 
 /// Real (chase + certain-answer) work over an `n`-fact chain extent, so
@@ -310,6 +331,92 @@ fn metrics_prom_renders_the_phase_histograms_in_exposition_format() {
             bare.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
             "invalid metric name: {bare}"
         );
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn handle_digests_record_the_cache_lookup_not_the_index_count() {
+    let handle = spawn_with(1, ServerCaps::default());
+    let mut client = connect(&handle);
+    let (put, _) = client.put_instance("V/2", "V(A,B). V(B,C).").expect("put");
+    let by_handle = |query: &str, handle: &str| Request::CertainHandle {
+        schema: "E/2".to_owned(),
+        views: "V(x,y) :- E(x,y).".to_owned(),
+        query: query.to_owned(),
+        handle: handle.to_owned(),
+    };
+    let query = "Q(x,z) :- E(x,y), E(y,z).";
+    // Neither failure builds an index, and neither was served by the
+    // cache; only the repeat of a chased request is a hit.
+    let cases = [
+        ("lifecycle-cache-unknown", by_handle(query, "h-never-put"), "error", Some(false)),
+        ("lifecycle-cache-malformed", by_handle("Q(x :- garbage", &put), "error", Some(false)),
+        ("lifecycle-cache-miss", by_handle(query, &put), "ok", Some(false)),
+        ("lifecycle-cache-hit", by_handle(query, &put), "ok", Some(true)),
+        ("lifecycle-cache-inline", certain_inline(2), "ok", None),
+    ];
+    let mut builds = Vec::new();
+    for (id, request, status, _) in &cases {
+        let reply = call_as(&mut client, id, request.clone(), false);
+        assert_eq!(reply.outcome.status(), *status, "{id}: {reply:?}");
+        builds.push(reply.work.index_builds);
+    }
+    assert_eq!(&builds[..2], &[0, 0], "the failures build nothing");
+    assert!(builds[2] > 0 && builds[3] == 0, "miss chases, hit reuses: {builds:?}");
+    let jsonl = client.flight().expect("flight op");
+    for (id, _, _, cache_hit) in cases {
+        assert_eq!(digest(&jsonl, id).cache_hit, cache_hit, "{id}");
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn flight_digests_replies_and_histograms_read_one_record() {
+    let handle = spawn_with(2, ServerCaps::default());
+    let mut client = connect(&handle);
+    let decide = Request::Decide {
+        schema: "E/2".to_owned(),
+        views: "V(x,y) :- E(x,y).".to_owned(),
+        query: "Q(x,z) :- E(x,y), E(y,z).".to_owned(),
+    };
+    let n = 12;
+    let (_, before) = client.stats_full().expect("stats");
+    let replies: Vec<(String, Response)> = (0..n)
+        .map(|i| {
+            let request = match i % 3 {
+                0 => Request::Ping,
+                1 => decide.clone(),
+                _ => certain_inline(8),
+            };
+            let id = format!("lifecycle-agree-{i}");
+            let reply = call_as(&mut client, &id, request, true);
+            (id, reply)
+        })
+        .collect();
+    let (_, after) = client.stats_full().expect("stats");
+    let jsonl = client.flight().expect("flight op");
+    for (id, reply) in &replies {
+        let tl = reply.timeline.unwrap_or_else(|| panic!("{id}: profiled reply without timeline"));
+        let d = digest(&jsonl, id);
+        assert_eq!(
+            (d.frame_us, d.queue_us, d.exec_us),
+            (tl.frame_us, tl.queue_us, tl.exec_us),
+            "{id}: digest and reply timeline disagree"
+        );
+        assert_eq!(
+            (d.steps, d.tuples, d.index_builds),
+            (reply.work.steps, reply.work.tuples, reply.work.index_builds),
+            "{id}: digest and reply work disagree"
+        );
+    }
+    // Served between the two snapshots: the n requests and the first
+    // `stats` call (counted and released before its reply left).
+    let exec = |s: &RegistrySnapshot| s.histogram("server.phase.exec_ms").map_or(0, |h| h.count);
+    assert_eq!(exec(&after) - exec(&before), n + 1, "server.phase.exec_ms");
+    for (op, served) in [("ping", 4), ("decide_unrestricted", 4), ("certain_sound", 4), ("stats", 1)] {
+        let name = format!("op.{op}.requests");
+        assert_eq!(after.counter(&name) - before.counter(&name), served, "{name}");
     }
     handle.shutdown();
 }
