@@ -46,7 +46,9 @@ pub fn e17(samples: usize, seed: u64, budget: &Budget) -> Report {
             }
             Err(e) => panic!("E17: {e}"),
         };
-        let minicon_says = minicon_equivalent_rewriting(&views, &q).is_some();
+        let minicon_says = minicon_equivalent_rewriting(&views, &q)
+            .expect("constant-free pair")
+            .is_some();
         if chase_says == minicon_says {
             agree += 1;
             if chase_says {
@@ -78,7 +80,7 @@ pub fn e17(samples: usize, seed: u64, budget: &Budget) -> Report {
             .as_cq()
             .expect("CQ")
             .clone();
-        let rs = contained_rewritings(&views, &q);
+        let rs = contained_rewritings(&views, &q).expect("constant-free pair");
         let all_contained = rs.iter().all(|r| {
             cq_contained(&expand_through_views(&views, r), &q)
         });
@@ -108,7 +110,9 @@ pub fn e17(samples: usize, seed: u64, budget: &Budget) -> Report {
         .as_cq()
         .expect("CQ")
         .clone();
-        let mcr = maximally_contained_rewriting(&views, &q).expect("MCR exists");
+        let mcr = maximally_contained_rewriting(&views, &q)
+            .expect("constant-free pair")
+            .expect("MCR exists");
         let mut d = Instance::empty(&schema);
         for i in 0..6u32 {
             d.insert_named("E", vec![named(i), named(i + 1)]);

@@ -119,7 +119,8 @@ pub fn analyze(views: &ViewSet, q: &QueryExpr, opts: AnalyzeOptions) -> Analysis
             "chase test negative: not determined over unrestricted instances".to_owned(),
         );
         // Graceful degradation: the best contained rewriting.
-        maximally_contained = maximally_contained_rewriting(&cq_views, cq);
+        // Constants are out of MiniCon's scope: no MCR is offered then.
+        maximally_contained = maximally_contained_rewriting(&cq_views, cq).ok().flatten();
         if maximally_contained.is_some() {
             notes.push("maximally-contained rewriting available (MiniCon)".to_owned());
         }

@@ -39,7 +39,7 @@ pub use flight::{
     flight_snapshot, flight_total, FlightDigest, FLIGHT_CAPACITY,
 };
 pub use metric::{
-    absorb, count, local_snapshot, metric_value, Metric, MetricsSnapshot, METRIC_COUNT,
+    absorb, count, local_snapshot, metric_value, uncharged, Metric, MetricsSnapshot, METRIC_COUNT,
 };
 pub use prom::{prometheus_name, render_prometheus};
 pub use registry::{

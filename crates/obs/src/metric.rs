@@ -237,9 +237,44 @@ pub fn absorb(delta: &MetricsSnapshot) {
     }
 }
 
+/// Runs `f` and takes the engine counts it charged back off this
+/// thread's counters, so a profile diff around the call sees none of
+/// them.
+///
+/// For one-off work whose result outlives the request that happened to
+/// trigger it (a compiled plan shared by every later request): charging
+/// it to that one request would make two identical requests report
+/// different profiles.
+pub fn uncharged<R>(f: impl FnOnce() -> R) -> R {
+    let before = local_snapshot();
+    let out = f();
+    let charged = local_snapshot().diff(&before);
+    COUNTERS.with(|c| {
+        for (cell, n) in c.iter().zip(charged.counts) {
+            cell.set(cell.get().wrapping_sub(n));
+        }
+    });
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn uncharged_work_leaves_no_counts() {
+        let before = local_snapshot();
+        count(Metric::ChaseRounds, 1);
+        let out = uncharged(|| {
+            count(Metric::HomBacktracks, 7);
+            count(Metric::ChaseRounds, 2);
+            42
+        });
+        assert_eq!(out, 42);
+        let delta = local_snapshot().diff(&before);
+        assert_eq!(delta.get(Metric::ChaseRounds), 1);
+        assert_eq!(delta.get(Metric::HomBacktracks), 0);
+    }
 
     #[test]
     fn count_is_visible_in_snapshots_and_diffs() {

@@ -13,12 +13,14 @@
 //!   [`DomainNames`], so a handle request interns constants exactly as
 //!   the inline form would — which is what makes hit and miss replies
 //!   byte-identical;
-//! * **derived entries** (`d:…`), inserted by the engine after a chase:
-//!   a [`Derived`] holding the canonical database `V_∅^{-1}(E)` as a
-//!   shared [`Arc<IndexedInstance>`] and the *render table* of the
-//!   request that chased it — its [`DomainNames`] after the views, the
-//!   query and the extent were parsed, frozen into a compact
-//!   [`NameTable`]. The entry is keyed by the request context (schema,
+//! * **derived entries** (`d:…`), inserted by the engine on a miss: a
+//!   [`Derived`] holding a shared [`Arc<IndexedInstance>`] and the
+//!   *render table* of the request that built it — its [`DomainNames`]
+//!   after the views, the query and the extent were parsed, frozen into
+//!   a compact [`NameTable`]. Its [`DerivedKind`] says which
+//!   certain-answer route the index feeds: the extent itself for a pair
+//!   with a prepared plan, the chased canonical database `V_∅^{-1}(E)`
+//!   otherwise. The entry is keyed by the request context (schema,
 //!   views, query sources) plus the extent fingerprint, and the table is
 //!   a pure function of that key. A later request with the same key
 //!   evaluates over the cached index with **zero** index builds and
@@ -96,17 +98,30 @@ pub struct HandleEntry {
     pub tuples: u64,
 }
 
-/// A derived entry: a chased canonical database and, once a request has
-/// rendered through it, that request's name table.
+/// Which certain-answer route a derived entry's index feeds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DerivedKind {
+    /// The chased canonical database `V_∅^{-1}(E)`, evaluated by the
+    /// query and filtered for nulls (the chase route).
+    Chased,
+    /// The extent itself, evaluated by the pair's prepared plan (the
+    /// plan route).
+    Extent,
+}
+
+/// A derived entry: an index for one certain-answer route and, once a
+/// request has rendered through it, that request's name table.
 #[derive(Clone, Debug)]
 pub struct Derived {
-    /// The canonical database `V_∅^{-1}(E)` with its index.
+    /// The indexed instance: see [`Derived::kind`].
     pub index: Arc<IndexedInstance>,
-    /// The render table of the request that chased it (see the module
+    /// The render table of the request that built it (see the module
     /// docs); `None` for entries inserted through
     /// [`InstanceCache::insert_index`] or restored from a record that
     /// predates stored tables.
     pub names: Option<Arc<NameTable>>,
+    /// Which route `index` feeds.
+    pub kind: DerivedKind,
 }
 
 impl Derived {
@@ -140,9 +155,9 @@ pub struct CacheCounters {
     pub entries: u64,
     /// Approximate bytes held.
     pub bytes: u64,
-    /// Derived-index lookups that found a cached chase.
+    /// Derived-entry lookups that found a cached entry.
     pub hits: u64,
-    /// Derived-index lookups that had to chase and insert.
+    /// Derived-entry lookups that had to build and insert one.
     pub misses: u64,
     /// Entries removed — LRU pressure plus explicit evicts.
     pub evictions: u64,
@@ -393,7 +408,7 @@ impl InstanceCache {
     /// entry already there, and writes it through to the disk tier
     /// (spill-then-index on disk; a no-op when the key is already
     /// segment-resident — derived keys are content-addressed, so equal
-    /// keys mean equal chases and equal name tables. A record spilled
+    /// keys mean equal indexes and equal name tables. A record spilled
     /// without a table therefore keeps none on disk, and its entry gets
     /// the table again after each restart).
     pub fn insert_derived(&self, key: String, derived: Derived) {
@@ -404,15 +419,15 @@ impl InstanceCache {
         self.insert(key, Slot::Derived(derived), bytes);
     }
 
-    /// [`get_derived`](Self::get_derived) without the name table.
+    /// [`get_derived`](Self::get_derived) without the name table or kind.
     pub fn get_index(&self, key: &str) -> Option<Arc<IndexedInstance>> {
         self.get_derived(key).map(|d| d.index)
     }
 
-    /// [`insert_derived`](Self::insert_derived) of an entry without a
-    /// name table.
+    /// [`insert_derived`](Self::insert_derived) of a chased entry
+    /// without a name table.
     pub fn insert_index(&self, key: String, index: Arc<IndexedInstance>) {
-        self.insert_derived(key, Derived { index, names: None });
+        self.insert_derived(key, Derived { index, names: None, kind: DerivedKind::Chased });
     }
 
     /// Current counters (disk fields all zero without a tier).

@@ -1,10 +1,10 @@
 //! Crash-only persistent tier for the instance cache.
 //!
-//! Derived entries (chased canonical databases) spill to an append-only
-//! segment file; an in-memory offset index maps derived keys to record
-//! offsets; the handle table snapshots to a sibling file written
-//! atomically (tmp + rename). Everything is `std`-only, matching the
-//! workspace shim policy.
+//! Derived entries (chased canonical databases, or extents indexed for
+//! a prepared plan) spill to an append-only segment file; an in-memory
+//! offset index maps derived keys to record offsets; the handle table
+//! snapshots to a sibling file written atomically (tmp + rename).
+//! Everything is `std`-only, matching the workspace shim policy.
 //!
 //! ## Record format
 //!
@@ -12,16 +12,22 @@
 //! record   := magic(u32 LE) | len(u32 LE) | crc(u64 LE) | payload
 //! crc      := FNV-1a 64 over payload
 //! payload  := kind(u8) | body
-//! kind 1   := derived entry: key | fp64 | instance [| names]
+//! kind 1   := chased entry: key | fp64 | instance [| names]
+//! kind 3   := extent entry: key | fp64 | instance [| names]
 //! names    := count(u32 LE) | name…          (name := len(u32 LE) | utf-8)
 //! kind 2   := handle snapshot: next_handle | count | handles…
 //! ```
 //!
 //! A derived payload carries the derived key, a 64-bit digest of the
-//! chased index's canonical [`IndexedInstance::fingerprint`], and the
-//! chased instance itself (schema declarations + raw tuple values —
+//! index's canonical [`IndexedInstance::fingerprint`], and the indexed
+//! instance itself (schema declarations + raw tuple values —
 //! `Named`/`Null` flavour bit plus interned id, which is exactly what
 //! the deterministic per-request interning contract makes portable).
+//! The kind byte is the entry's [`DerivedKind`]: kind 1 holds a chased
+//! canonical database and feeds the chase route, kind 3 holds the
+//! extent itself and feeds the prepared-plan route. Both share one
+//! body layout; kind 3 is new with the plan route, and every kind-1
+//! record written before it still loads as a chased entry.
 //!
 //! The optional `names` trailer is the entry's render table (see
 //! [`crate::cache`]): the interned names in id order. A record that
@@ -69,7 +75,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use vqd_instance::{IndexedInstance, Instance, NameTable, Schema, Value};
 use vqd_obs::Registry;
 
-use crate::cache::{Derived, HandleEntry};
+use crate::cache::{Derived, DerivedKind, HandleEntry};
 
 /// Segment file holding spilled derived entries.
 pub const SEGMENT_FILE: &str = "cache.seg";
@@ -83,8 +89,26 @@ const RECORD_HEADER_BYTES: u64 = 16;
 /// below this).
 const MAX_RECORD_BYTES: u32 = 1 << 30;
 
-const KIND_DERIVED: u8 = 1;
+const KIND_CHASED: u8 = 1;
 const KIND_HANDLES: u8 = 2;
+const KIND_EXTENT: u8 = 3;
+
+/// The record kind byte of a derived entry.
+fn kind_byte(kind: DerivedKind) -> u8 {
+    match kind {
+        DerivedKind::Chased => KIND_CHASED,
+        DerivedKind::Extent => KIND_EXTENT,
+    }
+}
+
+/// The derived entry kind a record kind byte stands for, if any.
+fn derived_kind(byte: u8) -> Option<DerivedKind> {
+    match byte {
+        KIND_CHASED => Some(DerivedKind::Chased),
+        KIND_EXTENT => Some(DerivedKind::Extent),
+        _ => None,
+    }
+}
 
 /// Sizing/location knobs for the disk tier.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -346,12 +370,16 @@ fn decode_instance(c: &mut Cursor<'_>) -> Option<Instance> {
     Some(instance)
 }
 
-/// Encodes a derived record payload without a name table. Public so
-/// the persist suite can frame payloads with a deliberately wrong
-/// digest and prove the fingerprint check drops them.
+/// Encodes a chased (kind 1) record payload without a name table.
+/// Public so the persist suite can frame payloads with a deliberately
+/// wrong digest and prove the fingerprint check drops them.
 pub fn encode_derived_payload(key: &str, fp64: u64, instance: &Instance) -> Vec<u8> {
+    encode_payload(DerivedKind::Chased, key, fp64, instance)
+}
+
+fn encode_payload(kind: DerivedKind, key: &str, fp64: u64, instance: &Instance) -> Vec<u8> {
     let mut payload = Vec::new();
-    payload.push(KIND_DERIVED);
+    payload.push(kind_byte(kind));
     put_str(&mut payload, key);
     put_u64(&mut payload, fp64);
     encode_instance(&mut payload, instance);
@@ -502,13 +530,14 @@ impl DiskTier {
 
     // --- spill (write path) ------------------------------------------
 
-    /// Appends a derived entry, its name table (when it has one) as the
-    /// trailer. Failures demote to counted no-ops; the key is indexed
-    /// only after the record is fully on disk (spill-then-index).
+    /// Appends a derived entry as a record of its kind, its name table
+    /// (when it has one) as the trailer. Failures demote to counted
+    /// no-ops; the key is indexed only after the record is fully on disk
+    /// (spill-then-index).
     pub fn spill(&self, key: &str, derived: &Derived) {
         let index = &derived.index;
-        let mut payload =
-            encode_derived_payload(key, fingerprint_digest(index), index.instance());
+        let fp64 = fingerprint_digest(index);
+        let mut payload = encode_payload(derived.kind, key, fp64, index.instance());
         if let Some(names) = &derived.names {
             encode_names(&mut payload, names);
         }
@@ -596,10 +625,10 @@ impl DiskTier {
             return None;
         };
         match self.read_and_verify(key, file, offset, len) {
-            Ok((index, names)) => {
+            Ok((kind, index, names)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.registry.counter("cache.disk_hits").inc();
-                Some(Derived { index: index.into_shared(), names: names.map(Arc::new) })
+                Some(Derived { index: index.into_shared(), names: names.map(Arc::new), kind })
             }
             Err(corrupt) => {
                 if corrupt {
@@ -621,7 +650,7 @@ impl DiskTier {
         file: io::Result<File>,
         offset: u64,
         len: u64,
-    ) -> Result<(IndexedInstance, Option<NameTable>), bool> {
+    ) -> Result<(DerivedKind, IndexedInstance, Option<NameTable>), bool> {
         let mut buf = vec![0u8; len as usize];
         let read = (|| -> io::Result<()> {
             let mut file = file?;
@@ -644,9 +673,7 @@ impl DiskTier {
         }
         let (payload, _) = Self::check_frame(&buf).ok_or(true)?;
         let mut c = Cursor::new(payload);
-        if c.u8() != Some(KIND_DERIVED) {
-            return Err(true);
-        }
+        let kind = c.u8().and_then(derived_kind).ok_or(true)?;
         let stored_key = c.str().ok_or(true)?;
         let stored_fp64 = c.u64().ok_or(true)?;
         let instance = decode_instance(&mut c).ok_or(true)?;
@@ -658,7 +685,7 @@ impl DiskTier {
         if stored_key != key || fingerprint_digest(&rebuilt) != stored_fp64 {
             return Err(true);
         }
-        Ok((rebuilt, names))
+        Ok((kind, rebuilt, names))
     }
 
     /// Validates one framed record at the start of `buf`; returns the
@@ -716,7 +743,7 @@ impl DiskTier {
             match Self::check_frame(&bytes[at..at + frame_len as usize]) {
                 Some((payload, _)) => {
                     let mut p = Cursor::new(payload);
-                    if p.u8() == Some(KIND_DERIVED) {
+                    if p.u8().and_then(derived_kind).is_some() {
                         if let Some(key) = p.str() {
                             // Later records win: same key re-spilled
                             // after a drop supersedes the old offset.
@@ -911,7 +938,7 @@ mod tests {
     }
 
     fn sample(n: u32) -> Derived {
-        Derived { index: sample_index(n).into_shared(), names: None }
+        Derived { index: sample_index(n).into_shared(), names: None, kind: DerivedKind::Chased }
     }
 
     #[test]
@@ -947,6 +974,27 @@ mod tests {
         assert_eq!(with.index.fingerprint(), sample_index(4).fingerprint());
         let without = t.load("d:without").expect("table-less record loads");
         assert!(without.names.is_none());
+        assert_eq!(t.counters().corrupt_dropped, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn extent_records_load_as_extent_entries_across_restarts() {
+        let dir = temp_dir();
+        let names = Arc::new(NameTable::from_names(["A", "B"]));
+        {
+            let t = tier(&dir);
+            let extent =
+                Derived { names: Some(names.clone()), kind: DerivedKind::Extent, ..sample(3) };
+            t.spill("d:extent", &extent);
+            t.spill("d:chased", &sample(2));
+        }
+        let t = tier(&dir);
+        let extent = t.load("d:extent").expect("kind-3 record loads");
+        assert_eq!(extent.kind, DerivedKind::Extent);
+        assert_eq!(extent.names, Some(names));
+        assert_eq!(extent.index.fingerprint(), sample_index(3).fingerprint());
+        assert_eq!(t.load("d:chased").expect("kind-1 record loads").kind, DerivedKind::Chased);
         assert_eq!(t.counters().corrupt_dropped, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -487,7 +487,7 @@ pub enum Outcome {
         /// Cache handle to pass as `{"handle": ...}` extents.
         handle: String,
         /// Fingerprint of the registered extent: equal fingerprints
-        /// (under one schema/views/query context) share cached chases.
+        /// (under one schema/views/query context) share cached indexes.
         fingerprint: String,
         /// Ground tuples registered.
         tuples: u64,

@@ -43,7 +43,7 @@
 //! partial progress — flush, then exit before the pool drains.
 
 use crate::cache::{CacheConfig, InstanceCache};
-use crate::engine::EngineCtx;
+use crate::engine::{EngineCtx, PlanMemo};
 use crate::metrics::Metrics;
 use crate::netpoll::{self, PollFd, WakeRx, Waker, POLLCLOSED, POLLIN, POLLOUT};
 use crate::pool::{Job, Pool, QueueHandle, SubmitError};
@@ -366,6 +366,7 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         // rather than borrowing the process-global one, so the pool's
         // thread count *is* the parallelism cap applied per request.
         exec: Arc::new(vqd_exec::ExecPool::new(shared.caps.engine_threads.max(1))),
+        plans: Arc::new(PlanMemo::default()),
     };
     let pool = Pool::new(config.workers, config.queue_depth, ctx);
     let mut handles = Vec::with_capacity(io_threads);
