@@ -16,6 +16,7 @@
 
 use crate::bitscan::BitScan;
 use crate::cq_eval::{eval_cq, eval_ucq, normalize_eqs};
+use crate::hom::{hom_exists, Assignment};
 use std::collections::BTreeMap;
 use vqd_budget::Budget;
 use vqd_instance::{IndexedInstance, Instance, NullGen, Value};
@@ -69,9 +70,16 @@ fn check_pure(q: &Cq, what: &str) {
 
 /// CQ containment `q1 ⊆ q2` (Chandra–Merlin).
 ///
+/// Searches for one homomorphism from `q2` into the frozen body of `q1`
+/// that sends `q2`'s head onto `q1`'s frozen head, and stops at the
+/// first. Evaluating `q2` over the frozen body in full would enumerate
+/// every homomorphism: `n^n` of them between two `n`-atom stars, the
+/// shape MiniCon's rewritings take when several views cover one atom
+/// each.
+///
 /// # Panics
 /// Panics unless both queries are CQ or CQ= with matching schemas and
-/// arities.
+/// arities, and `q2` is safe.
 pub fn cq_contained(q1: &Cq, q2: &Cq) -> bool {
     check_pure(q1, "cq_contained");
     check_pure(q2, "cq_contained");
@@ -81,7 +89,24 @@ pub fn cq_contained(q1: &Cq, q2: &Cq) -> bool {
     let Some((frozen, head, _)) = freeze(q1, &mut nulls) else {
         return true; // q1 ≡ ∅
     };
-    eval_cq(q2, &frozen).contains(&head)
+    let Some(q2) = normalize_eqs(q2) else {
+        return false; // q2 ≡ ∅ but q1 is satisfiable
+    };
+    assert!(
+        q2.is_safe(),
+        "cq_contained: unsafe query (every variable must occur in a positive atom): {q2}"
+    );
+    let mut fixed = Assignment::new();
+    for (&t, &v) in q2.head.iter().zip(&head) {
+        let bound = match t {
+            Term::Var(x) => *fixed.entry(x).or_insert(v),
+            Term::Const(c) => c,
+        };
+        if bound != v {
+            return false;
+        }
+    }
+    hom_exists(&q2.atoms, &frozen, &fixed)
 }
 
 /// CQ equivalence.
@@ -225,6 +250,43 @@ mod tests {
         let q2 = cq("Q(x) :- E(x,a), E(a,b).");
         assert!(cq_contained(&q3, &q2));
         assert!(!cq_contained(&q2, &q3));
+    }
+
+    #[test]
+    fn first_witness_agrees_with_evaluating_the_frozen_body() {
+        use rand::{Rng, SeedableRng};
+        let s = schema();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let mut mk = |arity: usize| {
+            let mut q = Cq::new(&s);
+            let vars: Vec<VarId> = (0..4).map(|i| q.var(&format!("x{i}"))).collect();
+            let term = |rng: &mut rand::rngs::StdRng| {
+                if rng.gen_bool(0.1) {
+                    Term::Const(vqd_instance::named(rng.gen_range(0..2u32)))
+                } else {
+                    Term::Var(vars[rng.gen_range(0..4usize)])
+                }
+            };
+            for _ in 0..rng.gen_range(1..=4usize) {
+                let (a, b) = (term(&mut rng), term(&mut rng));
+                q.atoms.push(vqd_query::Atom::new(s.rel("E"), vec![a, b]));
+            }
+            let used: Vec<VarId> = q.positive_vars().into_iter().collect();
+            q.head = (0..arity)
+                .map(|_| match used.is_empty() || rng.gen_bool(0.1) {
+                    true => Term::Const(vqd_instance::named(0)),
+                    false => Term::Var(used[rng.gen_range(0..used.len())]),
+                })
+                .collect();
+            q
+        };
+        for i in 0..400 {
+            let (q1, q2) = (mk(i % 3), mk(i % 3));
+            let mut nulls = NullGen::new();
+            let (frozen, head, _) = freeze(&q1, &mut nulls).expect("no equalities");
+            let by_evaluation = eval_cq(&q2, &frozen).contains(&head);
+            assert_eq!(cq_contained(&q1, &q2), by_evaluation, "{q1} ⊆ {q2}");
+        }
     }
 
     #[test]
