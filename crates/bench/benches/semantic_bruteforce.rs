@@ -5,10 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::HashMap;
 use vqd_bench::genq::{path_query, path_views};
-use vqd_budget::Budget;
-use vqd_core::determinacy::semantic::{check_exhaustive, check_exhaustive_ctx};
+use vqd_core::determinacy::semantic::check_exhaustive;
 use vqd_eval::{apply_views, eval_cq};
-use vqd_exec::ExecCtx;
 use vqd_instance::gen::InstanceEnumerator;
 use vqd_instance::Schema;
 use vqd_query::QueryExpr;
@@ -25,19 +23,6 @@ fn bench_bruteforce(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("grouped", n), &n, |b, &n| {
             b.iter(|| check_exhaustive(views.as_view_set(), &qe, n, u128::MAX))
         });
-    }
-    // Ablation: parallel scan (threads vs the exponential wall).
-    for threads in [2usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new(format!("parallel-{threads}"), 3),
-            &3usize,
-            |b, &n| {
-                b.iter(|| {
-                    let cx = ExecCtx::with_parallelism(Budget::unlimited(), threads);
-                    check_exhaustive_ctx(views.as_view_set(), &qe, n, u128::MAX, &cx)
-                })
-            },
-        );
     }
     // Ablation: naive pairwise comparison instead of one-pass grouping.
     for n in [1usize, 2] {

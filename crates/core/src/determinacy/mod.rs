@@ -1,7 +1,6 @@
 //! Determinacy checking: the semantic definition, brute-forced on bounded
 //! domains, and the effective chase-based decision procedure for CQs.
 
-mod parallel;
 pub mod semantic;
 pub mod unrestricted;
 

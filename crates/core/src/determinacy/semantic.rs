@@ -23,12 +23,10 @@
 //! evaluator. Both routes share one scan body, so verdicts, witnesses
 //! and budget accounting agree byte for byte.
 
-use super::parallel::scan_sharded;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
-use std::ops::Range;
 use vqd_budget::{Budget, VqdError};
 use vqd_eval::{apply_views, disjuncts, eval_query, BitScan};
 use vqd_exec::ExecInput;
@@ -112,15 +110,10 @@ pub fn check_exhaustive(
 ///
 /// Invalid input (schema mismatch) is a [`VqdError`]; running out of
 /// budget is the *verdict* [`SemanticVerdict::Exhausted`], carrying how
-/// far the scan got. A sequential context (a bare [`Budget`] qualifies)
-/// runs the single-threaded scan: one [`Budget::checkpoint`] per
-/// enumerated instance, tuples charged for every image retained in the
-/// grouping map. A parallel [`ExecCtx`](vqd_exec::ExecCtx) splits the
-/// instance space into `cx.parallelism()` contiguous ranges and scans
-/// them on the engine pool, with the same per-shard accounting; a
-/// definitive counterexample always wins over exhaustion — if one shard
-/// refutes determinacy while another trips the budget, the verdict is
-/// `NotDetermined`.
+/// far the scan got. The scan runs on the calling thread whatever the
+/// context's parallelism: one [`Budget::checkpoint`] per enumerated
+/// instance, tuples charged for every image retained in the grouping
+/// map.
 pub fn check_exhaustive_ctx(
     views: &ViewSet,
     q: &QueryExpr,
@@ -140,42 +133,24 @@ pub fn check_exhaustive_ctx(
         Some(s) if s <= limit => s,
         space => return Ok(SemanticVerdict::TooLarge { domain: n, space }),
     };
-    Ok(match cx.exec() {
-        Some(ec) if ec.is_parallel() => scan_sharded(views, q, n, total, ec)?,
-        _ => scan(views, q, n, total, cx.budget()),
+    Ok(match Kernel::compile(views, q, n, total) {
+        Some(kernel) => scan(kernel, total, n, cx.budget()),
+        None => scan(Evaluator::new(views, q, n), total, n, cx.budget()),
     })
-}
-
-/// The sequential scan body of [`check_exhaustive_ctx`] over all
-/// `total` instances of domain `n`.
-fn scan(
-    views: &ViewSet,
-    q: &QueryExpr,
-    n: usize,
-    total: u128,
-    budget: &Budget,
-) -> SemanticVerdict {
-    let at = Progress::Whole { total, n };
-    match Kernel::compile(views, q, n, total) {
-        Some(kernel) => scan_range(&mut &kernel, 0..total, budget, at).into_verdict(n),
-        None => {
-            let mut route = Evaluator::at(views, q, n, 0);
-            scan_range(&mut route, 0..total, budget, at).into_verdict(n)
-        }
-    }
 }
 
 /// How a scan evaluates the views and the query on one enumerated
 /// instance. Both routes give the same verdicts, witnesses and budget
 /// charges; [`Kernel`] just never builds an index.
-pub(super) trait Route {
+trait Route {
     /// An enumerated instance.
     type Inst;
     /// A view image: the grouping key.
     type Image: Hash + Eq + Clone;
     /// A query answer.
     type Answer: PartialEq;
-    /// Evaluates instance `i`; a route is probed at consecutive indexes.
+    /// Evaluates instance `i`; a route is probed at consecutive indexes
+    /// from 0.
     fn probe(&mut self, i: u128) -> (Self::Inst, Self::Image, Self::Answer);
     /// Tuples retained with a new image: `|d| + |V(d)|`.
     fn tuples(&self, d: &Self::Inst, image: &Self::Image) -> u64;
@@ -191,16 +166,15 @@ pub(super) trait Route {
 
 /// The per-instance evaluator route: one index per instance, shared by
 /// `V` and `Q`. It runs whenever [`BitScan::compile`] refuses the pair.
-pub(super) struct Evaluator<'a> {
+struct Evaluator<'a> {
     views: &'a ViewSet,
     q: &'a QueryExpr,
     instances: InstanceEnumerator,
 }
 
 impl<'a> Evaluator<'a> {
-    /// The route positioned at instance `lo`.
-    pub(super) fn at(views: &'a ViewSet, q: &'a QueryExpr, n: usize, lo: u128) -> Self {
-        let instances = InstanceEnumerator::starting_at(views.input_schema(), n, lo);
+    fn new(views: &'a ViewSet, q: &'a QueryExpr, n: usize) -> Self {
+        let instances = InstanceEnumerator::new(views.input_schema(), n);
         Evaluator { views, q, instances }
     }
 }
@@ -235,7 +209,7 @@ impl Route for Evaluator<'_> {
 
 /// The bitmask kernel route: instances, images and answers are `u128`
 /// bitsets ([`BitScan`]), decoded only for a witness.
-pub(super) struct Kernel<'a> {
+struct Kernel<'a> {
     views: &'a ViewSet,
     scan: BitScan,
 }
@@ -243,7 +217,7 @@ pub(super) struct Kernel<'a> {
 impl<'a> Kernel<'a> {
     /// Compiles the views (side 0) and the query (side 1), or `None`
     /// when the kernel's fallback rule sends the pair to [`Evaluator`].
-    pub(super) fn compile(
+    fn compile(
         views: &'a ViewSet,
         q: &QueryExpr,
         n: usize,
@@ -260,7 +234,7 @@ impl<'a> Kernel<'a> {
     }
 }
 
-impl Route for &Kernel<'_> {
+impl Route for Kernel<'_> {
     type Inst = u128;
     type Image = u128;
     type Answer = u128;
@@ -287,107 +261,58 @@ impl Route for &Kernel<'_> {
     }
 }
 
-/// The retained `image → (first instance, its answer)` map of a scan.
-pub(super) type ImageMap<R> =
-    HashMap<<R as Route>::Image, (<R as Route>::Inst, <R as Route>::Answer)>;
-
-/// How a scanned range ended.
-pub(super) enum Scanned<M> {
-    /// Every instance was scanned without a clash.
-    Complete(M),
-    /// Two instances with equal images have different answers.
-    Refuted(Counterexample),
-    /// The budget tripped.
-    Tripped(vqd_budget::Exhausted),
-}
-
-impl<M> Scanned<M> {
-    /// The verdict of a scan over the whole space of domain `n`.
-    fn into_verdict(self, n: usize) -> SemanticVerdict {
-        match self {
-            Scanned::Complete(_) => SemanticVerdict::NoCounterexampleUpTo(n),
-            Scanned::Refuted(c) => SemanticVerdict::NotDetermined(Box::new(c)),
-            Scanned::Tripped(e) => SemanticVerdict::Exhausted(Box::new(e)),
-        }
-    }
-}
-
-/// Where a scan is, for the `partial` text of a budget trip.
+/// Where a scan is, for the `partial` text of a budget trip: index `i`
+/// of `total` instances over domain `n`; `clean` adds that no
+/// counterexample was found so far.
 #[derive(Clone, Copy)]
-pub(super) enum Progress {
-    /// The sequential scan over the whole space.
-    Whole { total: u128, n: usize },
-    /// Shard `t` of a sharded scan, over `[lo, hi)`.
-    Shard { t: usize, lo: u128, hi: u128, n: usize },
-}
-
-impl Progress {
-    /// The progress text at index `i`; `clean` adds that no
-    /// counterexample was found so far.
-    fn at(self, i: u128, clean: bool) -> At {
-        At { progress: self, i, clean }
-    }
-}
-
-/// A [`Progress`] at one index, rendered as a trip's `partial` text.
-pub(super) struct At {
-    progress: Progress,
+struct At {
     i: u128,
+    total: u128,
+    n: usize,
     clean: bool,
 }
 
 impl fmt::Display for At {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let i = self.i;
-        match self.progress {
-            Progress::Whole { total, n } => {
-                write!(f, "scanned {i} of {total} instances over domain {n}")?
-            }
-            Progress::Shard { t, lo, hi, n } => write!(
-                f,
-                "shard {t} scanned up to index {i} of [{lo}, {hi}) over domain {n}"
-            )?,
-        }
-        if self.clean {
+        let At { i, total, n, clean } = *self;
+        write!(f, "scanned {i} of {total} instances over domain {n}")?;
+        if clean {
             f.write_str(", no counterexample")?;
         }
         Ok(())
     }
 }
 
-/// Scans instances `range` through `route`, grouping by image: one
-/// [`Budget::checkpoint_with`] per instance, and
+/// Scans all `total` instances of domain `n` through `route`, grouping
+/// by image: one [`Budget::checkpoint_with`] per instance, and
 /// [`Route::tuples`] charged for every image retained.
-pub(super) fn scan_range<R: Route>(
-    route: &mut R,
-    range: Range<u128>,
-    budget: &Budget,
-    at: Progress,
-) -> Scanned<ImageMap<R>> {
-    let mut by_image: ImageMap<R> = HashMap::new();
-    for i in range {
-        if let Err(e) = budget.checkpoint_with(&at.at(i, true)) {
-            return Scanned::Tripped(e);
+fn scan<R: Route>(mut route: R, total: u128, n: usize, budget: &Budget) -> SemanticVerdict {
+    let mut by_image: HashMap<R::Image, (R::Inst, R::Answer)> = HashMap::new();
+    for i in 0..total {
+        let at = |clean| At { i, total, n, clean };
+        if let Err(e) = budget.checkpoint_with(&at(true)) {
+            return SemanticVerdict::Exhausted(Box::new(e));
         }
         vqd_obs::count(vqd_obs::Metric::SemanticInstancesScanned, 1);
         let (d, image, out) = route.probe(i);
         match by_image.entry(image) {
             Entry::Vacant(slot) => {
                 let tuples = route.tuples(&d, slot.key());
-                if let Err(e) = budget.charge_tuples(tuples, &at.at(i, false)) {
-                    return Scanned::Tripped(e);
+                if let Err(e) = budget.charge_tuples(tuples, &at(false)) {
+                    return SemanticVerdict::Exhausted(Box::new(e));
                 }
                 slot.insert((d, out));
             }
             Entry::Occupied(seen) => {
                 let (d1, q1) = seen.get();
                 if *q1 != out {
-                    return Scanned::Refuted(route.witness((d1, q1), d, seen.key().clone(), out));
+                    let c = route.witness((d1, q1), d, seen.key().clone(), out);
+                    return SemanticVerdict::NotDetermined(Box::new(c));
                 }
             }
         }
     }
-    Scanned::Complete(by_image)
+    SemanticVerdict::NoCounterexampleUpTo(n)
 }
 
 /// Randomized counterexample search: samples instances, groups by image,
@@ -440,6 +365,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use vqd_budget::ExhaustReason;
     use vqd_instance::{DomainNames, Schema};
     use vqd_query::{parse_program, parse_query};
 
@@ -499,6 +425,35 @@ mod tests {
                 assert_eq!(space, Some(1 << 25));
             }
             other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn schema_mismatch_is_an_error_not_a_panic() {
+        let (v, _) = setup("V(x,y) :- E(x,y).", "Q(x,y) :- E(x,y).");
+        let mut names = DomainNames::new();
+        let q = parse_query(&Schema::new([("P", 1)]), &mut names, "Q(x) :- P(x).").unwrap();
+        match check_exhaustive_ctx(&v, &q, 2, 1 << 20, &Budget::unlimited()) {
+            Err(VqdError::SchemaMismatch { context, .. }) => assert_eq!(context, "check_exhaustive"),
+            other => panic!("expected SchemaMismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn budget_trips_are_verdicts_with_progress() {
+        let (v, q) = setup("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
+        let limits = [
+            (Budget::unlimited().with_step_limit(10), ExhaustReason::StepLimit),
+            (Budget::unlimited().with_tuple_limit(5), ExhaustReason::TupleLimit),
+        ];
+        for (budget, reason) in limits {
+            match check_exhaustive_ctx(&v, &q, 3, 1 << 26, &budget).unwrap() {
+                SemanticVerdict::Exhausted(e) => {
+                    assert_eq!(e.reason, reason);
+                    assert!(e.partial.starts_with("scanned "), "{}", e.partial);
+                }
+                other => panic!("{reason:?}: expected Exhausted, got {other:?}"),
+            }
         }
     }
 

@@ -1,9 +1,9 @@
 //! # vqd-exec — intra-request parallel execution
 //!
-//! A small std-only work-sharing executor that fans one request's work
-//! out across a fixed thread pool **distinct from the server's
-//! per-request worker pool**, under the governance contract the rest of
-//! the workspace already obeys:
+//! A small std-only work-sharing executor that fans one library call's
+//! work out across a fixed thread pool, under the governance contract
+//! the rest of the workspace already obeys. Only CQ evaluation
+//! (`eval_cq_rows`) fans out; the server never does (DESIGN.md §17).
 //!
 //! * **One budget.** Every shard draws down the *same* shared
 //!   [`Budget`] (its counters are `Arc`-shared atomics), so a step or
@@ -13,8 +13,8 @@
 //! * **Deterministic merge.** [`ExecCtx::run_shards`] returns shard
 //!   results in shard-index order regardless of completion order, so a
 //!   parallel run is byte-identical to the sequential one whenever the
-//!   per-shard work is (the engines shard along canonical boundaries:
-//!   root candidates, instance ranges).
+//!   per-shard work is (the hom search shards along a canonical
+//!   boundary: its root candidates).
 //! * **Exact observability.** Engine counters are per-thread cells
 //!   ([`MetricsSnapshot`]); work done on pool threads would be invisible
 //!   to the serving thread's profile diff. The executor snapshots each
@@ -161,11 +161,10 @@ impl PoolInner {
     }
 }
 
-/// A fixed pool of engine threads for intra-request fan-out.
+/// A fixed pool of engine threads for intra-call fan-out.
 ///
-/// Distinct from the server's per-request worker pool: workers own
-/// whole requests; this pool's threads run *shards of one request* and
-/// are shared by all in-flight requests. Submission is batch-scoped —
+/// Its threads run *shards of one call* and are shared by every caller
+/// of the pool. Submission is batch-scoped —
 /// [`run_scoped`](ExecPool::run_scoped) blocks until every closure in
 /// the batch has run, with the calling thread participating, so borrows
 /// of the caller's stack are sound and the pool can never deadlock on
@@ -204,8 +203,7 @@ impl ExecPool {
         ExecPool { inner, threads, handles: Mutex::new(handles) }
     }
 
-    /// Number of engine threads — doubles as the server's clamp cap for
-    /// client-requested parallelism.
+    /// Number of engine threads.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -224,7 +222,7 @@ impl ExecPool {
     /// threads and the calling thread, and blocks until all have run.
     /// If any closure panicked, the first panic is resumed on the caller
     /// after the join (so shard panics surface exactly like sequential
-    /// ones and the server's existing containment applies).
+    /// ones).
     pub fn run_scoped<'a>(&self, tasks: Vec<ScopedTask<'a>>) {
         if tasks.is_empty() {
             return;
@@ -299,8 +297,7 @@ impl ExecCtx {
         ExecCtx::on_pool(budget, parallelism, Arc::clone(ExecPool::global()))
     }
 
-    /// A context that fans out on a specific pool (the server wires its
-    /// own `--engine-threads` pool through here).
+    /// A context that fans out on a specific pool.
     pub fn on_pool(budget: Budget, parallelism: usize, pool: Arc<ExecPool>) -> ExecCtx {
         if parallelism <= 1 {
             return ExecCtx::sequential(budget);

@@ -65,25 +65,6 @@ impl InstanceEnumerator {
         }
     }
 
-    /// An enumerator positioned at index `idx` of the enumeration order:
-    /// it yields what `InstanceEnumerator::new(schema, n).skip(idx)`
-    /// would, without materializing the skipped instances.
-    pub fn starting_at(schema: &Schema, n: usize, idx: u128) -> Self {
-        let mut e = Self::new(schema, n);
-        let mut rest = idx;
-        if let Some(masks) = &mut e.masks {
-            for (m, u) in masks.iter_mut().zip(&e.universe) {
-                let size = 1u128 << u.len();
-                *m = rest % size;
-                rest /= size;
-            }
-        }
-        if rest != 0 {
-            e.masks = None; // past the end
-        }
-        e
-    }
-
     fn materialize(&self, masks: &[u128]) -> Instance {
         let mut inst = Instance::empty(&self.schema);
         for (rel, _) in self.schema.iter() {
@@ -296,17 +277,6 @@ mod tests {
         let n = 2;
         for (i, d) in InstanceEnumerator::new(&s, n).enumerate() {
             assert_eq!(instance_at(&s, n, i as u128), d, "index {i}");
-        }
-    }
-
-    #[test]
-    fn starting_at_skips_into_the_enumeration() {
-        let s = Schema::new([("R", 2), ("P", 1)]);
-        let all: Vec<Instance> = InstanceEnumerator::new(&s, 2).collect();
-        for start in [0, 1, 17, all.len() - 1, all.len()] {
-            let tail: Vec<Instance> =
-                InstanceEnumerator::starting_at(&s, 2, start as u128).collect();
-            assert_eq!(tail, all[start..], "start {start}");
         }
     }
 

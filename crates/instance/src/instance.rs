@@ -14,7 +14,6 @@
 use crate::relation::{Relation, Tuple};
 use crate::schema::{RelId, Schema};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -23,7 +22,7 @@ use std::fmt;
 /// Ordering and hashing look at the relation contents only (instances over
 /// different schemas are never meaningfully compared; equality still checks
 /// the schema structurally).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Instance {
     schema: Schema,
     relations: Vec<Relation>,

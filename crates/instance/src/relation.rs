@@ -7,7 +7,6 @@
 //! *exact* equality, not isomorphism).
 
 use crate::value::{NameLookup, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -15,7 +14,7 @@ use std::fmt;
 pub type Tuple = Vec<Value>;
 
 /// A finite relation of fixed arity.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Relation {
     arity: usize,
     tuples: BTreeSet<Tuple>,

@@ -10,12 +10,11 @@
 //! (Proposition 4.1), extensions `σ ∪ {R}` (Theorem 4.5), view output
 //! schemas `σ_V` — so the API includes the corresponding combinators.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// A dense identifier for a relation symbol within one [`Schema`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RelId(pub u32);
 
 impl RelId {
@@ -33,7 +32,7 @@ impl fmt::Display for RelId {
 }
 
 /// Declaration of a single relation symbol.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct RelDecl {
     /// Symbol name, unique within the schema.
     pub name: String,
@@ -41,13 +40,13 @@ pub struct RelDecl {
     pub arity: usize,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 struct SchemaInner {
     rels: Vec<RelDecl>,
 }
 
 /// An immutable, shareable database schema.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Schema {
     inner: Arc<SchemaInner>,
 }

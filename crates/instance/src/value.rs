@@ -19,7 +19,6 @@
 //! cheaply; human-readable names for `Named` values live in a separate
 //! [`DomainNames`] side table so the hot paths never touch strings.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -28,7 +27,7 @@ use std::fmt;
 /// The `Ord` instance orders all named constants before all nulls, which
 /// gives instances a deterministic iteration order regardless of how nulls
 /// were allocated.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Value {
     /// An ordinary domain constant, identified by its interned index.
     Named(u32),
@@ -84,7 +83,7 @@ pub fn null(i: u32) -> Value {
 ///
 /// Chase steps must invent values "not occurring anywhere else"; threading a
 /// `NullGen` through the construction guarantees global freshness.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct NullGen {
     next: u32,
 }
@@ -134,7 +133,7 @@ impl NullGen {
 ///
 /// Purely cosmetic: all algorithms operate on [`Value`]s directly. Parsers
 /// and pretty-printers use this to keep examples legible.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DomainNames {
     names: Vec<String>,
     index: HashMap<String, u32>,

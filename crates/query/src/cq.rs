@@ -12,13 +12,12 @@
 //! check their preconditions.
 
 use crate::term::{Atom, Term, VarId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 use vqd_instance::Schema;
 
 /// Language classification for the conjunctive family.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum CqLang {
     /// Positive atoms only.
     Cq,
@@ -32,7 +31,7 @@ pub enum CqLang {
 
 /// A conjunctive query with optional equality, inequality, and safe
 /// negation extensions.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Cq {
     /// Input schema the body atoms are resolved against.
     pub schema: Schema,
@@ -230,7 +229,7 @@ impl fmt::Display for Cq {
 }
 
 /// A union of conjunctive queries with a common schema and arity.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Ucq {
     /// The disjuncts; non-empty, all with the same schema and arity.
     pub disjuncts: Vec<Cq>,

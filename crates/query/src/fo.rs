@@ -15,12 +15,11 @@
 
 use crate::cq::{Cq, Ucq};
 use crate::term::{Atom, Term, VarId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use vqd_instance::Schema;
 
 /// A first-order formula.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Fo {
     /// The constant true.
     True,
@@ -313,7 +312,7 @@ impl Fo {
 }
 
 /// A first-order query: a formula with a designated free-variable tuple.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct FoQuery {
     /// Schema the atoms are resolved against.
     pub schema: Schema,

@@ -1,14 +1,13 @@
 //! Terms and atoms — the shared syntactic bottom layer of every query
 //! language in the paper (Figure 1).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use vqd_instance::{RelId, Value};
 
 /// A query variable, identified by a dense per-query index.
 ///
 /// Display names live in the owning query's variable table.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct VarId(pub u32);
 
 impl VarId {
@@ -29,7 +28,7 @@ impl fmt::Display for VarId {
 ///
 /// Constants in queries are values from **dom**, "always interpreted as
 /// themselves" (Section 2) — not logical constant symbols.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Term {
     /// A query variable.
     Var(VarId),
@@ -93,7 +92,7 @@ impl fmt::Display for Term {
 }
 
 /// A relational atom `R(t₁, …, t_k)`.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Atom {
     /// The relation symbol (resolved against the query's schema).
     pub rel: RelId,

@@ -7,12 +7,11 @@
 
 use crate::cq::{Cq, CqLang, Ucq};
 use crate::fo::FoQuery;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use vqd_instance::{RelId, Schema};
 
 /// A query in any of the paper's languages.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum QueryExpr {
     /// A conjunctive query (possibly with =, ≠, ¬ extensions).
     Cq(Cq),
@@ -103,7 +102,7 @@ impl From<FoQuery> for QueryExpr {
 }
 
 /// One named view: an output symbol and its defining query.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct View {
     /// The output relation's name in `σ_V`.
     pub name: String,
@@ -112,7 +111,7 @@ pub struct View {
 }
 
 /// A set of views **V** with input schema `σ` and output schema `σ_V`.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ViewSet {
     input: Schema,
     output: Schema,

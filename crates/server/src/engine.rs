@@ -33,7 +33,6 @@ use vqd_core::determinacy::{
     FiniteVerdict, SemanticVerdict,
 };
 use vqd_eval::{contained_bounded_budgeted, BoundedContainment};
-use vqd_exec::{ExecCtx, ExecPool};
 use vqd_instance::{DomainNames, IndexedInstance, NameLookup, NameTable, Relation, Schema};
 use vqd_query::{parse_instance, parse_program, parse_query, Cq, CqLang, QueryExpr, ViewSet};
 use vqd_router::Fragment;
@@ -56,10 +55,6 @@ pub struct EngineCtx {
     pub shutdown: CancelToken,
     /// Whether `debug_panic` is live (worker-containment tests only).
     pub debug_ops: bool,
-    /// The engine's shard pool for intra-request parallelism — distinct
-    /// from the per-request worker pool, shared by every worker. Its
-    /// size caps the `parallelism` any envelope may request.
-    pub exec: Arc<ExecPool>,
     /// Compiled certain-answer plans, shared by every worker.
     pub plans: Arc<PlanMemo>,
 }
@@ -81,16 +76,8 @@ impl EngineCtx {
             started: Instant::now(),
             shutdown,
             debug_ops: false,
-            exec: Arc::clone(ExecPool::global()),
             plans: Arc::new(PlanMemo::default()),
         }
-    }
-
-    /// Replaces the engine's shard pool (the server wires its
-    /// `--engine-threads` pool through here).
-    pub fn with_engine_pool(mut self, exec: Arc<ExecPool>) -> EngineCtx {
-        self.exec = exec;
-        self
     }
 }
 
@@ -317,14 +304,14 @@ fn attribute(fragment: Option<Fragment>, ctx: &EngineCtx, routed: bool) -> Optio
     Some(fragment.wire_note())
 }
 
-/// Executes one request under `budget`, sequentially. Never panics on
-/// bad input; may panic only on a genuine engine bug (callers wrap in
-/// `catch_unwind`).
+/// Executes one request under `budget` on the calling thread. Never
+/// panics on bad input; may panic only on a genuine engine bug (callers
+/// wrap in `catch_unwind`).
 ///
-/// The sequential, outcome-only form of [`execute_attributed_ctx`];
-/// embedded callers and most tests only care about the outcome.
+/// The outcome-only form of [`execute_attributed`]; embedded callers
+/// and most tests only care about the outcome.
 pub fn execute(request: &Request, budget: &Budget, ctx: &EngineCtx) -> Outcome {
-    execute_attributed_ctx(request, &ExecCtx::sequential(budget.clone()), ctx).0
+    execute_attributed(request, budget, ctx).0
 }
 
 /// What the engine reports about a request besides its outcome.
@@ -343,19 +330,12 @@ pub struct Attribution {
     pub cache_hit: Option<bool>,
 }
 
-/// Executes one request under an execution context, with its
-/// [`Attribution`].
-///
-/// The execution context carries both the request's clamped budget and
-/// its (clamped) parallelism: the certain-answer and semantic-scan ops
-/// fan out on the engine pool when `exec.is_parallel()`, with
-/// byte-identical outcomes either way.
-pub fn execute_attributed_ctx(
+/// [`execute`] with the request's [`Attribution`].
+pub fn execute_attributed(
     request: &Request,
-    exec: &ExecCtx,
+    budget: &Budget,
     ctx: &EngineCtx,
 ) -> (Outcome, Attribution) {
-    let budget = exec.budget();
     let mut attribution = Attribution::default();
     let outcome = match request {
         Request::Decide { schema, views, query } | Request::Rewrite { schema, views, query } => {
@@ -375,7 +355,7 @@ pub fn execute_attributed_ctx(
             outcome
         }
         Request::CertainHandle { schema, views, query, handle } => {
-            let (outcome, hit) = run_certain_handle(schema, views, query, handle, exec, ctx);
+            let (outcome, hit) = run_certain_handle(schema, views, query, handle, budget, ctx);
             attribution.cache_hit = Some(hit);
             outcome
         }
@@ -394,7 +374,7 @@ pub fn execute_attributed_ctx(
             Outcome::ShuttingDown
         }
         Request::Certain { schema, views, query, extent } => {
-            run_certain(schema, views, query, extent, exec, ctx)
+            run_certain(schema, views, query, extent, budget, ctx)
         }
         Request::PutInstance { schema, extent } => run_put_instance(schema, extent, ctx),
         Request::EvictInstance { handle } => Outcome::Evicted {
@@ -438,7 +418,7 @@ pub fn execute_attributed_ctx(
             run_finite(schema, views, query, *max_domain, *space_limit, budget)
         }
         Request::Semantic { schema, views, query, domain, space_limit } => {
-            run_semantic(schema, views, query, *domain, *space_limit, exec)
+            run_semantic(schema, views, query, *domain, *space_limit, budget)
         }
     };
     (outcome, attribution)
@@ -525,7 +505,7 @@ fn run_certain(
     views: &str,
     query: &str,
     extent: &str,
-    exec: &ExecCtx,
+    budget: &Budget,
     ctx: &EngineCtx,
 ) -> Outcome {
     let (mut names, cq_views, q) = match parse_cq_pair(schema, views, query) {
@@ -538,7 +518,7 @@ fn run_certain(
         Err(e) => return err(ErrorKind::Parse, format!("extent: {e}")),
     };
     ctx.registry.counter("certain.route.chase").inc();
-    certain_outcome(certain_sound_ctx(&cq_views, &q, &extent, exec), &names)
+    certain_outcome(certain_sound_ctx(&cq_views, &q, &extent, budget), &names)
 }
 
 /// Name-sensitive extent fingerprint. Two extents with equal
@@ -599,7 +579,7 @@ fn run_certain_handle(
     views: &str,
     query: &str,
     handle: &str,
-    exec: &ExecCtx,
+    budget: &Budget,
     ctx: &EngineCtx,
 ) -> (Outcome, bool) {
     let Some(entry) = ctx.cache.get_handle(handle) else {
@@ -632,7 +612,7 @@ fn run_certain_handle(
                 None if plan.is_ok() => {
                     (IndexedInstance::new(extent).into_shared(), DerivedKind::Extent)
                 }
-                None => match canonical_database_budgeted(&cq_views, &extent, exec) {
+                None => match canonical_database_budgeted(&cq_views, &extent, budget) {
                     Ok(chased) => (chased.into_shared(), DerivedKind::Chased),
                     Err(e) => {
                         count_chase_route(ctx, &plan);
@@ -650,18 +630,18 @@ fn run_certain_handle(
     let answers = match (kind, &plan) {
         (DerivedKind::Extent, Ok(plan)) => {
             count_plan_route(ctx);
-            plan.eval(&index, exec)
+            plan.eval(&index, budget)
         }
         (DerivedKind::Chased, _) => {
             count_chase_route(ctx, &plan);
-            certain_from_canonical(&q, &index, exec)
+            certain_from_canonical(&q, &index, budget)
         }
         // An extent entry for a pair with no plan (one compiled under
         // other bounds): chase the stored extent.
         (DerivedKind::Extent, Err(_)) => {
             count_chase_route(ctx, &plan);
-            canonical_database_budgeted(&cq_views, index.instance(), exec)
-                .and_then(|chased| certain_from_canonical(&q, &chased, exec))
+            canonical_database_budgeted(&cq_views, index.instance(), budget)
+                .and_then(|chased| certain_from_canonical(&q, &chased, budget))
         }
     };
     (certain_outcome(answers, &*names), hit)
@@ -775,7 +755,7 @@ fn run_semantic(
     query: &str,
     domain: u64,
     space_limit: u64,
-    exec: &ExecCtx,
+    budget: &Budget,
 ) -> Outcome {
     let pair = match parse_pair(schema, views, query) {
         Ok(p) => p,
@@ -786,7 +766,7 @@ fn run_semantic(
         &pair.query,
         domain as usize,
         u128::from(space_limit),
-        exec,
+        budget,
     ) {
         Ok(SemanticVerdict::NoCounterexampleUpTo(n)) => Outcome::SemanticOutcome {
             verdict: "no-counterexample".into(),
@@ -1008,34 +988,6 @@ mod tests {
             &c,
         );
         assert_eq!(out, Outcome::Evicted { handle: "h999".into(), existed: false });
-    }
-
-    #[test]
-    fn parallel_context_answers_identically_and_reports_fan_out() {
-        let c = ctx();
-        let req = Request::Certain {
-            schema: "E/2".into(),
-            views: "V(x,y) :- E(x,y).".into(),
-            query: "Q(x,z) :- E(x,y), E(y,z).".into(),
-            extent: "V(A,B). V(B,C). V(C,D).".into(),
-        };
-        let seq = execute(&req, &Budget::unlimited(), &c);
-        let exec = ExecCtx::with_parallelism(Budget::unlimited(), 4);
-        let par = execute_attributed_ctx(&req, &exec, &c).0;
-        assert_eq!(seq, par, "parallel outcomes must be byte-identical");
-        assert_eq!(exec.threads_used(), 4, "the certain eval must fan out");
-        // The semantic scan fans out too, with the same verdict.
-        let sem = Request::Semantic {
-            schema: "E/2".into(),
-            views: "V(x,y) :- E(x,y).".into(),
-            query: "Q(x,z) :- E(x,y), E(y,z).".into(),
-            domain: 2,
-            space_limit: 1 << 20,
-        };
-        let seq = execute(&sem, &Budget::unlimited(), &c);
-        let exec = ExecCtx::with_parallelism(Budget::unlimited(), 2);
-        assert_eq!(seq, execute_attributed_ctx(&sem, &exec, &c).0);
-        assert_eq!(exec.threads_used(), 2);
     }
 
     #[test]

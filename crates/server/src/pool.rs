@@ -36,7 +36,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use vqd_budget::Budget;
-use vqd_exec::ExecCtx;
 use vqd_obs::MetricsSnapshot;
 
 /// Where a finished job's reply and record go: a completion callback,
@@ -193,13 +192,8 @@ fn run_job(job: Job, ctx: &EngineCtx) {
     let before = MetricsSnapshot::capture();
     let started = Instant::now();
     let mut panicked = false;
-    // The envelope's requested fan-out, clamped by the engine pool: a
-    // request can never commandeer more shards than the server was
-    // started with, and an absent field stays exactly sequential.
-    let parallelism = (envelope.parallelism.unwrap_or(1) as usize).min(ctx.exec.threads());
-    let exec = ExecCtx::on_pool(budget.clone(), parallelism, Arc::clone(&ctx.exec));
     let (outcome, attribution) = catch_unwind(AssertUnwindSafe(|| {
-        engine::execute_attributed_ctx(&envelope.request, &exec, ctx)
+        engine::execute_attributed(&envelope.request, &budget, ctx)
     }))
     .unwrap_or_else(|panic| {
         let msg = panic
@@ -223,7 +217,6 @@ fn run_job(job: Job, ctx: &EngineCtx) {
         attribution,
         work: budget.work_done(),
         counters: MetricsSnapshot::capture().diff(&before),
-        threads_used: exec.threads_used(),
         stamps,
         started,
         finished,
@@ -396,8 +389,8 @@ mod tests {
     }
 
     #[test]
-    fn requested_parallelism_is_clamped_and_reported() {
-        let ctx = ctx().with_engine_pool(Arc::new(vqd_exec::ExecPool::new(2)));
+    fn requested_parallelism_is_ignored() {
+        let ctx = ctx();
         let (tx, rx) = channel();
         let certain = |parallelism: Option<u64>| {
             let envelope = Envelope::new(
@@ -423,10 +416,9 @@ mod tests {
         run_job(certain(None), &ctx);
         run_job(certain(Some(8)), &ctx);
         let seq = rx.recv().expect("sequential reply");
-        let par = rx.recv().expect("parallel reply");
-        assert_eq!(seq.outcome, par.outcome, "fan-out must not change the answer");
-        assert_eq!(seq.work.threads_used, 0, "absent field stays sequential");
-        assert_eq!(par.work.threads_used, 2, "requested 8, clamped to the pool's 2");
+        let par = rx.recv().expect("parallelism-8 reply");
+        assert_eq!(seq.outcome, par.outcome, "parallelism must not change the answer");
+        assert_eq!((seq.work.threads_used, par.work.threads_used), (0, 0), "no fan-out");
         assert_eq!(seq.work.steps, par.work.steps, "budget accounting stays exact");
     }
 

@@ -253,11 +253,10 @@ pub struct Envelope {
     /// request and attach them to the reply as JSONL. Additive like
     /// `profile`: absent on the wire means `false`.
     pub trace: bool,
-    /// Requested intra-request parallelism: how many shards the engine
-    /// may fan a single request out across on the server's engine pool.
-    /// Additive like `profile`: absent on the wire means `None`
-    /// (sequential), and the server clamps the value against its
-    /// `--engine-threads` cap, so it is a request, not a demand.
+    /// Requested intra-request parallelism. Still decoded and encoded,
+    /// so older clients keep working, but the server ignores it: every
+    /// request runs on the one worker thread that dequeued it, and the
+    /// reply is byte-identical to the same request without the field.
     pub parallelism: Option<u64>,
     /// The operation.
     pub request: Request,
@@ -289,8 +288,8 @@ impl Envelope {
         self
     }
 
-    /// Requests `parallelism`-way intra-request fan-out (clamped by the
-    /// server's engine pool).
+    /// Sets the envelope's `parallelism` field, which the server
+    /// ignores.
     pub fn with_parallelism(mut self, parallelism: u64) -> Envelope {
         self.parallelism = Some(parallelism);
         self
@@ -310,9 +309,9 @@ pub struct WireStats {
     pub index_builds: u64,
     /// Tuples indexed incrementally (delta maintenance, no rebuild).
     pub index_tuples: u64,
-    /// Widest engine fan-out any phase of the request actually used
-    /// (0 = everything ran sequentially). Additive: encoded only when
-    /// nonzero, absent decodes to 0.
+    /// Widest engine fan-out the request used. The server runs every
+    /// request on one thread, so it always replies 0, which is not
+    /// encoded; a nonzero value from an older server still decodes.
     pub threads_used: u64,
 }
 

@@ -40,7 +40,6 @@ pub struct RequestRecord {
     pub work: WorkStats,
     /// This request's engine counter delta.
     pub counters: MetricsSnapshot,
-    pub threads_used: u64,
     pub stamps: PhaseStamps,
     /// Worker start and finish (engine returned or panic contained).
     pub started: Instant,
@@ -90,7 +89,6 @@ impl RequestRecord {
         WireStats {
             index_builds: self.counters.get(Metric::IndexBuilds),
             index_tuples: self.counters.get(Metric::IndexDeltaTuples),
-            threads_used: self.threads_used,
             ..WireStats::from(self.work)
         }
     }
@@ -226,7 +224,6 @@ mod tests {
             attribution: Attribution::default(),
             work: WorkStats { steps: 3, tuples: 4, elapsed: Duration::from_millis(7) },
             counters: MetricsSnapshot::default(),
-            threads_used: 0,
             stamps: PhaseStamps { framed: at, enqueued: ms(1) },
             started: ms(3),
             finished: ms(6),

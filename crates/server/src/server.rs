@@ -112,11 +112,10 @@ pub struct ServerCaps {
     /// is logged to stderr with its full phase breakdown. `None` (the
     /// default) disables the log.
     pub slow_log_ms: Option<u64>,
-    /// Engine-pool size for intra-request parallelism (`vqd-cli serve
-    /// --engine-threads`). Every envelope's requested `parallelism` is
-    /// clamped to this; the default of 1 keeps every request exactly
-    /// sequential. The pool is distinct from the worker pool: workers
-    /// stay one-job-at-a-time, shards of one job fan out here.
+    /// Ignored, and kept only so existing configurations still build
+    /// (`vqd-cli serve --engine-threads` is accepted and ignored too).
+    /// Every request runs on the worker thread that dequeued it, so the
+    /// server starts no engine threads.
     pub engine_threads: usize,
 }
 
@@ -362,10 +361,6 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         started: Instant::now(),
         shutdown: shared.shutdown_token(),
         debug_ops: shared.caps.enable_debug_ops,
-        // The server owns its engine pool (sized by --engine-threads)
-        // rather than borrowing the process-global one, so the pool's
-        // thread count *is* the parallelism cap applied per request.
-        exec: Arc::new(vqd_exec::ExecPool::new(shared.caps.engine_threads.max(1))),
         plans: Arc::new(PlanMemo::default()),
     };
     let pool = Pool::new(config.workers, config.queue_depth, ctx);

@@ -9,7 +9,7 @@
 //! vqd-cli serve   [--addr 127.0.0.1:7471] [--workers 4] [--queue-depth 64]
 //!                 [--max-deadline-ms 10000] [--max-steps N] [--max-tuples N]
 //!                 [--cache-entries N] [--cache-bytes N]
-//!                 [--cache-dir PATH] [--disk-bytes N]
+//!                 [--cache-dir PATH] [--disk-bytes N] [--engine-threads N]
 //!
 //! vqd-cli request [--addr 127.0.0.1:7471] --op decide \
 //!                 --schema "E/2" --views "..." --query "..." \
@@ -66,6 +66,10 @@
 //! handle request with `0 index builds` (`--disk-bytes` caps the
 //! on-disk footprint). Corrupt or torn records are silently dropped at
 //! startup and re-derived on demand — never served.
+//!
+//! Every request runs on the worker thread that dequeued it:
+//! `serve --engine-threads N` and `request --parallelism N` are accepted
+//! and ignored, so old scripts keep working.
 
 use vqd::chase::CqViews;
 use vqd::core::analyze::{analyze, AnalyzeOptions, Determinacy};
@@ -272,7 +276,8 @@ fn serve_usage() -> ! {
          [--io-threads N] [--engine-threads N] [--max-conns N] [--max-inflight N] \
          [--max-deadline-ms N] [--max-steps N] [--max-tuples N] \
          [--cache-entries N] [--cache-bytes N] [--cache-dir PATH] [--disk-bytes N] \
-         [--slow-ms N] [--debug-ops]"
+         [--slow-ms N] [--debug-ops]\n\
+         --engine-threads is accepted and ignored: each request runs on one worker thread"
     );
     std::process::exit(2)
 }

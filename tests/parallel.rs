@@ -1,35 +1,34 @@
 //! Integration suite for intra-request parallel evaluation: the
-//! `ExecCtx` engine API, the work-sharing executor behind it, and the
-//! additive wire surface that exposes it.
+//! `ExecCtx` library API and the work-sharing executor behind it, which
+//! fan out CQ evaluation (certain answers, `eval_cq_rows`); and the wire,
+//! which ignores an envelope's `parallelism`.
 //!
 //! Covers, end to end:
 //!
-//! * **Determinism** — certain answers, CQ evaluation on a seeded
-//!   random corpus, and the semantic counterexample scan are
-//!   byte-identical between a sequential context and every parallel
-//!   width, including how exhaustion surfaces;
+//! * **Determinism** — certain answers and CQ evaluation on a seeded
+//!   random corpus are byte-identical between a sequential context and
+//!   every parallel width, including how exhaustion surfaces;
 //! * **Unification** — a bare `&Budget`, `ExecCtx::sequential` and a
-//!   parallelism-1 context all produce the same bytes;
+//!   parallelism-1 context all produce the same bytes, for certain
+//!   answers and for the semantic scan (which always runs sequentially);
 //! * **Governance** — a fault-injection sweep trips the shared budget
 //!   at sampled checkpoints under parallel contexts: no panic, a
-//!   structured `Exhausted` with exact (certain) or tightly bounded
-//!   (sharded scan) step accounting, and a retry with headroom
-//!   reproduces the sequential baseline;
+//!   structured `Exhausted` with exact step accounting, and a retry with
+//!   headroom reproduces the sequential baseline;
 //! * **Observability** — engine counters absorbed from foreign shards
 //!   keep the parallel profile exactly equal to the sequential twin
 //!   (modulo the per-shard root-exhaustion bookkeeping the sharded
 //!   hom search documents), and budget checkpoints stay exact;
-//! * **Wire** — a server spawned with `engine_threads` clamps the
-//!   envelope's requested `parallelism` and reports honest
-//!   `threads_used` in the work envelope, with outcomes identical to
-//!   a sequential request.
+//! * **Wire** — a server runs every request on one worker thread: an
+//!   envelope's `parallelism` changes nothing in the reply, and
+//!   `threads_used` stays 0 (and so off the wire).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vqd::budget::{Budget, ExhaustReason, VqdError};
 use vqd::chase::CqViews;
 use vqd::core::certain::certain_sound_ctx;
-use vqd::core::determinacy::{check_exhaustive_ctx, verify_counterexample, SemanticVerdict};
+use vqd::core::determinacy::check_exhaustive_ctx;
 use vqd::eval::{apply_views, eval_cq_rows};
 use vqd::exec::ExecCtx;
 use vqd::instance::{named, DomainNames, Instance, Relation, Schema};
@@ -143,55 +142,6 @@ fn parallel_eval_agrees_on_a_random_corpus() {
     }
 }
 
-#[test]
-fn parallel_semantic_scan_agrees_with_sequential() {
-    // Positive: the identity view determines everything — every width
-    // must scan the whole space and agree.
-    let (v, q) = semantic_workload("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
-    let seq = check_exhaustive_ctx(&v, &q, 3, 1 << 26, &Budget::unlimited())
-        .expect("sequential scan");
-    assert!(matches!(seq, SemanticVerdict::NoCounterexampleUpTo(3)));
-    for p in WIDTHS {
-        let cx = ExecCtx::with_parallelism(Budget::unlimited(), p);
-        let par = check_exhaustive_ctx(&v, &q, 3, 1 << 26, &cx).expect("parallel scan");
-        assert!(
-            matches!(par, SemanticVerdict::NoCounterexampleUpTo(3)),
-            "parallelism={p}: {par:?}"
-        );
-    }
-    // Negative: determinacy fails. Which witness a shard reaches first
-    // is scheduling-dependent; what is contractual is the verdict and
-    // that the witness actually refutes determinacy.
-    let (v, q) = semantic_workload(
-        "V(x,y) :- E(x,z), E(z,y).",
-        "Q(x,y) :- E(x,a), E(a,b), E(b,y).",
-    );
-    let seq = check_exhaustive_ctx(&v, &q, 3, 1 << 26, &Budget::unlimited())
-        .expect("sequential scan");
-    assert!(matches!(seq, SemanticVerdict::NotDetermined(_)));
-    for p in WIDTHS {
-        let cx = ExecCtx::with_parallelism(Budget::unlimited(), p);
-        match check_exhaustive_ctx(&v, &q, 3, 1 << 26, &cx).expect("parallel scan") {
-            SemanticVerdict::NotDetermined(c) => {
-                assert!(verify_counterexample(&v, &q, &c), "parallelism={p}");
-            }
-            other => panic!("parallelism={p}: expected a counterexample, got {other:?}"),
-        }
-    }
-    // Invalid input: a query over another schema is the same error at
-    // every width, down to its `Debug` text.
-    let (v, _) = semantic_workload("V(x,y) :- E(x,y).", "Q(x,y) :- E(x,y).");
-    let mut names = DomainNames::new();
-    let q = parse_query(&schema(), &mut names, "Q(x) :- P(x).").expect("query parse");
-    let seq = check_exhaustive_ctx(&v, &q, 2, 1 << 22, &Budget::unlimited());
-    assert!(matches!(seq, Err(VqdError::SchemaMismatch { .. })), "{seq:?}");
-    for p in [1usize, 2, 4] {
-        let cx = ExecCtx::with_parallelism(Budget::unlimited(), p);
-        let par = check_exhaustive_ctx(&v, &q, 2, 1 << 22, &cx);
-        assert_eq!(format!("{par:?}"), format!("{seq:?}"), "parallelism={p}");
-    }
-}
-
 // ---------------------------------------------------------------------
 // Unification: one API, many spellings, same bytes.
 // ---------------------------------------------------------------------
@@ -300,53 +250,6 @@ fn parallel_fault_sweep_certain() {
     }
 }
 
-#[test]
-fn parallel_fault_sweep_semantic_scan() {
-    let (v, q) = semantic_workload("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
-    let probe = Budget::unlimited();
-    check_exhaustive_ctx(&v, &q, 3, 1 << 26, &probe).expect("probe scan");
-    let total = probe.steps();
-    assert!(total > 0, "scan reached no checkpoints — it is ungoverned");
-    for p in [2usize, 4] {
-        for n in trip_points(total) {
-            let cx = ExecCtx::with_parallelism(Budget::unlimited().trip_after(n), p);
-            // The scan reports trips as an *inconclusive verdict*, not
-            // an error: partial progress is a first-class answer here.
-            match check_exhaustive_ctx(&v, &q, 3, 1 << 26, &cx).expect("scan must not error") {
-                SemanticVerdict::Exhausted(e) => {
-                    assert_eq!(
-                        e.reason,
-                        ExhaustReason::FaultInjected,
-                        "p={p} trip {n}/{total}: a sibling's induced cancellation \
-                         must never mask the root cause"
-                    );
-                    // Shards checkpoint concurrently: each sibling may
-                    // land one more fetch past the trip threshold before
-                    // it observes the trip, so the winner's count is
-                    // exact up to a slack of (width - 1).
-                    assert!(
-                        e.work_done.steps >= n - 1 && e.work_done.steps <= n - 1 + (p as u64 - 1),
-                        "p={p} trip {n}/{total}: steps {} outside [{}, {}]",
-                        e.work_done.steps,
-                        n - 1,
-                        n - 1 + (p as u64 - 1)
-                    );
-                    assert!(!e.partial.is_empty(), "p={p} trip {n}/{total}: lost progress");
-                }
-                other => panic!("p={p} trip {n}/{total}: expected Exhausted, got {other:?}"),
-            }
-        }
-        let retry = ExecCtx::with_parallelism(Budget::unlimited(), p);
-        let verdict = check_exhaustive_ctx(&v, &q, 3, 1 << 26, &retry).expect("retry");
-        // (The retry is the same workload: a conclusive verdict proves
-        // the injected faults left no poisoned state behind.)
-        assert!(
-            matches!(verdict, SemanticVerdict::NoCounterexampleUpTo(3)),
-            "p={p}: retry after faults must reproduce the baseline, got {verdict:?}"
-        );
-    }
-}
-
 // ---------------------------------------------------------------------
 // Observability: foreign-shard counters are absorbed exactly.
 // ---------------------------------------------------------------------
@@ -404,11 +307,11 @@ fn parallel_profile_accounts_for_every_engine_counter() {
 }
 
 // ---------------------------------------------------------------------
-// Wire: requested parallelism is clamped and reported.
+// Wire: requested parallelism is ignored.
 // ---------------------------------------------------------------------
 
 #[test]
-fn server_clamps_requested_parallelism_and_reports_threads_used() {
+fn server_ignores_requested_parallelism() {
     let handle = server::spawn(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 2,
@@ -423,18 +326,17 @@ fn server_clamps_requested_parallelism_and_reports_threads_used() {
         query: "Q(x,z) :- E(x,y), E(y,z).".to_owned(),
         extent: "V(A,B). V(B,C). V(C,D).".to_owned(),
     };
-    // A plain call is sequential: no `threads_used` claim on the wire.
-    let seq = client.call(Limits::none(), request.clone()).expect("sequential call");
-    assert_eq!(seq.work.threads_used, 0, "sequential requests must not claim fan-out");
-    // Requesting more than the server's engine pool clamps to it.
+    let plain = client.call(Limits::none(), request.clone()).expect("plain call");
     let envelope = Envelope::new("par-1", Limits::none(), request).with_parallelism(8);
-    let par = client
+    let asked = client
         .call_raw(&envelope.to_json().to_string())
-        .expect("parallel call");
-    assert_eq!(par.outcome, seq.outcome, "parallel reply must be byte-identical");
+        .expect("parallelism-8 call");
+    assert_eq!(asked.outcome, plain.outcome, "parallelism must not change the answer");
     assert_eq!(
-        par.work.threads_used, 3,
-        "requested width 8 must clamp to the server's 3 engine threads"
+        (plain.work.threads_used, asked.work.threads_used),
+        (0, 0),
+        "every request runs on one worker thread"
     );
+    assert_eq!(asked.work.steps, plain.work.steps, "budget accounting stays exact");
     let _ = handle.shutdown();
 }
