@@ -13,14 +13,18 @@
 //! repro --ceiling N        # --escalate gives up past this (default 2^24)
 //! ```
 //!
+//! `--steps` and `--escalate` exclude each other, and `--start` and
+//! `--ceiling` need `--escalate`; a contradictory command line is a
+//! usage error (exit code 2) rather than a run that ignores a flag.
+//!
 //! With `--escalate` each experiment starts under a small step budget;
 //! whenever the run trips (reports a partial table) the budget doubles
 //! and the experiment reruns from scratch — experiments are seeded, so a
 //! completed rerun produces exactly the verdict an unbudgeted run would.
 
 use vqd_bench::experiments;
-use vqd_budget::Budget;
 use vqd_bench::report::Report;
+use vqd_budget::Budget;
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -29,19 +33,14 @@ fn die(msg: &str) -> ! {
 
 fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).map(|i| {
-        let v = args
-            .get(i + 1)
-            .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-            .clone();
+        let v = args.get(i + 1).unwrap_or_else(|| die(&format!("{flag} needs a value"))).clone();
         args.drain(i..=i + 1);
         v
     })
 }
 
 fn parse_number(flag: &str, value: &str) -> u64 {
-    value
-        .parse()
-        .unwrap_or_else(|_| die(&format!("{flag} takes a number, got `{value}`")))
+    value.parse().unwrap_or_else(|_| die(&format!("{flag} takes a number, got `{value}`")))
 }
 
 /// Runs `id` under budgets `start, 2·start, 4·start, …`, returning the
@@ -78,15 +77,15 @@ fn main() {
     let json_dir = take_flag_value(&mut args, "--json");
     let step_limit: Option<u64> =
         take_flag_value(&mut args, "--steps").map(|v| parse_number("--steps", &v));
-    let escalate = args.iter().position(|a| a == "--escalate").map(|i| {
-        args.remove(i);
-    });
-    let start: u64 = take_flag_value(&mut args, "--start")
-        .map(|v| parse_number("--start", &v))
-        .unwrap_or(1 << 10);
-    let ceiling: u64 = take_flag_value(&mut args, "--ceiling")
-        .map(|v| parse_number("--ceiling", &v))
-        .unwrap_or(1 << 24);
+    let escalate = args.iter().position(|a| a == "--escalate").map(|i| args.remove(i)).is_some();
+    let start = take_flag_value(&mut args, "--start").map(|v| parse_number("--start", &v));
+    let ceiling = take_flag_value(&mut args, "--ceiling").map(|v| parse_number("--ceiling", &v));
+    if escalate && step_limit.is_some() {
+        die("--steps cannot be combined with --escalate, which sets its own budgets (see --start)");
+    }
+    if !escalate && (start.is_some() || ceiling.is_some()) {
+        die("--start and --ceiling apply only with --escalate");
+    }
 
     let ids: Vec<String> = if args.is_empty() {
         experiments::IDS.iter().map(|s| s.to_string()).collect()
@@ -97,8 +96,8 @@ fn main() {
     let reports: Vec<Report> = ids
         .iter()
         .map(|id| {
-            if escalate.is_some() {
-                run_escalating(id, start, ceiling)
+            if escalate {
+                run_escalating(id, start.unwrap_or(1 << 10), ceiling.unwrap_or(1 << 24))
             } else {
                 // One budget per experiment so step counters don't leak
                 // across tables.

@@ -32,7 +32,9 @@ pub fn e17(samples: usize, seed: u64, budget: &Budget) -> Report {
     // 1. Agreement sweep on random constant-free pairs.
     let (mut agree, mut both_yes, mut both_no) = (0usize, 0usize, 0usize);
     for done in 0..samples {
-        if let Err(e) = budget.checkpoint_with(&format_args!("E17: {done} of {samples} pairs compared")) {
+        if let Err(e) =
+            budget.checkpoint_with(&format_args!("E17: {done} of {samples} pairs compared"))
+        {
             report.trip(&e);
             return report;
         }
@@ -46,9 +48,8 @@ pub fn e17(samples: usize, seed: u64, budget: &Budget) -> Report {
             }
             Err(e) => panic!("E17: {e}"),
         };
-        let minicon_says = minicon_equivalent_rewriting(&views, &q)
-            .expect("constant-free pair")
-            .is_some();
+        let minicon_says =
+            minicon_equivalent_rewriting(&views, &q).expect("constant-free pair").is_some();
         if chase_says == minicon_says {
             agree += 1;
             if chase_says {
@@ -81,9 +82,7 @@ pub fn e17(samples: usize, seed: u64, budget: &Budget) -> Report {
             .expect("CQ")
             .clone();
         let rs = contained_rewritings(&views, &q).expect("constant-free pair");
-        let all_contained = rs.iter().all(|r| {
-            cq_contained(&expand_through_views(&views, r), &q)
-        });
+        let all_contained = rs.iter().all(|r| cq_contained(&expand_through_views(&views, r), &q));
         report.row(vec![
             "every contained rewriting has exp(R) ⊆ Q".into(),
             format!("{} rewriting(s), all contained: {all_contained}", rs.len()),
@@ -94,12 +93,8 @@ pub fn e17(samples: usize, seed: u64, budget: &Budget) -> Report {
     // 3. MCR = sound-view certain answers (chase cross-check).
     {
         let mut names = vqd_instance::DomainNames::new();
-        let prog = vqd_query::parse_program(
-            &schema,
-            &mut names,
-            "V(x,y) :- E(x,z), E(z,y).",
-        )
-        .expect("parses");
+        let prog = vqd_query::parse_program(&schema, &mut names, "V(x,y) :- E(x,z), E(z,y).")
+            .expect("parses");
         let views = vqd_chase::CqViews::new(vqd_query::ViewSet::new(&schema, prog.defs));
         let q = vqd_query::parse_query(
             &schema,

@@ -17,13 +17,22 @@ pub fn e9(max_edges: usize, budget: &Budget) -> Report {
     let mut report = Report::new(
         "E9",
         "Thm 5.2 / Lemma 5.3: query answering for ∃FO (CQ) views in NP ∩ coNP",
-        &["|extent|", "Lemma 5.3 bound", "chase (µs)", "NP search (µs)", "#preimages", "consistent"],
+        &[
+            "|extent|",
+            "Lemma 5.3 bound",
+            "chase (µs)",
+            "NP search (µs)",
+            "#preimages",
+            "consistent",
+        ],
     );
     let schema = Schema::new([("E", 2)]);
     let views = path_views(&schema, 1); // identity views: V = E
     let q = QueryExpr::Cq(path_query(&schema, 2));
     for edges in 1..=max_edges {
-        if let Err(e) = budget.checkpoint_with(&format_args!("E9: at extent size {edges} of {max_edges}")) {
+        if let Err(e) =
+            budget.checkpoint_with(&format_args!("E9: at extent size {edges} of {max_edges}"))
+        {
             report.trip(&e);
             return report;
         }
@@ -46,10 +55,8 @@ pub fn e9(max_edges: usize, budget: &Budget) -> Report {
         report.check(np.is_some(), "NP search finds a preimage");
 
         let conp = answer_conp(views.as_view_set(), &q, &extent, 0, 1 << 24);
-        let (inspected, consistent) = conp
-            .as_ref()
-            .map(|o| (o.preimages_inspected, o.consistent))
-            .unwrap_or((0, false));
+        let (inspected, consistent) =
+            conp.as_ref().map(|o| (o.preimages_inspected, o.consistent)).unwrap_or((0, false));
         report.check(consistent, "all preimages agree (V ↠ Q here)");
         if let (Some(np), Some(conp)) = (&np, &conp) {
             report.check(*np == conp.answer, "NP and coNP answers coincide");
@@ -146,12 +153,7 @@ pub fn e14(budget: &Budget) -> Report {
             sound.is_subset(&exact.certain) || sound.is_empty(),
             "sound-certain ⊆ exact-certain",
         );
-        report.row(vec![
-            "  └ sound-view chase".into(),
-            sound.to_string(),
-            "-".into(),
-            "-".into(),
-        ]);
+        report.row(vec!["  └ sound-view chase".into(), sound.to_string(), "-".into(), "-".into()]);
         report.note(
             "Exact-view certain answers are intersected over the *bounded* preimage space \
              and may over-approximate the unbounded notion; the sound-view chase row is exact.",

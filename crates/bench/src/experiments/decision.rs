@@ -31,7 +31,9 @@ pub fn e1(samples: usize, seed: u64, budget: &Budget) -> Report {
     let mut rng = StdRng::seed_from_u64(seed);
     let (mut determined, mut refuted, mut open, mut contradictions) = (0, 0, 0, 0);
     for done in 0..samples {
-        if let Err(e) = budget.checkpoint_with(&format_args!("E1: {done} of {samples} pairs checked")) {
+        if let Err(e) =
+            budget.checkpoint_with(&format_args!("E1: {done} of {samples} pairs checked"))
+        {
             report.trip(&e);
             break;
         }
@@ -48,7 +50,13 @@ pub fn e1(samples: usize, seed: u64, budget: &Budget) -> Report {
             }
             Err(e) => panic!("E1: {e}"),
         };
-        let sem = match check_exhaustive_ctx(views.as_view_set(), &QueryExpr::Cq(q.clone()), 2, 1 << 22, budget) {
+        let sem = match check_exhaustive_ctx(
+            views.as_view_set(),
+            &QueryExpr::Cq(q.clone()),
+            2,
+            1 << 22,
+            budget,
+        ) {
             Ok(SemanticVerdict::Exhausted(e)) | Err(VqdError::Exhausted(e)) => {
                 report.trip(&e);
                 break;
@@ -94,7 +102,9 @@ pub fn e2(samples: usize, seed: u64, budget: &Budget) -> Report {
     let mut rng = StdRng::seed_from_u64(seed);
     let (mut found, mut expansion_ok, mut instance_ok) = (0, 0, 0);
     while found < samples {
-        if let Err(e) = budget.checkpoint_with(&format_args!("E2: {found} of {samples} determined pairs verified")) {
+        if let Err(e) = budget
+            .checkpoint_with(&format_args!("E2: {found} of {samples} determined pairs verified"))
+        {
             report.trip(&e);
             break;
         }
@@ -172,7 +182,9 @@ pub fn e3(levels: usize, budget: &Budget) -> Report {
         report.check(in_d, "x̄ ∈ Q(D_k)");
         report.check(!in_dp, "x̄ ∉ Q(D'_k)");
     }
-    report.note("V(D_∞) = V(D'_∞) in the limit while Q separates them: the unrestricted counterexample.");
+    report.note(
+        "V(D_∞) = V(D'_∞) in the limit while Q separates them: the unrestricted counterexample.",
+    );
     report
 }
 
@@ -188,7 +200,9 @@ pub fn e13(samples: usize, seed: u64, budget: &Budget) -> Report {
     let mut rng = StdRng::seed_from_u64(seed);
     let (mut pos, mut neg, mut agree, mut total) = (0, 0, 0, 0);
     for done in 0..samples {
-        if let Err(e) = budget.checkpoint_with(&format_args!("E13: {done} of {samples} pairs checked")) {
+        if let Err(e) =
+            budget.checkpoint_with(&format_args!("E13: {done} of {samples} pairs checked"))
+        {
             report.trip(&e);
             break;
         }
@@ -198,11 +212,7 @@ pub fn e13(samples: usize, seed: u64, budget: &Budget) -> Report {
                 .map(|i| {
                     let mut q: Cq;
                     loop {
-                        q = random_cq(
-                            &schema,
-                            CqGen { atoms: 2, vars: 3, max_head: 1 },
-                            &mut rng,
-                        );
+                        q = random_cq(&schema, CqGen { atoms: 2, vars: 3, max_head: 1 }, &mut rng);
                         if q.arity() <= 1 {
                             break;
                         }
@@ -215,7 +225,13 @@ pub fn e13(samples: usize, seed: u64, budget: &Budget) -> Report {
         let q = random_cq(&schema, CqGen { atoms: 2, vars: 3, max_head: 1 }, &mut rng);
         total += 1;
         let decided = decide_boolean_unary(&views, &q);
-        let sem = match check_exhaustive_ctx(views.as_view_set(), &QueryExpr::Cq(q.clone()), 2, 1 << 22, budget) {
+        let sem = match check_exhaustive_ctx(
+            views.as_view_set(),
+            &QueryExpr::Cq(q.clone()),
+            2,
+            1 << 22,
+            budget,
+        ) {
             Ok(SemanticVerdict::Exhausted(e)) | Err(VqdError::Exhausted(e)) => {
                 report.trip(&e);
                 break;

@@ -24,7 +24,9 @@ pub fn e10(max_n: usize, budget: &Budget) -> Report {
         con.tau_pp.len()
     ));
     for n in 0..=max_n {
-        if let Err(e) = budget.checkpoint_with(&format_args!("E10: at universe size {n} of {max_n}")) {
+        if let Err(e) =
+            budget.checkpoint_with(&format_args!("E10: at universe size {n} of {max_n}"))
+        {
             report.trip(&e);
             return report;
         }
@@ -41,8 +43,7 @@ pub fn e10(max_n: usize, budget: &Budget) -> Report {
             if name.starts_with("Vzero") || name.starts_with("Vand") || name.starts_with("Vex_a") {
                 trivial &= image.rel(rel).is_empty();
             } else if name.starts_with("Vfull") || name.starts_with("Vex_b") {
-                trivial &=
-                    image.rel(rel) == &vqd_instance::Relation::full(decl.arity, &adom);
+                trivial &= image.rel(rel) == &vqd_instance::Relation::full(decl.arity, &adom);
             }
         }
         // Witness independence: a different maximal matching gives the
@@ -85,17 +86,9 @@ pub fn e11(budget: &Budget) -> Report {
         "Thm 5.1: φ_M views — Q_V computes the machine's graph query",
         &["machine", "graph", "V image = R1", "Q = q(R1)", "corrupt ⇒ silent"],
     );
-    let graphs: [&[(usize, usize)]; 3] = [
-        &[(0, 1), (1, 0)],
-        &[(0, 0), (0, 1), (1, 0)],
-        &[(0, 1), (1, 1), (1, 0)],
-    ];
-    for tm in [
-        Tm::instant_accept(),
-        Tm::bounce(),
-        Tm::complement(),
-        Tm::erase(),
-    ] {
+    let graphs: [&[(usize, usize)]; 3] =
+        [&[(0, 1), (1, 0)], &[(0, 0), (0, 1), (1, 0)], &[(0, 1), (1, 1), (1, 0)]];
+    for tm in [Tm::instant_accept(), Tm::bounce(), Tm::complement(), Tm::erase()] {
         let con = theorem_5_1(&tm);
         for edges in graphs {
             if let Err(e) = budget.checkpoint_with(&format_args!("E11: at machine `{}`", tm.name)) {
@@ -108,9 +101,7 @@ pub fn e11(budget: &Budget) -> Report {
             let out = eval_fo(&con.query, &inst);
             let expected = reference_query(&tm, 2, edges);
             let q_ok = out.len() == expected.len()
-                && expected
-                    .iter()
-                    .all(|&(u, v)| out.contains(&[named(u as u32), named(v as u32)]));
+                && expected.iter().all(|&(u, v)| out.contains(&[named(u as u32), named(v as u32)]));
             // Corruption: drop an order tuple — φ_M fails, everything
             // goes silent.
             let mut corrupt = inst.clone();

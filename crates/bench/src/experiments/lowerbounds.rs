@@ -17,11 +17,7 @@ fn witness_report(
     domains: std::ops::RangeInclusive<usize>,
     budget: &Budget,
 ) -> Report {
-    let mut report = Report::new(
-        id,
-        title,
-        &["fact", "value"],
-    );
+    let mut report = Report::new(id, title, &["fact", "value"]);
     let (i1, i2) = w.images();
     let (a1, a2) = w.answers();
     report.row(vec!["V(D1) ⊆ V(D2)".into(), i1.is_subinstance_of(&i2).to_string()]);
@@ -31,8 +27,7 @@ fn witness_report(
     report.check(w.exhibits_nonmonotonicity(), "Q_V non-monotone on the paper's pair");
     let mut determined = true;
     for n in domains {
-        match check_exhaustive_ctx(&w.views, &QueryExpr::Cq(w.query.clone()), n, 1 << 22, budget)
-        {
+        match check_exhaustive_ctx(&w.views, &QueryExpr::Cq(w.query.clone()), n, 1 << 22, budget) {
             Ok(SemanticVerdict::Exhausted(e)) | Err(VqdError::Exhausted(e)) => {
                 report.trip(&e);
                 return report;
@@ -79,7 +74,9 @@ pub fn e7(budget: &Budget) -> Report {
     let r = prop_5_12_fo_rewriting(&w);
     let mut exact = true;
     for d in vqd_instance::gen::InstanceEnumerator::new(&w.schema, 2) {
-        if let Err(e) = budget.checkpoint_with(&"E7: verifying the FO rewriting over domain-2 instances") {
+        if let Err(e) =
+            budget.checkpoint_with(&"E7: verifying the FO rewriting over domain-2 instances")
+        {
             report.trip(&e);
             return report;
         }
@@ -129,11 +126,12 @@ pub fn e8(budget: &Budget) -> Report {
         let prog = Program::parse(&pschema, &mut names, src).expect("candidate parses");
         assert!(prog.is_negation_free(), "candidates must be Datalog^≠ (monotone)");
         let ans = pschema.rel("Ans");
-        let run = |edb: &Instance| match eval_program_budgeted(&prog, edb, Strategy::SemiNaive, budget) {
-            Ok(db) => Ok(db),
-            Err(EvalError::Exhausted { info, .. }) => Err(*info),
-            Err(e) => panic!("E8: {e}"),
-        };
+        let run =
+            |edb: &Instance| match eval_program_budgeted(&prog, edb, Strategy::SemiNaive, budget) {
+                Ok(db) => Ok(db),
+                Err(EvalError::Exhausted { info, .. }) => Err(*info),
+                Err(e) => panic!("E8: {e}"),
+            };
         let (out1, out2) = match (run(&e1), run(&e2)) {
             (Ok(a), Ok(b)) => (a, b),
             (Err(e), _) | (_, Err(e)) => {
@@ -176,16 +174,16 @@ pub fn e12(budget: &Budget) -> Report {
         }
     };
     let invariant = parse(&mut names, "F() := exists x y. x != y.");
-    let sensitive = parse(
-        &mut names,
-        "F() := exists x. (P(x) & forall y. (y != x -> lt(x,y))).",
-    );
-    for (construction, is_57) in [("Prop 5.7 (CQ¬ views)", true), ("Example 3.2 (FO Rψ view)", false)] {
-        for (phi, label, inv) in [
-            (&invariant, "∃≥2 elements", true),
-            (&sensitive, "min(<) ∈ P", false),
-        ] {
-            if let Err(e) = budget.checkpoint_with(&format_args!("E12: at `{construction}` × `{label}`")) {
+    let sensitive = parse(&mut names, "F() := exists x. (P(x) & forall y. (y != x -> lt(x,y))).");
+    for (construction, is_57) in
+        [("Prop 5.7 (CQ¬ views)", true), ("Example 3.2 (FO Rψ view)", false)]
+    {
+        for (phi, label, inv) in
+            [(&invariant, "∃≥2 elements", true), (&sensitive, "min(<) ∈ P", false)]
+        {
+            if let Err(e) =
+                budget.checkpoint_with(&format_args!("E12: at `{construction}` × `{label}`"))
+            {
                 report.trip(&e);
                 return report;
             }
@@ -196,8 +194,7 @@ pub fn e12(budget: &Budget) -> Report {
             };
             let mut determined = true;
             for n in 1..=3 {
-                match check_exhaustive_ctx(&views, &QueryExpr::Fo(q.clone()), n, 1 << 22, budget)
-                {
+                match check_exhaustive_ctx(&views, &QueryExpr::Fo(q.clone()), n, 1 << 22, budget) {
                     Ok(SemanticVerdict::Exhausted(e)) | Err(VqdError::Exhausted(e)) => {
                         report.trip(&e);
                         return report;
@@ -216,10 +213,7 @@ pub fn e12(budget: &Budget) -> Report {
                 inv.to_string(),
                 determined.to_string(),
             ]);
-            report.check(
-                determined == inv,
-                "determinacy ⟺ order invariance (on these φ)",
-            );
+            report.check(determined == inv, "determinacy ⟺ order invariance (on these φ)");
         }
     }
     report.note("For order-invariant φ beyond FO (Gurevich), no FO rewriting exists — the classical part we cite rather than re-prove.");

@@ -23,8 +23,8 @@ use vqd_budget::Budget;
 
 /// All experiment ids, in order.
 pub const IDS: [&str; 17] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
-    "e14", "e15", "e16", "e17",
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
+    "e16", "e17",
 ];
 
 /// Runs every experiment with its default parameters, in id order.
@@ -40,9 +40,7 @@ pub fn run_one(id: &str) -> Option<Report> {
 /// [`run_all`] drawing on `budget`. Each experiment gets its own stats
 /// window (steps/tuples are deltas, not the budget's lifetime totals).
 pub fn run_all_budgeted(budget: &Budget) -> Vec<Report> {
-    IDS.iter()
-        .map(|id| run_one_budgeted(id, budget).expect("known id"))
-        .collect()
+    IDS.iter().map(|id| run_one_budgeted(id, budget).expect("known id")).collect()
 }
 
 /// [`run_one`] drawing on `budget`; fills [`Report::stats`].

@@ -62,11 +62,7 @@ pub fn e15(budget: &Budget) -> Report {
     }
     // Direction-forgetting views: condition (ii) fails.
     {
-        let (v, q) = setup(
-            &schema,
-            "V(x,y) :- E(x,y).\nV(x,y) :- E(y,x).",
-            "Q(x,y) :- E(x,y).",
-        );
+        let (v, q) = setup(&schema, "V(x,y) :- E(x,y).\nV(x,y) :- E(y,x).", "Q(x,y) :- E(x,y).");
         let mut d = Instance::empty(&schema);
         d.insert_named("E", vec![named(0), named(1)]);
         let r = proposition_4_3(&v, &q, &d);
@@ -113,11 +109,7 @@ pub fn e16(budget: &Budget) -> Report {
     }
     // A second CQ pair, determined through a join.
     {
-        let (v, q) = setup(
-            &schema,
-            "V(x,y) :- E(x,y).",
-            "Q(x,y) :- E(x,y), E(y,y).",
-        );
+        let (v, q) = setup(&schema, "V(x,y) :- E(x,y).", "Q(x,y) :- E(x,y), E(y,y).");
         let p = qv_monotonicity_probe(&v, &q, 3, 1 << 26).expect("fits");
         report.row(vec![
             "CQ determined (loop join)".into(),

@@ -152,11 +152,7 @@ pub fn e5(budget: &Budget) -> Report {
             return report;
         }
         let phi = sentence(src);
-        let (views, q) = if *use_sat {
-            from_satisfiability(&phi)
-        } else {
-            from_validity(&phi)
-        };
+        let (views, q) = if *use_sat { from_satisfiability(&phi) } else { from_validity(&phi) };
         let mut determined = true;
         for n in 1..=3 {
             match check_exhaustive_ctx(&views, &q, n, 1 << 22, budget) {

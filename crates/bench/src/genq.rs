@@ -1,5 +1,5 @@
-//! Random query and view generators for the E1/E2/E13 sweeps and the
-//! Criterion benchmarks.
+//! Query and view generators: random CQs for the E1/E2/E13 sweeps, and
+//! the path families the `fixpoint` engine bench and the experiments use.
 
 use rand::Rng;
 use vqd_chase::CqViews;
@@ -26,9 +26,8 @@ pub fn random_cq(schema: &Schema, p: CqGen, rng: &mut impl Rng) -> Cq {
     assert!(!rels.is_empty(), "schema needs a non-propositional relation");
     for _ in 0..p.atoms {
         let rel = rels[rng.gen_range(0..rels.len())];
-        let args: Vec<Term> = (0..schema.arity(rel))
-            .map(|_| Term::Var(vars[rng.gen_range(0..vars.len())]))
-            .collect();
+        let args: Vec<Term> =
+            (0..schema.arity(rel)).map(|_| Term::Var(vars[rng.gen_range(0..vars.len())])).collect();
         q.atoms.push(vqd_query::Atom::new(rel, args));
     }
     // Head: a sample of variables that actually occur (safety).
@@ -44,19 +43,11 @@ pub fn random_cq(schema: &Schema, p: CqGen, rng: &mut impl Rng) -> Cq {
 }
 
 /// Samples a set of `count` CQ views over `schema`.
-pub fn random_cq_views(
-    schema: &Schema,
-    count: usize,
-    p: CqGen,
-    rng: &mut impl Rng,
-) -> CqViews {
+pub fn random_cq_views(schema: &Schema, count: usize, p: CqGen, rng: &mut impl Rng) -> CqViews {
     let defs: Vec<(String, QueryExpr)> = (0..count)
-        .map(|i| {
-            // Views need at least arity prospects; resample until the head
-            // is non-degenerate often enough (Boolean views are fine too).
-            let q = random_cq(schema, p, rng);
-            (format!("V{i}"), QueryExpr::Cq(q))
-        })
+        // One sample per view, kept as drawn: a Boolean (arity-0) head
+        // is a valid view too.
+        .map(|i| (format!("V{i}"), QueryExpr::Cq(random_cq(schema, p, rng))))
         .collect();
     CqViews::new(ViewSet::new(schema, defs))
 }

@@ -4,7 +4,8 @@
 //!   printed by the `repro` binary and asserted by the integration suite;
 //! * [`genq`] — random query/view generators;
 //! * [`report`] — the table formatter;
-//! * `benches/` — the Criterion figures F1–F8.
+//! * the `fixpoint` binary — the engine bench, whose report
+//!   (`BENCH_engine.json`) holds the figures F1–F8.
 
 #![warn(missing_docs)]
 

@@ -111,9 +111,7 @@ impl Report {
             format!("[{}]", items.collect::<Vec<_>>().join(","))
         }
         let headers = arr(self.headers.iter().map(|h| format!("\"{}\"", esc(h))));
-        let rows = arr(self.rows.iter().map(|r| {
-            arr(r.iter().map(|c| format!("\"{}\"", esc(c))))
-        }));
+        let rows = arr(self.rows.iter().map(|r| arr(r.iter().map(|c| format!("\"{}\"", esc(c))))));
         let notes = arr(self.notes.iter().map(|n| format!("\"{}\"", esc(n))));
         let stats = match &self.stats {
             None => "null".to_owned(),

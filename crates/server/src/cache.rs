@@ -40,10 +40,10 @@
 //! see them without a separate plumbing path.
 //!
 //! With [`CacheConfig::disk`] set, a crash-only [`DiskTier`] backs the
-//! RAM LRU: `insert_index` writes through to an append-only segment, a
-//! RAM miss falls back to a verified disk load that is promoted back
-//! into the LRU, the handle table snapshots atomically on every
-//! mutation, and startup warm-restores both — so a restarted server
+//! RAM LRU: every `insert_derived` writes through to an append-only
+//! segment, a RAM miss falls back to a verified disk load that is
+//! promoted back into the LRU, the handle table snapshots atomically on
+//! every mutation, and startup warm-restores both — so a restarted server
 //! answers its first handle request with zero index builds. Every disk
 //! failure (torn write, truncation, bit flip, I/O error, fingerprint
 //! mismatch) degrades to a counted clean miss; see [`crate::disk`].
@@ -55,7 +55,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use vqd_instance::{IndexedInstance, NameTable};
 use vqd_obs::Registry;
 
@@ -209,6 +209,15 @@ fn hash64(parts: &[&str]) -> u64 {
     h.finish()
 }
 
+/// Locks a shard. Cache state stays consistent across a poisoned lock
+/// (plain maps + saturating totals), so recover rather than wedge.
+fn lock_recovering(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    match shard.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
 /// Stable derived-entry key for one `(request context, extent)` pair.
 /// The context hash covers the schema/views/query *sources* because the
 /// request-local constant interning (and therefore the cached index's
@@ -262,7 +271,7 @@ impl InstanceCache {
 
     /// Rehydrates RAM state from the disk tier (no-op without one):
     /// handle table + `next_handle` from the snapshot, then derived
-    /// entries newest-spill-first until the RAM budget is full,
+    /// entries newest-spill-first into the room each shard has left,
     /// inserted oldest-first so recency order survives the restart.
     fn warm_restore(&self) {
         let Some(tier) = self.tier.clone() else { return };
@@ -275,24 +284,42 @@ impl InstanceCache {
                 self.insert(handle, Slot::Handle(entry), bytes);
             }
         }
-        // Only the budget left over after the handle table: restored
-        // handles must never be evicted by the entries they anchor.
-        let room_entries = self
-            .config
-            .max_entries
-            .saturating_sub(self.entries.load(Ordering::Relaxed) as usize);
-        let room_bytes =
-            self.config.max_bytes.saturating_sub(self.bytes.load(Ordering::Relaxed));
+        // Only the room each shard has left after the handle table:
+        // `insert` enforces per-shard budgets, so a record admitted
+        // against global room could evict a restored handle in its shard,
+        // and restored handles must never be evicted by the entries they
+        // anchor. The first record that does not fit closes its shard;
+        // older spills there stay disk-resident and are promoted on a miss.
+        let (max_entries, max_bytes) = self.shard_budget();
+        let mut room: Vec<(u64, u64)> = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let shard = lock_recovering(shard);
+                let bytes: u64 = shard.map.values().map(|e| e.bytes).sum();
+                (
+                    max_entries.saturating_sub(shard.map.len() as u64),
+                    max_bytes.saturating_sub(bytes),
+                )
+            })
+            .collect();
         let mut picked = Vec::new();
-        let mut picked_bytes = 0u64;
         for key in tier.keys_newest_first() {
-            if picked.len() >= room_entries || picked_bytes >= room_bytes {
-                break; // older spills stay disk-resident: promote on miss
+            if room.iter().all(|&(entries, _)| entries == 0) {
+                break;
             }
-            if let Some(derived) = tier.load(&key) {
-                picked_bytes += derived.approx_bytes();
-                picked.push((key, derived));
+            let (entries, bytes) = &mut room[self.shard_index(&key)];
+            if *entries == 0 {
+                continue;
             }
+            let Some(derived) = tier.load(&key) else { continue };
+            if derived.approx_bytes() > *bytes {
+                *entries = 0;
+                continue;
+            }
+            *entries -= 1;
+            *bytes -= derived.approx_bytes();
+            picked.push((key, derived));
         }
         for (key, derived) in picked.into_iter().rev() {
             let bytes = derived.approx_bytes();
@@ -300,17 +327,23 @@ impl InstanceCache {
         }
     }
 
-    fn shard(&self, key: &str) -> &Mutex<Shard> {
-        &self.shards[(hash64(&[key]) as usize) % self.shards.len()]
+    fn shard_index(&self, key: &str) -> usize {
+        (hash64(&[key]) as usize) % self.shards.len()
     }
 
-    fn lock(&self, key: &str) -> std::sync::MutexGuard<'_, Shard> {
-        // Cache state stays consistent across a poisoned lock (plain
-        // maps + saturating totals), so recover rather than wedge.
-        match self.shard(key).lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    fn shard(&self, key: &str) -> &Mutex<Shard> {
+        &self.shards[self.shard_index(key)]
+    }
+
+    fn lock(&self, key: &str) -> MutexGuard<'_, Shard> {
+        lock_recovering(self.shard(key))
+    }
+
+    /// Per-shard `(entries, bytes)` budgets: the totals split evenly, at
+    /// least one entry so a hot shard can always hold its newest value.
+    fn shard_budget(&self) -> (u64, u64) {
+        let shards = self.shards.len() as u64;
+        ((self.config.max_entries as u64 / shards).max(1), (self.config.max_bytes / shards).max(1))
     }
 
     fn tick(&self) -> u64 {
@@ -457,11 +490,7 @@ impl InstanceCache {
 
     fn insert(&self, key: String, slot: Slot, bytes: u64) {
         let stamp = self.tick();
-        let shards = self.shards.len() as u64;
-        // Per-shard budgets: totals split evenly, at least one entry so
-        // a hot shard can always hold its newest value.
-        let max_entries = (self.config.max_entries as u64 / shards).max(1);
-        let max_bytes = (self.config.max_bytes / shards).max(1);
+        let (max_entries, max_bytes) = self.shard_budget();
         let mut victims: Vec<(String, Entry)> = Vec::new();
         {
             let mut shard = self.lock(&key);
@@ -554,10 +583,7 @@ impl InstanceCache {
         let generation = self.handle_gen.load(Ordering::SeqCst);
         let mut handles: Vec<(String, HandleEntry)> = Vec::new();
         for shard in &self.shards {
-            let guard = match shard.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let guard = lock_recovering(shard);
             for (key, entry) in guard.map.iter() {
                 if let Slot::Handle(h) = &entry.slot {
                     handles.push((key.clone(), h.clone()));
@@ -689,6 +715,36 @@ mod tests {
         assert_ne!(a, b, "query source is part of the context");
         assert_ne!(a, c, "fingerprint is part of the key");
         assert_eq!(a, derived_key("E/2", "V(x,y) :- E(x,y).", "Q(x) :- E(x,y).", "fp"));
+    }
+
+    #[test]
+    fn warm_restore_keeps_every_snapshotted_handle() {
+        let dir = std::env::temp_dir()
+            .join(format!("vqd-cache-restore-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = CacheConfig {
+            shards: 4,
+            max_entries: 24,
+            disk: Some(DiskConfig::at(&dir)),
+            ..CacheConfig::default()
+        };
+        let live: Vec<String> = {
+            let c = cache(config.clone());
+            for i in 0..40 {
+                c.insert_index(format!("d:{i}"), small_index(2 + i % 5));
+            }
+            let handles: Vec<String> =
+                (0..15).map(|i| c.put(handle_entry(&format!("H{i}")))).collect();
+            handles.into_iter().filter(|h| c.get_handle(h).is_some()).collect()
+        };
+        assert!(live.len() >= 10, "most handles fit before the restart");
+        let c = cache(config);
+        for h in &live {
+            assert!(c.get_handle(h).is_some(), "{h} was snapshotted and must be restored");
+        }
+        assert_eq!(c.stats().evictions, 0, "the restore evicts nothing");
+        assert!(c.stats().entries > live.len() as u64, "derived records fill the room left");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
