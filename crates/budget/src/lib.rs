@@ -129,7 +129,10 @@ impl fmt::Display for Exhausted {
         write!(
             f,
             "exhausted ({}) after {} steps / {} tuples / {:?}: {}",
-            self.reason, self.work_done.steps, self.work_done.tuples, self.work_done.elapsed,
+            self.reason,
+            self.work_done.steps,
+            self.work_done.tuples,
+            self.work_done.elapsed,
             self.partial
         )
     }
@@ -239,8 +242,7 @@ impl Budget {
     /// Wall-clock time left before the deadline (saturating at zero);
     /// `None` when no deadline is set.
     pub fn remaining_time(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
+        self.deadline.map(|d| d.saturating_duration_since(Instant::now()))
     }
 
     /// Checkpoints left before the step limit trips (saturating at
@@ -298,29 +300,18 @@ impl Budget {
 
     /// Snapshot of work done so far.
     pub fn work_done(&self) -> WorkStats {
-        WorkStats {
-            steps: self.steps(),
-            tuples: self.tuples(),
-            elapsed: self.started.elapsed(),
-        }
+        WorkStats { steps: self.steps(), tuples: self.tuples(), elapsed: self.started.elapsed() }
     }
 
     /// Builds the structured outcome for a trip observed now.
     fn exhausted(&self, reason: ExhaustReason, partial: &dyn fmt::Display) -> Exhausted {
-        Exhausted {
-            reason,
-            work_done: self.work_done(),
-            partial: partial.to_string(),
-        }
+        Exhausted { reason, work_done: self.work_done(), partial: partial.to_string() }
     }
 
     /// Records one unit of work and enforces every limit. Call at loop
     /// boundaries with a description of progress so far; the description
     /// is only rendered when the budget actually trips.
-    pub fn checkpoint_with(
-        &self,
-        partial: &dyn fmt::Display,
-    ) -> Result<(), Exhausted> {
+    pub fn checkpoint_with(&self, partial: &dyn fmt::Display) -> Result<(), Exhausted> {
         let steps = self.counters.steps.fetch_add(1, Ordering::Relaxed) + 1;
         // A tripped checkpoint is not completed work: report `steps - 1`,
         // or the last checkpoint the limit allows when that is lower.
@@ -359,11 +350,7 @@ impl Budget {
     }
 
     /// Charges `n` materialized tuples against the tuple limit.
-    pub fn charge_tuples(
-        &self,
-        n: u64,
-        partial: &dyn fmt::Display,
-    ) -> Result<(), Exhausted> {
+    pub fn charge_tuples(&self, n: u64, partial: &dyn fmt::Display) -> Result<(), Exhausted> {
         let tuples = self.counters.tuples.fetch_add(n, Ordering::Relaxed) + n;
         if let Some(limit) = self.tuple_limit {
             if tuples > limit {
@@ -580,9 +567,7 @@ mod tests {
 
     #[test]
     fn min_of_takes_stricter_limits() {
-        let a = Budget::unlimited()
-            .with_deadline(Duration::from_secs(3600))
-            .with_step_limit(10);
+        let a = Budget::unlimited().with_deadline(Duration::from_secs(3600)).with_step_limit(10);
         for _ in 0..4 {
             a.checkpoint().expect("within budget");
         }

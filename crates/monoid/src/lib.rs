@@ -74,9 +74,7 @@ impl OpTable {
 
     /// Does the operation have a two-sided identity element?
     pub fn identity(&self) -> Option<usize> {
-        (0..self.n).find(|&e| {
-            (0..self.n).all(|x| self.apply(e, x) == x && self.apply(x, e) == x)
-        })
+        (0..self.n).find(|&e| (0..self.n).all(|x| self.apply(e, x) == x && self.apply(x, e) == x))
     }
 
     /// The graph `{(x, y, x∘y)}` of the operation.

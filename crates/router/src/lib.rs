@@ -81,9 +81,7 @@ impl Fragment {
     /// One-line description of how requests in this fragment are routed.
     pub fn route(self) -> &'static str {
         match self {
-            Fragment::ProjectSelect => {
-                "direct polynomial decision procedure (no chase, no index)"
-            }
+            Fragment::ProjectSelect => "direct polynomial decision procedure (no chase, no index)",
             Fragment::PathQuery => "chase test / tower (terminates on this fragment)",
             Fragment::General => "budgeted semi-decision (undecidable in general)",
         }
@@ -227,8 +225,7 @@ pub fn decide_project_select(
         Term::Var(v) => *frozen_of.entry(v).or_insert_with(|| nulls.fresh()),
     };
     let fact: Vec<Value> = atom.args.iter().map(|&t| freeze_term(t, &mut frozen_of)).collect();
-    let frozen_head: Vec<Value> =
-        q.head.iter().map(|&t| freeze_term(t, &mut frozen_of)).collect();
+    let frozen_head: Vec<Value> = q.head.iter().map(|&t| freeze_term(t, &mut frozen_of)).collect();
     let mut frozen_query = Instance::empty(vs.input_schema());
     frozen_query.insert(atom.rel, fact.clone());
     budget.checkpoint_with(&format_args!("fast path: froze project-select query to 1 fact"))?;
@@ -280,8 +277,7 @@ pub fn decide_project_select(
     };
     for (rel, r) in s.iter() {
         for t in r.iter() {
-            let args: Vec<Term> =
-                t.iter().map(|&v| term_of(v, &mut q_v, &mut var_of)).collect();
+            let args: Vec<Term> = t.iter().map(|&v| term_of(v, &mut q_v, &mut var_of)).collect();
             q_v.atoms.push(Atom::new(rel, args));
         }
     }
@@ -487,10 +483,7 @@ mod tests {
         decide_project_select(&v, &q, &probe).unwrap();
         assert!(probe.steps() > 0, "fast path must reach checkpoints");
         let tripped = Budget::unlimited().trip_after(1);
-        assert!(matches!(
-            decide_project_select(&v, &q, &tripped),
-            Err(VqdError::Exhausted(_))
-        ));
+        assert!(matches!(decide_project_select(&v, &q, &tripped), Err(VqdError::Exhausted(_))));
     }
 
     #[test]
