@@ -29,7 +29,7 @@ use vqd_chase::{v_inverse_indexed, CqViews};
 use vqd_eval::{cq_contained, eval_cq_rows, eval_query, EvalInput};
 use vqd_exec::ExecInput;
 use vqd_instance::{IndexedInstance, Instance, NullGen, Relation};
-use vqd_query::{Cq, CqLang, QueryExpr, ViewSet};
+use vqd_query::{Atom, Cq, CqLang, QueryExpr, Term, ViewSet};
 
 /// Certain answers under the *sound view* assumption, for CQ views and a
 /// CQ query: evaluate `Q` on the canonical database `V_∅^{-1}(E)` and
@@ -233,6 +233,21 @@ impl CertainPlan {
     /// the query has no contained rewriting: no answer is ever certain.
     pub fn disjuncts(&self) -> &[Cq] {
         &self.disjuncts
+    }
+
+    /// Approximate bytes held, for cache accounting: each disjunct's
+    /// head, atoms and variable names at `size_of` cost, ignoring
+    /// allocator slack, like `IndexedInstance::approx_bytes`.
+    pub fn approx_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let terms = |n: usize| n * size_of::<Term>();
+        let disjunct = |d: &Cq| {
+            size_of::<Cq>()
+                + terms(d.head.len())
+                + d.atoms.iter().map(|a| size_of::<Atom>() + terms(a.args.len())).sum::<usize>()
+                + d.var_names.iter().map(|n| size_of::<String>() + n.len()).sum::<usize>()
+        };
+        (size_of::<Self>() + self.disjuncts.iter().map(disjunct).sum::<usize>()) as u64
     }
 
     /// Evaluates the plan over a view extent: the certain answers.

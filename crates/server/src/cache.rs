@@ -17,17 +17,22 @@
 //!   [`Derived`] holding a shared [`Arc<IndexedInstance>`] and the
 //!   *render table* of the request that built it — its [`DomainNames`]
 //!   after the views, the query and the extent were parsed, frozen into
-//!   a compact [`NameTable`]. Its [`DerivedKind`] says which
-//!   certain-answer route the index feeds: the extent itself for a pair
-//!   with a prepared plan, the chased canonical database `V_∅^{-1}(E)`
-//!   otherwise. The entry is keyed by the request context (schema,
-//!   views, query sources) plus the extent fingerprint, and the table is
-//!   a pure function of that key. A later request with the same key
-//!   evaluates over the cached index with **zero** index builds and
-//!   renders from the cached table, so the handle's source is **not
-//!   re-parsed**. A hit on an entry without a table (a record written
-//!   before tables were stored) parses the extent once, skips the
-//!   chase, and attaches the table.
+//!   a compact [`NameTable`] — and the pair's compiled
+//!   [`CertainPlan`] or the [`PlanFallback`] that sends it to the
+//!   chase. Its [`DerivedKind`] says which certain-answer route the
+//!   index feeds: the extent itself for a pair with a plan, the chased
+//!   canonical database `V_∅^{-1}(E)` otherwise. The entry is keyed by
+//!   the request context (schema, views, query sources) plus the extent
+//!   fingerprint, and the table and the plan are pure functions of that
+//!   key. A later request with the same key evaluates over the cached
+//!   index with **zero** index builds and no plan compile, and renders
+//!   from the cached table, so the handle's source is **not
+//!   re-parsed**. Plans live only here, so their bytes count against
+//!   [`CacheConfig::max_bytes`] and they are evicted with their entry.
+//!   A hit on an entry without a table or a plan (a disk record: plans
+//!   are never written to disk, and old records carry no table) fills
+//!   in what is missing — parsing the extent only for the table,
+//!   compiling only for the plan, never chasing — and re-inserts it.
 //!
 //! A handle is a cache *reference*, not a lease: under entry or byte
 //! pressure the LRU policy may evict it, and the client re-puts on an
@@ -50,12 +55,15 @@
 //!
 //! [`DomainNames`]: vqd_instance::DomainNames
 //! [`NameTable`]: vqd_instance::NameTable
+//! [`CertainPlan`]: vqd_core::certain::CertainPlan
+//! [`PlanFallback`]: vqd_core::certain::PlanFallback
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use vqd_core::certain::{CertainPlan, PlanFallback};
 use vqd_instance::{IndexedInstance, NameTable};
 use vqd_obs::Registry;
 
@@ -109,8 +117,12 @@ pub enum DerivedKind {
     Extent,
 }
 
+/// A pair's certain-answer plan, or why it takes the chase route.
+pub type PlanLookup = Result<Arc<CertainPlan>, PlanFallback>;
+
 /// A derived entry: an index for one certain-answer route and, once a
-/// request has rendered through it, that request's name table.
+/// request has served through it, that request's name table and the
+/// pair's plan lookup.
 #[derive(Clone, Debug)]
 pub struct Derived {
     /// The indexed instance: see [`Derived::kind`].
@@ -122,12 +134,21 @@ pub struct Derived {
     pub names: Option<Arc<NameTable>>,
     /// Which route `index` feeds.
     pub kind: DerivedKind,
+    /// The pair's compiled plan or its fallback reason. Every entry a
+    /// request builds holds one; `None` for entries inserted through
+    /// [`InstanceCache::insert_index`] or restored from disk, which
+    /// stores no plans.
+    pub plan: Option<PlanLookup>,
 }
 
 impl Derived {
-    /// Approximate bytes held, the name table included.
+    /// Approximate bytes held, the name table and the plan included.
     pub fn approx_bytes(&self) -> u64 {
-        self.index.approx_bytes() + self.names.as_ref().map_or(0, |n| n.approx_bytes())
+        let plan = match &self.plan {
+            Some(Ok(plan)) => plan.approx_bytes(),
+            _ => 0,
+        };
+        self.index.approx_bytes() + self.names.as_ref().map_or(0, |n| n.approx_bytes()) + plan
     }
 }
 
@@ -443,7 +464,8 @@ impl InstanceCache {
     /// segment-resident — derived keys are content-addressed, so equal
     /// keys mean equal indexes and equal name tables. A record spilled
     /// without a table therefore keeps none on disk, and its entry gets
-    /// the table again after each restart).
+    /// the table again after each restart; the plan is never written,
+    /// and is compiled again after each restart).
     pub fn insert_derived(&self, key: String, derived: Derived) {
         let bytes = derived.approx_bytes();
         if let Some(tier) = &self.tier {
@@ -452,15 +474,17 @@ impl InstanceCache {
         self.insert(key, Slot::Derived(derived), bytes);
     }
 
-    /// [`get_derived`](Self::get_derived) without the name table or kind.
+    /// [`get_derived`](Self::get_derived) without the name table, kind
+    /// or plan.
     pub fn get_index(&self, key: &str) -> Option<Arc<IndexedInstance>> {
         self.get_derived(key).map(|d| d.index)
     }
 
     /// [`insert_derived`](Self::insert_derived) of a chased entry
-    /// without a name table.
+    /// without a name table or plan.
     pub fn insert_index(&self, key: String, index: Arc<IndexedInstance>) {
-        self.insert_derived(key, Derived { index, names: None, kind: DerivedKind::Chased });
+        let derived = Derived { index, names: None, kind: DerivedKind::Chased, plan: None };
+        self.insert_derived(key, derived);
     }
 
     /// Current counters (disk fields all zero without a tier).
@@ -705,6 +729,31 @@ mod tests {
         c.insert_index("d:big".into(), small_index(64));
         assert!(c.get_index("d:big").is_some());
         assert_eq!(c.stats().entries, 1);
+    }
+
+    #[test]
+    fn derived_bytes_count_the_plan() {
+        let schema = Schema::new([("E", 2)]);
+        let mut names = vqd_instance::DomainNames::new();
+        let prog = vqd_query::parse_program(&schema, &mut names, "V(x,y) :- E(x,y).").unwrap();
+        let views = vqd_chase::CqViews::new(vqd_query::ViewSet::new(&schema, prog.defs));
+        let q = vqd_query::parse_query(&schema, &mut names, "Q(x,z) :- E(x,y), E(y,z).")
+            .unwrap()
+            .as_cq()
+            .unwrap()
+            .clone();
+        let plan = Arc::new(CertainPlan::compile(&views, &q).unwrap());
+        let bare = Derived {
+            index: small_index(4),
+            names: None,
+            kind: DerivedKind::Extent,
+            plan: None,
+        };
+        let fallback = Derived { plan: Some(Err(PlanFallback::SizeBound)), ..bare.clone() };
+        let planned = Derived { plan: Some(Ok(Arc::clone(&plan))), ..bare.clone() };
+        assert_eq!(fallback.approx_bytes(), bare.approx_bytes());
+        assert_eq!(planned.approx_bytes(), bare.approx_bytes() + plan.approx_bytes());
+        assert!(planned.approx_bytes() > bare.approx_bytes());
     }
 
     #[test]

@@ -35,7 +35,9 @@
 //! tables were stored — and still loads; a restored entry then gets
 //! its table from the first request that renders through it. Bytes
 //! after the instance that do not decode to exactly one table make the
-//! record corrupt.
+//! record corrupt. No record holds the entry's certain-answer plan: a
+//! restored entry gets it from the first request that serves through
+//! it, which compiles it once.
 //!
 //! ## Crash-only invariants
 //!
@@ -533,8 +535,12 @@ impl DiskTier {
     /// Appends a derived entry as a record of its kind, its name table
     /// (when it has one) as the trailer. Failures demote to counted
     /// no-ops; the key is indexed only after the record is fully on disk
-    /// (spill-then-index).
+    /// (spill-then-index). A key already in the segment is not encoded
+    /// again: records are append-only and content-addressed.
     pub fn spill(&self, key: &str, derived: &Derived) {
+        if self.lock().index.contains_key(key) {
+            return;
+        }
         let index = &derived.index;
         let fp64 = fingerprint_digest(index);
         let mut payload = encode_payload(derived.kind, key, fp64, index.instance());
@@ -628,7 +634,8 @@ impl DiskTier {
             Ok((kind, index, names)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.registry.counter("cache.disk_hits").inc();
-                Some(Derived { index: index.into_shared(), names: names.map(Arc::new), kind })
+                let index = index.into_shared();
+                Some(Derived { index, names: names.map(Arc::new), kind, plan: None })
             }
             Err(corrupt) => {
                 if corrupt {
@@ -938,7 +945,8 @@ mod tests {
     }
 
     fn sample(n: u32) -> Derived {
-        Derived { index: sample_index(n).into_shared(), names: None, kind: DerivedKind::Chased }
+        let index = sample_index(n).into_shared();
+        Derived { index, names: None, kind: DerivedKind::Chased, plan: None }
     }
 
     #[test]

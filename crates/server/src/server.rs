@@ -43,7 +43,7 @@
 //! partial progress — flush, then exit before the pool drains.
 
 use crate::cache::{CacheConfig, InstanceCache};
-use crate::engine::{EngineCtx, PlanMemo};
+use crate::engine::EngineCtx;
 use crate::metrics::Metrics;
 use crate::netpoll::{self, PollFd, WakeRx, Waker, POLLCLOSED, POLLIN, POLLOUT};
 use crate::pool::{Job, Pool, QueueHandle, SubmitError};
@@ -361,7 +361,6 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         started: Instant::now(),
         shutdown: shared.shutdown_token(),
         debug_ops: shared.caps.enable_debug_ops,
-        plans: Arc::new(PlanMemo::default()),
     };
     let pool = Pool::new(config.workers, config.queue_depth, ctx);
     let mut handles = Vec::with_capacity(io_threads);

@@ -458,7 +458,7 @@ fn server_routes_answer_byte_identically_and_count_their_route() {
     }
     // [plan, chase, compiles, fallbacks, constant, repeated, size, not plain]
     // Only the plan pair is compiled: the constant pair fails the cheap
-    // checks, which run before the memo.
+    // checks, which run before any compile.
     assert_eq!(counters(&mut c), [2, 4, 1, 2, 2, 0, 0, 0]);
     for pair in [REPEATED_PAIR, SIZE_PAIR] {
         let want = result(&send(&mut c, &inline(pair)));
