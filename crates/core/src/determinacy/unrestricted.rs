@@ -156,7 +156,7 @@ pub fn decide_unrestricted_budgeted(
                 evidence: None,
             })
         }
-        _ => decide_unrestricted_chase_budgeted(views, q, budget),
+        fragment => chase_test(views, q, fragment, budget),
     }
 }
 
@@ -168,13 +168,24 @@ pub fn decide_unrestricted_chase_budgeted(
     q: &Cq,
     budget: &Budget,
 ) -> Result<UnrestrictedOutcome, VqdError> {
+    chase_test(views, q, classify(views, q), budget)
+}
+
+/// [`decide_unrestricted_chase_budgeted`] for a pair already classified
+/// as `fragment`, which the outcome reports.
+fn chase_test(
+    views: &CqViews,
+    q: &Cq,
+    fragment: Fragment,
+    budget: &Budget,
+) -> Result<UnrestrictedOutcome, VqdError> {
     let can = try_canonical(views, q)?;
     let (determined, chased) = proposition_3_5_test_budgeted(views, &can, q, budget)?;
     let rewriting = determined.then(|| minimize_cq(&can.q_v));
     Ok(UnrestrictedOutcome {
         determined,
         rewriting,
-        fragment: classify(views, q),
+        fragment,
         fast_path: false,
         evidence: Some(Box::new(ChaseEvidence { canonical: can, chased })),
     })
