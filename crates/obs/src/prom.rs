@@ -124,8 +124,7 @@ mod tests {
         reg.counter("a_b").inc(); // collapses onto the same flat name
         reg.histogram("lat.ms", &LATENCY_BOUNDS_MS).observe(1);
         let text = render_prometheus(&reg.snapshot());
-        let mut helps: Vec<&str> =
-            text.lines().filter(|l| l.starts_with("# HELP ")).collect();
+        let mut helps: Vec<&str> = text.lines().filter(|l| l.starts_with("# HELP ")).collect();
         let total = helps.len();
         helps.sort_unstable();
         helps.dedup();

@@ -94,11 +94,7 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&self, v: u64) {
-        let i = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
+        let i = self.bounds.iter().position(|&b| v <= b).unwrap_or(self.bounds.len());
         self.buckets[i].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -227,11 +223,7 @@ impl Registry {
         RegistrySnapshot {
             counters: inner.counters.iter().map(|(k, c)| (k.clone(), c.get())).collect(),
             gauges: inner.gauges.iter().map(|(k, g)| (k.clone(), g.get())).collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, h)| (k.clone(), h.snapshot()))
-                .collect(),
+            histograms: inner.histograms.iter().map(|(k, h)| (k.clone(), h.snapshot())).collect(),
         }
     }
 }
@@ -250,18 +242,12 @@ pub struct RegistrySnapshot {
 impl RegistrySnapshot {
     /// Counter value by name (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map_or(0, |&(_, v)| v)
+        self.counters.iter().find(|(k, _)| k == name).map_or(0, |&(_, v)| v)
     }
 
     /// Gauge value by name (0 when absent).
     pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges
-            .iter()
-            .find(|(k, _)| k == name)
-            .map_or(0, |&(_, v)| v)
+        self.gauges.iter().find(|(k, _)| k == name).map_or(0, |&(_, v)| v)
     }
 
     /// Histogram snapshot by name.
@@ -273,10 +259,7 @@ impl RegistrySnapshot {
     /// Names absent from `earlier` count from zero; gauges and histograms
     /// are carried from `self` unchanged.
     pub fn counter_delta(&self, earlier: &RegistrySnapshot) -> Vec<(String, u64)> {
-        self.counters
-            .iter()
-            .map(|(k, v)| (k.clone(), v.wrapping_sub(earlier.counter(k))))
-            .collect()
+        self.counters.iter().map(|(k, v)| (k.clone(), v.wrapping_sub(earlier.counter(k)))).collect()
     }
 
     /// Lossless JSON encoding (`{"counters":{…},"gauges":{…},"histograms":{…}}`).
@@ -289,12 +272,7 @@ impl RegistrySnapshot {
             ("gauges", kv(&self.gauges)),
             (
                 "histograms",
-                Value::Obj(
-                    self.histograms
-                        .iter()
-                        .map(|(k, h)| (k.clone(), h.to_json()))
-                        .collect(),
-                ),
+                Value::Obj(self.histograms.iter().map(|(k, h)| (k.clone(), h.to_json())).collect()),
             ),
         ])
     }
@@ -303,10 +281,7 @@ impl RegistrySnapshot {
     pub fn from_json(v: &Value) -> Option<RegistrySnapshot> {
         let kv = |key: &str| -> Option<Vec<(String, u64)>> {
             let Some(Value::Obj(fields)) = v.get(key) else { return None };
-            fields
-                .iter()
-                .map(|(k, val)| val.as_u64().map(|n| (k.clone(), n)))
-                .collect()
+            fields.iter().map(|(k, val)| val.as_u64().map(|n| (k.clone(), n))).collect()
         };
         let Some(Value::Obj(hists)) = v.get("histograms") else { return None };
         Some(RegistrySnapshot {

@@ -129,13 +129,7 @@ pub fn span_at(name: &'static str, steps_now: u64) -> Span {
         d.set(v + 1);
         v
     });
-    Span {
-        name,
-        depth,
-        start: Some(Instant::now()),
-        steps_start: steps_now,
-        steps_end: steps_now,
-    }
+    Span { name, depth, start: Some(Instant::now()), steps_start: steps_now, steps_end: steps_now }
 }
 
 impl Span {
@@ -152,9 +146,7 @@ impl Drop for Span {
         let event = SpanEvent {
             name: self.name,
             depth: self.depth,
-            start_us: start
-                .checked_duration_since(epoch())
-                .map_or(0, |d| d.as_micros() as u64),
+            start_us: start.checked_duration_since(epoch()).map_or(0, |d| d.as_micros() as u64),
             duration_us: start.elapsed().as_micros() as u64,
             steps: self.steps_end - self.steps_start,
         };

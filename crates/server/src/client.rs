@@ -28,9 +28,7 @@
 //! [`RetryPolicy::seed`], via the workspace rand shim), so a thundering
 //! herd of retrying clients decorrelates without nondeterministic tests.
 
-use crate::proto::{
-    Envelope, ErrorKind, Limits, Outcome, Request, Response, WireMetrics,
-};
+use crate::proto::{Envelope, ErrorKind, Limits, Outcome, Request, Response, WireMetrics};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::Cell;
@@ -69,10 +67,7 @@ impl RetryPolicy {
     /// The jittered delay before retry number `attempt` (1-based).
     fn backoff_delay(&self, attempt: u32, rng: &mut StdRng) -> Duration {
         let doublings = attempt.saturating_sub(1).min(16);
-        let exp = self
-            .base_backoff
-            .saturating_mul(1u32 << doublings)
-            .min(self.max_backoff);
+        let exp = self.base_backoff.saturating_mul(1u32 << doublings).min(self.max_backoff);
         let nanos = (exp.as_nanos().min(u128::from(u64::MAX)) as u64).max(2);
         Duration::from_nanos(rng.gen_range(nanos / 2..=nanos))
     }
@@ -163,8 +158,7 @@ impl Client {
                 "server closed the connection",
             ));
         }
-        Response::from_line(line.trim())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        Response::from_line(line.trim()).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
     /// Issues one request under the given limits and blocks for the
@@ -200,10 +194,7 @@ impl Client {
     /// which requests the server already executed); protocol-level
     /// failures (`overloaded`, `exhausted`, errors) come back as
     /// structured outcomes at their request's position.
-    pub fn call_many(
-        &mut self,
-        requests: Vec<(Limits, Request)>,
-    ) -> io::Result<Vec<Response>> {
+    pub fn call_many(&mut self, requests: Vec<(Limits, Request)>) -> io::Result<Vec<Response>> {
         self.call_many_inner(requests, false)
     }
 
@@ -317,9 +308,7 @@ impl Client {
     /// re-applying the stored timeouts. On failure the old (dead)
     /// streams stay in place.
     fn reconnect(&mut self) -> io::Result<()> {
-        let addr = self
-            .addr
-            .ok_or_else(|| io::Error::other("no peer address to reconnect to"))?;
+        let addr = self.addr.ok_or_else(|| io::Error::other("no peer address to reconnect to"))?;
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(self.read_timeout.get())?;
@@ -353,13 +342,10 @@ impl Client {
     pub fn stats_full(&mut self) -> io::Result<(WireMetrics, vqd_obs::RegistrySnapshot)> {
         match self.call(Limits::none(), Request::Stats)?.outcome {
             Outcome::StatsSnapshot { metrics, registry } => Ok((metrics, registry)),
-            Outcome::Error { kind, message } => Err(io::Error::other(format!(
-                "stats failed [{}]: {message}",
-                kind.as_str()
-            ))),
-            other => Err(io::Error::other(format!(
-                "unexpected stats reply: {other}"
-            ))),
+            Outcome::Error { kind, message } => {
+                Err(io::Error::other(format!("stats failed [{}]: {message}", kind.as_str())))
+            }
+            other => Err(io::Error::other(format!("unexpected stats reply: {other}"))),
         }
     }
 
@@ -370,14 +356,12 @@ impl Client {
         schema: impl Into<String>,
         extent: impl Into<String>,
     ) -> io::Result<(String, String)> {
-        let request =
-            Request::PutInstance { schema: schema.into(), extent: extent.into() };
+        let request = Request::PutInstance { schema: schema.into(), extent: extent.into() };
         match self.call(Limits::none(), request)?.outcome {
             Outcome::InstancePut { handle, fingerprint, .. } => Ok((handle, fingerprint)),
-            Outcome::Error { kind, message } => Err(io::Error::other(format!(
-                "put_instance failed [{}]: {message}",
-                kind.as_str()
-            ))),
+            Outcome::Error { kind, message } => {
+                Err(io::Error::other(format!("put_instance failed [{}]: {message}", kind.as_str())))
+            }
             other => Err(io::Error::other(format!("unexpected put reply: {other}"))),
         }
     }
@@ -407,13 +391,10 @@ impl Client {
     pub fn flight(&mut self) -> io::Result<String> {
         match self.call(Limits::none(), Request::Flight)?.outcome {
             Outcome::FlightSnapshot { jsonl } => Ok(jsonl),
-            Outcome::Error { kind, message } => Err(io::Error::other(format!(
-                "flight failed [{}]: {message}",
-                kind.as_str()
-            ))),
-            other => Err(io::Error::other(format!(
-                "unexpected flight reply: {other}"
-            ))),
+            Outcome::Error { kind, message } => {
+                Err(io::Error::other(format!("flight failed [{}]: {message}", kind.as_str())))
+            }
+            other => Err(io::Error::other(format!("unexpected flight reply: {other}"))),
         }
     }
 
@@ -422,13 +403,10 @@ impl Client {
     pub fn metrics_prom(&mut self) -> io::Result<String> {
         match self.call(Limits::none(), Request::MetricsProm)?.outcome {
             Outcome::MetricsText { text } => Ok(text),
-            Outcome::Error { kind, message } => Err(io::Error::other(format!(
-                "metrics_prom failed [{}]: {message}",
-                kind.as_str()
-            ))),
-            other => Err(io::Error::other(format!(
-                "unexpected metrics_prom reply: {other}"
-            ))),
+            Outcome::Error { kind, message } => {
+                Err(io::Error::other(format!("metrics_prom failed [{}]: {message}", kind.as_str())))
+            }
+            other => Err(io::Error::other(format!("unexpected metrics_prom reply: {other}"))),
         }
     }
 
@@ -442,15 +420,11 @@ impl Client {
 /// Returns `Ok(())` for `ok` outcomes and a message otherwise.
 pub fn ensure_ok(response: &Response) -> Result<(), String> {
     match &response.outcome {
-        Outcome::Error { kind, message } => {
-            Err(format!("error [{}]: {message}", kind.as_str()))
+        Outcome::Error { kind, message } => Err(format!("error [{}]: {message}", kind.as_str())),
+        Outcome::Exhausted { reason, partial } => Err(format!("exhausted ({reason}): {partial}")),
+        Outcome::Overloaded { queue_depth, queue_capacity } => {
+            Err(format!("overloaded (queue {queue_depth}/{queue_capacity})"))
         }
-        Outcome::Exhausted { reason, partial } => {
-            Err(format!("exhausted ({reason}): {partial}"))
-        }
-        Outcome::Overloaded { queue_depth, queue_capacity } => Err(format!(
-            "overloaded (queue {queue_depth}/{queue_capacity})"
-        )),
         _ => Ok(()),
     }
 }
@@ -579,8 +553,7 @@ mod tests {
         });
         let mut c = Client::connect(addr).expect("connect");
         c.set_retry(Some(fast_policy()));
-        c.put_instance("V/2", "V(a,b).")
-            .expect_err("put_instance must fail without retrying");
+        c.put_instance("V/2", "V(a,b).").expect_err("put_instance must fail without retrying");
         assert_eq!(requests.load(Ordering::Relaxed), 1, "exactly one attempt");
         server.join().expect("server thread");
     }

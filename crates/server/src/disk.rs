@@ -174,10 +174,7 @@ impl FaultPlan {
             if cur == 0 {
                 return false;
             }
-            if slot
-                .compare_exchange(cur, cur - 1, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
+            if slot.compare_exchange(cur, cur - 1, Ordering::Relaxed, Ordering::Relaxed).is_ok() {
                 return cur == 1;
             }
         }
@@ -310,10 +307,7 @@ fn encode_instance(buf: &mut Vec<u8>, instance: &Instance) {
     for (rel, decl) in schema.iter() {
         put_str(buf, &decl.name);
         put_u32(buf, decl.arity as u32);
-        let relation = instance
-            .iter()
-            .find(|(r, _)| *r == rel)
-            .map(|(_, relation)| relation);
+        let relation = instance.iter().find(|(r, _)| *r == rel).map(|(_, relation)| relation);
         let tuples: Vec<_> = relation.map(|r| r.iter().collect()).unwrap_or_default();
         put_u32(buf, tuples.len() as u32);
         for tuple in tuples {
@@ -673,8 +667,7 @@ impl DiskTier {
             // is deterministic per key and lands past the header.
             let body = buf.len().saturating_sub(RECORD_HEADER_BYTES as usize);
             if body > 0 {
-                let pos = RECORD_HEADER_BYTES as usize
-                    + (fnv1a(key.as_bytes()) as usize) % body;
+                let pos = RECORD_HEADER_BYTES as usize + (fnv1a(key.as_bytes()) as usize) % body;
                 buf[pos] ^= 1 << (fnv1a(key.as_bytes()) % 8);
             }
         }
@@ -1147,8 +1140,7 @@ mod tests {
         let dir = temp_dir();
         let t = tier(&dir);
         let idx = sample_index(4);
-        let payload =
-            encode_derived_payload("d:other", fingerprint_digest(&idx), idx.instance());
+        let payload = encode_derived_payload("d:other", fingerprint_digest(&idx), idx.instance());
         let bytes = frame(&payload);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(t.segment_path(), &bytes).unwrap();

@@ -704,11 +704,7 @@ impl Response {
 
     /// An `error` response with zero work.
     pub fn error(id: impl Into<String>, kind: ErrorKind, message: impl Into<String>) -> Response {
-        Response::new(
-            id,
-            Outcome::Error { kind, message: message.into() },
-            WireStats::default(),
-        )
+        Response::new(id, Outcome::Error { kind, message: message.into() }, WireStats::default())
     }
 }
 
@@ -733,8 +729,8 @@ impl Envelope {
 
     /// Parses an envelope from one wire line.
     pub fn from_line(line: &str) -> Result<Envelope, (ErrorKind, String, String)> {
-        let v = json::parse(line)
-            .map_err(|e| (ErrorKind::Protocol, e.to_string(), String::new()))?;
+        let v =
+            json::parse(line).map_err(|e| (ErrorKind::Protocol, e.to_string(), String::new()))?;
         Envelope::from_json(&v)
     }
 
@@ -747,14 +743,15 @@ impl Envelope {
     /// version is always [`PROTOCOL_VERSION`]. `Err` names the first
     /// missing or malformed field, or a name the op does not use.
     pub fn from_fields(fields: &[(String, String)]) -> Result<Envelope, String> {
-        let obj = Value::Obj(
-            fields.iter().map(|(k, v)| (k.clone(), Value::from(v.as_str()))).collect(),
-        );
+        let obj =
+            Value::Obj(fields.iter().map(|(k, v)| (k.clone(), Value::from(v.as_str()))).collect());
         let used = Cell::new(0);
         let src = Src { obj: &obj, used: Some(&used) };
         let envelope = Envelope::take_fields(src, Scope::Top).map_err(|(_, message)| message)?;
         match (0..fields.len()).find(|&i| used.get() & 1 << i.min(63) == 0) {
-            Some(i) => Err(format!("op `{}` takes no field `{}`", envelope.request.op(), fields[i].0)),
+            Some(i) => {
+                Err(format!("op `{}` takes no field `{}`", envelope.request.op(), fields[i].0))
+            }
             None => Ok(envelope),
         }
     }
@@ -892,10 +889,16 @@ macro_rules! leaf {
 
 // Up to 2^64, not just 2^53: the writer rounds a large `u64` (a `u64::MAX`
 // cap) to the nearest `f64`, and it must read back, saturated.
-leaf!(u64, "non-negative integer", |n| Value::from(*n), |v| match v.as_f64() {
-    Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => Some(n as u64),
-    _ => None,
-}, |s| s.parse().ok());
+leaf!(
+    u64,
+    "non-negative integer",
+    |n| Value::from(*n),
+    |v| match v.as_f64() {
+        Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => Some(n as u64),
+        _ => None,
+    },
+    |s| s.parse().ok()
+);
 leaf!(bool, "boolean", |b| Value::from(*b), |v| v.as_bool(), |s| match s {
     // A bare switch (`--profile`) is `true`.
     "" | "true" => Some(true),
@@ -955,7 +958,14 @@ trait Rule<T> {
     fn take(self, src: Src, key: &str, field: &str, scope: Scope) -> Result<T, Fail>;
     /// What deleting the key, or giving it a wrong-typed value, decodes to.
     #[cfg(test)]
-    fn probe(&self, key: &'static str, v: &T, scope: Scope, path: &[&'static str], out: &mut Vec<Probe>);
+    fn probe(
+        &self,
+        key: &'static str,
+        v: &T,
+        scope: Scope,
+        path: &[&'static str],
+        out: &mut Vec<Probe>,
+    );
 }
 
 /// A leaf row. Without a default it is required: absent or wrong-typed
@@ -1004,7 +1014,14 @@ impl<T: Leaf + PartialEq> Rule<T> for Row<T> {
         }
     }
     #[cfg(test)]
-    fn probe(&self, key: &'static str, _: &T, scope: Scope, path: &[&'static str], out: &mut Vec<Probe>) {
+    fn probe(
+        &self,
+        key: &'static str,
+        _: &T,
+        scope: Scope,
+        path: &[&'static str],
+        out: &mut Vec<Probe>,
+    ) {
         out.push(match &self.default {
             Some(default) => {
                 let mut written = Vec::new();
@@ -1034,7 +1051,14 @@ impl<T: Record> Rule<T> for Flat {
         T::take_fields(src, scope)
     }
     #[cfg(test)]
-    fn probe(&self, _: &'static str, v: &T, scope: Scope, path: &[&'static str], out: &mut Vec<Probe>) {
+    fn probe(
+        &self,
+        _: &'static str,
+        v: &T,
+        scope: Scope,
+        path: &[&'static str],
+        out: &mut Vec<Probe>,
+    ) {
         v.probes(path, scope, out);
     }
 }
@@ -1067,7 +1091,14 @@ impl<T: Variants> Rule<T> for Tagged {
         T::take_variant(name, inner).unwrap_or_else(|| Err(T::unknown(name)))
     }
     #[cfg(test)]
-    fn probe(&self, key: &'static str, v: &T, _: Scope, path: &[&'static str], out: &mut Vec<Probe>) {
+    fn probe(
+        &self,
+        key: &'static str,
+        v: &T,
+        _: Scope,
+        path: &[&'static str],
+        out: &mut Vec<Probe>,
+    ) {
         let wrong = format!("missing `{key}.{}`", T::TAG);
         out.push(Probe::new(path, key, Err(format!("missing `{key}`")), wrong));
         v.probes(&[path, &[key]].concat(), out);
@@ -1099,7 +1130,14 @@ impl Rule<u64> for Version {
         }
     }
     #[cfg(test)]
-    fn probe(&self, key: &'static str, _: &u64, _: Scope, path: &[&'static str], out: &mut Vec<Probe>) {
+    fn probe(
+        &self,
+        key: &'static str,
+        _: &u64,
+        _: Scope,
+        path: &[&'static str],
+        out: &mut Vec<Probe>,
+    ) {
         out.push(Probe::required(path, key, format!("missing or non-numeric `{key}`")));
     }
 }
@@ -1127,7 +1165,14 @@ impl Rule<String> for HandleRef {
         handle.and_then(String::dec).ok_or_else(text)
     }
     #[cfg(test)]
-    fn probe(&self, key: &'static str, _: &String, scope: Scope, path: &[&'static str], out: &mut Vec<Probe>) {
+    fn probe(
+        &self,
+        key: &'static str,
+        _: &String,
+        scope: Scope,
+        path: &[&'static str],
+        out: &mut Vec<Probe>,
+    ) {
         out.push(Probe::required(path, key, scope.required(key, String::NOUN)));
     }
 }
@@ -1146,7 +1191,12 @@ struct Probe {
 
 #[cfg(test)]
 impl Probe {
-    fn new(path: &[&'static str], key: &'static str, absent: Result<Obj, String>, wrong: String) -> Probe {
+    fn new(
+        path: &[&'static str],
+        key: &'static str,
+        absent: Result<Obj, String>,
+        wrong: String,
+    ) -> Probe {
         Probe { path: path.to_vec(), key, absent, wrong }
     }
 
@@ -1634,9 +1684,8 @@ impl std::fmt::Display for Outcome {
                 // One line per op that has served traffic, with latency
                 // quantiles read off the histogram bucket bounds.
                 for (name, h) in &registry.histograms {
-                    let Some(op) = name
-                        .strip_prefix("op.")
-                        .and_then(|s| s.strip_suffix(".latency_ms"))
+                    let Some(op) =
+                        name.strip_prefix("op.").and_then(|s| s.strip_suffix(".latency_ms"))
                     else {
                         continue;
                     };
@@ -1814,7 +1863,14 @@ mod tests {
     }
 
     fn sample_work() -> WireStats {
-        WireStats { steps: 1, tuples: 2, elapsed_ms: 3, index_builds: 4, index_tuples: 5, threads_used: 6 }
+        WireStats {
+            steps: 1,
+            tuples: 2,
+            elapsed_ms: 3,
+            index_builds: 4,
+            index_tuples: 5,
+            threads_used: 6,
+        }
     }
 
     #[test]
@@ -1902,6 +1958,9 @@ mod tests {
         assert_eq!(build(&[("op", "frobnicate")]).unwrap_err(), "unknown op `frobnicate`");
         let semantic = [("op", "check_exhaustive"), ("schema", "E/2"), ("views", q), ("query", q)];
         let bad_domain = build(&[&semantic[..], &[("domain", "x")]].concat()).unwrap_err();
-        assert_eq!(bad_domain, "op `check_exhaustive` field `domain` must be a non-negative integer");
+        assert_eq!(
+            bad_domain,
+            "op `check_exhaustive` field `domain` must be a non-negative integer"
+        );
     }
 }

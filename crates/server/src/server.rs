@@ -337,8 +337,7 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     let registry = Arc::new(vqd_obs::Registry::new());
     // Building the cache may warm-restore a disk tier: index rebuilds
     // happen here, on the spawning thread, before any request runs.
-    let cache =
-        Arc::new(InstanceCache::new(config.caps.cache.clone(), Arc::clone(&registry)));
+    let cache = Arc::new(InstanceCache::new(config.caps.cache.clone(), Arc::clone(&registry)));
     let io_threads = config.caps.io_threads.max(1);
     let mut wakers = Vec::with_capacity(io_threads);
     let mut wake_rxs = Vec::with_capacity(io_threads);
@@ -789,8 +788,7 @@ impl IoLoop {
             } else {
                 conn.closing = true;
                 if conn.close_deadline.is_none() {
-                    conn.close_deadline =
-                        Some(Instant::now() + self.shared.caps.conn_read_timeout);
+                    conn.close_deadline = Some(Instant::now() + self.shared.caps.conn_read_timeout);
                 }
             }
         }
