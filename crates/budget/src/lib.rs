@@ -298,6 +298,24 @@ impl Budget {
             || self.trip_at.is_some()
     }
 
+    /// Whether a run that passes `work.steps` more checkpoints and
+    /// charges `work.tuples` more tuples would finish under this budget:
+    /// no step limit, tuple limit or fault-injection trip point is
+    /// reached, and the budget is not canceled. The deadline is not
+    /// consulted, so a caller can replay a recorded result of that run
+    /// instead of repeating it, with the outcome a repeat would have
+    /// had under every counter limit.
+    pub fn admits(&self, work: &WorkStats) -> bool {
+        let steps = self.steps().saturating_add(work.steps);
+        let tuples = self.tuples().saturating_add(work.tuples);
+        // The same comparisons as `checkpoint_with` and `charge_tuples`
+        // make at their last call.
+        self.trip_at.is_none_or(|at| steps < at)
+            && self.step_limit.is_none_or(|limit| steps <= limit)
+            && self.tuple_limit.is_none_or(|limit| tuples <= limit)
+            && !self.cancel.is_canceled()
+    }
+
     /// Snapshot of work done so far.
     pub fn work_done(&self) -> WorkStats {
         WorkStats { steps: self.steps(), tuples: self.tuples(), elapsed: self.started.elapsed() }
@@ -505,6 +523,47 @@ mod tests {
         let e = b.charge_tuples(1, &"11 tuples").expect_err("budget must trip");
         assert_eq!(e.reason, ExhaustReason::TupleLimit);
         assert_eq!(e.work_done.tuples, 11);
+    }
+
+    /// Whether `work.steps` checkpoints and then `work.tuples` charged
+    /// one at a time complete on `budget` without a trip.
+    fn replay_completes(budget: &Budget, work: &WorkStats) -> bool {
+        (0..work.steps).all(|_| budget.checkpoint().is_ok())
+            && (0..work.tuples).all(|_| budget.charge_tuples(1, &"").is_ok())
+    }
+
+    #[test]
+    fn admits_agrees_with_a_replay_at_every_limit() {
+        let work = WorkStats { steps: 5, tuples: 3, elapsed: Duration::ZERO };
+        for limit in [work.steps - 1, work.steps, work.steps + 1] {
+            let budgets = [
+                Budget::unlimited().with_step_limit(limit),
+                Budget::unlimited().with_tuple_limit(limit - 2),
+                Budget::unlimited().trip_after(limit),
+            ];
+            for budget in budgets {
+                let admitted = budget.admits(&work);
+                assert_eq!(admitted, replay_completes(&budget, &work), "{budget:?}");
+            }
+        }
+        // Limits that sit exactly at the work admit it; one below does not.
+        assert!(Budget::unlimited().with_step_limit(5).admits(&work));
+        assert!(!Budget::unlimited().with_step_limit(4).admits(&work));
+        assert!(Budget::unlimited().with_tuple_limit(3).admits(&work));
+        assert!(!Budget::unlimited().with_tuple_limit(2).admits(&work));
+        assert!(Budget::unlimited().trip_after(6).admits(&work));
+        assert!(!Budget::unlimited().trip_after(5).admits(&work));
+        // Work already spent counts, and a canceled budget admits nothing.
+        let spent = Budget::unlimited().with_step_limit(6);
+        spent.checkpoint().expect("within budget");
+        spent.checkpoint().expect("within budget");
+        assert!(!spent.admits(&work));
+        let canceled = Budget::unlimited();
+        canceled.cancel_token().cancel();
+        assert!(!canceled.admits(&WorkStats::default()));
+        // The deadline is not consulted.
+        let late = Budget::unlimited().with_deadline(Duration::ZERO);
+        assert!(late.admits(&work));
     }
 
     #[test]

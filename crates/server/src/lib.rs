@@ -74,7 +74,9 @@ pub mod proto;
 mod record;
 pub mod server;
 
-pub use cache::{CacheConfig, CacheCounters, Derived, DerivedKind, HandleEntry, InstanceCache};
+pub use cache::{
+    CacheConfig, CacheCounters, Derived, DerivedKind, HandleEntry, InstanceCache, PairVerdict,
+};
 pub use client::{Client, RetryPolicy};
 pub use disk::{DiskConfig, DiskCounters, DiskFault, DiskTier};
 pub use metrics::Metrics;
