@@ -78,13 +78,8 @@ pub fn analyze(views: &ViewSet, q: &QueryExpr, opts: AnalyzeOptions) -> Analysis
     let mut notes = Vec::new();
 
     // 1. Genericity filter.
-    let genericity_violation = find_genericity_violation(
-        views,
-        q,
-        opts.max_domain.min(2),
-        opts.space_limit,
-    )
-    .is_some();
+    let genericity_violation =
+        find_genericity_violation(views, q, opts.max_domain.min(2), opts.space_limit).is_some();
     if genericity_violation {
         notes.push(
             "Proposition 4.3 violation found: determinacy is refuted by genericity alone"
@@ -115,9 +110,7 @@ pub fn analyze(views: &ViewSet, q: &QueryExpr, opts: AnalyzeOptions) -> Analysis
                 notes,
             };
         }
-        notes.push(
-            "chase test negative: not determined over unrestricted instances".to_owned(),
-        );
+        notes.push("chase test negative: not determined over unrestricted instances".to_owned());
         // Graceful degradation: the best contained rewriting.
         // Constants are out of MiniCon's scope: no MCR is offered then.
         maximally_contained = maximally_contained_rewriting(&cq_views, cq).ok().flatten();
@@ -193,10 +186,7 @@ mod tests {
 
     #[test]
     fn refuted_cq_pair_with_fallback() {
-        let (v, q) = setup(
-            "V1(x,y) :- E(x,y), P(x).\nV2(x) :- P(x).",
-            "Q(x,z) :- E(x,y), E(y,z).",
-        );
+        let (v, q) = setup("V1(x,y) :- E(x,y), P(x).\nV2(x) :- P(x).", "Q(x,z) :- E(x,y), E(y,z).");
         let a = analyze(&v, &q, AnalyzeOptions::default());
         assert!(matches!(a.determinacy, Determinacy::Refuted(_)));
         assert!(a.rewriting.is_none());
@@ -214,10 +204,7 @@ mod tests {
 
     #[test]
     fn non_cq_pairs_fall_back_to_semantics() {
-        let (v, q) = setup(
-            "V(x) :- P(x).\nV(x) :- E(x,x).",
-            "Q(x) :- P(x).",
-        );
+        let (v, q) = setup("V(x) :- P(x).\nV(x) :- E(x,x).", "Q(x) :- P(x).");
         let a = analyze(&v, &q, AnalyzeOptions { max_domain: 2, ..Default::default() });
         assert!(a.notes.iter().any(|n| n.contains("beyond plain CQ")));
         // UCQ view of P ∪ loops does not determine P.
@@ -226,10 +213,7 @@ mod tests {
 
     #[test]
     fn open_regime_reported() {
-        let (v, q) = setup(
-            "V(x,y) :- E(x,z), E(z,y).",
-            "Q(x,y) :- E(x,a), E(a,b), E(b,y).",
-        );
+        let (v, q) = setup("V(x,y) :- E(x,z), E(z,y).", "Q(x,y) :- E(x,a), E(a,b), E(b,y).");
         // Domain 2 is too small to refute this pair; it needs 3.
         let a = analyze(&v, &q, AnalyzeOptions { max_domain: 2, space_limit: 1 << 22 });
         match a.determinacy {

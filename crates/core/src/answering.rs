@@ -30,20 +30,13 @@ pub fn preimage_bound(views: &ViewSet, extent: &Instance) -> usize {
         .iter()
         .map(|v| match &v.query {
             QueryExpr::Cq(c) => c.all_vars().len(),
-            QueryExpr::Ucq(u) => u
-                .disjuncts
-                .iter()
-                .map(|d| d.all_vars().len())
-                .max()
-                .unwrap_or(0),
+            QueryExpr::Ucq(u) => u.disjuncts.iter().map(|d| d.all_vars().len()).max().unwrap_or(0),
             QueryExpr::Fo(f) => f.formula.quantifier_width(),
         })
         .max()
         .unwrap_or(0);
     let a = extent.adom().len();
-    a.checked_pow(k as u32)
-        .and_then(|p| p.checked_mul(k))
-        .unwrap_or(usize::MAX)
+    a.checked_pow(k as u32).and_then(|p| p.checked_mul(k)).unwrap_or(usize::MAX)
 }
 
 /// Chase-based fast path for CQ views: `V_∅^{-1}(S)` is a preimage iff
@@ -99,9 +92,8 @@ pub fn for_each_preimage<T>(
     // pool so extents with sparse adoms still work.
     let n = pool.len();
     space_size(schema, n).filter(|&s| s <= limit)?;
-    let remap: std::collections::BTreeMap<Value, Value> = (0..n as u32)
-        .map(|i| (Value::Named(i), pool[i as usize]))
-        .collect();
+    let remap: std::collections::BTreeMap<Value, Value> =
+        (0..n as u32).map(|i| (Value::Named(i), pool[i as usize])).collect();
     for d in InstanceEnumerator::new(schema, n) {
         let d = d.map_values(&remap);
         if apply_views(views, &d) == *extent {

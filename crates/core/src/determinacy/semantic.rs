@@ -80,10 +80,7 @@ impl SemanticVerdict {
     /// Whether this verdict is conclusive for bound `n` (either a
     /// counterexample or a completed scan — not `TooLarge`/`Exhausted`).
     pub fn is_conclusive(&self) -> bool {
-        matches!(
-            self,
-            SemanticVerdict::NotDetermined(_) | SemanticVerdict::NoCounterexampleUpTo(_)
-        )
+        matches!(self, SemanticVerdict::NotDetermined(_) | SemanticVerdict::NoCounterexampleUpTo(_))
     }
 }
 
@@ -93,12 +90,7 @@ impl SemanticVerdict {
 /// Convenience form of [`check_exhaustive_ctx`] with an unlimited
 /// budget; panics on schema mismatch (the context form returns a
 /// structured [`VqdError`] instead).
-pub fn check_exhaustive(
-    views: &ViewSet,
-    q: &QueryExpr,
-    n: usize,
-    limit: u128,
-) -> SemanticVerdict {
+pub fn check_exhaustive(views: &ViewSet, q: &QueryExpr, n: usize, limit: u128) -> SemanticVerdict {
     match check_exhaustive_ctx(views, q, n, limit, &Budget::unlimited()) {
         Ok(v) => v,
         Err(e) => panic!("check_exhaustive: {e}"),
@@ -217,17 +209,9 @@ struct Kernel<'a> {
 impl<'a> Kernel<'a> {
     /// Compiles the views (side 0) and the query (side 1), or `None`
     /// when the kernel's fallback rule sends the pair to [`Evaluator`].
-    fn compile(
-        views: &'a ViewSet,
-        q: &QueryExpr,
-        n: usize,
-        total: u128,
-    ) -> Option<Self> {
-        let image = views
-            .views()
-            .iter()
-            .map(|v| disjuncts(&v.query))
-            .collect::<Option<Vec<_>>>()?;
+    fn compile(views: &'a ViewSet, q: &QueryExpr, n: usize, total: u128) -> Option<Self> {
+        let image =
+            views.views().iter().map(|v| disjuncts(&v.query)).collect::<Option<Vec<_>>>()?;
         let answer = [disjuncts(q)?];
         let scan = BitScan::compile(views.input_schema(), n, total, &[&image, &answer])?;
         Some(Kernel { views, scan })
@@ -393,10 +377,7 @@ mod tests {
 
     #[test]
     fn projection_views_fail_with_witness() {
-        let (v, q) = setup(
-            "V1(x) :- E(x,y).\nV2(y) :- E(x,y).",
-            "Q(x,z) :- E(x,y), E(y,z).",
-        );
+        let (v, q) = setup("V1(x) :- E(x,y).\nV2(y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
         match check_exhaustive(&v, &q, 3, 1 << 20) {
             SemanticVerdict::NotDetermined(c) => {
                 assert!(verify_counterexample(&v, &q, &c));
@@ -407,10 +388,7 @@ mod tests {
 
     #[test]
     fn two_path_views_three_path_query_refuted() {
-        let (v, q) = setup(
-            "V(x,y) :- E(x,z), E(z,y).",
-            "Q(x,y) :- E(x,a), E(a,b), E(b,y).",
-        );
+        let (v, q) = setup("V(x,y) :- E(x,z), E(z,y).", "Q(x,y) :- E(x,a), E(a,b), E(b,y).");
         // The 2-path view cannot determine 3-paths; counterexamples exist
         // on small domains.
         let verdict = check_exhaustive(&v, &q, 3, 1 << 20);
@@ -434,7 +412,9 @@ mod tests {
         let mut names = DomainNames::new();
         let q = parse_query(&Schema::new([("P", 1)]), &mut names, "Q(x) :- P(x).").unwrap();
         match check_exhaustive_ctx(&v, &q, 2, 1 << 20, &Budget::unlimited()) {
-            Err(VqdError::SchemaMismatch { context, .. }) => assert_eq!(context, "check_exhaustive"),
+            Err(VqdError::SchemaMismatch { context, .. }) => {
+                assert_eq!(context, "check_exhaustive")
+            }
             other => panic!("expected SchemaMismatch, got {other:?}"),
         }
     }

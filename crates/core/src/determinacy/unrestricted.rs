@@ -291,20 +291,13 @@ mod tests {
         let mut names = DomainNames::new();
         let prog = parse_program(&s, &mut names, view_src).unwrap();
         let views = CqViews::new(ViewSet::new(&s, prog.defs));
-        let q = parse_query(&s, &mut names, q_src)
-            .unwrap()
-            .as_cq()
-            .unwrap()
-            .clone();
+        let q = parse_query(&s, &mut names, q_src).unwrap().as_cq().unwrap().clone();
         (views, q)
     }
 
     #[test]
     fn determined_pair_yields_verified_rewriting() {
-        let (v, q) = setup(
-            "V(x,y) :- E(x,y).\nW(x) :- P(x).",
-            "Q(x,z) :- E(x,y), E(y,z), P(x).",
-        );
+        let (v, q) = setup("V(x,y) :- E(x,y).\nW(x) :- P(x).", "Q(x,z) :- E(x,y), E(y,z), P(x).");
         let out = decide_unrestricted(&v, &q);
         assert!(out.determined);
         let r = out.rewriting.expect("rewriting");
@@ -319,10 +312,7 @@ mod tests {
 
     #[test]
     fn undetermined_pair_is_refuted_or_open() {
-        let (v, q) = setup(
-            "V(x,y) :- E(x,z), E(z,y).",
-            "Q(x,y) :- E(x,a), E(a,b), E(b,y).",
-        );
+        let (v, q) = setup("V(x,y) :- E(x,z), E(z,y).", "Q(x,y) :- E(x,a), E(a,b), E(b,y).");
         let out = decide_unrestricted(&v, &q);
         assert!(!out.determined);
         assert!(out.rewriting.is_none());
@@ -338,10 +328,7 @@ mod tests {
         let yes = decide_unrestricted(&v, &q).explain();
         assert!(yes.contains("exact rewriting"));
         assert!(yes.contains("V determines Q"));
-        let (v2, q2) = setup(
-            "V(x,y) :- E(x,z), E(z,y).",
-            "Q(x,y) :- E(x,a), E(a,b), E(b,y).",
-        );
+        let (v2, q2) = setup("V(x,y) :- E(x,z), E(z,y).", "Q(x,y) :- E(x,a), E(a,b), E(b,y).");
         let no = decide_unrestricted(&v2, &q2).explain();
         assert!(no.contains("does NOT determine"));
         assert!(no.contains("no exact rewriting"));
@@ -385,8 +372,7 @@ mod tests {
             let routed = decide_unrestricted(&v, &q);
             assert!(routed.fast_path, "{vs} / {qs} must route to the fast path");
             assert_eq!(routed.fragment, vqd_router::Fragment::ProjectSelect);
-            let chase =
-                decide_unrestricted_chase_budgeted(&v, &q, &Budget::unlimited()).unwrap();
+            let chase = decide_unrestricted_chase_budgeted(&v, &q, &Budget::unlimited()).unwrap();
             assert_eq!(routed.determined, chase.determined, "{vs} / {qs}: verdict differs");
             assert_eq!(
                 routed.rewriting.map(|r| r.render("R")),

@@ -50,9 +50,7 @@ pub fn proposition_4_3(views: &ViewSet, q: &QueryExpr, d: &Instance) -> Generici
     let image = apply_views(views, d);
     let answer = eval_query(q, d);
     let image_adom = image.adom();
-    let adom_contained = answer
-        .iter()
-        .all(|t| t.iter().all(|v| image_adom.contains(v)));
+    let adom_contained = answer.iter().all(|t| t.iter().all(|v| image_adom.contains(v)));
 
     // Wrap the answer as an instance so automorphisms can act on it.
     let autos = automorphisms(&image);
@@ -61,11 +59,7 @@ pub fn proposition_4_3(views: &ViewSet, q: &QueryExpr, d: &Instance) -> Generici
         let mapped = answer.map_values(|v| perm.get(&v).copied());
         mapped == answer
     });
-    GenericityReport {
-        adom_contained,
-        automorphisms_transfer,
-        automorphisms_checked: n,
-    }
+    GenericityReport { adom_contained, automorphisms_transfer, automorphisms_checked: n }
 }
 
 /// Sweeps the checks over all instances with domain `{c0..c(n-1)}`,
@@ -113,8 +107,7 @@ mod tests {
         // Views expose only P; the query exposes edges: values occurring
         // only in E leak into Q(D) but not into V(D).
         let (v, q) = setup("V(x) :- P(x).", "Q(x,y) :- E(x,y).");
-        let (d, report) =
-            find_genericity_violation(&v, &q, 2, 1 << 26).expect("violation exists");
+        let (d, report) = find_genericity_violation(&v, &q, 2, 1 << 26).expect("violation exists");
         assert!(!report.adom_contained);
         assert!(!d.rel_named("E").is_empty());
     }
@@ -126,12 +119,7 @@ mod tests {
         // the answer.
         let s = Schema::new([("E", 2), ("P", 1)]);
         let mut names = DomainNames::new();
-        let prog = parse_program(
-            &s,
-            &mut names,
-            "V(x,y) :- E(x,y).\nV(x,y) :- E(y,x).",
-        )
-        .unwrap();
+        let prog = parse_program(&s, &mut names, "V(x,y) :- E(x,y).\nV(x,y) :- E(y,x).").unwrap();
         let views = ViewSet::new(&s, prog.defs);
         let q = parse_query(&s, &mut names, "Q(x,y) :- E(x,y).").unwrap();
         let mut d = Instance::empty(&s);

@@ -33,19 +33,19 @@ pub mod reductions;
 pub mod rewriting;
 pub mod witnesses;
 
+pub use analyze::{analyze, Analysis, AnalyzeOptions, Determinacy};
 pub use determinacy::{
     check_exhaustive, check_random, decide_finite, decide_unrestricted, Counterexample,
     FiniteVerdict, SemanticVerdict, UnrestrictedOutcome,
 };
-pub use rewriting::{
-    decide_boolean_unary, exists_cq_rewriting, exists_ucq_rewriting, expand_through_views,
-    is_exact_rewriting, InducedQuery,
-};
-pub use analyze::{analyze, Analysis, AnalyzeOptions, Determinacy};
 pub use genericity::{find_genericity_violation, proposition_4_3, GenericityReport};
 pub use minicon::{
     contained_rewritings, generate_mcds, maximally_contained_rewriting,
     minicon_equivalent_rewriting, Mcd, Unsupported,
 };
 pub use qv_probe::{qv_monotonicity_probe, QvProbe, QvViolation};
+pub use rewriting::{
+    decide_boolean_unary, exists_cq_rewriting, exists_ucq_rewriting, expand_through_views,
+    is_exact_rewriting, InducedQuery,
+};
 pub use witnesses::{prop_5_12, prop_5_12_fo_rewriting, prop_5_8, NonMonotonicityWitness};

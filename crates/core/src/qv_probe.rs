@@ -134,18 +134,10 @@ mod tests {
     #[test]
     fn prop_5_8_qv_is_caught_non_monotone() {
         let w = prop_5_8();
-        let probe = qv_monotonicity_probe(
-            &w.views,
-            &QueryExpr::Cq(w.query.clone()),
-            2,
-            1 << 26,
-        )
-        .expect("fits");
+        let probe = qv_monotonicity_probe(&w.views, &QueryExpr::Cq(w.query.clone()), 2, 1 << 26)
+            .expect("fits");
         assert_eq!(probe.determinacy_clashes, 0, "Prop 5.8 is determined");
-        assert!(
-            !probe.violations.is_empty(),
-            "the UCQ witness must show a non-monotone Q_V"
-        );
+        assert!(!probe.violations.is_empty(), "the UCQ witness must show a non-monotone Q_V");
         let v = &probe.violations[0];
         assert!(v.image1.is_subinstance_of(&v.image2));
         assert!(!v.answer1.is_subset(&v.answer2));

@@ -136,11 +136,7 @@ pub struct GimpConstruction {
     root: usize,
 }
 
-fn index_subs(
-    f: &Fo,
-    subs: &mut Vec<Sub>,
-    memo: &mut HashMap<String, usize>,
-) -> usize {
+fn index_subs(f: &Fo, subs: &mut Vec<Sub>, memo: &mut HashMap<String, usize>) -> usize {
     // Structural memo key (Fo isn't Hash-friendly across Box'es; Debug is
     // a faithful structural rendering for this normalized fragment).
     let key = format!("{f:?}");
@@ -154,10 +150,7 @@ fn index_subs(
         Fo::Not(g) => SubKind::Not(index_subs(g, subs, memo)),
         Fo::And(xs) => {
             assert_eq!(xs.len(), 2, "normalized And is binary");
-            SubKind::And(
-                index_subs(&xs[0], subs, memo),
-                index_subs(&xs[1], subs, memo),
-            )
+            SubKind::And(index_subs(&xs[0], subs, memo), index_subs(&xs[1], subs, memo))
         }
         Fo::Exists(vs, g) => {
             assert_eq!(vs.len(), 1, "normalized Exists is single-var");
@@ -199,17 +192,13 @@ fn emit(cq: &mut Cq, r: &Repr, map: &BTreeMap<VarId, VarId>) {
     };
     match r {
         Repr::RealAtom(a) => {
-            cq.atoms
-                .push(Atom::new(a.rel, a.args.iter().map(tr).collect()));
+            cq.atoms.push(Atom::new(a.rel, a.args.iter().map(tr).collect()));
         }
         Repr::RealEq(a, b) => {
             cq.eqs.push((tr(a), tr(b)));
         }
         Repr::Rel(rel, fv) => {
-            cq.atoms.push(Atom::new(
-                *rel,
-                fv.iter().map(|v| Term::Var(map[v])).collect(),
-            ));
+            cq.atoms.push(Atom::new(*rel, fv.iter().map(|v| Term::Var(map[v])).collect()));
         }
     }
 }
@@ -223,10 +212,9 @@ fn repr_fo(r: &Repr, map: &BTreeMap<VarId, VarId>) -> Fo {
     match r {
         Repr::RealAtom(a) => Fo::Atom(Atom::new(a.rel, a.args.iter().map(tr).collect())),
         Repr::RealEq(a, b) => Fo::Eq(tr(a), tr(b)),
-        Repr::Rel(rel, fv) => Fo::Atom(Atom::new(
-            *rel,
-            fv.iter().map(|v| Term::Var(map[v])).collect(),
-        )),
+        Repr::Rel(rel, fv) => {
+            Fo::Atom(Atom::new(*rel, fv.iter().map(|v| Term::Var(map[v])).collect()))
+        }
     }
 }
 
@@ -238,13 +226,7 @@ fn adom_ucq(schema: &Schema) -> Ucq {
             let mut cq = Cq::new(schema);
             let x = cq.var("x");
             let args: Vec<Term> = (0..decl.arity)
-                .map(|p| {
-                    if p == pos {
-                        Term::Var(x)
-                    } else {
-                        Term::Var(cq.var(&format!("u{p}")))
-                    }
-                })
+                .map(|p| if p == pos { Term::Var(x) } else { Term::Var(cq.var(&format!("u{p}"))) })
                 .collect();
             cq.head = vec![Term::Var(x)];
             cq.atoms.push(Atom::new(rel, args));
@@ -261,10 +243,8 @@ fn repr_standalone(schema: &Schema, r: &Repr, fv: &[VarId]) -> Vec<Cq> {
     match r {
         Repr::RealAtom(_) | Repr::Rel(..) => {
             let mut cq = Cq::new(schema);
-            let map: BTreeMap<VarId, VarId> = fv
-                .iter()
-                .map(|&v| (v, cq.var(&format!("v{}", v.0))))
-                .collect();
+            let map: BTreeMap<VarId, VarId> =
+                fv.iter().map(|&v| (v, cq.var(&format!("v{}", v.0)))).collect();
             cq.head = fv.iter().map(|v| Term::Var(map[v])).collect();
             emit(&mut cq, r, &map);
             vec![cq]
@@ -312,11 +292,7 @@ pub fn theorem_5_4(tau: &Schema, phi: &FoQuery, t_name: &str) -> GimpConstructio
     assert!(phi.is_boolean(), "φ(T, S̄) is a sentence");
     let tau_prime = phi.schema.clone();
     for (rel, decl) in tau.iter() {
-        assert_eq!(
-            tau_prime.decl(rel),
-            decl,
-            "τ must be a prefix of φ's schema"
-        );
+        assert_eq!(tau_prime.decl(rel), decl, "τ must be a prefix of φ's schema");
     }
     let t_rel = tau_prime.rel(t_name);
     assert!(t_rel.idx() >= tau.len(), "T must not be a base relation");
@@ -357,8 +333,7 @@ pub fn theorem_5_4(tau: &Schema, phi: &FoQuery, t_name: &str) -> GimpConstructio
         let mut cq = Cq::new(&tau_pp);
         let vars: Vec<_> = (0..decl.arity).map(|p| cq.var(&format!("x{p}"))).collect();
         cq.head = vars.iter().map(|&v| Term::Var(v)).collect();
-        cq.atoms
-            .push(Atom::new(rel, vars.iter().map(|&v| Term::Var(v)).collect()));
+        cq.atoms.push(Atom::new(rel, vars.iter().map(|&v| Term::Var(v)).collect()));
         defs.push((format!("Vid_{}", tau.name(rel)), QueryExpr::Cq(cq)));
     }
     // Active domain.
@@ -374,11 +349,8 @@ pub fn theorem_5_4(tau: &Schema, phi: &FoQuery, t_name: &str) -> GimpConstructio
         // Complement pair (1): repr ∧ co = ∅; repr ∨ co = adom^k.
         {
             let mut cq = Cq::new(&tau_pp);
-            let map: BTreeMap<VarId, VarId> = sub
-                .fv
-                .iter()
-                .map(|&v| (v, cq.var(&format!("v{}", v.0))))
-                .collect();
+            let map: BTreeMap<VarId, VarId> =
+                sub.fv.iter().map(|&v| (v, cq.var(&format!("v{}", v.0)))).collect();
             cq.head = sub.fv.iter().map(|v| Term::Var(map[v])).collect();
             emit(&mut cq, &node_co, &map);
             emit(&mut cq, &node_repr, &map);
@@ -406,38 +378,24 @@ pub fn theorem_5_4(tau: &Schema, phi: &FoQuery, t_name: &str) -> GimpConstructio
                             }
                         }
                     }
-                    let map: BTreeMap<VarId, VarId> = all_vars
-                        .iter()
-                        .map(|&v| (v, cq.var(&format!("v{}", v.0))))
-                        .collect();
+                    let map: BTreeMap<VarId, VarId> =
+                        all_vars.iter().map(|&v| (v, cq.var(&format!("v{}", v.0)))).collect();
                     cq.head = sub.fv.iter().map(|v| Term::Var(map[v])).collect();
                     for p in parts {
                         emit(&mut cq, p, &map);
                     }
                     cq
                 };
-                defs.push((
-                    format!("Vand_a{i}"),
-                    QueryExpr::Cq(make(vec![&r1, &r2, &node_co])),
-                ));
-                defs.push((
-                    format!("Vand_b{i}"),
-                    QueryExpr::Cq(make(vec![&node_repr, &c1])),
-                ));
-                defs.push((
-                    format!("Vand_c{i}"),
-                    QueryExpr::Cq(make(vec![&node_repr, &c2])),
-                ));
+                defs.push((format!("Vand_a{i}"), QueryExpr::Cq(make(vec![&r1, &r2, &node_co]))));
+                defs.push((format!("Vand_b{i}"), QueryExpr::Cq(make(vec![&node_repr, &c1]))));
+                defs.push((format!("Vand_c{i}"), QueryExpr::Cq(make(vec![&node_repr, &c2]))));
             }
             SubKind::Exists(x, g1) => {
                 let r1 = repr(&subs, *g1);
                 // a: repr(g1)(x, ȳ) ∧ co(θ)(ȳ) = ∅ (x projected out).
                 let mut cq = Cq::new(&tau_pp);
-                let mut map: BTreeMap<VarId, VarId> = sub
-                    .fv
-                    .iter()
-                    .map(|&v| (v, cq.var(&format!("v{}", v.0))))
-                    .collect();
+                let mut map: BTreeMap<VarId, VarId> =
+                    sub.fv.iter().map(|&v| (v, cq.var(&format!("v{}", v.0)))).collect();
                 let fresh_x = cq.var("ex");
                 map.insert(*x, fresh_x);
                 cq.head = sub.fv.iter().map(|v| Term::Var(map[v])).collect();
@@ -446,19 +404,13 @@ pub fn theorem_5_4(tau: &Schema, phi: &FoQuery, t_name: &str) -> GimpConstructio
                 defs.push((format!("Vex_a{i}"), QueryExpr::Cq(cq)));
                 // b: (∃x repr(g1)) ∨ co(θ) = adom^k.
                 let mut proj = Cq::new(&tau_pp);
-                let mut pmap: BTreeMap<VarId, VarId> = sub
-                    .fv
-                    .iter()
-                    .map(|&v| (v, proj.var(&format!("v{}", v.0))))
-                    .collect();
+                let mut pmap: BTreeMap<VarId, VarId> =
+                    sub.fv.iter().map(|&v| (v, proj.var(&format!("v{}", v.0)))).collect();
                 let px = proj.var("ex");
                 pmap.insert(*x, px);
                 proj.head = sub.fv.iter().map(|v| Term::Var(pmap[v])).collect();
                 emit(&mut proj, &r1, &pmap);
-                assert!(
-                    proj.is_safe(),
-                    "∃x over a bare equality is not supported; rewrite φ"
-                );
+                assert!(proj.is_safe(), "∃x over a bare equality is not supported; rewrite φ");
                 let mut disjuncts = vec![proj];
                 disjuncts.extend(repr_standalone(&tau_pp, &node_co, &sub.fv));
                 defs.push((format!("Vex_b{i}"), QueryExpr::Ucq(Ucq::new(disjuncts))));
@@ -487,29 +439,20 @@ pub fn theorem_5_4(tau: &Schema, phi: &FoQuery, t_name: &str) -> GimpConstructio
         if matches!(sub.kind, SubKind::Not(_)) {
             continue;
         }
-        let fresh: Vec<VarId> = sub
-            .fv
-            .iter()
-            .map(|v| pool.var(&format!("s{i}_{}", v.0)))
-            .collect();
+        let fresh: Vec<VarId> = sub.fv.iter().map(|v| pool.var(&format!("s{i}_{}", v.0))).collect();
         let map: BTreeMap<VarId, VarId> =
             sub.fv.iter().copied().zip(fresh.iter().copied()).collect();
         let here = repr_fo(&repr(&subs, i), &map);
         let co_here = repr_fo(&co_repr(&subs, i), &map);
         // R̄ is the complement of R.
-        psi_parts.push(Fo::forall(
-            fresh.clone(),
-            Fo::iff(co_here, Fo::not(here.clone())),
-        ));
+        psi_parts.push(Fo::forall(fresh.clone(), Fo::iff(co_here, Fo::not(here.clone()))));
         // Structural definition of R for composite nodes.
         match &sub.kind {
             SubKind::And(g1, g2) => {
                 // fv(g1) ∪ fv(g2) = fv(And node), so `map` already covers
                 // the children.
-                let body = Fo::and([
-                    repr_fo(&repr(&subs, *g1), &map),
-                    repr_fo(&repr(&subs, *g2), &map),
-                ]);
+                let body =
+                    Fo::and([repr_fo(&repr(&subs, *g1), &map), repr_fo(&repr(&subs, *g2), &map)]);
                 psi_parts.push(Fo::forall(fresh.clone(), Fo::iff(here, body)));
             }
             SubKind::Exists(x, g1) => {
@@ -527,10 +470,7 @@ pub fn theorem_5_4(tau: &Schema, phi: &FoQuery, t_name: &str) -> GimpConstructio
     let q_formula = Fo::and([
         Fo::and(psi_parts),
         normalized.clone(),
-        Fo::Atom(Atom::new(
-            t_rel,
-            head_vars.iter().map(|&v| Term::Var(v)).collect(),
-        )),
+        Fo::Atom(Atom::new(t_rel, head_vars.iter().map(|&v| Term::Var(v)).collect())),
     ]);
     let query = FoQuery::new(&tau_pp, head_vars, q_formula, pool.into_names());
 
@@ -567,12 +507,7 @@ impl GimpConstruction {
             }
             // Evaluate the subformula on the base instance.
             let sub_fo = self.sub_formula(i);
-            let q = FoQuery::new(
-                &self.tau_prime,
-                sub.fv.clone(),
-                sub_fo,
-                Vec::new(),
-            );
+            let q = FoQuery::new(&self.tau_prime, sub.fv.clone(), sub_fo, Vec::new());
             let rows = eval_fo(&q, base);
             if let Some(r_rel) = sub.r {
                 for t in rows.iter() {

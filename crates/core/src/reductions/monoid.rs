@@ -51,13 +51,7 @@ fn projection(schema: &Schema, pos: usize) -> Cq {
     let mut cq = Cq::new(schema);
     let x = cq.var("x");
     let args: Vec<Term> = (0..3)
-        .map(|p| {
-            if p == pos {
-                Term::Var(x)
-            } else {
-                Term::Var(cq.var(&format!("u{p}")))
-            }
-        })
+        .map(|p| if p == pos { Term::Var(x) } else { Term::Var(cq.var(&format!("u{p}"))) })
         .collect();
     cq.head = vec![Term::Var(x)];
     cq.atoms.push(Atom::new(schema.rel("R"), args));
@@ -183,8 +177,7 @@ pub fn theorem_4_5(h: &Equations, f: (usize, usize), equality_free: bool) -> Mon
         let y = cq.var("y");
         let z = cq.var("z");
         cq.head = vec![x.into(), y.into(), z.into()];
-        cq.atoms
-            .push(Atom::new(schema.rel("R"), vec![x.into(), y.into(), z.into()]));
+        cq.atoms.push(Atom::new(schema.rel("R"), vec![x.into(), y.into(), z.into()]));
         defs.push(("V1".to_owned(), QueryExpr::Cq(cq)));
     }
     // V2 = p1 ∨ p2; V3 = p1 ∧ p2.
@@ -196,10 +189,7 @@ pub fn theorem_4_5(h: &Equations, f: (usize, usize), equality_free: bool) -> Mon
             }
             cq
         };
-        defs.push((
-            "V2".to_owned(),
-            QueryExpr::Ucq(Ucq::new(vec![mk(&["p1"]), mk(&["p2"])])),
-        ));
+        defs.push(("V2".to_owned(), QueryExpr::Ucq(Ucq::new(vec![mk(&["p1"]), mk(&["p2"])]))));
         defs.push(("V3".to_owned(), QueryExpr::Cq(mk(&["p1", "p2"]))));
     }
 
@@ -215,10 +205,7 @@ pub fn theorem_4_5(h: &Equations, f: (usize, usize), equality_free: bool) -> Mon
         for slot in 0..3 {
             let s = congruence_side(&schema, slot, false);
             let t = congruence_side(&schema, slot, true);
-            defs.push((
-                format!("Vcong{slot}"),
-                QueryExpr::Ucq(equation_view(&schema, &s, &t)),
-            ));
+            defs.push((format!("Vcong{slot}"), QueryExpr::Ucq(equation_view(&schema, &s, &t))));
         }
         // Associativity up to ≃.
         defs.push((
@@ -234,19 +221,11 @@ pub fn theorem_4_5(h: &Equations, f: (usize, usize), equality_free: bool) -> Mon
         // diagonal.
         defs.push((
             "Vfunc".to_owned(),
-            QueryExpr::Ucq(equation_view(
-                &schema,
-                &function_lhs(&schema),
-                &diagonal_eq(&schema),
-            )),
+            QueryExpr::Ucq(equation_view(&schema, &function_lhs(&schema), &diagonal_eq(&schema))),
         ));
         defs.push((
             "Vassoc".to_owned(),
-            QueryExpr::Ucq(equation_view(
-                &schema,
-                &assoc_lhs(&schema),
-                &diagonal_eq(&schema),
-            )),
+            QueryExpr::Ucq(equation_view(&schema, &assoc_lhs(&schema), &diagonal_eq(&schema))),
         ));
     }
 
@@ -256,9 +235,7 @@ pub fn theorem_4_5(h: &Equations, f: (usize, usize), equality_free: bool) -> Mon
     // goal symbols free.
     let psi = |with_marker: &str, force_eq: bool| -> Cq {
         let mut cq = Cq::new(&schema);
-        let syms: Vec<_> = (0..h.num_symbols())
-            .map(|i| cq.var(&h.symbols[i]))
-            .collect();
+        let syms: Vec<_> = (0..h.num_symbols()).map(|i| cq.var(&h.symbols[i])).collect();
         for &(a, b, c) in &h.eqs {
             cq.atoms.push(Atom::new(
                 schema.rel("R"),
@@ -272,14 +249,10 @@ pub fn theorem_4_5(h: &Equations, f: (usize, usize), equality_free: bool) -> Mon
                 // x ≃ y via co-producibility atoms.
                 let u = cq.var("cu");
                 let v = cq.var("cv");
-                cq.atoms.push(Atom::new(
-                    schema.rel("R"),
-                    vec![u.into(), v.into(), syms[f.0].into()],
-                ));
-                cq.atoms.push(Atom::new(
-                    schema.rel("R"),
-                    vec![u.into(), v.into(), syms[f.1].into()],
-                ));
+                cq.atoms
+                    .push(Atom::new(schema.rel("R"), vec![u.into(), v.into(), syms[f.0].into()]));
+                cq.atoms
+                    .push(Atom::new(schema.rel("R"), vec![u.into(), v.into(), syms[f.1].into()]));
             } else {
                 cq.add_eq(syms[f.0].into(), syms[f.1].into());
             }
@@ -320,12 +293,7 @@ pub fn theorem_4_5(h: &Equations, f: (usize, usize), equality_free: bool) -> Mon
     disjuncts.push(psi("p1", true));
     disjuncts.push(psi("p2", false));
 
-    MonoidReduction {
-        schema,
-        views,
-        query: Ucq::new(disjuncts),
-        equality_free,
-    }
+    MonoidReduction { schema, views, query: Ucq::new(disjuncts), equality_free }
 }
 
 /// Encodes an operation table (or any triple set) as an instance with the
@@ -338,10 +306,7 @@ pub fn triples_instance(
 ) -> Instance {
     let mut d = Instance::empty(schema);
     for &(x, y, z) in triples {
-        d.insert_named(
-            "R",
-            vec![named(x as u32), named(y as u32), named(z as u32)],
-        );
+        d.insert_named("R", vec![named(x as u32), named(y as u32), named(z as u32)]);
     }
     if p1 {
         d.rel_mut(schema.rel("p1")).set_truth(true);
@@ -356,10 +321,7 @@ pub fn triples_instance(
 /// opposite markers).
 pub fn op_pair(schema: &Schema, op: &OpTable) -> (Instance, Instance) {
     let graph = op.graph();
-    (
-        triples_instance(schema, &graph, true, false),
-        triples_instance(schema, &graph, false, true),
-    )
+    (triples_instance(schema, &graph, true, false), triples_instance(schema, &graph, false, true))
 }
 
 #[cfg(test)]
@@ -396,10 +358,7 @@ mod tests {
         // Monoidal op: images of the marker pair must coincide.
         let op = OpTable::new(2, vec![0, 1, 1, 0]);
         let (d1, d2) = op_pair(&red.schema, &op);
-        assert_eq!(
-            apply_views(&red.views, &d1),
-            apply_views(&red.views, &d2)
-        );
+        assert_eq!(apply_views(&red.views, &d1), apply_views(&red.views, &d2));
         // Non-monoidal (not onto): images must differ.
         let bad = vec![(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)];
         let b1 = triples_instance(&red.schema, &bad, true, false);
@@ -453,22 +412,13 @@ mod tests {
         // instances): refuted exactly for the failing implication.
         let (h_bad, f_bad) = commutativity_goal();
         let red_bad = theorem_4_5(&h_bad, f_bad, false);
-        let verdict = check_exhaustive(
-            &red_bad.views,
-            &QueryExpr::Ucq(red_bad.query.clone()),
-            2,
-            1 << 22,
-        );
+        let verdict =
+            check_exhaustive(&red_bad.views, &QueryExpr::Ucq(red_bad.query.clone()), 2, 1 << 22);
         assert!(verdict.is_refuted(), "H ⊭ F must refute determinacy: {verdict:?}");
 
         let (h_ok, f_ok) = forced_goal();
         let red_ok = theorem_4_5(&h_ok, f_ok, false);
-        match check_exhaustive(
-            &red_ok.views,
-            &QueryExpr::Ucq(red_ok.query.clone()),
-            2,
-            1 << 22,
-        ) {
+        match check_exhaustive(&red_ok.views, &QueryExpr::Ucq(red_ok.query.clone()), 2, 1 << 22) {
             SemanticVerdict::NoCounterexampleUpTo(2) => {}
             other => panic!("H ⊨ F should not be refuted on domain 2: {other:?}"),
         }
@@ -481,14 +431,8 @@ mod tests {
         let (h, f) = forced_goal();
         let red = theorem_4_5(&h, f, false);
         let mut rng = StdRng::seed_from_u64(5);
-        let found = check_random(
-            &red.views,
-            &QueryExpr::Ucq(red.query.clone()),
-            3,
-            0.25,
-            300,
-            &mut rng,
-        );
+        let found =
+            check_random(&red.views, &QueryExpr::Ucq(red.query.clone()), 3, 0.25, 300, &mut rng);
         assert!(found.is_none(), "no violation expected: {found:?}");
     }
 

@@ -39,19 +39,11 @@ pub fn strict_order_sentence(schema_lt: &Schema) -> FoQuery {
     let x = pool.var("x");
     let irreflexive = Fo::forall(vec![x], Fo::not(ltf(x, x)));
     let (x, y, z) = (pool.var("x"), pool.var("y"), pool.var("z"));
-    let transitive = Fo::forall(
-        vec![x, y, z],
-        Fo::implies(Fo::and([ltf(x, y), ltf(y, z)]), ltf(x, z)),
-    );
+    let transitive =
+        Fo::forall(vec![x, y, z], Fo::implies(Fo::and([ltf(x, y), ltf(y, z)]), ltf(x, z)));
     let (x, y) = (pool.var("x"), pool.var("y"));
-    let total = Fo::forall(
-        vec![x, y],
-        Fo::or([
-            Fo::Eq(Term::Var(x), Term::Var(y)),
-            ltf(x, y),
-            ltf(y, x),
-        ]),
-    );
+    let total =
+        Fo::forall(vec![x, y], Fo::or([Fo::Eq(Term::Var(x), Term::Var(y)), ltf(x, y), ltf(y, x)]));
     FoQuery::new(
         schema_lt,
         Vec::new(),
@@ -69,13 +61,7 @@ fn adom_ucq(schema: &Schema) -> Ucq {
             let mut cq = Cq::new(schema);
             let x = cq.var("x");
             let args: Vec<Term> = (0..decl.arity)
-                .map(|p| {
-                    if p == pos {
-                        Term::Var(x)
-                    } else {
-                        Term::Var(cq.var(&format!("u{p}")))
-                    }
-                })
+                .map(|p| if p == pos { Term::Var(x) } else { Term::Var(cq.var(&format!("u{p}"))) })
                 .collect();
             cq.head = vec![Term::Var(x)];
             cq.atoms.push(Atom::new(rel, args));
@@ -122,23 +108,13 @@ pub fn prop_5_7_views(base: &Schema) -> ViewSet {
         for i in 0..decl.arity {
             for j in i + 1..decl.arity {
                 let mut cq = Cq::new(&schema_lt);
-                let vars: Vec<_> = (0..decl.arity)
-                    .map(|p| cq.var(&format!("x{p}")))
-                    .collect();
+                let vars: Vec<_> = (0..decl.arity).map(|p| cq.var(&format!("x{p}"))).collect();
                 cq.head = vars.iter().map(|&v| Term::Var(v)).collect();
-                cq.atoms.push(Atom::new(
-                    rel,
-                    vars.iter().map(|&v| Term::Var(v)).collect(),
-                ));
-                cq.neg_atoms
-                    .push(Atom::new(lt, vec![vars[i].into(), vars[j].into()]));
-                cq.neg_atoms
-                    .push(Atom::new(lt, vec![vars[j].into(), vars[i].into()]));
+                cq.atoms.push(Atom::new(rel, vars.iter().map(|&v| Term::Var(v)).collect()));
+                cq.neg_atoms.push(Atom::new(lt, vec![vars[i].into(), vars[j].into()]));
+                cq.neg_atoms.push(Atom::new(lt, vec![vars[j].into(), vars[i].into()]));
                 cq.add_neq(vars[i].into(), vars[j].into());
-                defs.push((
-                    format!("Vtot_{}_{i}_{j}", schema_lt.name(rel)),
-                    QueryExpr::Cq(cq),
-                ));
+                defs.push((format!("Vtot_{}_{i}_{j}", schema_lt.name(rel)), QueryExpr::Cq(cq)));
             }
         }
     }
@@ -153,28 +129,16 @@ pub fn prop_5_7_views(base: &Schema) -> ViewSet {
             for i in 0..d1.arity {
                 for j in 0..d2.arity {
                     let mut cq = Cq::new(&schema_lt);
-                    let xs: Vec<_> = (0..d1.arity)
-                        .map(|p| cq.var(&format!("x{p}")))
-                        .collect();
-                    let ys: Vec<_> = (0..d2.arity)
-                        .map(|p| cq.var(&format!("y{p}")))
-                        .collect();
+                    let xs: Vec<_> = (0..d1.arity).map(|p| cq.var(&format!("x{p}"))).collect();
+                    let ys: Vec<_> = (0..d2.arity).map(|p| cq.var(&format!("y{p}"))).collect();
                     cq.head = vec![xs[i].into(), ys[j].into()];
-                    cq.atoms
-                        .push(Atom::new(r1, xs.iter().map(|&v| Term::Var(v)).collect()));
-                    cq.atoms
-                        .push(Atom::new(r2, ys.iter().map(|&v| Term::Var(v)).collect()));
-                    cq.neg_atoms
-                        .push(Atom::new(lt, vec![xs[i].into(), ys[j].into()]));
-                    cq.neg_atoms
-                        .push(Atom::new(lt, vec![ys[j].into(), xs[i].into()]));
+                    cq.atoms.push(Atom::new(r1, xs.iter().map(|&v| Term::Var(v)).collect()));
+                    cq.atoms.push(Atom::new(r2, ys.iter().map(|&v| Term::Var(v)).collect()));
+                    cq.neg_atoms.push(Atom::new(lt, vec![xs[i].into(), ys[j].into()]));
+                    cq.neg_atoms.push(Atom::new(lt, vec![ys[j].into(), xs[i].into()]));
                     cq.add_neq(xs[i].into(), ys[j].into());
                     defs.push((
-                        format!(
-                            "Vpair_{}_{i}_{}_{j}",
-                            schema_lt.name(r1),
-                            schema_lt.name(r2)
-                        ),
+                        format!("Vpair_{}_{i}_{}_{j}", schema_lt.name(r1), schema_lt.name(r2)),
                         QueryExpr::Cq(cq),
                     ));
                 }
@@ -188,14 +152,9 @@ pub fn prop_5_7_views(base: &Schema) -> ViewSet {
             continue;
         }
         let mut cq = Cq::new(&schema_lt);
-        let vars: Vec<_> = (0..decl.arity)
-            .map(|p| cq.var(&format!("x{p}")))
-            .collect();
+        let vars: Vec<_> = (0..decl.arity).map(|p| cq.var(&format!("x{p}"))).collect();
         cq.head = vars.iter().map(|&v| Term::Var(v)).collect();
-        cq.atoms.push(Atom::new(
-            rel,
-            vars.iter().map(|&v| Term::Var(v)).collect(),
-        ));
+        cq.atoms.push(Atom::new(rel, vars.iter().map(|&v| Term::Var(v)).collect()));
         defs.push((format!("Vid_{}", schema_lt.name(rel)), QueryExpr::Cq(cq)));
     }
 
@@ -218,12 +177,7 @@ pub fn order_query(schema_lt: &Schema, phi: &FoQuery) -> FoQuery {
     let shifted = psi.formula.clone().map_vars(shift);
     let mut names = phi.var_names.clone();
     names.extend(psi.var_names.iter().cloned());
-    FoQuery::new(
-        schema_lt,
-        Vec::new(),
-        Fo::and([shifted, phi.formula.clone()]),
-        names,
-    )
+    FoQuery::new(schema_lt, Vec::new(), Fo::and([shifted, phi.formula.clone()]), names)
 }
 
 /// Small extension trait to shift all variables in a formula.
@@ -249,14 +203,12 @@ impl MapVars for Fo {
                 Fo::Or(xs) => Fo::Or(xs.iter().map(|x| go(x, by)).collect()),
                 Fo::Implies(a, b) => Fo::Implies(Box::new(go(a, by)), Box::new(go(b, by))),
                 Fo::Iff(a, b) => Fo::Iff(Box::new(go(a, by)), Box::new(go(b, by))),
-                Fo::Exists(vs, g) => Fo::Exists(
-                    vs.iter().map(|v| VarId(v.0 + by)).collect(),
-                    Box::new(go(g, by)),
-                ),
-                Fo::Forall(vs, g) => Fo::Forall(
-                    vs.iter().map(|v| VarId(v.0 + by)).collect(),
-                    Box::new(go(g, by)),
-                ),
+                Fo::Exists(vs, g) => {
+                    Fo::Exists(vs.iter().map(|v| VarId(v.0 + by)).collect(), Box::new(go(g, by)))
+                }
+                Fo::Forall(vs, g) => {
+                    Fo::Forall(vs.iter().map(|v| VarId(v.0 + by)).collect(), Box::new(go(g, by)))
+                }
             }
         }
         go(&self, by)
@@ -274,20 +226,12 @@ pub fn example_3_2(base: &Schema, phi: &FoQuery) -> (ViewSet, FoQuery) {
             continue;
         }
         let mut cq = Cq::new(&schema_lt);
-        let vars: Vec<_> = (0..decl.arity)
-            .map(|p| cq.var(&format!("x{p}")))
-            .collect();
+        let vars: Vec<_> = (0..decl.arity).map(|p| cq.var(&format!("x{p}"))).collect();
         cq.head = vars.iter().map(|&v| Term::Var(v)).collect();
-        cq.atoms.push(Atom::new(
-            rel,
-            vars.iter().map(|&v| Term::Var(v)).collect(),
-        ));
+        cq.atoms.push(Atom::new(rel, vars.iter().map(|&v| Term::Var(v)).collect()));
         defs.push((format!("Vid_{}", schema_lt.name(rel)), QueryExpr::Cq(cq)));
     }
-    defs.push((
-        "Rpsi".to_owned(),
-        QueryExpr::Fo(strict_order_sentence(&schema_lt)),
-    ));
+    defs.push(("Rpsi".to_owned(), QueryExpr::Fo(strict_order_sentence(&schema_lt))));
     defs.push(("Vdom".to_owned(), QueryExpr::Ucq(adom_ucq(&schema_lt))));
     let views = ViewSet::new(&schema_lt, defs);
     let q = order_query(&schema_lt, phi);

@@ -49,16 +49,10 @@ pub fn parity_phi() -> FoQuery {
     let (x3, y3, z3) = (pool.var("x"), pool.var("y"), pool.var("z"));
     let funct = Fo::forall(
         vec![x3, y3, z3],
-        Fo::implies(
-            Fo::and([m(x3, y3), m(x3, z3)]),
-            Fo::Eq(Term::Var(y3), Term::Var(z3)),
-        ),
+        Fo::implies(Fo::and([m(x3, y3), m(x3, z3)]), Fo::Eq(Term::Var(y3), Term::Var(z3))),
     );
     let (x4, y4) = (pool.var("x"), pool.var("y"));
-    let over_u = Fo::forall(
-        vec![x4, y4],
-        Fo::implies(m(x4, y4), Fo::and([u(x4), u(y4)])),
-    );
+    let over_u = Fo::forall(vec![x4, y4], Fo::implies(m(x4, y4), Fo::and([u(x4), u(y4)])));
     let (x5, y5, z5a, z5b) = (pool.var("x"), pool.var("y"), pool.var("z"), pool.var("z"));
     let maximal = Fo::not(Fo::exists(
         vec![x5, y5],
@@ -71,18 +65,8 @@ pub fn parity_phi() -> FoQuery {
         ]),
     ));
     let (x6, y6) = (pool.var("x"), pool.var("y"));
-    let saturated = Fo::forall(
-        vec![x6],
-        Fo::implies(u(x6), Fo::exists(vec![y6], m(x6, y6))),
-    );
-    let formula = Fo::and([
-        sym,
-        irrefl,
-        funct,
-        over_u,
-        maximal,
-        Fo::iff(even, saturated),
-    ]);
+    let saturated = Fo::forall(vec![x6], Fo::implies(u(x6), Fo::exists(vec![y6], m(x6, y6))));
+    let formula = Fo::and([sym, irrefl, funct, over_u, maximal, Fo::iff(even, saturated)]);
     FoQuery::new(&s, Vec::new(), formula, pool.into_names())
 }
 
@@ -160,10 +144,7 @@ mod tests {
         let d2 = parity_instance(4, &[(0, 2), (1, 3)]);
         assert!(eval_fo(&phi, &d1).truth());
         assert!(eval_fo(&phi, &d2).truth());
-        assert_eq!(
-            d1.rel_named("Even").truth(),
-            d2.rel_named("Even").truth()
-        );
+        assert_eq!(d1.rel_named("Even").truth(), d2.rel_named("Even").truth());
         // Odd case: one unmatched element, still maximal.
         let d3 = parity_instance(5, &[(0, 1), (2, 3)]);
         assert!(eval_fo(&phi, &d3).truth());
@@ -177,11 +158,7 @@ mod tests {
             let base = parity_instance(n, &canonical_matching(n));
             let full = con.complete(&base);
             let out = eval_fo(&con.query, &full);
-            assert_eq!(
-                out.truth(),
-                n % 2 == 0,
-                "Q must report evenness for n={n}"
-            );
+            assert_eq!(out.truth(), n % 2 == 0, "Q must report evenness for n={n}");
         }
     }
 
@@ -196,8 +173,7 @@ mod tests {
         let adom: Vec<_> = full.adom().into_iter().collect();
         for (rel, decl) in image.schema().iter() {
             let name = image.schema().name(rel);
-            if name.starts_with("Vzero") || name.starts_with("Vand") || name.starts_with("Vex_a")
-            {
+            if name.starts_with("Vzero") || name.starts_with("Vand") || name.starts_with("Vex_a") {
                 assert!(image.rel(rel).is_empty(), "{name} must be empty");
             } else if name.starts_with("Vfull") || name.starts_with("Vex_b") {
                 assert_eq!(

@@ -39,10 +39,7 @@ pub fn from_satisfiability(phi: &FoQuery) -> (ViewSet, QueryExpr) {
     let x = VarId(phi.var_names.len() as u32);
     let mut var_names = phi.var_names.clone();
     var_names.push("x".to_owned());
-    let formula = Fo::and([
-        phi.formula.clone(),
-        Fo::Atom(Atom::new(rel, vec![x.into()])),
-    ]);
+    let formula = Fo::and([phi.formula.clone(), Fo::Atom(Atom::new(rel, vec![x.into()]))]);
     let q = FoQuery::new(&schema, vec![x], formula, var_names);
     (views, QueryExpr::Fo(q))
 }
@@ -58,18 +55,10 @@ pub fn from_validity(phi: &FoQuery) -> (ViewSet, QueryExpr) {
     let x = VarId(phi.var_names.len() as u32);
     let mut var_names = phi.var_names.clone();
     var_names.push("x".to_owned());
-    let view_formula = Fo::and([
-        phi.formula.clone(),
-        Fo::Atom(Atom::new(rel, vec![x.into()])),
-    ]);
+    let view_formula = Fo::and([phi.formula.clone(), Fo::Atom(Atom::new(rel, vec![x.into()]))]);
     let view_q = FoQuery::new(&schema, vec![x], view_formula, var_names.clone());
     let views = ViewSet::new(&schema, vec![("V", QueryExpr::Fo(view_q))]);
-    let q = FoQuery::new(
-        &schema,
-        vec![x],
-        Fo::Atom(Atom::new(rel, vec![x.into()])),
-        var_names,
-    );
+    let q = FoQuery::new(&schema, vec![x], Fo::Atom(Atom::new(rel, vec![x.into()])), var_names);
     (views, QueryExpr::Fo(q))
 }
 

@@ -44,19 +44,13 @@ pub fn theorem_5_1(tm: &Tm) -> TuringConstruction {
     let view_q = FoQuery::new(
         &schema,
         vec![x, y],
-        Fo::and([
-            phi.formula.clone(),
-            Fo::Atom(Atom::new(r1, vec![x.into(), y.into()])),
-        ]),
+        Fo::and([phi.formula.clone(), Fo::Atom(Atom::new(r1, vec![x.into(), y.into()]))]),
         names.clone(),
     );
     let query = FoQuery::new(
         &schema,
         vec![x, y],
-        Fo::and([
-            phi.formula.clone(),
-            Fo::Atom(Atom::new(r2, vec![x.into(), y.into()])),
-        ]),
+        Fo::and([phi.formula.clone(), Fo::Atom(Atom::new(r2, vec![x.into(), y.into()]))]),
         names,
     );
     let views = ViewSet::new(&schema, vec![("V", QueryExpr::Fo(view_q))]);
@@ -100,11 +94,7 @@ mod tests {
         let tm = Tm::instant_accept();
         check_machine(
             &tm,
-            &[
-                &[(0, 1), (1, 0)],
-                &[(0, 1), (1, 1), (1, 0)],
-                &[(0, 0), (1, 1), (0, 1)],
-            ],
+            &[&[(0, 1), (1, 0)], &[(0, 1), (1, 1), (1, 0)], &[(0, 0), (1, 1), (0, 1)]],
             4,
         );
     }

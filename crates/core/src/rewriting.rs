@@ -70,7 +70,8 @@ pub fn expand_through_views(views: &CqViews, r: &Cq) -> Cq {
         }
         for (i, slot) in mapping.iter_mut().enumerate() {
             if slot.is_none() {
-                let fresh = out.var(&format!("{}_{}", def.var_name(VarId(i as u32)), out.var_names.len()));
+                let fresh =
+                    out.var(&format!("{}_{}", def.var_name(VarId(i as u32)), out.var_names.len()));
                 *slot = Some(Term::Var(fresh));
             }
         }
@@ -129,13 +130,8 @@ pub fn exists_ucq_rewriting(views: &CqViews, q: &Ucq) -> Option<Ucq> {
     }
     let candidate = Ucq::new(candidates);
     // Exactness: the union of expansions must be equivalent to q.
-    let expansion = Ucq::new(
-        candidate
-            .disjuncts
-            .iter()
-            .map(|d| expand_through_views(views, d))
-            .collect(),
-    );
+    let expansion =
+        Ucq::new(candidate.disjuncts.iter().map(|d| expand_through_views(views, d)).collect());
     if ucq_equivalent(&expansion, q) {
         Some(vqd_eval::minimize_ucq(&candidate))
     } else {
@@ -198,11 +194,7 @@ mod tests {
 
     fn cq(src: &str) -> Cq {
         let mut names = DomainNames::new();
-        parse_query(&schema(), &mut names, src)
-            .unwrap()
-            .as_cq()
-            .unwrap()
-            .clone()
+        parse_query(&schema(), &mut names, src).unwrap().as_cq().unwrap().clone()
     }
 
     fn cq_over(v: &CqViews, src: &str) -> Cq {
@@ -220,10 +212,7 @@ mod tests {
         let r = cq_over(&v, "R(x,y) :- V(x,w), V(w,y).");
         let e = expand_through_views(&v, &r);
         assert_eq!(e.atoms.len(), 4);
-        assert!(cq_equivalent(
-            &e,
-            &cq("Q(x,y) :- E(x,a), E(a,b), E(b,c), E(c,y).")
-        ));
+        assert!(cq_equivalent(&e, &cq("Q(x,y) :- E(x,a), E(a,b), E(b,c), E(c,y).")));
     }
 
     #[test]
@@ -259,23 +248,14 @@ mod tests {
     fn ucq_rewriting_existence_positive() {
         let v = views("V1(x,y) :- E(x,y).\nV2(x) :- P(x).");
         let mut names = DomainNames::new();
-        let q = parse_query(
-            &schema(),
-            &mut names,
-            "Q(x) :- P(x).\nQ(x) :- E(x,y), P(y).",
-        )
-        .unwrap()
-        .as_ucq()
-        .unwrap();
+        let q = parse_query(&schema(), &mut names, "Q(x) :- P(x).\nQ(x) :- E(x,y), P(y).")
+            .unwrap()
+            .as_ucq()
+            .unwrap();
         let r = exists_ucq_rewriting(&v, &q).expect("rewriting exists");
         assert_eq!(r.disjuncts.len(), 2);
         // Verify the expansion is equivalent.
-        let exp = Ucq::new(
-            r.disjuncts
-                .iter()
-                .map(|d| expand_through_views(&v, d))
-                .collect(),
-        );
+        let exp = Ucq::new(r.disjuncts.iter().map(|d| expand_through_views(&v, d)).collect());
         assert!(ucq_equivalent(&exp, &q));
     }
 
@@ -287,14 +267,10 @@ mod tests {
         // with a genuinely redundant disjunct.
         let v = views("V1(x,y) :- E(x,y).");
         let mut names = DomainNames::new();
-        let q = parse_query(
-            &schema(),
-            &mut names,
-            "Q(x) :- E(x,y).\nQ(x) :- E(x,y), E(y,z).",
-        )
-        .unwrap()
-        .as_ucq()
-        .unwrap();
+        let q = parse_query(&schema(), &mut names, "Q(x) :- E(x,y).\nQ(x) :- E(x,y), E(y,z).")
+            .unwrap()
+            .as_ucq()
+            .unwrap();
         let r = exists_ucq_rewriting(&v, &q).expect("redundant disjunct subsumed");
         // The minimized rewriting needs only one disjunct.
         assert_eq!(r.disjuncts.len(), 1);
@@ -304,14 +280,10 @@ mod tests {
     fn ucq_rewriting_existence_negative() {
         let v = views("V(x,y) :- E(x,z), E(z,y).");
         let mut names = DomainNames::new();
-        let q = parse_query(
-            &schema(),
-            &mut names,
-            "Q(x,y) :- E(x,y).\nQ(x,y) :- E(x,a), E(a,y).",
-        )
-        .unwrap()
-        .as_ucq()
-        .unwrap();
+        let q = parse_query(&schema(), &mut names, "Q(x,y) :- E(x,y).\nQ(x,y) :- E(x,a), E(a,y).")
+            .unwrap()
+            .as_ucq()
+            .unwrap();
         assert!(exists_ucq_rewriting(&v, &q).is_none());
     }
 

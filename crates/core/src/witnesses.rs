@@ -128,12 +128,8 @@ pub fn prop_5_12() -> NonMonotonicityWitness {
 /// Proposition 5.12 query — non-monotone, as any exact rewriting must be.
 pub fn prop_5_12_fo_rewriting(witness: &NonMonotonicityWitness) -> QueryExpr {
     let mut names = DomainNames::new();
-    parse_query(
-        witness.views.output_schema(),
-        &mut names,
-        "QV(x) := (V1(x) & ~V2(x)) | V3(x).",
-    )
-    .expect("static query parses")
+    parse_query(witness.views.output_schema(), &mut names, "QV(x) := (V1(x) & ~V2(x)) | V3(x).")
+        .expect("static query parses")
 }
 
 #[cfg(test)]
