@@ -28,10 +28,13 @@
 //! ```
 //!
 //! `--seed` seeds the random graphs; `--smoke` runs only the smallest
-//! point of each series. The gates are on exactness, never on wall
-//! time: the exit code is 1 when a row's counter delta differs between
-//! samples, when the two sides of a comparison disagree on their
-//! output, or when tracing recorded a span while disabled. The report
+//! point of each series, plus the second point of the F2 and F8 series:
+//! the smallest rows with ties in the hom kernel's most-constrained
+//! pick, so a smoke `--check` catches a change to its tie-break. The
+//! gates are on exactness, never on wall time: the exit code is 1 when
+//! a row's counter delta differs between samples, when the two sides
+//! of a comparison disagree on their output, or when tracing recorded
+//! a span while disabled. The report
 //! is written either way, with the failures listed.
 //!
 //! `--check` then compares the report with a committed one, row by row
@@ -281,8 +284,14 @@ impl Bench {
     /// The points of a series to run: all of them, or under `--smoke`
     /// only the first (smallest).
     fn points<'a, T>(&self, all: &'a [T]) -> &'a [T] {
+        self.smoke_points(all, 1)
+    }
+
+    /// The points of a series to run: all of them, or under `--smoke`
+    /// the first `n`.
+    fn smoke_points<'a, T>(&self, all: &'a [T], n: usize) -> &'a [T] {
         if self.smoke {
-            &all[..1]
+            &all[..n]
         } else {
             all
         }
@@ -529,7 +538,7 @@ fn f1(b: &mut Bench) {
 fn f2(b: &mut Bench) {
     let s = Schema::new([("E", 2), ("P", 1)]);
     let views = path_views(&s, 2);
-    for &k in b.points(&[4usize, 6, 8, 10]) {
+    for &k in b.smoke_points(&[4usize, 6, 8, 10], 2) {
         let q = path_query(&s, k);
         b.figure(
             ("F2", "decide-unrestricted", k as u64),
@@ -727,7 +736,7 @@ fn f8(b: &mut Bench) {
     let s = Schema::new([("E", 2)]);
     let views = path_views(&s, 2);
     let exists = |e: &bool| Value::object([("exists", Value::from(*e))]);
-    for &k in b.points(&[4usize, 6, 8]) {
+    for &k in b.smoke_points(&[4usize, 6, 8], 2) {
         let q = path_query(&s, k);
         let can = canonical(&views, &q);
         let atoms = |n: &usize| {

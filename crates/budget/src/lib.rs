@@ -289,6 +289,27 @@ impl Budget {
         }
     }
 
+    /// A fresh budget for side work done on this budget's behalf, whose
+    /// step count is its own: it observes this budget's deadline and
+    /// cancel token, allows `steps` checkpoints, and has no tuple limit
+    /// or fault-injection point. Its checkpoints do not count against
+    /// this budget.
+    ///
+    /// A step-limit trip then means the side work outgrew its own bound,
+    /// while a deadline or cancel trip means the caller ran out of time.
+    #[must_use]
+    pub fn side_budget(&self, steps: u64) -> Budget {
+        Budget {
+            counters: Arc::new(Counters::default()),
+            cancel: self.cancel.clone(),
+            started: Instant::now(),
+            deadline: self.deadline,
+            step_limit: Some(steps),
+            tuple_limit: None,
+            trip_at: None,
+        }
+    }
+
     /// Whether this budget can ever trip (false for a plain
     /// [`Budget::unlimited`] with no cancel requested).
     pub fn is_limited(&self) -> bool {
@@ -358,6 +379,19 @@ impl Budget {
             if steps.is_multiple_of(DEADLINE_STRIDE) && Instant::now() >= deadline {
                 return Err(trip(ExhaustReason::Deadline, u64::MAX));
             }
+        }
+        Ok(())
+    }
+
+    /// Checks the cancel token and the deadline now, without passing a
+    /// checkpoint: for work whose units are too coarse for the deadline
+    /// check that every 64th checkpoint makes.
+    pub fn poll(&self, partial: &dyn fmt::Display) -> Result<(), Exhausted> {
+        if self.cancel.is_canceled() {
+            return Err(self.exhausted(ExhaustReason::Canceled, partial));
+        }
+        if self.deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            return Err(self.exhausted(ExhaustReason::Deadline, partial));
         }
         Ok(())
     }
@@ -670,6 +704,36 @@ mod tests {
         assert!(c.checkpoint().is_ok());
         let e = c.checkpoint().expect_err("earlier trip point wins");
         assert_eq!(e.reason, ExhaustReason::FaultInjected);
+    }
+
+    #[test]
+    fn side_budgets_share_deadline_and_cancel_but_not_counters() {
+        let parent = Budget::unlimited().with_step_limit(1).trip_after(1);
+        let side = parent.side_budget(2);
+        assert!(side.checkpoint().is_ok(), "the parent's step limit and trip point do not apply");
+        assert!(side.checkpoint().is_ok());
+        assert_eq!(parent.steps(), 0, "side checkpoints are not the parent's");
+        let e = side.checkpoint().expect_err("the side budget's own step limit");
+        assert_eq!(e.reason, ExhaustReason::StepLimit);
+        let side = parent.side_budget(u64::MAX);
+        parent.cancel_token().cancel();
+        let e = side.checkpoint().expect_err("the parent's cancellation is observed");
+        assert_eq!(e.reason, ExhaustReason::Canceled);
+        let expired = Budget::unlimited().with_deadline(Duration::ZERO).side_budget(u64::MAX);
+        let tripped = (0..DEADLINE_STRIDE).find_map(|_| expired.checkpoint().err());
+        assert_eq!(tripped.map(|e| e.reason), Some(ExhaustReason::Deadline));
+    }
+
+    #[test]
+    fn poll_checks_deadline_and_cancel_without_a_step() {
+        let budget = Budget::unlimited().with_step_limit(0);
+        assert!(budget.poll(&"").is_ok(), "a poll is not a checkpoint");
+        budget.cancel_token().cancel();
+        assert_eq!(budget.poll(&"").map_err(|e| e.reason), Err(ExhaustReason::Canceled));
+        let expired = Budget::unlimited().with_deadline(Duration::ZERO);
+        let e = expired.poll(&"closing MCDs").expect_err("the first poll sees the deadline");
+        assert_eq!((e.reason, e.work_done.steps), (ExhaustReason::Deadline, 0));
+        assert_eq!(e.partial, "closing MCDs");
     }
 
     #[test]

@@ -80,15 +80,32 @@ impl EngineCtx {
     }
 }
 
-/// The pair's plan, or why it takes the chase route. A pair failing
-/// [`CertainPlan::check`] is never compiled. Compilation is not charged
-/// to the calling request's engine counters (see
-/// [`vqd_obs::uncharged`]); its result is stored on the derived entry
-/// the request serves through, so each derived build pays it once.
-fn plan_lookup(cq_views: &CqViews, q: &Cq, registry: &Registry) -> PlanLookup {
-    CertainPlan::check(cq_views, q)?;
+/// The pair's plan, or why it takes the chase route; `None` when the
+/// request's deadline passed or it was canceled mid-compile, which says
+/// nothing about the pair: that request takes the chase and nothing is
+/// stored. A pair failing [`CertainPlan::check`] is never compiled.
+/// Compilation runs under [`CertainPlan::compile_budgeted`]'s side
+/// budget of `budget` and is not charged to the calling request's
+/// engine counters (see [`vqd_obs::uncharged`]). A handle request
+/// stores the lookup on the derived entry it serves through, so each
+/// derived build pays it once; an inline request pays it every time.
+fn plan_lookup(
+    cq_views: &CqViews,
+    q: &Cq,
+    budget: &Budget,
+    registry: &Registry,
+) -> Option<PlanLookup> {
+    if let Err(why) = CertainPlan::check(cq_views, q) {
+        return Some(Err(why));
+    }
     registry.counter("certain.plan.compiles").inc();
-    vqd_obs::uncharged(|| CertainPlan::compile(cq_views, q)).map(Arc::new)
+    match vqd_obs::uncharged(|| CertainPlan::compile_budgeted(cq_views, q, budget)) {
+        Ok(lookup) => Some(lookup.map(Arc::new)),
+        Err(_) => {
+            registry.counter("certain.plan.compile_trips").inc();
+            None
+        }
+    }
 }
 
 /// Counts a certain-answer request on the plan route.
@@ -97,10 +114,11 @@ fn count_plan_route(ctx: &EngineCtx) {
 }
 
 /// Counts a certain-answer request on the chase route and, when the pair
-/// has no plan, the fallback and its reason.
-fn count_chase_route(ctx: &EngineCtx, plan: &PlanLookup) {
+/// has no plan, the fallback and its reason. `None` is a compile the
+/// request's budget cut short ([`plan_lookup`]): no fallback is counted.
+fn count_chase_route(ctx: &EngineCtx, plan: Option<&PlanLookup>) {
     ctx.registry.counter("certain.route.chase").inc();
-    if let Err(why) = plan {
+    if let Some(Err(why)) = plan {
         ctx.registry.counter("certain.plan.fallbacks").inc();
         ctx.registry.counter(&format!("certain.plan.fallback.{}", why.tag())).inc();
     }
@@ -419,10 +437,15 @@ fn certain_outcome(answers: Result<Relation, VqdError>, names: &impl NameLookup)
     }
 }
 
-/// Inline certain answers chase the extent: it is parsed for this one
-/// request, and the reply's trace and profile show the chase. The plan
-/// route serves handle requests ([`run_certain_handle`]), whose extent
-/// index is built once and reused.
+/// Inline certain answers: the extent is parsed for this one request.
+/// A pair with a plan compiles it ([`plan_lookup`]; there is no cache
+/// entry to keep it on), builds the extent's index and evaluates the
+/// plan over it, and a traced request shows a `certain.plan.eval` span.
+/// A pair without one, or whose compile the request's deadline or
+/// cancel cut short, chases the extent as [`certain_sound_ctx`] does,
+/// so an unproducible extent tuple still replies `invalid-input`. Both
+/// routes render through the request's own names, byte-identically to
+/// each other and to [`run_certain_handle`].
 fn run_certain(
     schema: &str,
     views: &str,
@@ -439,8 +462,17 @@ fn run_certain(
         Ok(i) => i,
         Err(e) => return err(ErrorKind::Parse, format!("extent: {e}")),
     };
-    ctx.registry.counter("certain.route.chase").inc();
-    certain_outcome(certain_sound_ctx(&cq_views, &q, &extent, budget), &names)
+    let answers = match plan_lookup(&cq_views, &q, budget, &ctx.registry) {
+        Some(Ok(plan)) => {
+            count_plan_route(ctx);
+            plan.eval(&IndexedInstance::new(extent), budget)
+        }
+        plan => {
+            count_chase_route(ctx, plan.as_ref());
+            certain_sound_ctx(&cq_views, &q, &extent, budget)
+        }
+    };
+    certain_outcome(answers, &names)
 }
 
 /// Name-sensitive extent fingerprint. Two extents with equal
@@ -493,7 +525,8 @@ fn run_put_instance(schema: &str, extent: &str, ctx: &EngineCtx) -> Outcome {
 /// its route needs (the extent's own, or the chase) only on a miss. The
 /// table is the request-local interning an inline request would build,
 /// so every route renders byte-identically to the inline form modulo
-/// the work envelope.
+/// the work envelope. A compile the request's deadline or cancel cut
+/// short serves this request through the chase and re-inserts nothing.
 ///
 /// The flag is the cache lookup's answer: whether a derived entry for
 /// the key was found, so the request skipped building it.
@@ -519,13 +552,13 @@ fn run_certain_handle(
     let hit = cached.is_some();
     let (index, kind, names, plan) = match cached {
         Some(Derived { index, names: Some(names), kind, plan: Some(plan) }) => {
-            (index, kind, names, plan)
+            (index, kind, names, Some(plan))
         }
         cached => {
             let plan = cached
                 .as_ref()
                 .and_then(|d| d.plan.clone())
-                .unwrap_or_else(|| plan_lookup(&cq_views, &q, &ctx.registry));
+                .or_else(|| plan_lookup(&cq_views, &q, budget, &ctx.registry));
             let (index, kind, names) = match cached {
                 Some(Derived { index, kind, names: Some(names), .. }) => (index, kind, names),
                 cached => {
@@ -540,13 +573,13 @@ fn run_certain_handle(
                     };
                     let (index, kind) = match cached {
                         Some(derived) => (derived.index, derived.kind),
-                        None if plan.is_ok() => {
+                        None if matches!(plan, Some(Ok(_))) => {
                             (IndexedInstance::new(extent).into_shared(), DerivedKind::Extent)
                         }
                         None => match canonical_database_budgeted(&cq_views, &extent, budget) {
                             Ok(chased) => (chased.into_shared(), DerivedKind::Chased),
                             Err(e) => {
-                                count_chase_route(ctx, &plan);
+                                count_chase_route(ctx, plan.as_ref());
                                 return (vqd_error(e), false);
                             }
                         },
@@ -554,29 +587,33 @@ fn run_certain_handle(
                     (index, kind, Arc::new(NameTable::new(&names)))
                 }
             };
-            let derived = Derived {
-                index: Arc::clone(&index),
-                names: Some(Arc::clone(&names)),
-                kind,
-                plan: Some(plan.clone()),
-            };
-            ctx.cache.insert_derived(key, derived);
+            // A compile the request's budget cut short stores nothing.
+            if let Some(plan) = &plan {
+                let derived = Derived {
+                    index: Arc::clone(&index),
+                    names: Some(Arc::clone(&names)),
+                    kind,
+                    plan: Some(plan.clone()),
+                };
+                ctx.cache.insert_derived(key, derived);
+            }
             (index, kind, names, plan)
         }
     };
     let answers = match (kind, &plan) {
-        (DerivedKind::Extent, Ok(plan)) => {
+        (DerivedKind::Extent, Some(Ok(plan))) => {
             count_plan_route(ctx);
             plan.eval(&index, budget)
         }
         (DerivedKind::Chased, _) => {
-            count_chase_route(ctx, &plan);
+            count_chase_route(ctx, plan.as_ref());
             certain_from_canonical(&q, &index, budget)
         }
         // An extent entry for a pair with no plan (one compiled under
-        // other bounds): chase the stored extent.
-        (DerivedKind::Extent, Err(_)) => {
-            count_chase_route(ctx, &plan);
+        // other bounds) or whose compile this request's budget cut
+        // short: chase the stored extent.
+        (DerivedKind::Extent, _) => {
+            count_chase_route(ctx, plan.as_ref());
             canonical_database_budgeted(&cq_views, index.instance(), budget)
                 .and_then(|chased| certain_from_canonical(&q, &chased, budget))
         }
@@ -970,6 +1007,69 @@ mod tests {
             assert_eq!(compiles(&c), 1);
         }
         assert_eq!(c.registry.snapshot().counter("certain.plan.fallback.size_bound"), 2);
+    }
+
+    /// A pair whose MiniCon search passes only about a hundred steps but
+    /// assembles its 32 allowed combinations, each about a millisecond
+    /// of containment checks, before it falls back with `size_bound`:
+    /// about 25 ms of compile in a release build. The deadline check
+    /// every 64th step alone would notice a passed deadline only about
+    /// 10 ms in.
+    const SLOW_SCHEMA: &str = "E/2,P/1,T/3";
+    const SLOW_VIEWS: &str = "V0(x1) :- P(x1).\n\
+        V1(x2,x3,x4,x5,x0,x1,x6,x7) :- P(x1), T(x2,x2,x1), T(x4,x1,x1), E(x3,x5), T(x4,x1,x1), \
+        T(x2,x1,x0), T(x1,x4,x6), E(x4,x6), P(x6), E(x6,x7), E(x1,x0).";
+    const SLOW_QUERY: &str = "Q() :- E(x0,x5), E(x0,x4), T(x2,x4,x0), T(x1,x0,x5), E(x3,x3), \
+        E(x1,x3), T(x5,x1,x3), T(x2,x4,x3).";
+
+    #[test]
+    fn a_deadline_cuts_a_slow_compile_short_and_stores_nothing() {
+        let c = ctx();
+        let (_, views, q) = parse_cq_pair(SLOW_SCHEMA, SLOW_VIEWS, SLOW_QUERY).expect("parses");
+        let started = Instant::now();
+        assert_eq!(CertainPlan::compile(&views, &q).unwrap_err(), PlanFallback::SizeBound);
+        let full = started.elapsed();
+        let deadline = || Budget::unlimited().with_deadline(std::time::Duration::from_millis(1));
+        let extent = "V0(A). V1(A,B,C,D,A,B,C,D).";
+        let inline = Request::Certain {
+            schema: SLOW_SCHEMA.into(),
+            views: SLOW_VIEWS.into(),
+            query: SLOW_QUERY.into(),
+            extent: extent.into(),
+        };
+        let started = Instant::now();
+        let out = execute(&inline, &deadline(), &c);
+        let took = started.elapsed();
+        // The chase then runs under the same passed deadline: it may
+        // finish this small extent before its first deadline check.
+        assert!(
+            matches!(out, Outcome::CertainAnswers { .. } | Outcome::Exhausted { .. }),
+            "{out:?}"
+        );
+        assert!(took < full / 4, "replied after {took:?}; the whole compile takes {full:?}");
+        let counter = |name: &str| c.registry.snapshot().counter(name);
+        assert_eq!(counter("certain.plan.compile_trips"), 1);
+        assert_eq!(counter("certain.route.chase"), 1);
+        assert_eq!(counter("certain.plan.fallbacks"), 0, "a trip says nothing about the pair");
+
+        // By handle, a cut-short compile stores no derived entry; an
+        // unhurried one stores its `size_bound` fallback.
+        let handle = put(&c, "V0/1,V1/8", extent);
+        let by_handle = Request::CertainHandle {
+            schema: SLOW_SCHEMA.into(),
+            views: SLOW_VIEWS.into(),
+            query: SLOW_QUERY.into(),
+            handle: handle.clone(),
+        };
+        let fingerprint = c.cache.get_handle(&handle).expect("live handle").fingerprint;
+        let key = derived_key(SLOW_SCHEMA, SLOW_VIEWS, SLOW_QUERY, &fingerprint);
+        execute(&by_handle, &deadline(), &c);
+        assert_eq!(counter("certain.plan.compile_trips"), 2);
+        assert!(c.cache.get_derived(&key).is_none(), "nothing is stored");
+        let out = execute(&by_handle, &Budget::unlimited(), &c);
+        assert!(matches!(out, Outcome::CertainAnswers { .. }), "{out:?}");
+        let derived = c.cache.get_derived(&key).expect("a derived entry");
+        assert_eq!(derived.plan.unwrap().unwrap_err(), PlanFallback::SizeBound);
     }
 
     #[test]

@@ -449,8 +449,8 @@ mod tests {
         run_job(job(), &ctx);
         let first = rx.recv().expect("reply").profile.expect("profile requested");
         let second = rx.recv().expect("reply").profile.expect("profile requested");
-        assert!(!first.is_zero(), "chase work must show up in the profile");
-        assert!(first.get(Metric::ChaseRounds) > 0);
+        assert!(!first.is_zero(), "plan work must show up in the profile");
+        assert!(first.get(Metric::IndexBuilds) > 0, "the plan route indexes the extent");
         assert_eq!(first, second, "identical requests must report identical deltas");
         let reg = ctx.registry.snapshot();
         assert_eq!(reg.counter("op.certain_sound.requests"), 2);

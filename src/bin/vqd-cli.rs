@@ -613,18 +613,22 @@ fn cmd_stats(argv: &[String]) {
         std::process::exit(1)
     });
     // The Display impl renders the flat counters, uptime, and one
-    // latency line per op that has served traffic.
+    // latency line per op that has served traffic. The registry's other
+    // counters follow: the engine's, then the rest (cache, certain-answer
+    // routes, router, disk, server); per-op counters are in the op lines.
     println!("{}", response.outcome);
     if let Outcome::StatsSnapshot { registry, .. } = &response.outcome {
-        let engine: Vec<&(String, u64)> = registry
+        let (engine, other): (Vec<_>, Vec<_>) = registry
             .counters
             .iter()
-            .filter(|(n, _)| n.starts_with("engine."))
-            .collect();
-        if !engine.is_empty() {
-            println!("--- engine counters (server lifetime) ---");
-            for (n, v) in engine {
-                println!("{:<40} {v}", n.trim_start_matches("engine."));
+            .filter(|(n, _)| !n.starts_with("op."))
+            .partition(|(n, _)| n.starts_with("engine."));
+        for (heading, counters) in [("engine counters", engine), ("registry counters", other)] {
+            if !counters.is_empty() {
+                println!("--- {heading} (server lifetime) ---");
+                for (n, v) in counters {
+                    println!("{:<40} {v}", n.trim_start_matches("engine."));
+                }
             }
         }
     }

@@ -324,13 +324,13 @@ fn traced_requests_return_span_jsonl_untraced_do_not() {
     let traced = c.call_traced(Limits::none(), certain_inline()).expect("traced");
     assert_eq!(plain.outcome, traced.outcome, "tracing must not change the verdict");
     let jsonl = traced.trace.expect("trace requested");
-    let mut saw_chase = false;
+    let mut saw_plan = false;
     for line in jsonl.lines() {
         let v = serde::json::parse(line).expect("each trace line is a JSON span event");
         let name = v.get("name").and_then(Value::as_str).unwrap_or_default();
-        saw_chase |= name == "chase.round";
+        saw_plan |= name == "certain.plan.eval";
     }
-    assert!(saw_chase, "a certain_sound request chases, so chase.round spans must appear");
+    assert!(saw_plan, "an inline certain_sound request with a plan shows its route's span");
     // The next untraced request on the same (possibly same-worker)
     // connection must not inherit the trace flag or stale spans.
     let after = c.call(Limits::none(), certain_inline()).expect("untraced again");

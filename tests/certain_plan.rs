@@ -12,6 +12,10 @@
 //!   need every MCD closure and a head-variable merge across MCDs.
 //! * **The certain-hot queries.** The six path queries over 2-path
 //!   views minimize to at most one disjunct and answer like the chase.
+//! * **Inline requests.** Every generated triple, the constant pair and
+//!   the repeated-head pair sent inline through `engine::execute` reply
+//!   exactly what the chase route renders through the same names, and
+//!   `certain.route.plan` counts exactly the triples in the plan's scope.
 //! * **A server round.** One pair with a plan and one without answer
 //!   byte-identically inline, on a handle miss, on a handle hit and on a
 //!   hit after a restart; the `certain.route.*` and `certain.plan.*`
@@ -21,15 +25,17 @@
 use serde::json::Value;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
-use vqd::budget::Budget;
+use vqd::budget::{Budget, CancelToken};
 use vqd::chase::CqViews;
 use vqd::core::certain::{
-    canonical_database_budgeted, certain_from_canonical, CertainPlan, PlanFallback,
+    canonical_database_budgeted, certain_from_canonical, certain_sound_ctx, CertainPlan,
+    PlanFallback,
 };
 use vqd::exec::ExecCtx;
 use vqd::instance::{named, DomainNames, IndexedInstance, Instance, Schema};
 use vqd::obs::RegistrySnapshot;
 use vqd::query::{parse_instance, parse_program, parse_query, Cq, ViewSet};
+use vqd::server::engine::{self, EngineCtx};
 use vqd::server::{
     self, CacheConfig, Client, DiskConfig, Envelope, Limits, Outcome, Request, Response,
     ServerCaps, ServerConfig,
@@ -322,6 +328,55 @@ fn every_mcd_closure_and_head_merge_keeps_its_answers() {
     }
 }
 
+/// The engine's reply to the triple sent inline, and the chase route's
+/// answer to it rendered through the same names.
+fn inline_and_chase(
+    ctx: &EngineCtx,
+    schema: &str,
+    views: &str,
+    query: &str,
+    extent: &str,
+) -> (Outcome, Outcome) {
+    let request = Request::Certain {
+        schema: schema.into(),
+        views: views.into(),
+        query: query.into(),
+        extent: extent.into(),
+    };
+    let reply = engine::execute(&request, &Budget::unlimited(), ctx);
+    let p = parse(&Schema::parse(schema).expect("schema"), views, query, extent);
+    let chased = certain_sound_ctx(&p.views, &p.query, &p.extent, &Budget::unlimited());
+    let chased = chased.map_or_else(
+        |e| panic!("{views} / {query}: chase failed: {e}"),
+        |rel| Outcome::CertainAnswers { count: rel.len() as u64, answers: rel.render(&p.names) },
+    );
+    (reply, chased)
+}
+
+#[test]
+fn inline_requests_answer_like_the_chase_and_count_the_plan_route() {
+    let ctx = EngineCtx::new(CancelToken::new());
+    let mut rng = Rng(0x00c0_ffee_5eed);
+    let mut in_scope = 0;
+    for case in 0..TRIPLES {
+        let t = triple(&mut rng);
+        let (reply, chased) = inline_and_chase(&ctx, "E/2,P/1,T/3", &t.views, &t.query, &t.extent);
+        assert_eq!(reply, chased, "case {case}: {} / {} / {}", t.views, t.query, t.extent);
+        let p = parse(&Schema::new(BASE), &t.views, &t.query, &t.extent);
+        in_scope += u64::from(CertainPlan::compile(&p.views, &p.query).is_ok());
+    }
+    for (views, query, extent) in [CONSTANT_PAIR, REPEATED_PAIR] {
+        let (reply, chased) = inline_and_chase(&ctx, "E/2", views, query, extent);
+        assert_eq!(reply, chased, "{views} / {query} / {extent}");
+    }
+    let registry = ctx.registry.snapshot();
+    assert!(in_scope >= MIN_COMPARED as u64, "only {in_scope} triples in scope");
+    assert_eq!(registry.counter("certain.route.plan"), in_scope);
+    assert_eq!(registry.counter("certain.route.chase"), TRIPLES as u64 + 2 - in_scope);
+    assert_eq!(registry.counter("certain.plan.fallback.constant"), 1);
+    assert_eq!(registry.counter("certain.plan.fallback.repeated_head_variable"), 1);
+}
+
 struct TempDir(std::path::PathBuf);
 
 impl TempDir {
@@ -457,17 +512,18 @@ fn server_routes_answer_byte_identically_and_count_their_route() {
         wants.push(want);
     }
     // [plan, chase, compiles, fallbacks, constant, repeated, size, not plain]
-    // Only the plan pair is compiled: the constant pair fails the cheap
-    // checks, which run before any compile.
-    assert_eq!(counters(&mut c), [2, 4, 1, 2, 2, 0, 0, 0]);
+    // Inline requests count their route and fallback like handle ones.
+    // Only the plan pair is compiled, inline and on its handle miss: the
+    // constant pair fails the cheap checks, which run before any compile.
+    assert_eq!(counters(&mut c), [3, 3, 2, 3, 3, 0, 0, 0]);
     for pair in [REPEATED_PAIR, SIZE_PAIR] {
         let want = result(&send(&mut c, &inline(pair)));
         let (handle, _) = c.put_instance("V/2", pair.2).expect("put");
         assert_eq!(result(&send(&mut c, &by_handle(pair, &handle))), want, "{pair:?}");
     }
-    assert_eq!(counters(&mut c), [2, 8, 1, 4, 2, 1, 1, 0]);
+    assert_eq!(counters(&mut c), [3, 7, 2, 7, 3, 2, 2, 0]);
     let prom = c.metrics_prom().expect("metrics_prom");
-    for line in ["certain_route_plan 2", "certain_route_chase 8", "certain_plan_compiles 1"] {
+    for line in ["certain_route_plan 3", "certain_route_chase 7", "certain_plan_compiles 2"] {
         assert!(prom.lines().any(|l| l == line), "no `{line}` in:\n{prom}");
     }
     srv.shutdown();

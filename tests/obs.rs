@@ -10,7 +10,9 @@
 //! * the `stats` op returns a registry snapshot whose per-op latency
 //!   histograms cover the requests served so far, alongside per-op
 //!   request counters, lifetime engine counters, and the uptime gauge;
-//! * both extensions have the documented JSON shapes.
+//! * both extensions have the documented JSON shapes;
+//! * `vqd-cli stats` prints the registry's lifetime counters, so the
+//!   certain-answer route split can be read from a running server.
 
 use serde::json::Value;
 use vqd::obs::Metric;
@@ -128,5 +130,40 @@ fn stats_op_returns_registry_covering_served_requests() {
         assert!(wire_registry.get(section).is_some(), "missing `{section}`: {wire_registry}");
     }
 
+    handle.shutdown();
+}
+
+#[test]
+fn cli_stats_prints_the_registry_counters() {
+    let handle = server(1);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let certain = Request::Certain {
+        schema: "E/2".to_owned(),
+        views: "V(x,z) :- E(x,y), E(y,z).".to_owned(),
+        query: "Q(x,z) :- E(x,y), E(y,z).".to_owned(),
+        extent: "V(A,B). V(B,C).".to_owned(),
+    };
+    let reply = client.call(Limits::none(), certain).expect("certain");
+    assert!(matches!(reply.outcome, Outcome::CertainAnswers { .. }), "{reply:?}");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_vqd-cli"))
+        .args(["stats", "--addr", &handle.addr().to_string()])
+        .output()
+        .expect("run vqd-cli stats");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    let registry = stdout
+        .split("--- registry counters (server lifetime) ---")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no registry heading in:\n{stdout}"));
+    let line = |name: &str| {
+        registry.lines().find_map(|l| {
+            let (n, v) = l.split_once(char::is_whitespace)?;
+            (n == name).then(|| v.trim().to_owned())
+        })
+    };
+    assert_eq!(line("certain.route.plan").as_deref(), Some("1"), "{stdout}");
+    assert_eq!(line("certain.plan.compiles").as_deref(), Some("1"), "{stdout}");
+    assert_eq!(line("op.certain_sound.requests"), None, "per-op counters stay out");
+    assert!(stdout.contains("--- engine counters (server lifetime) ---"), "{stdout}");
     handle.shutdown();
 }
