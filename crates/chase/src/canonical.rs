@@ -71,9 +71,7 @@ pub fn try_canonical(views: &CqViews, q: &Cq) -> Result<Canonical, VqdError> {
         message: message.to_string(),
     };
     if q.language() != CqLang::Cq {
-        return Err(invalid(
-            "canonical rewriting is defined for plain CQs (Theorem 3.3)",
-        ));
+        return Err(invalid("canonical rewriting is defined for plain CQs (Theorem 3.3)"));
     }
     if q.atoms.is_empty() {
         return Err(invalid("query body must be non-empty"));
@@ -93,26 +91,18 @@ pub fn try_canonical(views: &CqViews, q: &Cq) -> Result<Canonical, VqdError> {
         match v {
             Value::Named(_) => Term::Const(v),
             Value::Null(i) => {
-                let var = *var_of
-                    .entry(v)
-                    .or_insert_with(|| q_v.var(&format!("n{i}")));
+                let var = *var_of.entry(v).or_insert_with(|| q_v.var(&format!("n{i}")));
                 Term::Var(var)
             }
         }
     };
     for (rel, r) in s.iter() {
         for t in r.iter() {
-            let args: Vec<Term> = t
-                .iter()
-                .map(|&v| term_of(v, &mut q_v, &mut var_of))
-                .collect();
+            let args: Vec<Term> = t.iter().map(|&v| term_of(v, &mut q_v, &mut var_of)).collect();
             q_v.atoms.push(vqd_query::Atom::new(rel, args));
         }
     }
-    q_v.head = frozen_head
-        .iter()
-        .map(|&v| term_of(v, &mut q_v, &mut var_of))
-        .collect();
+    q_v.head = frozen_head.iter().map(|&v| term_of(v, &mut q_v, &mut var_of)).collect();
 
     Ok(Canonical { frozen_query, frozen_head, s, q_v, nulls })
 }
@@ -167,11 +157,7 @@ mod tests {
 
     fn cq(src: &str) -> Cq {
         let mut names = DomainNames::new();
-        parse_query(&schema(), &mut names, src)
-            .unwrap()
-            .as_cq()
-            .unwrap()
-            .clone()
+        parse_query(&schema(), &mut names, src).unwrap().as_cq().unwrap().clone()
     }
 
     #[test]

@@ -67,10 +67,7 @@ impl CqViews {
     /// Validates and wraps a view set, reporting the first violation of
     /// the Section 3 hypotheses as a structured error.
     pub fn try_new(views: ViewSet) -> Result<Self, VqdError> {
-        let invalid = |message: String| VqdError::InvalidInput {
-            context: "CqViews",
-            message,
-        };
+        let invalid = |message: String| VqdError::InvalidInput { context: "CqViews", message };
         for v in views.views() {
             let QueryExpr::Cq(cq) = &v.query else {
                 return Err(invalid(format!("view `{}` is not a single CQ", v.name)));
@@ -332,7 +329,9 @@ fn conflict(views: &CqViews, i: usize, tuple: &[Value], pos: usize) -> VqdError 
     let cq = views.cq(i);
     let rendered: Vec<String> = tuple.iter().map(Value::to_string).collect();
     let why = match cq.head[pos] {
-        Term::Const(c) => format!("conflicts with a head constant: position {} must be {c}", pos + 1),
+        Term::Const(c) => {
+            format!("conflicts with a head constant: position {} must be {c}", pos + 1)
+        }
         Term::Var(v) => {
             let first = cq.head.iter().position(|&t| t == Term::Var(v)).unwrap_or(pos);
             format!(
@@ -548,8 +547,8 @@ mod tests {
             }
             let mut nulls = NullGen::starting_at(5);
             let empty = Instance::empty(&s);
-            let got = v_inverse_indexed(&v, &empty, &extent, &mut nulls, &Budget::unlimited())
-                .unwrap();
+            let got =
+                v_inverse_indexed(&v, &empty, &extent, &mut nulls, &Budget::unlimited()).unwrap();
             let mut want_nulls = NullGen::starting_at(5);
             let want = chase_by_freezing(&v, &extent, &mut want_nulls);
             assert_eq!(got.instance(), want.instance(), "{src}");

@@ -50,11 +50,7 @@ pub fn unfreeze_instance(
     let mut var_of: BTreeMap<Value, VarId> = BTreeMap::new();
     let term_of = |v: Value, q: &mut Cq, var_of: &mut BTreeMap<Value, VarId>| match v {
         Value::Named(_) => Term::Const(v),
-        Value::Null(i) => Term::Var(
-            *var_of
-                .entry(v)
-                .or_insert_with(|| q.var(&format!("n{i}"))),
-        ),
+        Value::Null(i) => Term::Var(*var_of.entry(v).or_insert_with(|| q.var(&format!("n{i}")))),
     };
     for (rel, r) in inst.iter() {
         for t in r.iter() {
@@ -62,10 +58,7 @@ pub fn unfreeze_instance(
             q.atoms.push(Atom::new(rel, args));
         }
     }
-    q.head = head
-        .iter()
-        .map(|&v| term_of(v, &mut q, &mut var_of))
-        .collect();
+    q.head = head.iter().map(|&v| term_of(v, &mut q, &mut var_of)).collect();
     Ok((q, var_of))
 }
 

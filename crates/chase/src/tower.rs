@@ -104,8 +104,7 @@ impl Tower {
         let d0 = can.frozen_query.clone();
         let s0 = can.s.clone();
         let sp0 = Instance::empty(views.as_view_set().output_schema());
-        let dp0 = v_inverse_indexed(views, &empty_in, &s0, &mut nulls, budget)?
-            .into_instance();
+        let dp0 = v_inverse_indexed(views, &empty_in, &s0, &mut nulls, budget)?.into_instance();
         Ok(Tower {
             d: vec![d0],
             s: vec![s0],
@@ -142,8 +141,8 @@ impl Tower {
         // exhaustion mid-level cannot leave the four chains ragged.
         let mut nulls = self.nulls.clone();
         let sp_next = views.apply(&self.d_prime[k]);
-        let d_next = v_inverse_indexed(views, &self.d[k], &sp_next, &mut nulls, budget)?
-            .into_instance();
+        let d_next =
+            v_inverse_indexed(views, &self.d[k], &sp_next, &mut nulls, budget)?.into_instance();
         let s_next = views.apply(&d_next);
         let dp_next = v_inverse_indexed(views, &self.d_prime[k], &sp_next, &mut nulls, budget)?
             .into_instance();
@@ -181,11 +180,8 @@ impl Tower {
     /// (requires level `k+1` to be materialized).
     pub fn check_invariants(&self, k: usize) -> InvariantReport {
         assert!(k + 1 < self.levels(), "check_invariants needs level k+1");
-        let fix_d: Vec<Value> = self.d[k]
-            .adom()
-            .intersection(&self.d_prime[k].adom())
-            .copied()
-            .collect();
+        let fix_d: Vec<Value> =
+            self.d[k].adom().intersection(&self.d_prime[k].adom()).copied().collect();
         // Both hom tests at this level target D_k: index it once.
         let d_k_index = IndexedInstance::from_instance(&self.d[k]);
         let hom1 = instance_hom(&self.d_prime[k], &d_k_index, &fix_d).is_some();
@@ -246,19 +242,12 @@ mod tests {
 
     fn cq(src: &str) -> Cq {
         let mut names = DomainNames::new();
-        parse_query(&schema(), &mut names, src)
-            .unwrap()
-            .as_cq()
-            .unwrap()
-            .clone()
+        parse_query(&schema(), &mut names, src).unwrap().as_cq().unwrap().clone()
     }
 
     /// The classic non-determined pair: 2-path views, 3-path query.
     fn classic() -> (CqViews, Cq) {
-        (
-            views("V(x,y) :- E(x,z), E(z,y)."),
-            cq("Q(x,y) :- E(x,a), E(a,b), E(b,y)."),
-        )
+        (views("V(x,y) :- E(x,z), E(z,y)."), cq("Q(x,y) :- E(x,a), E(a,b), E(b,y)."))
     }
 
     #[test]

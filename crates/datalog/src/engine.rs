@@ -300,11 +300,9 @@ impl From<EvalError> for VqdError {
     fn from(e: EvalError) -> Self {
         match e {
             EvalError::NotStratifiable(ns) => VqdError::NotStratifiable(format!("{ns:?}")),
-            EvalError::SchemaMismatch { expected, found } => VqdError::SchemaMismatch {
-                context: "eval_program",
-                expected,
-                found,
-            },
+            EvalError::SchemaMismatch { expected, found } => {
+                VqdError::SchemaMismatch { context: "eval_program", expected, found }
+            }
             EvalError::Exhausted { info, .. } => VqdError::Exhausted(info),
         }
     }
@@ -344,8 +342,7 @@ pub fn eval_program_with(
             found: format!("{:?}", edb.schema()),
         });
     }
-    let Stratification { rule_layers, .. } =
-        stratify(p).map_err(EvalError::NotStratifiable)?;
+    let Stratification { rule_layers, .. } = stratify(p).map_err(EvalError::NotStratifiable)?;
     let mut db = IndexedInstance::from_instance(edb).with_maintenance(maintenance);
     for layer in &rule_layers {
         let rules: Vec<&Rule> = layer.iter().map(|&i| &p.rules[i]).collect();
@@ -374,12 +371,8 @@ mod tests {
     fn tc_program() -> (Program, Schema) {
         let s = Schema::new([("E", 2), ("T", 2)]);
         let mut names = DomainNames::new();
-        let p = Program::parse(
-            &s,
-            &mut names,
-            "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).",
-        )
-        .unwrap();
+        let p =
+            Program::parse(&s, &mut names, "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).").unwrap();
         (p, s)
     }
 
@@ -471,12 +464,8 @@ mod tests {
         // Reachability from the constant A only.
         let mut d = Instance::empty(&s);
         let a = names.intern("A");
-        let p = Program::parse(
-            &s,
-            &mut names,
-            "T(A, y) :- E(A, y).\nT(A, z) :- T(A, y), E(y, z).",
-        )
-        .unwrap();
+        let p = Program::parse(&s, &mut names, "T(A, y) :- E(A, y).\nT(A, z) :- T(A, y), E(y, z).")
+            .unwrap();
         d.insert_named("E", vec![a, named(100)]);
         d.insert_named("E", vec![named(100), named(101)]);
         d.insert_named("E", vec![named(200), named(201)]);

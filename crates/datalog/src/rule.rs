@@ -144,8 +144,7 @@ impl Program {
                         col: 1,
                     });
                 }
-                let mut body: Vec<Literal> =
-                    cq.atoms.iter().cloned().map(Literal::Pos).collect();
+                let mut body: Vec<Literal> = cq.atoms.iter().cloned().map(Literal::Pos).collect();
                 body.extend(cq.neg_atoms.iter().cloned().map(Literal::Neg));
                 body.extend(cq.neqs.iter().map(|&(a, b)| Literal::Neq(a, b)));
                 let rule = Rule {
@@ -180,18 +179,10 @@ impl Program {
         let mut rules = Vec::new();
         for d in &ucq.disjuncts {
             let d = vqd_eval::normalize_eqs(d).expect("satisfiable disjunct");
-            assert!(
-                d.neg_atoms.is_empty(),
-                "from_ucq takes positive disjuncts (Datalog^≠)"
-            );
+            assert!(d.neg_atoms.is_empty(), "from_ucq takes positive disjuncts (Datalog^≠)");
             // Atoms refer to the UCQ's schema; re-resolve by name into
             // the (super-)schema of the program.
-            let fix = |a: &Atom| {
-                Atom::new(
-                    schema.rel(d.schema.name(a.rel)),
-                    a.args.clone(),
-                )
-            };
+            let fix = |a: &Atom| Atom::new(schema.rel(d.schema.name(a.rel)), a.args.clone());
             let mut body: Vec<Literal> = d.atoms.iter().map(|a| Literal::Pos(fix(a))).collect();
             body.extend(d.neqs.iter().map(|&(a, b)| Literal::Neq(a, b)));
             rules.push(Rule {
@@ -211,16 +202,12 @@ impl Program {
     /// Whether the program is negation-free (hence monotone; `Datalog^≠`
     /// stays monotone too, the fact behind Corollary 5.9).
     pub fn is_negation_free(&self) -> bool {
-        self.rules
-            .iter()
-            .all(|r| r.negated_atoms().next().is_none())
+        self.rules.iter().all(|r| r.negated_atoms().next().is_none())
     }
 
     /// Whether the program uses inequalities.
     pub fn uses_neq(&self) -> bool {
-        self.rules
-            .iter()
-            .any(|r| r.body.iter().any(|l| matches!(l, Literal::Neq(..))))
+        self.rules.iter().any(|r| r.body.iter().any(|l| matches!(l, Literal::Neq(..))))
     }
 }
 
@@ -230,12 +217,8 @@ impl fmt::Display for Program {
             if i > 0 {
                 writeln!(f)?;
             }
-            let name = |v: VarId| {
-                r.var_names
-                    .get(v.idx())
-                    .cloned()
-                    .unwrap_or_else(|| format!("v{}", v.0))
-            };
+            let name =
+                |v: VarId| r.var_names.get(v.idx()).cloned().unwrap_or_else(|| format!("v{}", v.0));
             let term = |t: &Term| match t {
                 Term::Var(v) => name(*v),
                 Term::Const(c) => c.to_string(),
@@ -281,12 +264,8 @@ mod tests {
     fn parse_transitive_closure() {
         let s = schema();
         let mut names = DomainNames::new();
-        let p = Program::parse(
-            &s,
-            &mut names,
-            "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).",
-        )
-        .unwrap();
+        let p =
+            Program::parse(&s, &mut names, "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).").unwrap();
         assert_eq!(p.rules.len(), 2);
         assert_eq!(p.idb().len(), 1);
         assert!(p.is_negation_free());
@@ -297,12 +276,7 @@ mod tests {
     fn parse_with_negation_and_neq() {
         let s = schema();
         let mut names = DomainNames::new();
-        let p = Program::parse(
-            &s,
-            &mut names,
-            "T(x,y) :- E(x,y), !P(x), x != y.",
-        )
-        .unwrap();
+        let p = Program::parse(&s, &mut names, "T(x,y) :- E(x,y), !P(x), x != y.").unwrap();
         assert!(!p.is_negation_free());
         assert!(p.uses_neq());
     }
@@ -343,8 +317,8 @@ mod tests {
         d.insert_named("P", vec![named(5)]);
         d.insert_named("E", vec![named(0), named(1)]);
         d.insert_named("E", vec![named(2), named(2)]);
-        let out = crate::engine::eval_program(&prog, &d, crate::engine::Strategy::SemiNaive)
-            .unwrap();
+        let out =
+            crate::engine::eval_program(&prog, &d, crate::engine::Strategy::SemiNaive).unwrap();
         let ans = pschema.rel("Ans");
         assert_eq!(out.rel(ans).len(), 2);
         assert!(out.rel(ans).contains(&[named(5)]));

@@ -70,19 +70,13 @@ pub fn stratify(p: &Program) -> Result<Stratification, NotStratifiable> {
         }
         if round == n + 1 {
             // Find a predicate with an inflated stratum as witness.
-            let worst = (0..n)
-                .max_by_key(|&i| stratum[i])
-                .expect("non-empty schema");
-            return Err(NotStratifiable {
-                witness: p.schema.name(RelId(worst as u32)).to_owned(),
-            });
+            let worst = (0..n).max_by_key(|&i| stratum[i]).expect("non-empty schema");
+            return Err(NotStratifiable { witness: p.schema.name(RelId(worst as u32)).to_owned() });
         }
     }
     if stratum.iter().any(|&s| s > n) {
         let worst = (0..n).max_by_key(|&i| stratum[i]).expect("non-empty");
-        return Err(NotStratifiable {
-            witness: p.schema.name(RelId(worst as u32)).to_owned(),
-        });
+        return Err(NotStratifiable { witness: p.schema.name(RelId(worst as u32)).to_owned() });
     }
     let max = stratum.iter().copied().max().unwrap_or(0);
     let mut rule_layers: Vec<Vec<usize>> = vec![Vec::new(); max + 1];
@@ -101,12 +95,9 @@ mod tests {
     fn positive_recursion_is_one_stratum() {
         let s = Schema::new([("E", 2), ("T", 2)]);
         let mut names = DomainNames::new();
-        let p = crate::Program::parse(
-            &s,
-            &mut names,
-            "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).",
-        )
-        .unwrap();
+        let p =
+            crate::Program::parse(&s, &mut names, "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).")
+                .unwrap();
         let st = stratify(&p).unwrap();
         assert_eq!(st.rule_layers.len(), 1);
         assert_eq!(st.stratum_of[s.rel("T").idx()], 0);
@@ -133,12 +124,8 @@ mod tests {
     fn negative_cycle_rejected() {
         let s = Schema::new([("P", 1), ("A", 1), ("B", 1)]);
         let mut names = DomainNames::new();
-        let p = crate::Program::parse(
-            &s,
-            &mut names,
-            "A(x) :- P(x), !B(x).\nB(x) :- P(x), !A(x).",
-        )
-        .unwrap();
+        let p = crate::Program::parse(&s, &mut names, "A(x) :- P(x), !B(x).\nB(x) :- P(x), !A(x).")
+            .unwrap();
         let e = stratify(&p).unwrap_err();
         assert!(e.witness == "A" || e.witness == "B");
     }

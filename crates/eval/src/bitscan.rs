@@ -54,11 +54,7 @@ impl BitLayout {
     pub fn new(arities: impl IntoIterator<Item = usize>, n: usize) -> Option<BitLayout> {
         let n = u32::try_from(n).ok()?;
         let mut width = 0u32;
-        let mut out = BitLayout {
-            n,
-            arities: Vec::new(),
-            bases: Vec::new(),
-        };
+        let mut out = BitLayout { n, arities: Vec::new(), bases: Vec::new() };
         for arity in arities {
             let cells = n.checked_pow(u32::try_from(arity).ok()?)?;
             out.arities.push(arity);
@@ -137,11 +133,7 @@ impl Side {
             }
         }
         let masks = triples.iter().map(|t| (t.pos, t.neg)).collect();
-        Side {
-            output,
-            groups,
-            masks,
-        }
+        Side { output, groups, masks }
     }
 }
 
@@ -213,10 +205,7 @@ impl BitScan {
         let mut out = 0;
         let mut start = 0;
         for &(head, end) in &side.groups {
-            if side.masks[start..end]
-                .iter()
-                .any(|&(pos, neg)| pos & !d == 0 && neg & d == 0)
-            {
+            if side.masks[start..end].iter().any(|&(pos, neg)| pos & !d == 0 && neg & d == 0) {
                 out |= head;
             }
             start = end;
@@ -238,11 +227,7 @@ impl BitScan {
 
 /// Whether every constant of `q` is a domain element `c0..c(n-1)`.
 fn constants_in_domain(q: &Cq, n: usize) -> bool {
-    let atoms = q
-        .atoms
-        .iter()
-        .chain(&q.neg_atoms)
-        .flat_map(|a| a.args.iter());
+    let atoms = q.atoms.iter().chain(&q.neg_atoms).flat_map(|a| a.args.iter());
     let pairs = q.eqs.iter().chain(&q.neqs).flat_map(|(a, b)| [a, b]);
     q.head.iter().chain(atoms).chain(pairs).all(|t| match t {
         Term::Var(_) => true,
@@ -369,10 +354,7 @@ mod tests {
         let a = q("Q(x) :- P(x), x != A.");
         let b = q("Q(x) :- P(x), x != B.");
         assert!(compiles(&a, 2, total), "A is c0, a domain element");
-        assert!(
-            !compiles(&b, 1, space_size(&s, 1).unwrap()),
-            "B is c1, outside domain 1"
-        );
+        assert!(!compiles(&b, 1, space_size(&s, 1).unwrap()), "B is c1, outside domain 1");
         assert!(compiles(&b, 2, total));
         // Four variables: 2^4 = 16 triples against a space of `total`.
         let wide = q("Q() :- E(x,y), E(z,w).");

@@ -32,11 +32,11 @@ use vqd_query::{Cq, CqLang, Term, Ucq, VarId};
 /// Panics if `q` uses negation (`[Q]` is only defined for positive
 /// bodies); `≠` constraints are *ignored* by freezing, so callers that
 /// need them must handle them separately.
-pub fn freeze(q: &Cq, nulls: &mut NullGen) -> Option<(Instance, Vec<Value>, BTreeMap<VarId, Value>)> {
-    assert!(
-        q.neg_atoms.is_empty(),
-        "freeze: frozen bodies are defined for positive queries only"
-    );
+pub fn freeze(
+    q: &Cq,
+    nulls: &mut NullGen,
+) -> Option<(Instance, Vec<Value>, BTreeMap<VarId, Value>)> {
+    assert!(q.neg_atoms.is_empty(), "freeze: frozen bodies are defined for positive queries only");
     let q = normalize_eqs(q)?;
     let mut map: BTreeMap<VarId, Value> = BTreeMap::new();
     let mut inst = Instance::empty(&q.schema);
@@ -45,18 +45,10 @@ pub fn freeze(q: &Cq, nulls: &mut NullGen) -> Option<(Instance, Vec<Value>, BTre
         Term::Var(v) => *map.entry(v).or_insert_with(|| nulls.fresh()),
     };
     for atom in &q.atoms {
-        let tuple: Vec<Value> = atom
-            .args
-            .iter()
-            .map(|&t| value_of(t, &mut map, nulls))
-            .collect();
+        let tuple: Vec<Value> = atom.args.iter().map(|&t| value_of(t, &mut map, nulls)).collect();
         inst.insert(atom.rel, tuple);
     }
-    let head: Vec<Value> = q
-        .head
-        .iter()
-        .map(|&t| value_of(t, &mut map, nulls))
-        .collect();
+    let head: Vec<Value> = q.head.iter().map(|&t| value_of(t, &mut map, nulls)).collect();
     Some((inst, head, map))
 }
 
@@ -225,19 +217,12 @@ mod tests {
 
     fn cq(src: &str) -> Cq {
         let mut names = DomainNames::new();
-        parse_query(&schema(), &mut names, src)
-            .unwrap()
-            .as_cq()
-            .unwrap()
-            .clone()
+        parse_query(&schema(), &mut names, src).unwrap().as_cq().unwrap().clone()
     }
 
     fn ucq(src: &str) -> Ucq {
         let mut names = DomainNames::new();
-        parse_query(&schema(), &mut names, src)
-            .unwrap()
-            .as_ucq()
-            .unwrap()
+        parse_query(&schema(), &mut names, src).unwrap().as_ucq().unwrap()
     }
 
     #[test]

@@ -119,12 +119,7 @@ pub fn eval_cq<I: EvalInput + ?Sized>(q: &Cq, input: &I) -> Relation {
 /// order, since [`Relation`] stores tuples canonically — to exactly
 /// [`eval_cq`]'s answer; this is the work unit the parallel evaluator
 /// and the fixpoint bench fan out.
-pub fn eval_cq_sharded(
-    q: &Cq,
-    index: &IndexedInstance,
-    shard: usize,
-    shards: usize,
-) -> Relation {
+pub fn eval_cq_sharded(q: &Cq, index: &IndexedInstance, shard: usize, shards: usize) -> Relation {
     eval_cq_shard(q, index, shard, shards).into_relation()
 }
 
@@ -194,11 +189,8 @@ impl Rows {
     }
 
     fn sort_dedup_packed<const K: usize>(&mut self) {
-        let mut keys: Vec<[u64; K]> = self
-            .values
-            .chunks_exact(K)
-            .map(|row| std::array::from_fn(|j| pack(row[j])))
-            .collect();
+        let mut keys: Vec<[u64; K]> =
+            self.values.chunks_exact(K).map(|row| std::array::from_fn(|j| pack(row[j]))).collect();
         keys.sort_unstable();
         keys.dedup();
         self.values.clear();
@@ -336,9 +328,9 @@ pub fn eval_cq_rows<I: EvalInput + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vqd_instance::DomainNames;
     use vqd_instance::{named, Instance, Schema};
     use vqd_query::parse_query;
-    use vqd_instance::DomainNames;
 
     fn schema() -> Schema {
         Schema::new([("E", 2), ("P", 1)])
@@ -358,11 +350,7 @@ mod tests {
 
     fn q(src: &str) -> Cq {
         let mut names = DomainNames::new();
-        parse_query(&schema(), &mut names, src)
-            .unwrap()
-            .as_cq()
-            .unwrap()
-            .clone()
+        parse_query(&schema(), &mut names, src).unwrap().as_cq().unwrap().clone()
     }
 
     #[test]
@@ -404,12 +392,7 @@ mod tests {
         let d = instance(&[(0, 1)], &[0]);
         // 1 = 2 as interned constants: use two distinct constant names.
         let mut names = DomainNames::new();
-        let query = parse_query(
-            &schema(),
-            &mut names,
-            "Q(x) :- P(x), A = B.",
-        )
-        .unwrap();
+        let query = parse_query(&schema(), &mut names, "Q(x) :- P(x), A = B.").unwrap();
         let r = eval_cq(query.as_cq().unwrap(), &d);
         assert!(r.is_empty());
     }
@@ -452,12 +435,7 @@ mod tests {
     fn ucq_unions_disjuncts() {
         let d = instance(&[(0, 1)], &[5]);
         let mut names = DomainNames::new();
-        let u = parse_query(
-            &schema(),
-            &mut names,
-            "Q(x) :- P(x).\nQ(x) :- E(x,y).",
-        )
-        .unwrap();
+        let u = parse_query(&schema(), &mut names, "Q(x) :- P(x).\nQ(x) :- E(x,y).").unwrap();
         let vqd_query::QueryExpr::Ucq(u) = u else { panic!() };
         let r = eval_ucq(&u, &d);
         assert_eq!(r.len(), 2);
@@ -522,7 +500,9 @@ mod tests {
     fn rows_merge_shards_into_the_sequential_answer() {
         let d = instance(&[(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (0, 2)], &[1, 3]);
         let index = IndexedInstance::from_instance(&d);
-        for src in ["Q(x,y) :- E(x,z), E(z,y).", "Q() :- E(x,y).", "Q(y,x,y,z,x) :- E(x,y), E(y,z)."] {
+        for src in
+            ["Q(x,y) :- E(x,z), E(z,y).", "Q() :- E(x,y).", "Q(y,x,y,z,x) :- E(x,y), E(y,z)."]
+        {
             let cq = q(src);
             let seq = eval_cq_shard(&cq, &index, 0, 1);
             let mut merged = Rows::new(cq.arity());

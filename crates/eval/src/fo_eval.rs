@@ -45,11 +45,8 @@ impl Table {
     /// Reorders/extends this table to exactly `target` columns, padding
     /// missing columns with all values of `universe`.
     fn align_to(&self, target: &[VarId], universe: &[Value]) -> Table {
-        let missing: Vec<VarId> = target
-            .iter()
-            .copied()
-            .filter(|v| self.col_pos(*v).is_none())
-            .collect();
+        let missing: Vec<VarId> =
+            target.iter().copied().filter(|v| self.col_pos(*v).is_none()).collect();
         for c in &self.cols {
             assert!(target.contains(c), "align_to: target must be a superset");
         }
@@ -97,37 +94,22 @@ fn pad_rec(
 
 /// Natural join of two tables on their shared columns.
 fn join(a: &Table, b: &Table) -> Table {
-    let shared: Vec<VarId> = a
-        .cols
-        .iter()
-        .copied()
-        .filter(|v| b.col_pos(*v).is_some())
-        .collect();
-    let b_extra: Vec<VarId> = b
-        .cols
-        .iter()
-        .copied()
-        .filter(|v| a.col_pos(*v).is_none())
-        .collect();
+    let shared: Vec<VarId> = a.cols.iter().copied().filter(|v| b.col_pos(*v).is_some()).collect();
+    let b_extra: Vec<VarId> = b.cols.iter().copied().filter(|v| a.col_pos(*v).is_none()).collect();
     let mut cols = a.cols.clone();
     cols.extend(&b_extra);
     let mut out = Table::empty(cols);
 
     // Hash the smaller input on the shared key.
     let key_of = |t: &Table, row: &[Value]| -> Vec<Value> {
-        shared
-            .iter()
-            .map(|v| row[t.col_pos(*v).expect("shared col")])
-            .collect()
+        shared.iter().map(|v| row[t.col_pos(*v).expect("shared col")]).collect()
     };
     let mut index: HashMap<Vec<Value>, Vec<&Vec<Value>>> = HashMap::new();
     for row in &b.rows {
         index.entry(key_of(b, row)).or_default().push(row);
     }
-    let b_extra_pos: Vec<usize> = b_extra
-        .iter()
-        .map(|v| b.col_pos(*v).expect("extra col"))
-        .collect();
+    let b_extra_pos: Vec<usize> =
+        b_extra.iter().map(|v| b.col_pos(*v).expect("extra col")).collect();
     for row in &a.rows {
         if let Some(matches) = index.get(&key_of(a, row)) {
             for m in matches {
@@ -222,9 +204,7 @@ fn eval_core(
     universe: &[Value],
     budget: &Budget,
 ) -> Result<Table, Box<Exhausted>> {
-    budget
-        .checkpoint_with(&"evaluating FO subformulas bottom-up")
-        .map_err(Box::new)?;
+    budget.checkpoint_with(&"evaluating FO subformulas bottom-up").map_err(Box::new)?;
     let result = match f {
         Fo::True => Table::boolean(true),
         Fo::False => Table::boolean(false),
@@ -257,8 +237,7 @@ fn eval_core(
                         }
                     }
                 }
-                out.rows
-                    .insert(row.into_iter().map(|v| v.expect("all cols bound")).collect());
+                out.rows.insert(row.into_iter().map(|v| v.expect("all cols bound")).collect());
             }
             out
         }
@@ -324,9 +303,8 @@ fn eval_core(
             let mut acc = Table::boolean(true);
             let mut remaining = tables;
             while !remaining.is_empty() {
-                let shared_idx = remaining
-                    .iter()
-                    .position(|t| t.cols.iter().any(|c| acc.col_pos(*c).is_some()));
+                let shared_idx =
+                    remaining.iter().position(|t| t.cols.iter().any(|c| acc.col_pos(*c).is_some()));
                 let next = remaining.remove(shared_idx.unwrap_or(0));
                 acc = join(&acc, &next);
                 if acc.rows.is_empty() {
@@ -339,11 +317,8 @@ fn eval_core(
                 if g_vars.iter().all(|v| acc.col_pos(*v).is_some()) {
                     // Anti-join: drop accumulator rows matching g.
                     let g_table = eval_core(g, d, universe, budget)?;
-                    let proj: Vec<usize> = g_table
-                        .cols
-                        .iter()
-                        .map(|v| acc.col_pos(*v).expect("checked"))
-                        .collect();
+                    let proj: Vec<usize> =
+                        g_table.cols.iter().map(|v| acc.col_pos(*v).expect("checked")).collect();
                     acc.rows.retain(|row| {
                         let key: Vec<Value> = proj.iter().map(|&p| row[p]).collect();
                         !g_table.rows.contains(&key)
@@ -351,10 +326,8 @@ fn eval_core(
                 } else {
                     // Rare: a negated conjunct with unbound variables —
                     // fall back to joining its complement.
-                    acc = join(
-                        &acc,
-                        &eval_core(&Fo::Not(Box::new(g.clone())), d, universe, budget)?,
-                    );
+                    acc =
+                        join(&acc, &eval_core(&Fo::Not(Box::new(g.clone())), d, universe, budget)?);
                 }
                 if acc.rows.is_empty() {
                     return charge_table(Table::empty(all_cols()), budget);
@@ -391,15 +364,10 @@ fn eval_core(
                 }
             }
             let extended = inner.align_to(&extended_cols, universe);
-            let keep: Vec<VarId> = extended_cols
-                .iter()
-                .copied()
-                .filter(|v| !vs.contains(v))
-                .collect();
-            let keep_pos: Vec<usize> = keep
-                .iter()
-                .map(|v| extended.col_pos(*v).expect("kept col"))
-                .collect();
+            let keep: Vec<VarId> =
+                extended_cols.iter().copied().filter(|v| !vs.contains(v)).collect();
+            let keep_pos: Vec<usize> =
+                keep.iter().map(|v| extended.col_pos(*v).expect("kept col")).collect();
             let mut out = Table::empty(keep);
             for row in &extended.rows {
                 out.rows.insert(keep_pos.iter().map(|&p| row[p]).collect());
@@ -553,11 +521,7 @@ mod tests {
             "Q() :- E(x,x), P(x).",
             "Q(x) :- E(x,y), E(y,x), x != y.",
         ] {
-            let cq = parse_query(&schema(), &mut names, src)
-                .unwrap()
-                .as_cq()
-                .unwrap()
-                .clone();
+            let cq = parse_query(&schema(), &mut names, src).unwrap().as_cq().unwrap().clone();
             let via_cq = eval_cq(&cq, &d);
             let via_fo = eval_fo(&cq_to_fo(&cq), &d);
             assert_eq!(via_cq, via_fo, "mismatch for {src}");

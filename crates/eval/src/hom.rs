@@ -296,11 +296,7 @@ pub fn for_each_hom_sharded(
 }
 
 /// Finds one homomorphism extending `fixed`, if any.
-pub fn find_hom(
-    atoms: &[Atom],
-    index: &IndexedInstance,
-    fixed: &Assignment,
-) -> Option<Assignment> {
+pub fn find_hom(atoms: &[Atom], index: &IndexedInstance, fixed: &Assignment) -> Option<Assignment> {
     let mut found = None;
     for_each_hom(atoms, index, fixed, Ordering::MostConstrained, |b| {
         found = Some(b.to_assignment());
@@ -333,11 +329,7 @@ pub fn instance_hom<I: EvalInput + ?Sized>(
 ) -> Option<BTreeMap<Value, Value>> {
     let index = tgt.index();
     let tgt: &IndexedInstance = &index;
-    assert_eq!(
-        src.schema(),
-        tgt.instance().schema(),
-        "instance_hom requires matching schemas"
-    );
+    assert_eq!(src.schema(), tgt.instance().schema(), "instance_hom requires matching schemas");
     // Build a pattern: each non-fixed value becomes a variable.
     let mut var_of: BTreeMap<Value, VarId> = BTreeMap::new();
     let mut atoms = Vec::new();

@@ -45,8 +45,8 @@ pub use containment::{
 pub use cq_eval::{eval_cq, eval_cq_rows, eval_cq_sharded, eval_ucq, normalize_eqs, Rows};
 pub use fo_eval::{eval_fo, eval_fo_budgeted, evaluation_universe};
 pub use hom::{
-    find_hom, for_each_hom, for_each_hom_sharded, hom_exists, instance_hom, Assignment,
-    Binding, Ordering,
+    find_hom, for_each_hom, for_each_hom_sharded, hom_exists, instance_hom, Assignment, Binding,
+    Ordering,
 };
 pub use input::{EvalInput, IndexCow};
 pub use minimize::{minimize_cq, minimize_cq_exhaustive, minimize_ucq};

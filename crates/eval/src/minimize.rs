@@ -22,11 +22,7 @@ use vqd_query::{Cq, CqLang};
 /// Panics for queries outside CQ/CQ= (the containment test would be
 /// unsound) and for unsatisfiable equality constraints.
 pub fn minimize_cq(q: &Cq) -> Cq {
-    assert!(
-        q.language() <= CqLang::CqEq,
-        "minimize_cq requires CQ/CQ= (got {:?})",
-        q.language()
-    );
+    assert!(q.language() <= CqLang::CqEq, "minimize_cq requires CQ/CQ= (got {:?})", q.language());
     let mut current = normalize_eqs(q).expect("minimize_cq: unsatisfiable equalities");
     loop {
         let mut dropped = false;
@@ -58,10 +54,7 @@ pub fn minimize_cq(q: &Cq) -> Cq {
 /// Exponential by design (it exists to be benchmarked against
 /// [`minimize_cq`]); refuses bodies with more than 20 atoms.
 pub fn minimize_cq_exhaustive(q: &Cq) -> Cq {
-    assert!(
-        q.language() <= CqLang::CqEq,
-        "minimize_cq_exhaustive requires CQ/CQ="
-    );
+    assert!(q.language() <= CqLang::CqEq, "minimize_cq_exhaustive requires CQ/CQ=");
     let q = normalize_eqs(q).expect("unsatisfiable equalities");
     let n = q.atoms.len();
     assert!(n <= 20, "exhaustive minimization capped at 20 atoms");
@@ -118,12 +111,7 @@ pub fn minimize_ucq(u: &vqd_query::Ucq) -> vqd_query::Ucq {
             keep[i] = false;
         }
     }
-    let kept: Vec<Cq> = cored
-        .into_iter()
-        .zip(keep)
-        .filter(|(_, k)| *k)
-        .map(|(d, _)| d)
-        .collect();
+    let kept: Vec<Cq> = cored.into_iter().zip(keep).filter(|(_, k)| *k).map(|(d, _)| d).collect();
     vqd_query::Ucq::new(kept)
 }
 
@@ -140,11 +128,7 @@ mod tests {
 
     fn cq(src: &str) -> Cq {
         let mut names = DomainNames::new();
-        parse_query(&schema(), &mut names, src)
-            .unwrap()
-            .as_cq()
-            .unwrap()
-            .clone()
+        parse_query(&schema(), &mut names, src).unwrap().as_cq().unwrap().clone()
     }
 
     #[test]
@@ -232,14 +216,10 @@ mod tests {
         use crate::containment::ucq_equivalent;
         use vqd_instance::DomainNames;
         let mut names = DomainNames::new();
-        let u = vqd_query::parse_query(
-            &schema(),
-            &mut names,
-            "Q(x) :- P(x).\nQ(x) :- E(x,x).",
-        )
-        .unwrap()
-        .as_ucq()
-        .unwrap();
+        let u = vqd_query::parse_query(&schema(), &mut names, "Q(x) :- P(x).\nQ(x) :- E(x,x).")
+            .unwrap()
+            .as_ucq()
+            .unwrap();
         let m = minimize_ucq(&u);
         assert_eq!(m.disjuncts.len(), 2);
         assert!(ucq_equivalent(&m, &u));

@@ -75,11 +75,8 @@ mod tests {
     fn cqs_are_monotone() {
         let s = schema();
         let mut names = DomainNames::new();
-        let q = parse_query(&s, &mut names, "Q(x) :- E(x,y), P(y).")
-            .unwrap()
-            .as_cq()
-            .unwrap()
-            .clone();
+        let q =
+            parse_query(&s, &mut names, "Q(x) :- E(x,y), P(y).").unwrap().as_cq().unwrap().clone();
         let mut rng = StdRng::seed_from_u64(1);
         let mut f = |d: &Instance| eval_cq(&q, d);
         assert!(find_nonmonotone_witness(&mut f, &s, 3, 0.4, 200, &mut rng).is_none());

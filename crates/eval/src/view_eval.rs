@@ -64,12 +64,8 @@ mod tests {
     fn apply_views_builds_image() {
         let s = schema();
         let mut names = DomainNames::new();
-        let prog = parse_program(
-            &s,
-            &mut names,
-            "V1(x) :- P(x).\nV2(x,y) :- E(x,y), P(x).",
-        )
-        .unwrap();
+        let prog =
+            parse_program(&s, &mut names, "V1(x) :- P(x).\nV2(x,y) :- E(x,y), P(x).").unwrap();
         let views = vqd_query::ViewSet::new(&s, prog.defs);
         let mut d = Instance::empty(&s);
         d.insert_named("E", vec![named(0), named(1)]);
@@ -108,10 +104,7 @@ mod tests {
     #[test]
     fn empty_viewset_yields_empty_image() {
         let s = schema();
-        let views = vqd_query::ViewSet::new(
-            &s,
-            Vec::<(String, vqd_query::QueryExpr)>::new(),
-        );
+        let views = vqd_query::ViewSet::new(&s, Vec::<(String, vqd_query::QueryExpr)>::new());
         let mut d = Instance::empty(&s);
         d.insert_named("P", vec![named(3)]);
         let img = apply_views(&views, &d);

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
 
-use vqd_budget::{Budget, Exhausted, ExhaustReason};
+use vqd_budget::{Budget, ExhaustReason, Exhausted};
 use vqd_obs::MetricsSnapshot;
 
 /// Acquires a mutex, ignoring poisoning: shard state stays readable
@@ -115,10 +115,7 @@ impl Batch {
     fn wait(&self) {
         let mut pending = lock(&self.pending);
         while *pending > 0 {
-            pending = self
-                .done
-                .wait(pending)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            pending = self.done.wait(pending).unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 }
@@ -142,10 +139,8 @@ impl PoolInner {
                     if let Some(batch) = queue.pop_front() {
                         break batch;
                     }
-                    queue = self
-                        .ready
-                        .wait(queue)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    queue =
+                        self.ready.wait(queue).unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
             };
             if let Some(task) = batch.claim() {
@@ -302,12 +297,7 @@ impl ExecCtx {
         if parallelism <= 1 {
             return ExecCtx::sequential(budget);
         }
-        ExecCtx {
-            budget,
-            parallelism,
-            pool: Some(pool),
-            threads_used: Arc::new(AtomicU64::new(0)),
-        }
+        ExecCtx { budget, parallelism, pool: Some(pool), threads_used: Arc::new(AtomicU64::new(0)) }
     }
 
     /// The budget every shard draws down.

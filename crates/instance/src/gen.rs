@@ -51,10 +51,8 @@ impl InstanceEnumerator {
     /// possible tuples (use [`space_size`] to pre-check feasibility).
     pub fn new(schema: &Schema, n: usize) -> Self {
         let dom = domain(n);
-        let universe: Vec<Vec<Vec<Value>>> = schema
-            .iter()
-            .map(|(_, d)| all_tuples(&dom, d.arity))
-            .collect();
+        let universe: Vec<Vec<Vec<Value>>> =
+            schema.iter().map(|(_, d)| all_tuples(&dom, d.arity)).collect();
         for u in &universe {
             assert!(u.len() < 127, "relation tuple universe too large to enumerate");
         }

@@ -203,8 +203,7 @@ impl IndexedInstance {
         self.arena.clear();
         self.by_col.clear();
         for (rel, decl) in self.instance.schema().iter() {
-            let mut cols: Vec<Postings> =
-                (0..decl.arity).map(|_| Postings::default()).collect();
+            let mut cols: Vec<Postings> = (0..decl.arity).map(|_| Postings::default()).collect();
             let mut tuples = Vec::with_capacity(self.instance.rel(rel).len());
             for t in self.instance.rel(rel).iter() {
                 let id = tuples.len() as u32;
@@ -274,11 +273,7 @@ impl IndexedInstance {
     /// Merges every tuple of `delta` (same schema) into the instance,
     /// maintaining the index; returns how many tuples were new.
     pub fn apply_delta(&mut self, delta: &Instance) -> u64 {
-        assert_eq!(
-            self.instance.schema(),
-            delta.schema(),
-            "apply_delta requires matching schemas"
-        );
+        assert_eq!(self.instance.schema(), delta.schema(), "apply_delta requires matching schemas");
         let mut added = 0;
         for (rel, r) in delta.iter() {
             for t in r.iter() {

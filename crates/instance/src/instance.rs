@@ -49,10 +49,7 @@ impl std::hash::Hash for Instance {
 impl Instance {
     /// The empty instance over `schema`.
     pub fn empty(schema: &Schema) -> Self {
-        let relations = schema
-            .iter()
-            .map(|(_, d)| Relation::new(d.arity))
-            .collect();
+        let relations = schema.iter().map(|(_, d)| Relation::new(d.arity)).collect();
         Instance { schema: schema.clone(), relations }
     }
 
@@ -122,11 +119,7 @@ impl Instance {
     /// Componentwise subset test (`D ⊆ D'` tuple-wise, same schema).
     pub fn is_subinstance_of(&self, other: &Instance) -> bool {
         self.schema == other.schema
-            && self
-                .relations
-                .iter()
-                .zip(&other.relations)
-                .all(|(a, b)| a.is_subset(b))
+            && self.relations.iter().zip(&other.relations).all(|(a, b)| a.is_subset(b))
     }
 
     /// The paper's *extension* relation (Section 3): `other` extends `self`
@@ -149,9 +142,7 @@ impl Instance {
     }
 
     fn adom_contains(&self, v: Value) -> bool {
-        self.relations
-            .iter()
-            .any(|r| r.iter().any(|t| t.contains(&v)))
+        self.relations.iter().any(|r| r.iter().any(|t| t.contains(&v)))
     }
 
     /// The restriction of this instance to tuples using only values in `keep`.
@@ -220,11 +211,7 @@ impl Instance {
         let mut out = Instance::empty(target);
         for (rel, _) in self.schema.iter() {
             let dst = mapping[rel.idx()];
-            assert_eq!(
-                self.schema.arity(rel),
-                target.arity(dst),
-                "transport arity mismatch"
-            );
+            assert_eq!(self.schema.arity(rel), target.arity(dst), "transport arity mismatch");
             for t in self.rel(rel).iter() {
                 out.insert(dst, t.clone());
             }
@@ -269,10 +256,7 @@ impl Instance {
 
     /// Iterates `(RelId, &Relation)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (RelId, &Relation)> {
-        self.relations
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (RelId(i as u32), r))
+        self.relations.iter().enumerate().map(|(i, r)| (RelId(i as u32), r))
     }
 }
 

@@ -89,8 +89,7 @@ pub fn value_signatures(d: &Instance, rounds: usize) -> BTreeMap<Value, Vec<u64>
             for t in r.iter() {
                 for &v in t {
                     let entry = next.get_mut(&v).expect("adom value");
-                    let mut neigh: Vec<u64> =
-                        t.iter().map(|w| hashed[w]).collect();
+                    let mut neigh: Vec<u64> = t.iter().map(|w| hashed[w]).collect();
                     neigh.sort_unstable();
                     entry.extend(neigh);
                 }
@@ -188,11 +187,7 @@ pub fn are_isomorphic(d1: &Instance, d2: &Instance) -> Option<BTreeMap<Value, Va
     if a1.len() != a2.len() {
         return None;
     }
-    if d1
-        .iter()
-        .zip(d2.iter())
-        .any(|((_, r1), (_, r2))| r1.len() != r2.len())
-    {
+    if d1.iter().zip(d2.iter()).any(|((_, r1), (_, r2))| r1.len() != r2.len()) {
         return None;
     }
     let s1 = value_signatures(d1, 2);

@@ -40,6 +40,6 @@ pub mod value;
 pub use indexed::{index_stats, IndexMaintenance, IndexStats, IndexedInstance};
 pub use instance::Instance;
 pub use relation::{Relation, Tuple};
-pub use small::{SmallTuple, INLINE_ARITY};
 pub use schema::{RelDecl, RelId, Schema};
+pub use small::{SmallTuple, INLINE_ARITY};
 pub use value::{named, null, DomainNames, NameLookup, NameTable, NullGen, Value};

@@ -211,10 +211,7 @@ impl Relation {
     /// The full relation `A^k` over a value universe `A`.
     pub fn full(arity: usize, universe: &[Value]) -> Relation {
         let mut r = Relation::new(arity);
-        let mut tup = vec![
-            *universe.first().unwrap_or(&Value::Named(0));
-            arity
-        ];
+        let mut tup = vec![*universe.first().unwrap_or(&Value::Named(0)); arity];
         if arity == 0 {
             r.tuples.insert(Vec::new());
             return r;

@@ -70,10 +70,8 @@ impl Schema {
     /// # Panics
     /// Panics if two declarations share a name.
     pub fn new<S: Into<String>>(decls: impl IntoIterator<Item = (S, usize)>) -> Self {
-        let rels: Vec<RelDecl> = decls
-            .into_iter()
-            .map(|(name, arity)| RelDecl { name: name.into(), arity })
-            .collect();
+        let rels: Vec<RelDecl> =
+            decls.into_iter().map(|(name, arity)| RelDecl { name: name.into(), arity }).collect();
         for (i, a) in rels.iter().enumerate() {
             for b in &rels[i + 1..] {
                 assert_ne!(a.name, b.name, "duplicate relation symbol `{}`", a.name);
@@ -103,13 +101,9 @@ impl Schema {
             if part.is_empty() {
                 continue;
             }
-            let (name, arity) = part
-                .split_once('/')
-                .ok_or_else(|| format!("`{part}`: expected `Name/arity`"))?;
-            let arity: usize = arity
-                .trim()
-                .parse()
-                .map_err(|_| format!("`{part}`: bad arity"))?;
+            let (name, arity) =
+                part.split_once('/').ok_or_else(|| format!("`{part}`: expected `Name/arity`"))?;
+            let arity: usize = arity.trim().parse().map_err(|_| format!("`{part}`: bad arity"))?;
             let name = name.trim();
             if name.is_empty() {
                 return Err(format!("`{part}`: empty name"));
@@ -134,11 +128,7 @@ impl Schema {
 
     /// Iterate over `(RelId, &RelDecl)` in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = (RelId, &RelDecl)> {
-        self.inner
-            .rels
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (RelId(i as u32), d))
+        self.inner.rels.iter().enumerate().map(|(i, d)| (RelId(i as u32), d))
     }
 
     /// All relation ids in declaration order.
@@ -166,29 +156,20 @@ impl Schema {
 
     /// Looks a symbol up by name.
     pub fn find(&self, name: &str) -> Option<RelId> {
-        self.inner
-            .rels
-            .iter()
-            .position(|d| d.name == name)
-            .map(|i| RelId(i as u32))
+        self.inner.rels.iter().position(|d| d.name == name).map(|i| RelId(i as u32))
     }
 
     /// Looks a symbol up by name, panicking with a helpful message if absent.
     pub fn rel(&self, name: &str) -> RelId {
-        self.find(name)
-            .unwrap_or_else(|| panic!("schema has no relation `{name}`"))
+        self.find(name).unwrap_or_else(|| panic!("schema has no relation `{name}`"))
     }
 
     /// A new schema extending `self` with `extra` symbols (paper: `σ ∪ {R}`).
     ///
     /// Existing symbols keep their [`RelId`]s; the extension's ids follow.
     pub fn extend<S: Into<String>>(&self, extra: impl IntoIterator<Item = (S, usize)>) -> Schema {
-        let mut decls: Vec<(String, usize)> = self
-            .inner
-            .rels
-            .iter()
-            .map(|d| (d.name.clone(), d.arity))
-            .collect();
+        let mut decls: Vec<(String, usize)> =
+            self.inner.rels.iter().map(|d| (d.name.clone(), d.arity)).collect();
         decls.extend(extra.into_iter().map(|(n, a)| (n.into(), a)));
         Schema::new(decls)
     }
@@ -196,12 +177,7 @@ impl Schema {
     /// A disjoint copy of this schema with every symbol renamed through
     /// `rename` (paper: the copies `σ₁, σ₂` of `σ`).
     pub fn renamed(&self, rename: impl Fn(&str) -> String) -> Schema {
-        Schema::new(
-            self.inner
-                .rels
-                .iter()
-                .map(|d| (rename(&d.name), d.arity)),
-        )
+        Schema::new(self.inner.rels.iter().map(|d| (rename(&d.name), d.arity)))
     }
 
     /// The union `σ₁ ∪ σ₂` of two schemas with disjoint symbol names.
@@ -213,21 +189,11 @@ impl Schema {
     /// # Panics
     /// Panics if the schemas share a symbol name.
     pub fn union(&self, other: &Schema) -> (Schema, Vec<RelId>) {
-        let mut decls: Vec<(String, usize)> = self
-            .inner
-            .rels
-            .iter()
-            .map(|d| (d.name.clone(), d.arity))
-            .collect();
+        let mut decls: Vec<(String, usize)> =
+            self.inner.rels.iter().map(|d| (d.name.clone(), d.arity)).collect();
         let base = decls.len() as u32;
         let mapping: Vec<RelId> = (0..other.len() as u32).map(|i| RelId(base + i)).collect();
-        decls.extend(
-            other
-                .inner
-                .rels
-                .iter()
-                .map(|d| (d.name.clone(), d.arity)),
-        );
+        decls.extend(other.inner.rels.iter().map(|d| (d.name.clone(), d.arity)));
         (Schema::new(decls), mapping)
     }
 

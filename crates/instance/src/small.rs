@@ -54,11 +54,8 @@ impl SmallTuple {
 
     /// Converts an owned `Vec`, reusing its allocation on the spill path.
     pub fn from_vec(t: Vec<Value>) -> SmallTuple {
-        let small = if t.len() <= INLINE_ARITY {
-            SmallTuple::copy_of(&t)
-        } else {
-            SmallTuple::Heap(t)
-        };
+        let small =
+            if t.len() <= INLINE_ARITY { SmallTuple::copy_of(&t) } else { SmallTuple::Heap(t) };
         small.count_stored();
         small
     }

@@ -72,10 +72,7 @@ impl Cq {
 
     /// Display name of `v` (a generated name if the table is short).
     pub fn var_name(&self, v: VarId) -> String {
-        self.var_names
-            .get(v.idx())
-            .cloned()
-            .unwrap_or_else(|| format!("v{}", v.0))
+        self.var_names.get(v.idx()).cloned().unwrap_or_else(|| format!("v{}", v.0))
     }
 
     /// Arity of the answer relation.
@@ -169,16 +166,8 @@ impl Cq {
             head: self.head.iter().map(|t| t.subst(f)).collect(),
             atoms: self.atoms.iter().map(|a| a.subst(f)).collect(),
             neg_atoms: self.neg_atoms.iter().map(|a| a.subst(f)).collect(),
-            eqs: self
-                .eqs
-                .iter()
-                .map(|(a, b)| (a.subst(f), b.subst(f)))
-                .collect(),
-            neqs: self
-                .neqs
-                .iter()
-                .map(|(a, b)| (a.subst(f), b.subst(f)))
-                .collect(),
+            eqs: self.eqs.iter().map(|(a, b)| (a.subst(f), b.subst(f))).collect(),
+            neqs: self.neqs.iter().map(|(a, b)| (a.subst(f), b.subst(f))).collect(),
             var_names: self.var_names.clone(),
         }
     }
@@ -188,9 +177,11 @@ impl Cq {
     /// variables.
     pub fn compact(&self) -> Cq {
         let used = self.all_vars();
-        let mut remap = vec![None; self.var_names.len().max(
-            used.iter().map(|v| v.idx() + 1).max().unwrap_or(0),
-        )];
+        let mut remap =
+            vec![
+                None;
+                self.var_names.len().max(used.iter().map(|v| v.idx() + 1).max().unwrap_or(0),)
+            ];
         let mut names = Vec::with_capacity(used.len());
         for (i, v) in used.iter().enumerate() {
             remap[v.idx()] = Some(VarId(i as u32));
@@ -268,11 +259,7 @@ impl Ucq {
 
     /// The largest language any disjunct needs.
     pub fn language(&self) -> CqLang {
-        self.disjuncts
-            .iter()
-            .map(Cq::language)
-            .max()
-            .expect("non-empty")
+        self.disjuncts.iter().map(Cq::language).max().expect("non-empty")
     }
 
     /// Whether every disjunct is safe.
@@ -282,11 +269,7 @@ impl Ucq {
 
     /// Renders all rules with a common head name.
     pub fn render(&self, head_name: &str) -> String {
-        self.disjuncts
-            .iter()
-            .map(|d| d.render(head_name))
-            .collect::<Vec<_>>()
-            .join("\n")
+        self.disjuncts.iter().map(|d| d.render(head_name)).collect::<Vec<_>>().join("\n")
     }
 }
 

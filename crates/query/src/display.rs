@@ -30,23 +30,17 @@ fn fo_str(f: &Fo, q: &FoQuery, schema: &Schema) -> String {
             _ => format!("~({})", fo_str(g, q, schema)),
         },
         Fo::And(xs) => {
-            let parts: Vec<String> = xs.iter().map(|x| format!("({})", fo_str(x, q, schema))).collect();
+            let parts: Vec<String> =
+                xs.iter().map(|x| format!("({})", fo_str(x, q, schema))).collect();
             parts.join(" & ")
         }
         Fo::Or(xs) => {
-            let parts: Vec<String> = xs.iter().map(|x| format!("({})", fo_str(x, q, schema))).collect();
+            let parts: Vec<String> =
+                xs.iter().map(|x| format!("({})", fo_str(x, q, schema))).collect();
             parts.join(" | ")
         }
-        Fo::Implies(a, b) => format!(
-            "({}) -> ({})",
-            fo_str(a, q, schema),
-            fo_str(b, q, schema)
-        ),
-        Fo::Iff(a, b) => format!(
-            "({}) <-> ({})",
-            fo_str(a, q, schema),
-            fo_str(b, q, schema)
-        ),
+        Fo::Implies(a, b) => format!("({}) -> ({})", fo_str(a, q, schema), fo_str(b, q, schema)),
+        Fo::Iff(a, b) => format!("({}) <-> ({})", fo_str(a, q, schema), fo_str(b, q, schema)),
         Fo::Exists(vs, g) => {
             let names: Vec<String> = vs.iter().map(|v| q.var_name(*v)).collect();
             format!("exists {}. ({})", names.join(" "), fo_str(g, q, schema))
@@ -141,9 +135,7 @@ mod tests {
         let (q1, _) = roundtrip(src);
         let r1 = q1.render("Q");
         let mut names = DomainNames::new();
-        let QueryExpr::Fo(q2) = parse_query(&schema(), &mut names, &r1).unwrap() else {
-            panic!()
-        };
+        let QueryExpr::Fo(q2) = parse_query(&schema(), &mut names, &r1).unwrap() else { panic!() };
         assert_eq!(r1, q2.render("Q"));
     }
 

@@ -177,10 +177,7 @@ impl Fo {
             Fo::Implies(a, b) => Fo::or([Fo::not(a.desugar()), b.desugar()]),
             Fo::Iff(a, b) => {
                 let (da, db) = (a.desugar(), b.desugar());
-                Fo::and([
-                    Fo::or([Fo::not(da.clone()), db.clone()]),
-                    Fo::or([Fo::not(db), da]),
-                ])
+                Fo::and([Fo::or([Fo::not(da.clone()), db.clone()]), Fo::or([Fo::not(db), da])])
             }
             Fo::Exists(vs, f) => Fo::exists(vs.clone(), f.desugar()),
             Fo::Forall(vs, f) => Fo::not(Fo::exists(vs.clone(), Fo::not(f.desugar()))),
@@ -259,9 +256,7 @@ impl Fo {
             match f {
                 Fo::True | Fo::False | Fo::Atom(_) | Fo::Eq(..) => depth,
                 Fo::Not(g) => go(g, depth),
-                Fo::And(xs) | Fo::Or(xs) => {
-                    xs.iter().map(|x| go(x, depth)).max().unwrap_or(depth)
-                }
+                Fo::And(xs) | Fo::Or(xs) => xs.iter().map(|x| go(x, depth)).max().unwrap_or(depth),
                 Fo::Implies(a, b) | Fo::Iff(a, b) => go(a, depth).max(go(b, depth)),
                 Fo::Exists(vs, g) | Fo::Forall(vs, g) => go(g, depth + vs.len()),
             }
@@ -285,26 +280,19 @@ impl Fo {
         match self {
             Fo::True => Fo::True,
             Fo::False => Fo::False,
-            Fo::Atom(a) => Fo::Atom(Atom {
-                rel: a.rel,
-                args: a.args.iter().map(tf).collect(),
-            }),
+            Fo::Atom(a) => Fo::Atom(Atom { rel: a.rel, args: a.args.iter().map(tf).collect() }),
             Fo::Eq(a, b) => Fo::Eq(tf(a), tf(b)),
             Fo::Not(g) => Fo::Not(Box::new(g.subst_dyn(f))),
             Fo::And(xs) => Fo::And(xs.iter().map(|x| x.subst_dyn(f)).collect()),
             Fo::Or(xs) => Fo::Or(xs.iter().map(|x| x.subst_dyn(f)).collect()),
-            Fo::Implies(a, b) => {
-                Fo::Implies(Box::new(a.subst_dyn(f)), Box::new(b.subst_dyn(f)))
-            }
+            Fo::Implies(a, b) => Fo::Implies(Box::new(a.subst_dyn(f)), Box::new(b.subst_dyn(f))),
             Fo::Iff(a, b) => Fo::Iff(Box::new(a.subst_dyn(f)), Box::new(b.subst_dyn(f))),
             Fo::Exists(vs, g) => {
-                let shield =
-                    move |v: VarId| if vs.contains(&v) { Term::Var(v) } else { f(v) };
+                let shield = move |v: VarId| if vs.contains(&v) { Term::Var(v) } else { f(v) };
                 Fo::Exists(vs.clone(), Box::new(g.subst_dyn(&shield)))
             }
             Fo::Forall(vs, g) => {
-                let shield =
-                    move |v: VarId| if vs.contains(&v) { Term::Var(v) } else { f(v) };
+                let shield = move |v: VarId| if vs.contains(&v) { Term::Var(v) } else { f(v) };
                 Fo::Forall(vs.clone(), Box::new(g.subst_dyn(&shield)))
             }
         }
@@ -332,10 +320,7 @@ impl FoQuery {
     pub fn new(schema: &Schema, free: Vec<VarId>, formula: Fo, var_names: Vec<String>) -> Self {
         let fv = formula.free_vars();
         for v in &fv {
-            assert!(
-                free.contains(v),
-                "formula has undeclared free variable {v}"
-            );
+            assert!(free.contains(v), "formula has undeclared free variable {v}");
         }
         FoQuery { schema: schema.clone(), free, formula, var_names }
     }
@@ -352,10 +337,7 @@ impl FoQuery {
 
     /// Display name of a variable.
     pub fn var_name(&self, v: VarId) -> String {
-        self.var_names
-            .get(v.idx())
-            .cloned()
-            .unwrap_or_else(|| format!("v{}", v.0))
+        self.var_names.get(v.idx()).cloned().unwrap_or_else(|| format!("v{}", v.0))
     }
 }
 
@@ -423,22 +405,17 @@ pub fn alpha_rename(q: &FoQuery) -> FoQuery {
         match f {
             Fo::True => Fo::True,
             Fo::False => Fo::False,
-            Fo::Atom(a) => Fo::Atom(Atom {
-                rel: a.rel,
-                args: a.args.iter().map(|t| tr(t, env)).collect(),
-            }),
+            Fo::Atom(a) => {
+                Fo::Atom(Atom { rel: a.rel, args: a.args.iter().map(|t| tr(t, env)).collect() })
+            }
             Fo::Eq(a, b) => Fo::Eq(tr(a, env), tr(b, env)),
             Fo::Not(g) => Fo::Not(Box::new(go(g, env, pool, q))),
             Fo::And(xs) => Fo::And(xs.iter().map(|x| go(x, env, pool, q)).collect()),
             Fo::Or(xs) => Fo::Or(xs.iter().map(|x| go(x, env, pool, q)).collect()),
-            Fo::Implies(a, b) => Fo::Implies(
-                Box::new(go(a, env, pool, q)),
-                Box::new(go(b, env, pool, q)),
-            ),
-            Fo::Iff(a, b) => Fo::Iff(
-                Box::new(go(a, env, pool, q)),
-                Box::new(go(b, env, pool, q)),
-            ),
+            Fo::Implies(a, b) => {
+                Fo::Implies(Box::new(go(a, env, pool, q)), Box::new(go(b, env, pool, q)))
+            }
+            Fo::Iff(a, b) => Fo::Iff(Box::new(go(a, env, pool, q)), Box::new(go(b, env, pool, q))),
             Fo::Exists(vs, g) | Fo::Forall(vs, g) => {
                 let n = env.len();
                 let fresh: Vec<VarId> = vs
@@ -460,12 +437,7 @@ pub fn alpha_rename(q: &FoQuery) -> FoQuery {
         }
     }
     let formula = go(&q.formula, &mut env, &mut pool, q);
-    FoQuery {
-        schema: q.schema.clone(),
-        free,
-        formula,
-        var_names: pool.into_names(),
-    }
+    FoQuery { schema: q.schema.clone(), free, formula, var_names: pool.into_names() }
 }
 
 /// Converts a conjunctive query into the equivalent FO query
@@ -478,20 +450,11 @@ pub fn cq_to_fo(q: &Cq) -> FoQuery {
             free.push(*v);
         }
     }
-    let exist: Vec<VarId> = q
-        .all_vars()
-        .into_iter()
-        .filter(|v| !free.contains(v))
-        .collect();
+    let exist: Vec<VarId> = q.all_vars().into_iter().filter(|v| !free.contains(v)).collect();
     let mut parts: Vec<Fo> = q.atoms.iter().cloned().map(Fo::Atom).collect();
     parts.extend(q.eqs.iter().map(|(a, b)| Fo::Eq(*a, *b)));
     parts.extend(q.neqs.iter().map(|(a, b)| Fo::not(Fo::Eq(*a, *b))));
-    parts.extend(
-        q.neg_atoms
-            .iter()
-            .cloned()
-            .map(|a| Fo::not(Fo::Atom(a))),
-    );
+    parts.extend(q.neg_atoms.iter().cloned().map(|a| Fo::not(Fo::Atom(a))));
     let body = Fo::and(parts);
     FoQuery {
         schema: q.schema.clone(),
@@ -515,11 +478,7 @@ pub fn ucq_to_fo(u: &Ucq) -> FoQuery {
     let mut parts = Vec::new();
     for d in &u.disjuncts {
         let fo = cq_to_fo(d);
-        assert_eq!(
-            fo.free.len(),
-            arity,
-            "ucq_to_fo requires distinct-variable heads"
-        );
+        assert_eq!(fo.free.len(), arity, "ucq_to_fo requires distinct-variable heads");
         // Rebase the disjunct: shift its variables past the pool, then map
         // its free variables onto the shared ones.
         let shift = pool.names.len() as u32;
@@ -528,17 +487,10 @@ pub fn ucq_to_fo(u: &Ucq) -> FoQuery {
             let _ = i;
             pool.names.push(format!("{name}'"));
         }
-        let remap: Vec<(VarId, VarId)> = fo
-            .free
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (VarId(v.0 + shift), free[i]))
-            .collect();
+        let remap: Vec<(VarId, VarId)> =
+            fo.free.iter().enumerate().map(|(i, v)| (VarId(v.0 + shift), free[i])).collect();
         let mapped = shifted.subst(&|v| {
-            remap
-                .iter()
-                .find(|(from, _)| *from == v)
-                .map_or(Term::Var(v), |(_, to)| Term::Var(*to))
+            remap.iter().find(|(from, _)| *from == v).map_or(Term::Var(v), |(_, to)| Term::Var(*to))
         });
         parts.push(mapped);
     }
@@ -575,18 +527,14 @@ fn shift_vars(f: &Fo, by: u32) -> Fo {
         Fo::Not(g) => Fo::Not(Box::new(shift_vars(g, by))),
         Fo::And(xs) => Fo::And(xs.iter().map(|x| shift_vars(x, by)).collect()),
         Fo::Or(xs) => Fo::Or(xs.iter().map(|x| shift_vars(x, by)).collect()),
-        Fo::Implies(a, b) => {
-            Fo::Implies(Box::new(shift_vars(a, by)), Box::new(shift_vars(b, by)))
-        }
+        Fo::Implies(a, b) => Fo::Implies(Box::new(shift_vars(a, by)), Box::new(shift_vars(b, by))),
         Fo::Iff(a, b) => Fo::Iff(Box::new(shift_vars(a, by)), Box::new(shift_vars(b, by))),
-        Fo::Exists(vs, g) => Fo::Exists(
-            vs.iter().map(|v| VarId(v.0 + by)).collect(),
-            Box::new(shift_vars(g, by)),
-        ),
-        Fo::Forall(vs, g) => Fo::Forall(
-            vs.iter().map(|v| VarId(v.0 + by)).collect(),
-            Box::new(shift_vars(g, by)),
-        ),
+        Fo::Exists(vs, g) => {
+            Fo::Exists(vs.iter().map(|v| VarId(v.0 + by)).collect(), Box::new(shift_vars(g, by)))
+        }
+        Fo::Forall(vs, g) => {
+            Fo::Forall(vs.iter().map(|v| VarId(v.0 + by)).collect(), Box::new(shift_vars(g, by)))
+        }
     }
 }
 

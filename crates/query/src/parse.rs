@@ -286,10 +286,7 @@ pub struct Program {
 impl Program {
     /// Finds a definition by head name.
     pub fn get(&self, name: &str) -> Option<&QueryExpr> {
-        self.defs
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, q)| q)
+        self.defs.iter().find(|(n, _)| n == name).map(|(_, q)| q)
     }
 }
 
@@ -423,9 +420,7 @@ impl<'s> Parser<'_, 's> {
                     match scope.lookup(s) {
                         Some(v) => Ok(Term::Var(v)),
                         None if declare => Ok(Term::Var(scope.declare(s))),
-                        None => {
-                            self.err(format!("variable `{s}` is not in scope"))
-                        }
+                        None => self.err(format!("variable `{s}` is not in scope")),
                     }
                 } else {
                     Ok(Term::Const(self.names.intern(s)))
@@ -508,8 +503,7 @@ impl<'s> Parser<'_, 's> {
                                 q.neqs.push((a, b));
                             }
                             other => {
-                                return self
-                                    .err(format!("expected `=` or `!=`, found {other}"))
+                                return self.err(format!("expected `=` or `!=`, found {other}"))
                             }
                         }
                     }
@@ -525,9 +519,7 @@ impl<'s> Parser<'_, 's> {
                             let b = self.term_in(&mut scope, true)?;
                             q.neqs.push((a, b));
                         }
-                        other => {
-                            return self.err(format!("expected `=` or `!=`, found {other}"))
-                        }
+                        other => return self.err(format!("expected `=` or `!=`, found {other}")),
                     }
                 }
                 other => return self.err(format!("expected body literal, found {other}")),
@@ -549,9 +541,7 @@ impl<'s> Parser<'_, 's> {
         for h in head {
             match h {
                 HeadTerm::Var(n) => free.push(scope.lookup_or_declare(n)),
-                HeadTerm::Const(_) => {
-                    return self.err("FO query heads must be variables")
-                }
+                HeadTerm::Const(_) => return self.err("FO query heads must be variables"),
             }
         }
         let formula = self.fo(&mut scope)?;
@@ -564,12 +554,7 @@ impl<'s> Parser<'_, 's> {
                 ));
             }
         }
-        Ok(FoQuery {
-            schema: self.schema.clone(),
-            free,
-            formula,
-            var_names: scope.names,
-        })
+        Ok(FoQuery { schema: self.schema.clone(), free, formula, var_names: scope.names })
     }
 
     fn fo(&mut self, scope: &mut Scope) -> PResult<Fo> {
@@ -586,8 +571,7 @@ impl<'s> Parser<'_, 's> {
                         }
                         Tok::Dot => break,
                         other => {
-                            return self
-                                .err(format!("expected variable or `.`, found {other}"))
+                            return self.err(format!("expected variable or `.`, found {other}"))
                         }
                     }
                 }
@@ -597,11 +581,7 @@ impl<'s> Parser<'_, 's> {
                 for (n, _) in vars.iter().rev() {
                     scope.pop_shadow(n);
                 }
-                return Ok(if is_forall {
-                    Fo::forall(ids, body)
-                } else {
-                    Fo::exists(ids, body)
-                });
+                return Ok(if is_forall { Fo::forall(ids, body) } else { Fo::exists(ids, body) });
             }
         }
         self.fo_iff(scope)
@@ -634,11 +614,7 @@ impl<'s> Parser<'_, 's> {
             self.next();
             parts.push(self.fo_and(scope)?);
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one")
-        } else {
-            Fo::Or(parts)
-        })
+        Ok(if parts.len() == 1 { parts.pop().expect("one") } else { Fo::Or(parts) })
     }
 
     fn fo_and(&mut self, scope: &mut Scope) -> PResult<Fo> {
@@ -647,11 +623,7 @@ impl<'s> Parser<'_, 's> {
             self.next();
             parts.push(self.fo_unary(scope)?);
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one")
-        } else {
-            Fo::And(parts)
-        })
+        Ok(if parts.len() == 1 { parts.pop().expect("one") } else { Fo::And(parts) })
     }
 
     fn fo_unary(&mut self, scope: &mut Scope) -> PResult<Fo> {
@@ -751,11 +723,7 @@ impl Scope {
 }
 
 /// Parses a program of query / view definitions against `schema`.
-pub fn parse_program(
-    schema: &Schema,
-    names: &mut DomainNames,
-    src: &str,
-) -> PResult<Program> {
+pub fn parse_program(schema: &Schema, names: &mut DomainNames, src: &str) -> PResult<Program> {
     let toks = Lexer::lex(src)?;
     let mut p = Parser { toks, pos: 0, schema, names };
     p.program()
@@ -777,11 +745,7 @@ pub fn parse_program(
 ///     "Q(x) := forall y. (E(x,y) -> P(y)).").unwrap();
 /// assert!(matches!(fo, QueryExpr::Fo(_)));
 /// ```
-pub fn parse_query(
-    schema: &Schema,
-    names: &mut DomainNames,
-    src: &str,
-) -> PResult<QueryExpr> {
+pub fn parse_query(schema: &Schema, names: &mut DomainNames, src: &str) -> PResult<QueryExpr> {
     let prog = parse_program(schema, names, src)?;
     if prog.defs.len() != 1 {
         return Err(ParseError {
@@ -794,11 +758,7 @@ pub fn parse_query(
 }
 
 /// Parses ground facts `R(a,b). P(c).` into an instance over `schema`.
-pub fn parse_instance(
-    schema: &Schema,
-    names: &mut DomainNames,
-    src: &str,
-) -> PResult<Instance> {
+pub fn parse_instance(schema: &Schema, names: &mut DomainNames, src: &str) -> PResult<Instance> {
     let toks = Lexer::lex(src)?;
     let mut p = Parser { toks, pos: 0, schema, names };
     // Facts are gathered per relation and each relation is bulk-built
@@ -848,12 +808,7 @@ mod tests {
     fn parse_cq_with_builtins_and_negation() {
         let s = schema();
         let mut n = DomainNames::new();
-        let q = parse_query(
-            &s,
-            &mut n,
-            "Q(x) :- R(x,y), !P(y), x != y, y = Alice.",
-        )
-        .unwrap();
+        let q = parse_query(&s, &mut n, "Q(x) :- R(x,y), !P(y), x != y, y = Alice.").unwrap();
         let cq = q.as_cq().unwrap();
         assert_eq!(cq.neg_atoms.len(), 1);
         assert_eq!(cq.neqs.len(), 1);
@@ -888,12 +843,7 @@ mod tests {
     fn parse_fo_query() {
         let s = schema();
         let mut n = DomainNames::new();
-        let q = parse_query(
-            &s,
-            &mut n,
-            "Q(x) := forall y. (R(x,y) -> exists z. R(y,z)).",
-        )
-        .unwrap();
+        let q = parse_query(&s, &mut n, "Q(x) := forall y. (R(x,y) -> exists z. R(y,z)).").unwrap();
         match q {
             QueryExpr::Fo(fo) => {
                 assert_eq!(fo.arity(), 1);
@@ -917,12 +867,7 @@ mod tests {
     fn fo_quantifier_shadowing() {
         let s = schema();
         let mut n = DomainNames::new();
-        let q = parse_query(
-            &s,
-            &mut n,
-            "Q(x) := P(x) & exists x. P(x).",
-        )
-        .unwrap();
+        let q = parse_query(&s, &mut n, "Q(x) := P(x) & exists x. P(x).").unwrap();
         let QueryExpr::Fo(fo) = q else { panic!() };
         // Two distinct variables named x.
         assert_eq!(fo.var_names.iter().filter(|s| *s == "x").count(), 2);

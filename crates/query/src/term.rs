@@ -113,10 +113,7 @@ impl Atom {
 
     /// Applies a variable substitution to all arguments.
     pub fn subst(&self, f: &impl Fn(VarId) -> Term) -> Atom {
-        Atom {
-            rel: self.rel,
-            args: self.args.iter().map(|t| t.subst(f)).collect(),
-        }
+        Atom { rel: self.rel, args: self.args.iter().map(|t| t.subst(f)).collect() }
     }
 }
 

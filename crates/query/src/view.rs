@@ -125,10 +125,8 @@ impl ViewSet {
     /// # Panics
     /// Panics if a query's schema differs from `input`, or names repeat.
     pub fn new(input: &Schema, views: Vec<(impl Into<String>, QueryExpr)>) -> Self {
-        let views: Vec<View> = views
-            .into_iter()
-            .map(|(name, query)| View { name: name.into(), query })
-            .collect();
+        let views: Vec<View> =
+            views.into_iter().map(|(name, query)| View { name: name.into(), query }).collect();
         for v in &views {
             assert_eq!(
                 v.query.schema(),
@@ -137,11 +135,7 @@ impl ViewSet {
                 v.name
             );
         }
-        let output = Schema::new(
-            views
-                .iter()
-                .map(|v| (v.name.clone(), v.query.arity())),
-        );
+        let output = Schema::new(views.iter().map(|v| (v.name.clone(), v.query.arity())));
         ViewSet { input: input.clone(), output, views }
     }
 
@@ -189,17 +183,12 @@ impl ViewSet {
 
     /// Whether every defining query is a CQ or UCQ (any extension level).
     pub fn is_ucq_family(&self) -> bool {
-        self.views
-            .iter()
-            .all(|v| !matches!(v.query, QueryExpr::Fo(_)))
+        self.views.iter().all(|v| !matches!(v.query, QueryExpr::Fo(_)))
     }
 
     /// The defining CQs, if all views are plain CQs.
     pub fn cq_views(&self) -> Option<Vec<&Cq>> {
-        self.views
-            .iter()
-            .map(|v| v.query.as_cq())
-            .collect::<Option<Vec<_>>>()
+        self.views.iter().map(|v| v.query.as_cq()).collect::<Option<Vec<_>>>()
     }
 }
 
@@ -269,10 +258,7 @@ mod tests {
         let s = schema();
         let q = p_view(&s);
         assert_eq!(QueryExpr::Cq(q.clone()).language_label(), "CQ");
-        assert_eq!(
-            QueryExpr::Ucq(Ucq::from_cq(q.clone())).language_label(),
-            "UCQ"
-        );
+        assert_eq!(QueryExpr::Ucq(Ucq::from_cq(q.clone())).language_label(), "UCQ");
         let fo = crate::fo::cq_to_fo(&q);
         assert_eq!(QueryExpr::Fo(fo).language_label(), "EFO+");
     }

@@ -24,7 +24,9 @@
 //! model with input graph `R1` has `T`/`H` equal to the genuine run of
 //! `M` on `enc_≤(R1)` and `R2` equal to its decoded output.
 
-use crate::machine::{simulate, Config, Move, SimError, Tm, NUM_SYMBOLS, SYM_B0, SYM_B1, SYM_BLANK, SYM_HASH};
+use crate::machine::{
+    simulate, Config, Move, SimError, Tm, NUM_SYMBOLS, SYM_B0, SYM_B1, SYM_BLANK, SYM_HASH,
+};
 use vqd_instance::{named, Instance, RelId, Schema};
 use vqd_query::{Atom, Fo, FoQuery, Term, VarId, VarPool};
 
@@ -147,17 +149,11 @@ impl Ctx {
     }
 
     fn t_atom(&self, t: (VarId, VarId), c: (VarId, VarId), s: VarId) -> Fo {
-        Fo::Atom(Atom::new(
-            self.t,
-            vec![t.0.into(), t.1.into(), c.0.into(), c.1.into(), s.into()],
-        ))
+        Fo::Atom(Atom::new(self.t, vec![t.0.into(), t.1.into(), c.0.into(), c.1.into(), s.into()]))
     }
 
     fn h_atom(&self, t: (VarId, VarId), c: (VarId, VarId), q: VarId) -> Fo {
-        Fo::Atom(Atom::new(
-            self.h,
-            vec![t.0.into(), t.1.into(), c.0.into(), c.1.into(), q.into()],
-        ))
+        Fo::Atom(Atom::new(self.h, vec![t.0.into(), t.1.into(), c.0.into(), c.1.into(), q.into()]))
     }
 
     fn in_r1(&mut self, x: VarId) -> Fo {
@@ -179,10 +175,7 @@ impl Ctx {
         let z = self.v("z");
         Fo::and([
             self.lt(x, y),
-            Fo::not(Fo::exists(
-                vec![z],
-                Fo::and([self.lt(x, z), self.lt(z, y)]),
-            )),
+            Fo::not(Fo::exists(vec![z], Fo::and([self.lt(x, z), self.lt(z, y)]))),
         ])
     }
 
@@ -201,11 +194,7 @@ impl Ctx {
     /// Lexicographic pair successor.
     fn pair_succ(&mut self, a: (VarId, VarId), b: (VarId, VarId)) -> Fo {
         let same_hi = Fo::and([self.eq(a.0, b.0), self.succ(a.1, b.1)]);
-        let carry = Fo::and([
-            self.succ(a.0, b.0),
-            self.is_max(a.1),
-            self.is_min(b.1),
-        ]);
+        let carry = Fo::and([self.succ(a.0, b.0), self.is_max(a.1), self.is_min(b.1)]);
         Fo::or([same_hi, carry])
     }
 
@@ -222,10 +211,7 @@ impl Ctx {
         let w = self.v("w");
         let sc = self.succ(c.1, w);
         let mx = self.is_max(w);
-        Fo::and([
-            self.is_max(c.0),
-            Fo::exists(vec![w], Fo::and([sc, mx])),
-        ])
+        Fo::and([self.is_max(c.0), Fo::exists(vec![w], Fo::and([sc, mx]))])
     }
 
     /// `T(t, c, σ_k)`: the cell holds base symbol `k`.
@@ -282,10 +268,8 @@ pub fn phi_m(tm: &Tm) -> FoQuery {
         let (x, y) = (cx.v("x"), cx.v("y"));
         let inx = cx.in_r1(x);
         let iny = cx.in_r1(y);
-        conjuncts.push(Fo::forall(
-            vec![x, y],
-            Fo::implies(Fo::and([inx, Fo::not(iny)]), cx.le(x, y)),
-        ));
+        conjuncts
+            .push(Fo::forall(vec![x, y], Fo::implies(Fo::and([inx, Fo::not(iny)]), cx.le(x, y))));
     }
 
     // (3) T is total and functional with base-symbol range; H exists, is
@@ -303,10 +287,7 @@ pub fn phi_m(tm: &Tm) -> FoQuery {
         let (s1, s2) = (cx.v("s"), cx.v("s'"));
         conjuncts.push(Fo::forall(
             vec![t.0, t.1, c.0, c.1, s1, s2],
-            Fo::implies(
-                Fo::and([cx.t_atom(t, c, s1), cx.t_atom(t, c, s2)]),
-                cx.eq(s1, s2),
-            ),
+            Fo::implies(Fo::and([cx.t_atom(t, c, s1), cx.t_atom(t, c, s2)]), cx.eq(s1, s2)),
         ));
 
         // At least one head per time.
@@ -314,10 +295,7 @@ pub fn phi_m(tm: &Tm) -> FoQuery {
         let c = (cx.v("c1"), cx.v("c2"));
         let q = cx.v("q");
         let qrange = Fo::or((0..tm.states).map(|k| cx.rank(k, q)).collect::<Vec<_>>());
-        let some_head = Fo::exists(
-            vec![c.0, c.1, q],
-            Fo::and([cx.h_atom(t, c, q), qrange]),
-        );
+        let some_head = Fo::exists(vec![c.0, c.1, q], Fo::and([cx.h_atom(t, c, q), qrange]));
         conjuncts.push(Fo::forall(vec![t.0, t.1], some_head));
 
         // At most one head per time.
@@ -349,20 +327,11 @@ pub fn phi_m(tm: &Tm) -> FoQuery {
         let blank = cx.has_sym(t, c, SYM_BLANK);
         let body = Fo::and([
             Fo::implies(Fo::and([input_region.clone(), cx.r1(c.0, c.1)]), bit1),
-            Fo::implies(
-                Fo::and([input_region.clone(), Fo::not(cx.r1(c.0, c.1))]),
-                bit0,
-            ),
+            Fo::implies(Fo::and([input_region.clone(), Fo::not(cx.r1(c.0, c.1))]), bit0),
             Fo::implies(hash.clone(), hsym),
-            Fo::implies(
-                Fo::and([Fo::not(input_region), Fo::not(hash)]),
-                blank,
-            ),
+            Fo::implies(Fo::and([Fo::not(input_region), Fo::not(hash)]), blank),
         ]);
-        conjuncts.push(Fo::forall(
-            vec![t.0, t.1, c.0, c.1],
-            Fo::implies(tmin, body),
-        ));
+        conjuncts.push(Fo::forall(vec![t.0, t.1, c.0, c.1], Fo::implies(tmin, body)));
 
         // Head starts on cell (min,min) in state 0.
         let t = (cx.v("t1"), cx.v("t2"));
@@ -370,10 +339,8 @@ pub fn phi_m(tm: &Tm) -> FoQuery {
         let tmin = cx.pair_min(t);
         let cmin = cx.pair_min(c);
         let h0 = cx.head_at(t, c, 0);
-        conjuncts.push(Fo::forall(
-            vec![t.0, t.1, c.0, c.1],
-            Fo::implies(Fo::and([tmin, cmin]), h0),
-        ));
+        conjuncts
+            .push(Fo::forall(vec![t.0, t.1, c.0, c.1], Fo::implies(Fo::and([tmin, cmin]), h0)));
     }
 
     // (5) Transition rules, one per (state, symbol) with q ≠ accept.
@@ -407,10 +374,7 @@ pub fn phi_m(tm: &Tm) -> FoQuery {
             };
             conjuncts.push(Fo::forall(
                 vec![t.0, t.1, tn.0, tn.1, c.0, c.1],
-                Fo::implies(
-                    Fo::and([step, head, read]),
-                    Fo::and([write, head_next]),
-                ),
+                Fo::implies(Fo::and([step, head, read]), Fo::and([write, head_next])),
             ));
         }
     }
@@ -448,7 +412,7 @@ pub fn phi_m(tm: &Tm) -> FoQuery {
         let keep_t = Fo::implies(cx.t_atom(t, c, s), cx.t_atom(tn, c, s));
         conjuncts.push(Fo::forall(
             vec![t.0, t.1, tn.0, tn.1, ch.0, ch.1, c.0, c.1, s],
-            Fo::implies(Fo::and([step.clone(), halted.clone()], ), keep_t),
+            Fo::implies(Fo::and([step.clone(), halted.clone()]), keep_t),
         ));
         let t = (cx.v("t1"), cx.v("t2"));
         let tn = (cx.v("u1"), cx.v("u2"));
@@ -470,10 +434,8 @@ pub fn phi_m(tm: &Tm) -> FoQuery {
         let c = (cx.v("c1"), cx.v("c2"));
         let tmax = cx.pair_max(t);
         let acc = cx.head_at(t, c, tm.accept);
-        conjuncts.push(Fo::forall(
-            vec![t.0, t.1],
-            Fo::implies(tmax, Fo::exists(vec![c.0, c.1], acc)),
-        ));
+        conjuncts
+            .push(Fo::forall(vec![t.0, t.1], Fo::implies(tmax, Fo::exists(vec![c.0, c.1], acc))));
     }
 
     // (9) R2 is the decoded output.
@@ -488,14 +450,8 @@ pub fn phi_m(tm: &Tm) -> FoQuery {
         conjuncts.push(Fo::forall(
             vec![u, v],
             Fo::and([
-                Fo::implies(
-                    Fo::and([inu.clone(), inv.clone()]),
-                    Fo::iff(cx.r2(u, v), final_bit),
-                ),
-                Fo::implies(
-                    Fo::not(Fo::and([inu, inv])),
-                    Fo::not(cx.r2(u, v)),
-                ),
+                Fo::implies(Fo::and([inu.clone(), inv.clone()]), Fo::iff(cx.r2(u, v), final_bit)),
+                Fo::implies(Fo::not(Fo::and([inu, inv])), Fo::not(cx.r2(u, v))),
             ]),
         ));
     }
@@ -568,7 +524,13 @@ mod tests {
         // Corrupt one T fact at the initial time: initial-config violated.
         let trel = inst.schema().rel("T");
         inst.rel_mut(trel).remove(&[named(0), named(0), named(0), named(0), named(SYM_B0 as u32)]);
-        inst.rel_mut(trel).insert(vec![named(0), named(0), named(0), named(0), named(SYM_B1 as u32)]);
+        inst.rel_mut(trel).insert(vec![
+            named(0),
+            named(0),
+            named(0),
+            named(0),
+            named(SYM_B1 as u32),
+        ]);
         assert!(!eval_fo(&phi, &inst).truth());
     }
 

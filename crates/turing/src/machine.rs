@@ -163,8 +163,8 @@ pub fn simulate(tm: &Tm, tape: Vec<usize>, max_steps: usize) -> Result<Vec<Confi
             return Ok(trace);
         }
         let sym = cur.tape[cur.head];
-        let (q2, write, mv) = tm.delta[cur.state * NUM_SYMBOLS + sym]
-            .expect("validated: total on non-accept states");
+        let (q2, write, mv) =
+            tm.delta[cur.state * NUM_SYMBOLS + sym].expect("validated: total on non-accept states");
         let mut next = cur.clone();
         next.tape[cur.head] = write;
         next.state = q2;
@@ -196,9 +196,7 @@ pub fn simulate(tm: &Tm, tape: Vec<usize>, max_steps: usize) -> Result<Vec<Confi
 /// (ground truth for E11): edges over nodes `0..n`.
 pub fn reference_query(tm: &Tm, n: usize, edges: &[(usize, usize)]) -> Vec<(usize, usize)> {
     match tm.name {
-        name if name.starts_with("instant-accept") || name.starts_with("bounce") => {
-            edges.to_vec()
-        }
+        name if name.starts_with("instant-accept") || name.starts_with("bounce") => edges.to_vec(),
         name if name.starts_with("erase") => Vec::new(),
         name if name.starts_with("complement") => {
             let mut out = Vec::new();
@@ -234,10 +232,7 @@ mod tests {
         let trace = simulate(&tm, tape, 100).unwrap();
         let last = trace.last().unwrap();
         assert_eq!(last.state, tm.accept);
-        assert_eq!(
-            last.tape,
-            vec![SYM_B0, SYM_B1, SYM_BLANK, SYM_B1, SYM_HASH, SYM_BLANK]
-        );
+        assert_eq!(last.tape, vec![SYM_B0, SYM_B1, SYM_BLANK, SYM_B1, SYM_HASH, SYM_BLANK]);
         // Head parked on the hash.
         assert_eq!(last.head, 4);
         // One config per cell visited, plus the accepting step.
@@ -263,10 +258,7 @@ mod tests {
         let trace = simulate(&tm, tape, 100).unwrap();
         let last = trace.last().unwrap();
         assert_eq!(last.state, tm.accept);
-        assert_eq!(
-            last.tape,
-            vec![SYM_B0, SYM_B0, SYM_BLANK, SYM_B0, SYM_HASH, SYM_BLANK]
-        );
+        assert_eq!(last.tape, vec![SYM_B0, SYM_B0, SYM_BLANK, SYM_B0, SYM_HASH, SYM_BLANK]);
         assert!(reference_query(&tm, 2, &[(0, 1)]).is_empty());
     }
 
