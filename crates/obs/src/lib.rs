@@ -44,7 +44,6 @@ pub use metric::{
 pub use prom::{prometheus_name, render_prometheus};
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot, LATENCY_BOUNDS_MS,
-    SIZE_BOUNDS,
 };
 pub use trace::{
     current_depth, drain_spans, dropped_spans, ring_occupancy, set_thread_tracing, set_tracing,

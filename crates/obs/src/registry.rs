@@ -38,7 +38,7 @@ impl Counter {
     }
 }
 
-/// Last-value gauge handle (also supports high-water marks).
+/// Gauge handle: a level moved in place, a last value, or a high-water mark.
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
@@ -46,6 +46,16 @@ impl Gauge {
     /// Overwrites the value.
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
+    }
+
+    /// Adds `n` and returns the new value.
+    pub fn add(&self, n: u64) -> u64 {
+        self.0.fetch_add(n, Ordering::Relaxed) + n
+    }
+
+    /// Subtracts `n`, undoing part of an earlier [`add`](Self::add).
+    pub fn sub(&self, n: u64) {
+        self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Raises the value to `v` if larger (high-water mark).
@@ -74,9 +84,6 @@ pub struct Histogram {
 
 /// Default latency bucket bounds, in milliseconds.
 pub const LATENCY_BOUNDS_MS: [u64; 12] = [1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000];
-
-/// Default size bucket bounds (tuples, bytes, …), powers of four.
-pub const SIZE_BOUNDS: [u64; 10] = [1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144];
 
 impl Histogram {
     fn new(bounds: &[u64]) -> Histogram {
@@ -255,13 +262,6 @@ impl RegistrySnapshot {
         self.histograms.iter().find(|(k, _)| k == name).map(|(_, h)| h)
     }
 
-    /// Per-name `self - earlier` for counters (a bench-interval delta).
-    /// Names absent from `earlier` count from zero; gauges and histograms
-    /// are carried from `self` unchanged.
-    pub fn counter_delta(&self, earlier: &RegistrySnapshot) -> Vec<(String, u64)> {
-        self.counters.iter().map(|(k, v)| (k.clone(), v.wrapping_sub(earlier.counter(k)))).collect()
-    }
-
     /// Lossless JSON encoding (`{"counters":{…},"gauges":{…},"histograms":{…}}`).
     pub fn to_json(&self) -> Value {
         let kv = |pairs: &[(String, u64)]| {
@@ -321,6 +321,16 @@ mod tests {
     }
 
     #[test]
+    fn gauge_level_moves_in_place() {
+        let reg = Registry::new();
+        let g = reg.gauge("conns.open");
+        assert_eq!(g.add(2), 2);
+        assert_eq!(reg.gauge("conns.open").add(1), 3);
+        g.sub(3);
+        assert_eq!(reg.snapshot().gauge("conns.open"), 0);
+    }
+
+    #[test]
     fn histogram_buckets_and_quantiles() {
         let reg = Registry::new();
         let h = reg.histogram("latency_ms", &[1, 10, 100]);
@@ -346,17 +356,5 @@ mod tests {
         let back = RegistrySnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(back, snap);
         assert_eq!(RegistrySnapshot::from_json(&Value::Null), None);
-    }
-
-    #[test]
-    fn counter_delta_subtracts_per_name() {
-        let reg = Registry::new();
-        reg.counter("x").add(5);
-        let before = reg.snapshot();
-        reg.counter("x").add(3);
-        reg.counter("y").inc();
-        let delta = reg.snapshot().counter_delta(&before);
-        assert!(delta.contains(&("x".to_owned(), 3)));
-        assert!(delta.contains(&("y".to_owned(), 1)));
     }
 }

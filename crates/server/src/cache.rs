@@ -52,9 +52,9 @@
 //! Counters (`cache.hits`/`cache.misses` for derived lookups,
 //! `cache.pair_hits`/`cache.pair_misses` for pair lookups,
 //! `cache.evictions`/`cache.puts`) and gauges
-//! (`cache.entries`/`cache.bytes`) are mirrored into the server's
-//! observability [`Registry`] so `stats` and `metrics_prom` see them
-//! without a separate plumbing path.
+//! (`cache.entries`/`cache.bytes`) live in the server's observability
+//! [`Registry`], registered once when the cache is built; `stats`,
+//! `metrics_prom` and `cache_stats` all read them there.
 //!
 //! With [`CacheConfig::disk`] set, a crash-only [`DiskTier`] backs the
 //! RAM LRU: every `insert_derived` writes through to an append-only
@@ -79,7 +79,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use vqd_budget::{Budget, WorkStats};
 use vqd_core::certain::{CertainPlan, PlanFallback};
 use vqd_instance::{IndexedInstance, NameTable};
-use vqd_obs::Registry;
+use vqd_obs::{Counter, Gauge, Registry};
 use vqd_router::Fragment;
 
 use crate::disk::{DiskConfig, DiskTier};
@@ -250,13 +250,14 @@ pub struct InstanceCache {
     /// The handle-table generation the newest on-disk snapshot covers.
     /// Its mutex is the single writer every snapshot goes through.
     snapshot_gen: Mutex<u64>,
-    entries: AtomicU64,
-    bytes: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    puts: AtomicU64,
-    registry: Arc<Registry>,
+    entries: Arc<Gauge>,
+    bytes: Arc<Gauge>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    pair_hits: Arc<Counter>,
+    pair_misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    puts: Arc<Counter>,
 }
 
 fn hash64(parts: &[&str]) -> u64 {
@@ -297,7 +298,7 @@ pub fn pair_key(schema: &str, views: &str, query: &str) -> String {
 }
 
 impl InstanceCache {
-    /// A cache mirroring its counters into `registry`. With a disk
+    /// A cache counting into `registry`. With a disk
     /// config, opens (or recovers) the persistent tier and
     /// warm-restores the handle table plus the newest derived entries
     /// that fit the RAM budget — the index rebuilds happen *here*, at
@@ -314,19 +315,15 @@ impl InstanceCache {
             next_handle: AtomicU64::new(0),
             handle_gen: AtomicU64::new(0),
             snapshot_gen: Mutex::new(0),
-            entries: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            registry,
+            entries: registry.gauge("cache.entries"),
+            bytes: registry.gauge("cache.bytes"),
+            hits: registry.counter("cache.hits"),
+            misses: registry.counter("cache.misses"),
+            pair_hits: registry.counter("cache.pair_hits"),
+            pair_misses: registry.counter("cache.pair_misses"),
+            evictions: registry.counter("cache.evictions"),
+            puts: registry.counter("cache.puts"),
         };
-        // Pair lookups count only in the registry; register both series
-        // so `stats` and `metrics_prom` carry them before the first one.
-        for name in ["cache.pair_hits", "cache.pair_misses"] {
-            cache.registry.counter(name).add(0);
-        }
         cache.warm_restore();
         cache
     }
@@ -421,18 +418,12 @@ impl InstanceCache {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn publish_gauges(&self) {
-        self.registry.gauge("cache.entries").set(self.entries.load(Ordering::Relaxed));
-        self.registry.gauge("cache.bytes").set(self.bytes.load(Ordering::Relaxed));
-    }
-
     /// Registers an extent, returning its fresh handle (`h<seq>`).
     pub fn put(&self, entry: HandleEntry) -> String {
         let handle = format!("h{}", self.next_handle.fetch_add(1, Ordering::Relaxed) + 1);
         let bytes = (entry.schema.len() + entry.extent.len() + entry.fingerprint.len()) as u64;
         self.insert(handle.clone(), Slot::Handle(entry), bytes);
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        self.registry.counter("cache.puts").inc();
+        self.puts.inc();
         self.handle_gen.fetch_add(1, Ordering::SeqCst);
         self.snapshot_handles();
         handle
@@ -464,9 +455,7 @@ impl InstanceCache {
         match removed {
             Some(entry) => {
                 self.note_removed(&entry);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.registry.counter("cache.evictions").inc();
-                self.publish_gauges();
+                self.evictions.inc();
                 self.handle_gen.fetch_add(1, Ordering::SeqCst);
                 self.snapshot_handles();
                 true
@@ -494,12 +483,10 @@ impl InstanceCache {
             })
         };
         if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.registry.counter("cache.hits").inc();
+            self.hits.inc();
             return found;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.registry.counter("cache.misses").inc();
+        self.misses.inc();
         let tier = self.tier.as_ref()?;
         let derived = tier.load(key)?;
         tier.note_promotion();
@@ -553,8 +540,7 @@ impl InstanceCache {
                 }
             })
         };
-        let counter = if found.is_some() { "cache.pair_hits" } else { "cache.pair_misses" };
-        self.registry.counter(counter).inc();
+        if found.is_some() { &self.pair_hits } else { &self.pair_misses }.inc();
         found
     }
 
@@ -569,12 +555,12 @@ impl InstanceCache {
     pub fn stats(&self) -> CacheCounters {
         let disk = self.tier.as_ref().map(|t| t.counters()).unwrap_or_default();
         CacheCounters {
-            entries: self.entries.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
+            entries: self.entries.get(),
+            bytes: self.bytes.get(),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            puts: self.puts.get(),
             disk_hits: disk.hits,
             disk_misses: disk.misses,
             disk_spills: disk.spills,
@@ -586,8 +572,8 @@ impl InstanceCache {
     }
 
     fn note_removed(&self, entry: &Entry) {
-        self.entries.fetch_sub(1, Ordering::Relaxed);
-        self.bytes.fetch_sub(entry.bytes, Ordering::Relaxed);
+        self.entries.sub(1);
+        self.bytes.sub(entry.bytes);
     }
 
     fn insert(&self, key: String, slot: Slot, bytes: u64) {
@@ -600,8 +586,8 @@ impl InstanceCache {
                 self.note_removed(&old);
             }
             shard.map.insert(key, Entry { slot, bytes, stamp });
-            self.entries.fetch_add(1, Ordering::Relaxed);
-            self.bytes.fetch_add(bytes, Ordering::Relaxed);
+            self.entries.add(1);
+            self.bytes.add(bytes);
             // Evict LRU entries until this shard fits its budgets. The
             // newest entry (max stamp) is never evicted even when it
             // alone exceeds the byte budget — an oversized instance gets
@@ -626,12 +612,7 @@ impl InstanceCache {
                 }
             }
         }
-        if !victims.is_empty() {
-            let evicted = victims.len() as u64;
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            self.registry.counter("cache.evictions").add(evicted);
-        }
-        self.publish_gauges();
+        self.evictions.add(victims.len() as u64);
         // Disk work happens strictly after the shard lock is released:
         // the shard and tier locks are never held together (the lock
         // ordering invariant that keeps promote-on-hit deadlock-free).
@@ -870,7 +851,8 @@ mod tests {
 
     #[test]
     fn pair_lookups_admit_only_the_recorded_work() {
-        let c = cache(CacheConfig::default());
+        let registry = Arc::new(Registry::new());
+        let c = InstanceCache::new(CacheConfig::default(), Arc::clone(&registry));
         let key = pair_key("E/2", "V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
         assert!(c.get_pair(&key, &Budget::unlimited()).is_none());
         c.insert_pair(key.clone(), verdict(7));
@@ -878,7 +860,7 @@ mod tests {
         assert_eq!(c.get_pair(&key, &Budget::unlimited().with_step_limit(7)), Some(verdict(7)));
         assert!(c.get_pair(&key, &Budget::unlimited().with_step_limit(6)).is_none());
         assert!(c.get_pair(&key, &Budget::unlimited().with_tuple_limit(1)).is_none());
-        let registry = c.registry.snapshot();
+        let registry = registry.snapshot();
         assert_eq!(registry.counter("cache.pair_hits"), 2);
         assert_eq!(registry.counter("cache.pair_misses"), 3);
         let st = c.stats();

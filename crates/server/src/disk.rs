@@ -75,7 +75,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use vqd_instance::{IndexedInstance, Instance, NameTable, Schema, Value};
-use vqd_obs::Registry;
+use vqd_obs::{Counter, Gauge, Registry};
 
 use crate::cache::{Derived, DerivedKind, HandleEntry};
 
@@ -181,9 +181,9 @@ impl FaultPlan {
     }
 }
 
-/// Point-in-time disk-tier counters (merged into
-/// [`crate::cache::CacheCounters`] and mirrored into the registry as
-/// `cache.disk_*`).
+/// Point-in-time disk-tier counters, read off the registry's
+/// `cache.disk_*` series (and merged into
+/// [`crate::cache::CacheCounters`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DiskCounters {
     /// Loads that returned a verified record.
@@ -218,13 +218,15 @@ pub struct DiskTier {
     config: DiskConfig,
     state: Mutex<State>,
     faults: FaultPlan,
-    registry: Arc<Registry>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    spills: AtomicU64,
-    promotions: AtomicU64,
-    corrupt_dropped: AtomicU64,
-    io_errors: AtomicU64,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    spills: Arc<Counter>,
+    promotions: Arc<Counter>,
+    corrupt_dropped: Arc<Counter>,
+    io_errors: Arc<Counter>,
+    /// The segment's logical end, set under the state lock whenever
+    /// `tail` moves.
+    bytes: Arc<Gauge>,
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -421,13 +423,13 @@ impl DiskTier {
             config,
             state: Mutex::new(State { tail: 0, index: HashMap::new(), order: Vec::new() }),
             faults: FaultPlan::default(),
-            registry,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            spills: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
-            corrupt_dropped: AtomicU64::new(0),
-            io_errors: AtomicU64::new(0),
+            hits: registry.counter("cache.disk_hits"),
+            misses: registry.counter("cache.disk_misses"),
+            spills: registry.counter("cache.disk_spills"),
+            promotions: registry.counter("cache.disk_promotions"),
+            corrupt_dropped: registry.counter("cache.disk_corrupt_dropped"),
+            io_errors: registry.counter("cache.disk_io_errors"),
+            bytes: registry.gauge("cache.disk_bytes"),
         };
         if std::fs::create_dir_all(&tier.config.dir).is_err() {
             tier.note_io_error();
@@ -457,20 +459,19 @@ impl DiskTier {
     /// Point-in-time counters.
     pub fn counters(&self) -> DiskCounters {
         DiskCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            spills: self.spills.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            corrupt_dropped: self.corrupt_dropped.load(Ordering::Relaxed),
-            io_errors: self.io_errors.load(Ordering::Relaxed),
-            bytes: self.lock().tail,
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            spills: self.spills.get(),
+            promotions: self.promotions.get(),
+            corrupt_dropped: self.corrupt_dropped.get(),
+            io_errors: self.io_errors.get(),
+            bytes: self.bytes.get(),
         }
     }
 
     /// Counts a promotion (the RAM tier reinstalled a disk hit).
     pub fn note_promotion(&self) {
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-        self.registry.counter("cache.disk_promotions").inc();
+        self.promotions.inc();
     }
 
     /// Whether `key` has a live record on disk.
@@ -502,26 +503,11 @@ impl DiskTier {
     }
 
     fn note_io_error(&self) {
-        self.io_errors.fetch_add(1, Ordering::Relaxed);
-        self.registry.counter("cache.disk_io_errors").inc();
+        self.io_errors.inc();
         // A degrading disk tier is exactly when the recent-request
         // context matters; the dump is rate-limited so a sick disk
         // cannot firehose stderr.
         vqd_obs::flight_dump_throttled("disk_fault");
-    }
-
-    fn note_corrupt(&self) {
-        self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
-        self.registry.counter("cache.disk_corrupt_dropped").inc();
-    }
-
-    fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.registry.counter("cache.disk_misses").inc();
-    }
-
-    fn publish_bytes(&self, tail: u64) {
-        self.registry.gauge("cache.disk_bytes").set(tail);
     }
 
     // --- spill (write path) ------------------------------------------
@@ -565,16 +551,11 @@ impl DiskTier {
                 state.tail = offset + bytes.len() as u64;
                 state.index.insert(key.to_owned(), (offset, bytes.len() as u64));
                 state.order.push(key.to_owned());
-                self.spills.fetch_add(1, Ordering::Relaxed);
-                self.registry.counter("cache.disk_spills").inc();
-                let over_budget = state.tail > self.config.max_bytes;
-                let tail = state.tail;
-                if over_budget {
+                self.spills.inc();
+                if state.tail > self.config.max_bytes {
                     self.compact(&mut state);
-                    self.publish_bytes(state.tail);
-                } else {
-                    self.publish_bytes(tail);
                 }
+                self.bytes.set(state.tail);
             }
             Err(_) => {
                 // Torn bytes (if any) sit past `tail` and are overwritten
@@ -621,24 +602,23 @@ impl DiskTier {
             state.index.get(key).map(|&loc| (loc, File::open(self.segment_path())))
         };
         let Some(((offset, len), file)) = found else {
-            self.note_miss();
+            self.misses.inc();
             return None;
         };
         match self.read_and_verify(key, file, offset, len) {
             Ok((kind, index, names)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.registry.counter("cache.disk_hits").inc();
+                self.hits.inc();
                 let index = index.into_shared();
                 Some(Derived { index, names: names.map(Arc::new), kind, plan: None })
             }
             Err(corrupt) => {
                 if corrupt {
-                    self.note_corrupt();
+                    self.corrupt_dropped.inc();
                 } else {
                     self.note_io_error();
                 }
                 self.lock().index.remove(key);
-                self.note_miss();
+                self.misses.inc();
                 None
             }
         }
@@ -712,10 +692,7 @@ impl DiskTier {
     fn scan(&self) {
         let bytes = match std::fs::read(self.segment_path()) {
             Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                self.publish_bytes(0);
-                return;
-            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return,
             Err(_) => {
                 self.note_io_error();
                 return;
@@ -731,13 +708,13 @@ impl DiskTier {
             if magic != RECORD_MAGIC || len > MAX_RECORD_BYTES {
                 // Frame-level damage: the boundary is unknowable, so the
                 // rest of the file is torn tail. Drop it.
-                self.note_corrupt();
+                self.corrupt_dropped.inc();
                 break;
             }
             let frame_len = RECORD_HEADER_BYTES + u64::from(len);
             if offset + frame_len > bytes.len() as u64 {
                 // Torn tail: the length frame points past EOF.
-                self.note_corrupt();
+                self.corrupt_dropped.inc();
                 break;
             }
             match Self::check_frame(&bytes[at..at + frame_len as usize]) {
@@ -750,20 +727,20 @@ impl DiskTier {
                             state.index.insert(key.clone(), (offset, frame_len));
                             state.order.push(key);
                         } else {
-                            self.note_corrupt();
+                            self.corrupt_dropped.inc();
                         }
                     } else {
-                        self.note_corrupt();
+                        self.corrupt_dropped.inc();
                     }
                 }
                 // Bad checksum with an intact length frame: skip this
                 // record alone and resync at the next boundary.
-                None => self.note_corrupt(),
+                None => self.corrupt_dropped.inc(),
             }
             offset += frame_len;
         }
         state.tail = offset;
-        self.publish_bytes(offset);
+        self.bytes.set(offset);
     }
 
     // --- compaction --------------------------------------------------
@@ -872,7 +849,7 @@ impl DiskTier {
             }
         };
         let Some((payload, _)) = Self::check_frame(&bytes) else {
-            self.note_corrupt();
+            self.corrupt_dropped.inc();
             return None;
         };
         let mut c = Cursor::new(payload);
@@ -897,7 +874,7 @@ impl DiskTier {
             Some((handles, next_handle))
         })();
         if parsed.is_none() {
-            self.note_corrupt();
+            self.corrupt_dropped.inc();
         }
         parsed
     }

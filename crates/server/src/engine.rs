@@ -18,7 +18,7 @@ use crate::cache::{
     derived_key, pair_key, CacheConfig, Derived, DerivedKind, HandleEntry, InstanceCache,
     PairVerdict, PlanLookup,
 };
-use crate::metrics::Metrics;
+use crate::metrics::ServerSeries;
 use crate::proto::{ErrorKind, Outcome, Request, WireCounterexample, WireMetrics};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -35,20 +35,21 @@ use vqd_core::determinacy::{
 };
 use vqd_eval::{contained_bounded_budgeted, BoundedContainment};
 use vqd_instance::{DomainNames, IndexedInstance, NameLookup, NameTable, Relation, Schema};
-use vqd_obs::Registry;
+use vqd_obs::{Registry, RegistrySnapshot};
 use vqd_query::{parse_instance, parse_program, parse_query, Cq, CqLang, QueryExpr, ViewSet};
 use vqd_router::Fragment;
 
-/// What the engine can reach besides the request itself: the shared
-/// metrics (for [`Request::Stats`]) and the server's shutdown token
-/// (for [`Request::Shutdown`]).
+/// What the engine can reach besides the request itself: the registry
+/// (for [`Request::Stats`]) and the server's shutdown token (for
+/// [`Request::Shutdown`]).
 #[derive(Clone)]
 pub struct EngineCtx {
-    /// Service counters.
-    pub metrics: Arc<Metrics>,
-    /// Server-wide observability registry: per-op request counters,
-    /// latency histograms, and folded engine counters.
+    /// Server-wide observability registry: the server's totals and
+    /// levels, per-op request counters, latency histograms, and folded
+    /// engine counters.
     pub registry: Arc<Registry>,
+    /// Handles onto the registry's `server.*` totals and levels.
+    pub(crate) series: Arc<ServerSeries>,
     /// When the server started (drives the uptime gauge).
     pub started: Instant,
     /// Cross-request instance cache: put handles + derived indexes.
@@ -60,7 +61,7 @@ pub struct EngineCtx {
 }
 
 impl EngineCtx {
-    /// A fresh context with its own metrics/registry (used by tests and
+    /// A fresh context with its own registry (used by tests and
     /// embedded setups; [`crate::server::spawn`] builds the real one).
     pub fn new(shutdown: CancelToken) -> EngineCtx {
         EngineCtx::with_cache_config(shutdown, CacheConfig::default())
@@ -70,7 +71,7 @@ impl EngineCtx {
     pub fn with_cache_config(shutdown: CancelToken, cache: CacheConfig) -> EngineCtx {
         let registry = Arc::new(Registry::new());
         EngineCtx {
-            metrics: Arc::new(Metrics::new()),
+            series: Arc::new(ServerSeries::new(&registry)),
             cache: Arc::new(InstanceCache::new(cache, Arc::clone(&registry))),
             registry,
             started: Instant::now(),
@@ -276,13 +277,12 @@ pub fn execute_attributed(
         }
         Request::Ping => Outcome::Pong,
         Request::Stats => {
-            let metrics = refresh_gauges(ctx);
-            Outcome::StatsSnapshot { metrics, registry: ctx.registry.snapshot() }
+            let registry = stamped_snapshot(ctx);
+            Outcome::StatsSnapshot { metrics: WireMetrics::from_registry(&registry), registry }
         }
         Request::Flight => Outcome::FlightSnapshot { jsonl: vqd_obs::flight_jsonl() },
         Request::MetricsProm => {
-            refresh_gauges(ctx);
-            Outcome::MetricsText { text: vqd_obs::render_prometheus(&ctx.registry.snapshot()) }
+            Outcome::MetricsText { text: vqd_obs::render_prometheus(&stamped_snapshot(ctx)) }
         }
         Request::Shutdown => {
             ctx.shutdown.cancel();
@@ -338,16 +338,14 @@ pub fn execute_attributed(
     (outcome, attribution)
 }
 
-/// Refreshes the point-in-time gauges, so a registry snapshot (for
-/// `stats` or a Prometheus scrape) sees current depth and uptime rather
-/// than last-request values.
-fn refresh_gauges(ctx: &EngineCtx) -> WireMetrics {
-    let metrics = ctx.metrics.snapshot();
-    ctx.registry.gauge("server.uptime_ms").set(ctx.started.elapsed().as_millis() as u64);
-    ctx.registry.gauge("server.queue_depth").set(metrics.queue_depth);
-    ctx.registry.gauge("server.queue_depth_hwm").raise_to(metrics.max_queue_depth);
-    ctx.registry.gauge("server.connections_open").set(metrics.connections_open);
-    metrics
+/// A registry snapshot for `stats` or a Prometheus scrape, with the
+/// uptime gauge stamped first. `server.connections_open` is an older
+/// name for `server.conns_open`, copied here so both keep reading.
+fn stamped_snapshot(ctx: &EngineCtx) -> RegistrySnapshot {
+    let reg = &ctx.registry;
+    reg.gauge("server.uptime_ms").set(ctx.started.elapsed().as_millis() as u64);
+    reg.gauge("server.connections_open").set(ctx.series.conns_open.get());
+    reg.snapshot()
 }
 
 /// Verdict + optional rendered rewriting, or a ready-made error outcome.

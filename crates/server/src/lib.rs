@@ -37,8 +37,12 @@
 //!   [`disk::DiskFault`]) degrade to counted clean misses, never wrong
 //!   answers;
 //! * **client library** ([`client`]): a blocking [`Client`] with
-//!   per-call I/O timeouts and an opt-in idempotent-only
-//!   [`client::RetryPolicy`], for tests and the CLI.
+//!   per-call I/O timeouts, for tests and the CLI;
+//! * **observability**: every server total and level (requests
+//!   accepted, queue depth, open connections, cache and disk-tier
+//!   counts) lives once, as a series in the server's
+//!   [`vqd_obs::Registry`]; the `stats` reply's flat fields
+//!   ([`WireMetrics`]) are a read of those series.
 //!
 //! Everything is `std`-only: `std::net` sockets, `std::thread` workers,
 //! `std::sync::mpsc` queues, and the workspace's [`serde::json`] shim
@@ -67,7 +71,7 @@ pub mod cache;
 pub mod client;
 pub mod disk;
 pub mod engine;
-pub mod metrics;
+mod metrics;
 pub mod netpoll;
 mod pool;
 pub mod proto;
@@ -77,9 +81,8 @@ pub mod server;
 pub use cache::{
     CacheConfig, CacheCounters, Derived, DerivedKind, HandleEntry, InstanceCache, PairVerdict,
 };
-pub use client::{Client, RetryPolicy};
+pub use client::Client;
 pub use disk::{DiskConfig, DiskCounters, DiskFault, DiskTier};
-pub use metrics::Metrics;
 pub use proto::{
     Envelope, ErrorKind, Limits, Outcome, Request, Response, Timeline, WireCounterexample,
     WireMetrics, WireStats, PROTOCOL_VERSION,

@@ -1,84 +1,47 @@
-//! Lock-free service counters.
+//! Handles onto the registry series behind the flat `stats` fields.
 //!
-//! One [`Metrics`] instance is shared (behind an `Arc`) by the acceptor,
-//! every connection thread, and every worker; all fields are relaxed
-//! atomics — these are observability counters, not synchronization.
+//! Each total and level lives once, in the server's [`Registry`]; this
+//! struct only holds the handles, registered once when the engine
+//! context is built, so the acceptor, the event loops and the workers
+//! update them without a name lookup. `stats` reads them back through a
+//! registry snapshot ([`WireMetrics::from_registry`]).
+//!
+//! [`WireMetrics::from_registry`]: crate::proto::WireMetrics::from_registry
 
-use crate::proto::WireMetrics;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use vqd_obs::{Counter, Gauge, Registry};
 
-/// Service-wide counters; see [`WireMetrics`] for field meanings.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// Requests admitted into the queue.
-    pub accepted: AtomicU64,
-    /// Requests that produced an `ok` outcome.
-    pub completed_ok: AtomicU64,
-    /// Requests whose budget tripped.
-    pub exhausted: AtomicU64,
-    /// Requests rejected by admission control.
-    pub rejected: AtomicU64,
-    /// `error`-status responses written.
-    pub errors: AtomicU64,
-    /// Requests currently queued.
-    pub queue_depth: AtomicU64,
-    /// High-water mark of `queue_depth`.
-    pub max_queue_depth: AtomicU64,
-    /// Connections currently open.
-    pub connections_open: AtomicU64,
-    /// Connections accepted since start.
-    pub connections_total: AtomicU64,
-    /// Worker threads serving the queue (set once at startup).
-    pub workers: AtomicU64,
+/// The server's flat totals and levels; see
+/// [`WireMetrics`](crate::proto::WireMetrics) for field meanings.
+pub(crate) struct ServerSeries {
+    pub accepted: Arc<Counter>,
+    pub completed_ok: Arc<Counter>,
+    pub exhausted: Arc<Counter>,
+    pub rejected: Arc<Counter>,
+    pub errors: Arc<Counter>,
+    pub connections_total: Arc<Counter>,
+    pub queue_depth: Arc<Gauge>,
+    pub queue_depth_hwm: Arc<Gauge>,
+    pub conns_open: Arc<Gauge>,
+    pub workers: Arc<Gauge>,
 }
 
-impl Metrics {
-    /// Fresh, zeroed counters.
-    pub fn new() -> Metrics {
-        Metrics::default()
-    }
-
-    /// Records a request entering the queue and returns the observed
-    /// depth. Call *before* the actual `try_send` (and undo a rejection
-    /// with [`Metrics::unenqueued`]) so a fast worker's [`Metrics::dequeued`]
-    /// can never observe the counter below zero.
-    pub fn enqueued(&self) -> u64 {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Folds a *successful* admission's observed depth into the
-    /// high-water mark. Kept separate from [`Metrics::enqueued`] so
-    /// rejected (speculatively counted) submissions don't inflate it.
-    pub fn admitted(&self, observed_depth: u64) {
-        self.max_queue_depth.fetch_max(observed_depth, Ordering::Relaxed);
-    }
-
-    /// Undoes [`Metrics::enqueued`] after a rejected submission.
-    pub fn unenqueued(&self) {
-        self.accepted.fetch_sub(1, Ordering::Relaxed);
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Records a worker picking a request off the queue.
-    pub fn dequeued(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time snapshot for the wire.
-    pub fn snapshot(&self) -> WireMetrics {
-        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        WireMetrics {
-            accepted: get(&self.accepted),
-            completed_ok: get(&self.completed_ok),
-            exhausted: get(&self.exhausted),
-            rejected: get(&self.rejected),
-            errors: get(&self.errors),
-            queue_depth: get(&self.queue_depth),
-            max_queue_depth: get(&self.max_queue_depth),
-            connections_open: get(&self.connections_open),
-            connections_total: get(&self.connections_total),
-            workers: get(&self.workers),
+impl ServerSeries {
+    /// Registers the ten series, so `stats` shows them before traffic.
+    pub fn new(registry: &Registry) -> ServerSeries {
+        let counter = |name: &str| registry.counter(name);
+        let gauge = |name: &str| registry.gauge(name);
+        ServerSeries {
+            accepted: counter("server.accepted"),
+            completed_ok: counter("server.completed_ok"),
+            exhausted: counter("server.exhausted"),
+            rejected: counter("server.rejected"),
+            errors: counter("server.errors"),
+            connections_total: counter("server.connections_total"),
+            queue_depth: gauge("server.queue_depth"),
+            queue_depth_hwm: gauge("server.queue_depth_hwm"),
+            conns_open: gauge("server.conns_open"),
+            workers: gauge("server.workers"),
         }
     }
 }
@@ -86,31 +49,45 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::WireMetrics;
 
     #[test]
-    fn queue_depth_tracks_high_water_mark() {
-        let m = Metrics::new();
-        m.admitted(m.enqueued());
-        m.admitted(m.enqueued());
-        m.admitted(m.enqueued());
-        m.dequeued();
-        m.admitted(m.enqueued());
-        let s = m.snapshot();
-        assert_eq!(s.accepted, 4);
-        assert_eq!(s.queue_depth, 3);
-        assert_eq!(s.max_queue_depth, 3);
-    }
-
-    #[test]
-    fn rejected_submissions_do_not_move_the_high_water_mark() {
-        let m = Metrics::new();
-        m.admitted(m.enqueued());
-        let depth = m.enqueued();
-        m.unenqueued();
-        assert!(depth > 1, "speculative depth was observed");
-        let s = m.snapshot();
-        assert_eq!(s.accepted, 1);
-        assert_eq!(s.queue_depth, 1);
-        assert_eq!(s.max_queue_depth, 1);
+    fn wire_metrics_read_every_series() {
+        let registry = Registry::new();
+        let s = ServerSeries::new(&registry);
+        let handles = [
+            &s.accepted,
+            &s.completed_ok,
+            &s.exhausted,
+            &s.rejected,
+            &s.errors,
+            &s.connections_total,
+        ];
+        for (i, c) in handles.into_iter().enumerate() {
+            c.add(i as u64 + 1);
+        }
+        s.queue_depth.set(7);
+        s.queue_depth_hwm.set(8);
+        s.conns_open.set(9);
+        s.workers.set(10);
+        let m = WireMetrics::from_registry(&registry.snapshot());
+        assert_eq!(
+            m,
+            WireMetrics {
+                accepted: 1,
+                completed_ok: 2,
+                exhausted: 3,
+                rejected: 4,
+                errors: 5,
+                connections_total: 6,
+                queue_depth: 7,
+                max_queue_depth: 8,
+                connections_open: 9,
+                workers: 10,
+            }
+        );
+        for name in WireMetrics::COUNTERS {
+            assert!(registry.snapshot().counter(name) > 0, "{name} is not a flat total");
+        }
     }
 }

@@ -26,11 +26,10 @@
 #![allow(clippy::result_large_err)]
 
 use crate::engine::{self, Attribution, EngineCtx};
-use crate::metrics::Metrics;
+use crate::metrics::ServerSeries;
 use crate::proto::{Envelope, ErrorKind, Outcome, Response};
 use crate::record::{PhaseStamps, RequestRecord};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -80,8 +79,8 @@ impl Pool {
         let queue_depth = queue_depth.max(1);
         let (tx, rx) = sync_channel::<Job>(queue_depth);
         let rx = Arc::new(Mutex::new(rx));
-        let metrics = ctx.metrics.clone();
-        metrics.workers.store(workers as u64, Ordering::Relaxed);
+        let series = Arc::clone(&ctx.series);
+        series.workers.set(workers as u64);
         let handles = (0..workers)
             .map(|i| {
                 let rx = Arc::clone(&rx);
@@ -92,7 +91,7 @@ impl Pool {
                     .unwrap_or_else(|e| panic!("spawning worker {i}: {e}"))
             })
             .collect();
-        Pool { queue: QueueHandle { tx, capacity: queue_depth, metrics }, workers: handles }
+        Pool { queue: QueueHandle { tx, capacity: queue_depth, series }, workers: handles }
     }
 
     /// A cloneable submission handle for the event loops.
@@ -125,7 +124,7 @@ impl Pool {
 pub struct QueueHandle {
     tx: SyncSender<Job>,
     capacity: usize,
-    metrics: Arc<Metrics>,
+    series: Arc<ServerSeries>,
 }
 
 impl QueueHandle {
@@ -136,25 +135,23 @@ impl QueueHandle {
 
     /// Admission control: enqueue without blocking, or reject.
     pub fn submit(&self, job: Job) -> Result<(), (Job, SubmitError)> {
-        // Count the admission *before* sending: once the job is in the
-        // channel a worker may dequeue (and decrement) it immediately,
-        // so counting afterwards could drive the depth counter below
-        // zero.
-        let depth = self.metrics.enqueued();
-        match self.tx.try_send(job) {
+        // Raise the depth *before* sending: once the job is in the
+        // channel a worker may dequeue (and lower) it immediately, so
+        // raising it afterwards could drive the gauge below zero. Only
+        // an admitted depth moves the high-water mark.
+        let s = &self.series;
+        let depth = s.queue_depth.add(1);
+        let refused = match self.tx.try_send(job) {
             Ok(()) => {
-                self.metrics.admitted(depth);
-                Ok(())
+                s.accepted.inc();
+                s.queue_depth_hwm.raise_to(depth);
+                return Ok(());
             }
-            Err(TrySendError::Full(job)) => {
-                self.metrics.unenqueued();
-                Err((job, SubmitError::Full))
-            }
-            Err(TrySendError::Disconnected(job)) => {
-                self.metrics.unenqueued();
-                Err((job, SubmitError::Closed))
-            }
-        }
+            Err(TrySendError::Full(job)) => (job, SubmitError::Full),
+            Err(TrySendError::Disconnected(job)) => (job, SubmitError::Closed),
+        };
+        s.queue_depth.sub(1);
+        Err(refused)
     }
 }
 
@@ -170,7 +167,7 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, ctx: &EngineCtx) {
                 Err(_) => return, // all senders gone: shutdown
             }
         };
-        ctx.metrics.dequeued();
+        ctx.series.queue_depth.sub(1);
         run_job(job, ctx);
     }
 }
@@ -223,7 +220,7 @@ fn run_job(job: Job, ctx: &EngineCtx) {
         released: None,
         drained: None,
     };
-    record.count(&ctx.metrics, &ctx.registry);
+    record.count(&ctx.series, &ctx.registry);
     // Black box first, reply second: the digest must be in the ring
     // before any dump triggered by this request fires.
     vqd_obs::flight_record(record.digest());
@@ -261,7 +258,7 @@ fn run_job(job: Job, ctx: &EngineCtx) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{Limits, Request};
+    use crate::proto::{Limits, Request, WireMetrics};
     use std::sync::mpsc::{channel, Sender};
     use vqd_budget::CancelToken;
     use vqd_obs::Metric;
@@ -316,8 +313,8 @@ mod tests {
         }
         drop(queue);
         pool.shutdown();
-        assert_eq!(ctx.metrics.snapshot().completed_ok, 8);
-        assert_eq!(ctx.metrics.snapshot().queue_depth, 0);
+        let m = WireMetrics::from_registry(&ctx.registry.snapshot());
+        assert_eq!((m.accepted, m.completed_ok, m.queue_depth), (8, 8, 0));
     }
 
     #[test]
@@ -347,12 +344,12 @@ mod tests {
         queue.submit(slow).map_err(|_| ()).expect("first admit");
         // Give the worker a moment to pick the slow job up, then fill
         // the queue and overflow it.
-        let mut rejected = 0;
+        let (mut admitted, mut rejected) = (1, 0);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while rejected == 0 {
             assert!(std::time::Instant::now() < deadline, "no rejection observed");
             match queue.submit(ping_job(&tx)) {
-                Ok(()) => {}
+                Ok(()) => admitted += 1,
                 Err((_, SubmitError::Full)) => rejected += 1,
                 Err((_, SubmitError::Closed)) => panic!("pool closed early"),
             }
@@ -362,6 +359,9 @@ mod tests {
         while rx.recv().is_ok() {}
         drop(queue);
         pool.shutdown();
+        // A rejection undoes its speculative depth and is not accepted.
+        let m = WireMetrics::from_registry(&ctx.registry.snapshot());
+        assert_eq!((m.accepted, m.queue_depth), (admitted, 0));
     }
 
     #[test]

@@ -454,6 +454,36 @@ pub struct WireMetrics {
     pub workers: u64,
 }
 
+impl WireMetrics {
+    /// The registry counters behind the flat totals. [`Outcome`]'s
+    /// `Display` prints them in its header, so a listing of the
+    /// registry's counters can skip them.
+    pub const COUNTERS: [&'static str; 6] = [
+        "server.accepted",
+        "server.completed_ok",
+        "server.exhausted",
+        "server.rejected",
+        "server.errors",
+        "server.connections_total",
+    ];
+
+    /// The flat fields, read off the registry's `server.*` series.
+    pub fn from_registry(r: &RegistrySnapshot) -> WireMetrics {
+        WireMetrics {
+            accepted: r.counter("server.accepted"),
+            completed_ok: r.counter("server.completed_ok"),
+            exhausted: r.counter("server.exhausted"),
+            rejected: r.counter("server.rejected"),
+            errors: r.counter("server.errors"),
+            queue_depth: r.gauge("server.queue_depth"),
+            max_queue_depth: r.gauge("server.queue_depth_hwm"),
+            connections_open: r.gauge("server.conns_open"),
+            connections_total: r.counter("server.connections_total"),
+            workers: r.gauge("server.workers"),
+        }
+    }
+}
+
 /// How a request ended, with its payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Outcome {

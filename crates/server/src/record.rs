@@ -1,14 +1,13 @@
 //! The request record: what happened to one worker-served request,
 //! written once. The reply's `work` and profiled `timeline`, the flight
-//! digest, the `op.*`/`engine.*` series, the [`Metrics`] totals, the
-//! `server.phase.*` histograms and the slow-request log are all
+//! digest, the `op.*`/`engine.*` series, the `server.*` outcome totals,
+//! the `server.phase.*` histograms and the slow-request log are all
 //! projections of it, and each phase interval is computed by exactly
 //! one method below (DESIGN.md §16).
 
 use crate::engine::Attribution;
-use crate::metrics::Metrics;
+use crate::metrics::ServerSeries;
 use crate::proto::{Timeline, WireStats};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 use vqd_budget::WorkStats;
@@ -123,24 +122,23 @@ impl RequestRecord {
         }
     }
 
-    /// Folds the finished request into the service totals and the
-    /// registry: per-op request/error/exhausted counters, the per-op
-    /// execution-time histogram, and the engine counter deltas.
-    pub fn count(&self, metrics: &Metrics, reg: &Registry) {
+    /// Folds the finished request into the registry: the server's
+    /// outcome totals, per-op request/error/exhausted counters, the
+    /// per-op execution-time histogram, and the engine counter deltas.
+    pub fn count(&self, series: &ServerSeries, reg: &Registry) {
         let op = self.op;
         reg.counter(&format!("op.{op}.requests")).inc();
-        let total = match self.status {
+        match self.status {
             "error" | "panic" => {
                 reg.counter(&format!("op.{op}.errors")).inc();
-                &metrics.errors
+                series.errors.inc();
             }
             "exhausted" => {
                 reg.counter(&format!("op.{op}.exhausted")).inc();
-                &metrics.exhausted
+                series.exhausted.inc();
             }
-            _ => &metrics.completed_ok,
-        };
-        total.fetch_add(1, Ordering::Relaxed);
+            _ => series.completed_ok.inc(),
+        }
         reg.histogram(&format!("op.{op}.latency_ms"), &LATENCY_BOUNDS_MS)
             .observe(self.exec_us() / 1000);
         for m in Metric::ALL {

@@ -44,7 +44,7 @@
 
 use crate::cache::{CacheConfig, InstanceCache};
 use crate::engine::EngineCtx;
-use crate::metrics::Metrics;
+use crate::metrics::ServerSeries;
 use crate::netpoll::{self, PollFd, WakeRx, Waker, POLLCLOSED, POLLIN, POLLOUT};
 use crate::pool::{Job, Pool, QueueHandle, SubmitError};
 use crate::proto::{Envelope, ErrorKind, Limits, Outcome, Response, WireMetrics, WireStats};
@@ -53,7 +53,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -170,7 +169,7 @@ struct Shared {
     /// counters are never advanced (per-request budgets are fresh).
     master: Budget,
     caps: ServerCaps,
-    metrics: Arc<Metrics>,
+    series: Arc<ServerSeries>,
     registry: Arc<vqd_obs::Registry>,
     /// The instance cache, shared with the worker pool's [`EngineCtx`]
     /// so tests can reach the disk tier (fault arming, segment paths)
@@ -180,39 +179,26 @@ struct Shared {
     /// parked in an indefinite `poll` observes the canceled token.
     wakers: Vec<Waker>,
     /// Total reply bytes queued (application-side) across every
-    /// connection; mirrored into the `server.writeq_bytes` gauge.
-    writeq_bytes: AtomicU64,
-    g_conns_open: Arc<vqd_obs::Gauge>,
-    g_pipelined: Arc<vqd_obs::Gauge>,
-    g_writeq: Arc<vqd_obs::Gauge>,
+    /// connection.
+    writeq_bytes: Arc<vqd_obs::Gauge>,
+    pipelined_depth: Arc<vqd_obs::Gauge>,
     /// Phase histograms, observed for every worker-served request.
     phases: PhaseHistograms,
 }
 
 impl Shared {
-    fn new(
-        caps: ServerCaps,
-        metrics: Arc<Metrics>,
-        registry: Arc<vqd_obs::Registry>,
-        cache: Arc<InstanceCache>,
-        wakers: Vec<Waker>,
-    ) -> Shared {
-        let g_conns_open = registry.gauge("server.conns_open");
-        let g_pipelined = registry.gauge("server.pipelined_depth");
-        let g_writeq = registry.gauge("server.writeq_bytes");
-        let phases = PhaseHistograms::new(&registry);
+    fn new(caps: ServerCaps, ctx: &EngineCtx, wakers: Vec<Waker>) -> Shared {
+        let registry = Arc::clone(&ctx.registry);
         Shared {
             master: Budget::unlimited(),
             caps,
-            metrics,
-            registry,
-            cache,
+            series: Arc::clone(&ctx.series),
+            cache: Arc::clone(&ctx.cache),
             wakers,
-            writeq_bytes: AtomicU64::new(0),
-            g_conns_open,
-            g_pipelined,
-            g_writeq,
-            phases,
+            writeq_bytes: registry.gauge("server.writeq_bytes"),
+            pipelined_depth: registry.gauge("server.pipelined_depth"),
+            phases: PhaseHistograms::new(&registry),
+            registry,
         }
     }
 
@@ -234,17 +220,15 @@ impl Shared {
     }
 
     /// Folds a connection's write-queue length change into the global
-    /// total and its gauge.
+    /// total.
     fn writeq_delta(&self, before: usize, after: usize) {
-        if after == before {
-            return;
+        match after.cmp(&before) {
+            std::cmp::Ordering::Greater => {
+                self.writeq_bytes.add((after - before) as u64);
+            }
+            std::cmp::Ordering::Less => self.writeq_bytes.sub((before - after) as u64),
+            std::cmp::Ordering::Equal => {}
         }
-        if after > before {
-            self.writeq_bytes.fetch_add((after - before) as u64, Ordering::Relaxed);
-        } else {
-            self.writeq_bytes.fetch_sub((before - after) as u64, Ordering::Relaxed);
-        }
-        self.g_writeq.set(self.writeq_bytes.load(Ordering::Relaxed));
     }
 }
 
@@ -265,7 +249,7 @@ impl ServerHandle {
 
     /// Point-in-time metrics.
     pub fn metrics(&self) -> WireMetrics {
-        self.shared.metrics.snapshot()
+        WireMetrics::from_registry(&self.shared.registry.snapshot())
     }
 
     /// The server-wide observability registry (per-op counters, latency
@@ -315,7 +299,7 @@ impl ServerHandle {
         if let Some(pool) = self.pool.take() {
             pool.shutdown();
         }
-        self.shared.metrics.snapshot()
+        self.metrics()
     }
 }
 
@@ -333,11 +317,10 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let metrics = Arc::new(Metrics::new());
-    let registry = Arc::new(vqd_obs::Registry::new());
     // Building the cache may warm-restore a disk tier: index rebuilds
     // happen here, on the spawning thread, before any request runs.
-    let cache = Arc::new(InstanceCache::new(config.caps.cache.clone(), Arc::clone(&registry)));
+    let mut ctx = EngineCtx::with_cache_config(CancelToken::new(), config.caps.cache.clone());
+    ctx.debug_ops = config.caps.enable_debug_ops;
     let io_threads = config.caps.io_threads.max(1);
     let mut wakers = Vec::with_capacity(io_threads);
     let mut wake_rxs = Vec::with_capacity(io_threads);
@@ -346,21 +329,8 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         wakers.push(w);
         wake_rxs.push(rx);
     }
-    let shared = Arc::new(Shared::new(
-        config.caps,
-        Arc::clone(&metrics),
-        Arc::clone(&registry),
-        Arc::clone(&cache),
-        wakers,
-    ));
-    let ctx = EngineCtx {
-        metrics,
-        cache,
-        registry,
-        started: Instant::now(),
-        shutdown: shared.shutdown_token(),
-        debug_ops: shared.caps.enable_debug_ops,
-    };
+    let shared = Arc::new(Shared::new(config.caps, &ctx, wakers));
+    ctx.shutdown = shared.shutdown_token();
     let pool = Pool::new(config.workers, config.queue_depth, ctx);
     let mut handles = Vec::with_capacity(io_threads);
     let mut rxs = Vec::with_capacity(io_threads);
@@ -639,7 +609,7 @@ impl IoLoop {
             match msg {
                 LoopMsg::Conn(stream) => {
                     if self.draining {
-                        self.shared.metrics.connections_open.fetch_sub(1, Ordering::Relaxed);
+                        self.shared.series.conns_open.sub(1);
                         drop(stream);
                     } else {
                         self.register(stream);
@@ -680,23 +650,24 @@ impl IoLoop {
     }
 
     fn admit(&mut self, stream: TcpStream) {
-        let m = &self.shared.metrics;
-        m.connections_total.fetch_add(1, Ordering::Relaxed);
-        let open = m.connections_open.fetch_add(1, Ordering::Relaxed) + 1;
-        if open as usize > self.shared.caps.max_conns {
-            m.connections_open.fetch_sub(1, Ordering::Relaxed);
+        let s = &self.shared.series;
+        s.connections_total.inc();
+        // Only this loop admits; the others only close, so the level
+        // cannot pass the cap between this check and the add.
+        let open = s.conns_open.get();
+        if open as usize >= self.shared.caps.max_conns {
             self.shared.registry.counter("server.conns_rejected").inc();
-            reject_over_limit(stream, open - 1, self.shared.caps.max_conns);
+            reject_over_limit(stream, open, self.shared.caps.max_conns);
             return;
         }
-        self.shared.g_conns_open.set(open);
+        s.conns_open.add(1);
         let target = self.next_rr % self.loops.len();
         self.next_rr = self.next_rr.wrapping_add(1);
         if target == self.idx {
             self.register(stream);
         } else if !self.loops[target].send(LoopMsg::Conn(stream)) {
             // Only possible once the target loop exited mid-shutdown.
-            m.connections_open.fetch_sub(1, Ordering::Relaxed);
+            self.shared.series.conns_open.sub(1);
         }
     }
 
@@ -704,7 +675,7 @@ impl IoLoop {
     /// id strided so every loop mints distinct ones.
     fn register(&mut self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
-            self.shared.metrics.connections_open.fetch_sub(1, Ordering::Relaxed);
+            self.shared.series.conns_open.sub(1);
             return;
         }
         stream.set_nodelay(true).ok();
@@ -725,9 +696,7 @@ impl IoLoop {
     }
 
     fn destroy(&mut self, conn: Conn) {
-        let open =
-            self.shared.metrics.connections_open.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
-        self.shared.g_conns_open.set(open);
+        self.shared.series.conns_open.sub(1);
         // Undeliverable queued output leaves the global gauge with it.
         self.shared.writeq_delta(conn.write_buf.len(), 0);
     }
@@ -832,14 +801,14 @@ impl IoLoop {
         conn.next_seq += 1;
         let envelope = match Envelope::from_line(line) {
             Err((kind, message, id)) => {
-                self.shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                self.shared.series.errors.inc();
                 self.deliver(conn, seq, (Response::error(id, kind, message), None));
                 return;
             }
             Ok(env) => env,
         };
         if conn.in_flight >= self.shared.caps.max_inflight_per_conn {
-            self.shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            self.shared.series.rejected.inc();
             self.shared.registry.counter("server.inflight_rejects").inc();
             let response = Response::new(
                 envelope.id,
@@ -866,14 +835,14 @@ impl IoLoop {
         match self.queue.submit(Job { envelope, budget, reply, stamps }) {
             Ok(()) => {
                 conn.in_flight += 1;
-                self.shared.g_pipelined.raise_to(conn.in_flight as u64);
+                self.shared.pipelined_depth.raise_to(conn.in_flight as u64);
             }
             Err((job, SubmitError::Full)) => {
-                self.shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+                self.shared.series.rejected.inc();
                 let response = Response::new(
                     job.envelope.id,
                     Outcome::Overloaded {
-                        queue_depth: self.shared.metrics.queue_depth.load(Ordering::Relaxed),
+                        queue_depth: self.shared.series.queue_depth.get(),
                         queue_capacity: self.queue.capacity() as u64,
                     },
                     WireStats::default(),
@@ -928,7 +897,7 @@ impl IoLoop {
             return;
         }
         self.shared.registry.counter("server.conn_timeouts").inc();
-        self.shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+        self.shared.series.errors.inc();
         let before = conn.write_buf.len();
         conn.write_buf.clear();
         conn.write_marks.clear();
@@ -973,7 +942,7 @@ impl IoLoop {
         for id in timed_out {
             let Some(mut conn) = self.conns.remove(&id) else { continue };
             self.shared.registry.counter("server.conn_timeouts").inc();
-            self.shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+            self.shared.series.errors.inc();
             let seq = conn.next_seq;
             conn.next_seq += 1;
             let response = Response::error(
@@ -1055,14 +1024,7 @@ mod tests {
     use super::*;
 
     fn test_shared(caps: ServerCaps) -> Shared {
-        let registry = Arc::new(vqd_obs::Registry::new());
-        Shared::new(
-            caps,
-            Arc::new(Metrics::new()),
-            Arc::clone(&registry),
-            Arc::new(InstanceCache::new(CacheConfig::default(), registry)),
-            Vec::new(),
-        )
+        Shared::new(caps, &EngineCtx::new(CancelToken::new()), Vec::new())
     }
 
     #[test]
@@ -1102,9 +1064,8 @@ mod tests {
         let shared = test_shared(ServerCaps::default());
         shared.writeq_delta(0, 4096);
         shared.writeq_delta(4096, 1024);
-        assert_eq!(shared.writeq_bytes.load(Ordering::Relaxed), 1024);
+        assert_eq!(shared.writeq_bytes.get(), 1024);
         shared.writeq_delta(1024, 0);
-        assert_eq!(shared.writeq_bytes.load(Ordering::Relaxed), 0);
         assert_eq!(shared.registry.snapshot().gauge("server.writeq_bytes"), 0);
     }
 }

@@ -615,13 +615,16 @@ fn cmd_stats(argv: &[String]) {
     // The Display impl renders the flat counters, uptime, and one
     // latency line per op that has served traffic. The registry's other
     // counters follow: the engine's, then the rest (cache, certain-answer
-    // routes, router, disk, server); per-op counters are in the op lines.
+    // routes, router, disk, server); per-op counters are in the op lines,
+    // and the flat totals in the header.
     println!("{}", response.outcome);
     if let Outcome::StatsSnapshot { registry, .. } = &response.outcome {
         let (engine, other): (Vec<_>, Vec<_>) = registry
             .counters
             .iter()
-            .filter(|(n, _)| !n.starts_with("op."))
+            .filter(|(n, _)| {
+                !n.starts_with("op.") && !server::WireMetrics::COUNTERS.contains(&n.as_str())
+            })
             .partition(|(n, _)| n.starts_with("engine."));
         for (heading, counters) in [("engine counters", engine), ("registry counters", other)] {
             if !counters.is_empty() {
