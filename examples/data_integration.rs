@@ -46,10 +46,7 @@ fn main() {
     .clone();
     let out1 = decide_unrestricted(&sources, &q1);
     println!("Q1 (4-leg trips) determined: {}", out1.determined);
-    println!(
-        "   plan over sources: {}\n",
-        out1.rewriting.expect("rewritable").render("Plan")
-    );
+    println!("   plan over sources: {}\n", out1.rewriting.expect("rewritable").render("Plan"));
 
     // Query 2: direct flights — NOT determined by one-stop views.
     let q2 = parse_query(&schema, &mut names, "Q(x,y) :- Flight(x,y).")
@@ -72,14 +69,18 @@ fn main() {
     println!("\nsource extent:\n{}\n", extent.render(&names));
     let cert = certain_sound(&sources, &q2, &extent);
     println!("certain direct flights from the sources alone: {cert}");
-    println!("(every one-stop connection proves *some* legs exist, but no specific leg is certain)");
+    println!(
+        "(every one-stop connection proves *some* legs exist, but no specific leg is certain)"
+    );
     assert!(cert.is_empty());
 
     // The chase still reconstructs a representative global database.
     let witness = chase_preimage(&sources, &extent);
     match witness {
         Some(d) => println!("\na representative global database:\n{}", d.render(&names)),
-        None => println!("\n(no exact preimage reconstructible by the chase — extent is a strict join image)"),
+        None => println!(
+            "\n(no exact preimage reconstructible by the chase — extent is a strict join image)"
+        ),
     }
 
     // Sanity: the rewriting for Q1 gives the right answer on the extent.

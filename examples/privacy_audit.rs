@@ -35,8 +35,8 @@ fn main() {
     println!("published views:\n{views}\n");
 
     // The secret: which patients were treated in which ward.
-    let secret = parse_query(&schema, &mut names, "Secret(p, w) :- Treated(p, w).")
-        .expect("query parses");
+    let secret =
+        parse_query(&schema, &mut names, "Secret(p, w) :- Treated(p, w).").expect("query parses");
 
     println!("auditing: do the published views determine the secret?");
     match check_exhaustive(&views, &secret, 3, 1 << 24) {

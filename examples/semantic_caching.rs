@@ -80,11 +80,7 @@ fn main() {
     ];
     for src in workload {
         println!("query: {src}");
-        let q = parse_query(&schema, &mut names, src)
-            .expect("parses")
-            .as_cq()
-            .expect("CQ")
-            .clone();
+        let q = parse_query(&schema, &mut names, src).expect("parses").as_cq().expect("CQ").clone();
         let answer = cache.answer(&q, &db);
         println!("  answer: {}", answer.render(&names));
         // The cache must never be wrong, only unavailable.

@@ -16,10 +16,7 @@ use vqd::instance::{DomainNames, Schema};
 use vqd::query::{parse_program, parse_query, ViewSet};
 
 fn main() {
-    let levels: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(3);
+    let levels: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(3);
 
     let schema = Schema::new([("E", 2)]);
     let mut names = DomainNames::new();
@@ -45,14 +42,13 @@ fn main() {
         let (in_d, in_dp) = tower.separation(&q, k);
         println!("── level {k} ──");
         println!("D_{k}  ({} tuples): {}", tower.d[k].total_tuples(), tower.d[k]);
-        println!(
-            "D'_{k} ({} tuples): {}",
-            tower.d_prime[k].total_tuples(),
-            tower.d_prime[k]
-        );
+        println!("D'_{k} ({} tuples): {}", tower.d_prime[k].total_tuples(), tower.d_prime[k]);
         println!("image gap |S_{k} \\ S'_{k}|: {}", tower.image_gap(k));
         println!("x̄ ∈ Q(D_{k}): {in_d}    x̄ ∈ Q(D'_{k}): {in_dp}");
-        println!("Proposition 3.6 invariants: {}", if inv.all_hold() { "all hold" } else { "VIOLATED" });
+        println!(
+            "Proposition 3.6 invariants: {}",
+            if inv.all_hold() { "all hold" } else { "VIOLATED" }
+        );
         assert!(inv.all_hold());
         assert!(in_d && !in_dp);
         println!();

@@ -427,10 +427,7 @@ macro_rules! prop_assert_eq {
 macro_rules! prop_assert_ne {
     ($a:expr, $b:expr $(,)?) => {{
         let (__l, __r) = (&$a, &$b);
-        $crate::prop_assert!(
-            *__l != *__r,
-            "assertion failed: `{:?}` == `{:?}`", __l, __r
-        );
+        $crate::prop_assert!(*__l != *__r, "assertion failed: `{:?}` == `{:?}`", __l, __r);
     }};
 }
 

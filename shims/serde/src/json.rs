@@ -399,11 +399,7 @@ impl<'a> Parser<'a> {
                     // by the final from_utf8 of the chunk).
                     let start = self.pos;
                     self.pos += 1;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|b| b & 0xC0 == 0x80)
-                    {
+                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
                         self.pos += 1;
                     }
                     match std::str::from_utf8(&self.bytes[start..self.pos]) {
@@ -463,10 +459,7 @@ mod tests {
         let v = Value::from("a\"b\\c\nd\te\u{1}é 💡");
         let text = v.to_string();
         assert_eq!(parse(&text).unwrap(), v);
-        assert_eq!(
-            parse(r#""\u00e9 \ud83d\udca1""#).unwrap(),
-            Value::from("é 💡")
-        );
+        assert_eq!(parse(r#""\u00e9 \ud83d\udca1""#).unwrap(), Value::from("é 💡"));
     }
 
     #[test]
@@ -480,8 +473,17 @@ mod tests {
     #[test]
     fn malformed_documents_are_rejected_with_offsets() {
         for bad in [
-            "", "{", "[1,", "\"unterminated", "{\"k\":}", "nul", "01x", "{} trailing",
-            "\"\\ud800\"", "[1 2]", "\u{1}",
+            "",
+            "{",
+            "[1,",
+            "\"unterminated",
+            "{\"k\":}",
+            "nul",
+            "01x",
+            "{} trailing",
+            "\"\\ud800\"",
+            "[1 2]",
+            "\u{1}",
         ] {
             let e = parse(bad).expect_err(bad);
             assert!(!e.message.is_empty());

@@ -132,9 +132,7 @@ fn parse_schema(spec: &str) -> Schema {
 }
 
 fn value_of(it: &mut std::slice::Iter<'_, String>, flag: &str) -> String {
-    it.next()
-        .unwrap_or_else(|| die(&format!("flag `{flag}` needs a value")))
-        .clone()
+    it.next().unwrap_or_else(|| die(&format!("flag `{flag}` needs a value"))).clone()
 }
 
 fn num_of<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> T {
@@ -176,10 +174,8 @@ fn parse_analyze_args(argv: &[String]) -> AnalyzeArgs {
             "--views" => views = it.next().cloned(),
             "--query" => query = it.next().cloned(),
             "--max-domain" => {
-                max_domain = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| analyze_usage())
+                max_domain =
+                    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| analyze_usage())
             }
             "--explain" => explain = true,
             "--help" | "-h" => analyze_usage(),
@@ -189,9 +185,7 @@ fn parse_analyze_args(argv: &[String]) -> AnalyzeArgs {
             }
         }
     }
-    let (Some(schema), Some(views), Some(query)) = (schema, views, query) else {
-        analyze_usage()
-    };
+    let (Some(schema), Some(views), Some(query)) = (schema, views, query) else { analyze_usage() };
     AnalyzeArgs { schema, views, query, max_domain, explain }
 }
 
@@ -223,11 +217,8 @@ fn cmd_analyze(argv: &[String]) {
         }
     }
 
-    let a = analyze(
-        &views,
-        &q,
-        AnalyzeOptions { max_domain: args.max_domain, ..Default::default() },
-    );
+    let a =
+        analyze(&views, &q, AnalyzeOptions { max_domain: args.max_domain, ..Default::default() });
     println!("--- analysis ---");
     for note in &a.notes {
         println!("• {note}");
@@ -436,8 +427,11 @@ fn cmd_request(argv: &[String]) {
     };
     println!(
         "[{} steps, {} tuples, {} index builds, {} ms server-side{}]",
-        response.work.steps, response.work.tuples, response.work.index_builds,
-        response.work.elapsed_ms, threads
+        response.work.steps,
+        response.work.tuples,
+        response.work.index_builds,
+        response.work.elapsed_ms,
+        threads
     );
     if let Some(p) = &response.profile {
         println!("--- execution profile (engine counter deltas) ---");
@@ -481,7 +475,9 @@ fn connect(addr: &str) -> Client {
 }
 
 fn put_usage() -> ! {
-    eprintln!("usage: vqd-cli put [--addr HOST:PORT] --schema \"V/2\" --extent \"<facts or @file>\"");
+    eprintln!(
+        "usage: vqd-cli put [--addr HOST:PORT] --schema \"V/2\" --extent \"<facts or @file>\""
+    );
     std::process::exit(2)
 }
 
