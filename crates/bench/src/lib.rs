@@ -7,6 +7,7 @@
 //! * the `fixpoint` binary — the engine bench, whose report
 //!   (`BENCH_engine.json`) holds the figures F1–F8.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

@@ -34,6 +34,7 @@
 //! step (deadlines are amortized; fault injection and step limits are
 //! exact).
 
+#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
 #![deny(clippy::expect_used)]
 #![warn(missing_docs)]
@@ -469,16 +470,6 @@ impl std::error::Error for VqdError {}
 impl From<Exhausted> for VqdError {
     fn from(e: Exhausted) -> Self {
         VqdError::Exhausted(Box::new(e))
-    }
-}
-
-impl VqdError {
-    /// The [`Exhausted`] payload, if this is an exhaustion.
-    pub fn as_exhausted(&self) -> Option<&Exhausted> {
-        match self {
-            VqdError::Exhausted(e) => Some(e),
-            _ => None,
-        }
     }
 }
 

@@ -11,6 +11,7 @@
 //! * [`tower`] — the `{Dₖ, Sₖ, S'ₖ, D'ₖ}` counterexample tower of the
 //!   Theorem 3.3 proof, with machine-checked Proposition 3.6 invariants.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod canonical;

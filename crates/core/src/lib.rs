@@ -20,6 +20,7 @@
 //! | MiniCon contained/maximally-contained rewritings | [`minicon`] |
 //! | certain answers \[1\] | [`certain`] |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyze;

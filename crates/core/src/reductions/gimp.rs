@@ -132,8 +132,6 @@ pub struct GimpConstruction {
     pub phi: Fo,
     /// The subformula table (for σ completion).
     subs: Vec<Sub>,
-    /// Root subformula index.
-    root: usize,
 }
 
 fn index_subs(f: &Fo, subs: &mut Vec<Sub>, memo: &mut HashMap<String, usize>) -> usize {
@@ -483,7 +481,6 @@ pub fn theorem_5_4(tau: &Schema, phi: &FoQuery, t_name: &str) -> GimpConstructio
         query,
         phi: normalized,
         subs,
-        root,
     }
 }
 
@@ -543,10 +540,5 @@ impl GimpConstruction {
     /// Number of subformula nodes (diagnostics).
     pub fn num_subformulas(&self) -> usize {
         self.subs.len()
-    }
-
-    /// The root node's repr relation name (diagnostics).
-    pub fn root_index(&self) -> usize {
-        self.root
     }
 }

@@ -13,6 +13,7 @@
 //!   rejecting recursion through negation;
 //! * [`engine`] — naive and semi-naive bottom-up fixpoints (F7 ablation).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

@@ -25,6 +25,7 @@
 //! * [`monotone`] — monotonicity probes used by the Section 5 lower
 //!   bounds.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitscan;

@@ -1,10 +1,15 @@
 //! # vqd-exec — intra-request parallel execution
 //!
-//! A small std-only work-sharing executor that fans one library call's
-//! work out across a fixed thread pool, under the governance contract
-//! the rest of the workspace already obeys. Only CQ evaluation
-//! (`eval_cq_rows`) fans out; the server never does (DESIGN.md §17).
+//! A small std-only executor that fans one library call's shards out
+//! across scoped threads, under the governance contract the rest of the
+//! workspace already obeys. Only CQ evaluation (`eval_cq_rows`) fans
+//! out; the server never does (DESIGN.md §17).
 //!
+//! * **Bounded, call-scoped threads.** [`ExecCtx::run_shards`] spawns
+//!   at most [`ExecPool::threads`] helpers with [`std::thread::scope`];
+//!   they and the caller claim shards from one atomic cursor, and every
+//!   helper is joined before the call returns. No thread outlives a
+//!   call, and nested fan-out cannot deadlock.
 //! * **One budget.** Every shard draws down the *same* shared
 //!   [`Budget`] (its counters are `Arc`-shared atomics), so a step or
 //!   tuple limit trips exactly once process-wide, the tripping shard's
@@ -16,10 +21,10 @@
 //!   per-shard work is (the hom search shards along a canonical
 //!   boundary: its root candidates).
 //! * **Exact observability.** Engine counters are per-thread cells
-//!   ([`MetricsSnapshot`]); work done on pool threads would be invisible
-//!   to the serving thread's profile diff. The executor snapshots each
-//!   foreign shard's counter delta and *absorbs* the sum back into the
-//!   calling thread after the join, so a profiled parallel request
+//!   ([`MetricsSnapshot`]); work done on a helper thread would be
+//!   invisible to the serving thread's profile diff. Each helper hands
+//!   its counters back when it is joined and the executor *absorbs* the
+//!   sum into the calling thread, so a profiled parallel request
 //!   reports the same engine counters as its sequential twin (modulo
 //!   the per-shard root-level bookkeeping documented in DESIGN.md §17).
 //!
@@ -28,237 +33,54 @@
 //! pass `&Budget` keep compiling (and stay sequential); callers that
 //! want fan-out pass an [`ExecCtx`] instead.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::any::Any;
-use std::collections::VecDeque;
+use std::iter;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread;
 
 use vqd_budget::{Budget, ExhaustReason, Exhausted};
 use vqd_obs::MetricsSnapshot;
 
-/// Acquires a mutex, ignoring poisoning: shard state stays readable
-/// even if a sibling panicked (the panic is re-raised after the join,
-/// and every guarded value here is valid at every instruction).
+/// Acquires a mutex, ignoring poisoning: the trip slot stays readable
+/// even if a sibling shard panicked (the panic is re-raised after the
+/// join, and the guarded value is valid at every instruction).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-type Task = Box<dyn FnOnce() + Send>;
-
-/// A task borrowing the submitting scope (see [`ExecPool::run_scoped`]).
-pub type ScopedTask<'a> = Box<dyn FnOnce() + Send + 'a>;
-
-/// One submitted group of tasks: a claim cursor (work-sharing), a
-/// completion latch, and a first-panic slot.
-struct Batch {
-    tasks: Mutex<Vec<Option<Task>>>,
-    next: AtomicUsize,
-    len: usize,
-    pending: Mutex<usize>,
-    done: Condvar,
-    panicked: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-impl Batch {
-    fn new(tasks: Vec<Task>) -> Batch {
-        let len = tasks.len();
-        Batch {
-            tasks: Mutex::new(tasks.into_iter().map(Some).collect()),
-            next: AtomicUsize::new(0),
-            len,
-            pending: Mutex::new(len),
-            done: Condvar::new(),
-            panicked: Mutex::new(None),
-        }
-    }
-
-    /// Claims the next unclaimed task, if any. The cursor hands every
-    /// index to exactly one claimant.
-    fn claim(&self) -> Option<Task> {
-        loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.len {
-                // Park the cursor so repeated polling cannot overflow.
-                self.next.store(self.len, Ordering::Relaxed);
-                return None;
-            }
-            if let Some(task) = lock(&self.tasks)[i].take() {
-                return Some(task);
-            }
-        }
-    }
-
-    fn has_unclaimed(&self) -> bool {
-        self.next.load(Ordering::Relaxed) < self.len
-    }
-
-    /// Runs one claimed task, containing panics, and releases the latch.
-    fn run_one(&self, task: Task) {
-        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(task)) {
-            let mut slot = lock(&self.panicked);
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-        }
-        let mut pending = lock(&self.pending);
-        *pending -= 1;
-        if *pending == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    /// Blocks until every task in the batch has finished running.
-    fn wait(&self) {
-        let mut pending = lock(&self.pending);
-        while *pending > 0 {
-            pending = self.done.wait(pending).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-}
-
-/// Shared state between an [`ExecPool`]'s handle and its worker threads.
-struct PoolInner {
-    queue: Mutex<VecDeque<Arc<Batch>>>,
-    ready: Condvar,
-    shutdown: AtomicBool,
-}
-
-impl PoolInner {
-    fn worker(self: &Arc<PoolInner>) {
-        loop {
-            let batch = {
-                let mut queue = lock(&self.queue);
-                loop {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if let Some(batch) = queue.pop_front() {
-                        break batch;
-                    }
-                    queue =
-                        self.ready.wait(queue).unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            };
-            if let Some(task) = batch.claim() {
-                // Leave the rest of the batch visible to siblings while
-                // this thread runs its claim.
-                if batch.has_unclaimed() {
-                    lock(&self.queue).push_back(Arc::clone(&batch));
-                    self.ready.notify_one();
-                }
-                batch.run_one(task);
-            }
-        }
-    }
-}
-
-/// A fixed pool of engine threads for intra-call fan-out.
+/// The width of intra-call fan-out: how many helper threads one
+/// [`ExecCtx::run_shards`] call may spawn next to its caller.
 ///
-/// Its threads run *shards of one call* and are shared by every caller
-/// of the pool. Submission is batch-scoped —
-/// [`run_scoped`](ExecPool::run_scoped) blocks until every closure in
-/// the batch has run, with the calling thread participating, so borrows
-/// of the caller's stack are sound and the pool can never deadlock on
-/// its own submissions (even when nested: the caller always makes
-/// progress on its own batch).
+/// It starts no thread itself. Helpers are scoped to the call that
+/// spawns them, so a pool holds no state but its width.
+#[derive(Debug)]
 pub struct ExecPool {
-    inner: Arc<PoolInner>,
     threads: usize,
-    handles: Mutex<Vec<thread::JoinHandle<()>>>,
-}
-
-impl std::fmt::Debug for ExecPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecPool").field("threads", &self.threads).finish()
-    }
 }
 
 impl ExecPool {
-    /// Spawns a pool with `threads` engine threads (clamped to ≥ 1).
+    /// A pool of `threads` helpers per call (clamped to ≥ 1).
     pub fn new(threads: usize) -> ExecPool {
-        let threads = threads.max(1);
-        let inner = Arc::new(PoolInner {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let handles = (0..threads)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                thread::Builder::new()
-                    .name(format!("vqd-exec-{i}"))
-                    .spawn(move || inner.worker())
-                    .expect("spawn engine thread")
-            })
-            .collect();
-        ExecPool { inner, threads, handles: Mutex::new(handles) }
+        ExecPool { threads: threads.max(1) }
     }
 
-    /// Number of engine threads.
+    /// Most helper threads one call spawns.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
     /// The process-wide default pool, sized to the machine's available
-    /// parallelism, created on first use.
+    /// parallelism.
     pub fn global() -> &'static Arc<ExecPool> {
         static GLOBAL: OnceLock<Arc<ExecPool>> = OnceLock::new();
         GLOBAL.get_or_init(|| {
             let n = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
             Arc::new(ExecPool::new(n))
         })
-    }
-
-    /// Runs every closure to completion, sharing them between the pool's
-    /// threads and the calling thread, and blocks until all have run.
-    /// If any closure panicked, the first panic is resumed on the caller
-    /// after the join (so shard panics surface exactly like sequential
-    /// ones).
-    pub fn run_scoped<'a>(&self, tasks: Vec<ScopedTask<'a>>) {
-        if tasks.is_empty() {
-            return;
-        }
-        // SAFETY: the boxed closures only borrow data that outlives this
-        // call. Every task is run to completion before `run_scoped`
-        // returns: the caller claims from its own batch until the
-        // cursor is exhausted and then waits on the batch latch, which
-        // is released only after the last task finished running (the
-        // latch decrement is unconditional, panics included). Erasing
-        // the lifetime to `'static` is therefore sound — no task (or
-        // borrow inside it) survives the borrowed scope.
-        let tasks: Vec<Task> =
-            unsafe { std::mem::transmute::<Vec<ScopedTask<'a>>, Vec<Task>>(tasks) };
-        let batch = Arc::new(Batch::new(tasks));
-        {
-            let mut queue = lock(&self.inner.queue);
-            queue.push_back(Arc::clone(&batch));
-        }
-        self.inner.ready.notify_all();
-        // The caller participates on its own batch only — never on the
-        // shared queue, where a foreign long-running shard could block
-        // this request indefinitely.
-        while let Some(task) = batch.claim() {
-            batch.run_one(task);
-        }
-        batch.wait();
-        let payload = lock(&batch.panicked).take();
-        if let Some(payload) = payload {
-            panic::resume_unwind(payload);
-        }
-    }
-}
-
-impl Drop for ExecPool {
-    fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.ready.notify_all();
-        for handle in lock(&self.handles).drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -326,92 +148,96 @@ impl ExecCtx {
     ///
     /// Sequential contexts (or `shards <= 1`) run the shards inline, in
     /// order, short-circuiting on the first `Err` — exactly the code a
-    /// hand-written loop would be. Parallel contexts share the shards
-    /// between the calling thread and the pool; on the first shard
-    /// error the budget's [`CancelToken`](vqd_budget::CancelToken) is cancelled so sibling
-    /// shards stop at their next checkpoint, and the winning error is
-    /// the first *non-cancellation* trip (a sibling's induced
-    /// `Canceled` never masks the root cause). Foreign-thread engine
-    /// counter deltas are absorbed into the calling thread before
-    /// returning, keeping profiles exact.
+    /// hand-written loop would be. Parallel contexts spawn up to
+    /// `min(width - 1, pool.threads())` scoped helpers, and the helpers
+    /// and the calling thread claim shards from one cursor; every
+    /// helper is joined before this returns. On the first shard error
+    /// the budget's [`CancelToken`](vqd_budget::CancelToken) is
+    /// cancelled so sibling shards stop at their next checkpoint, and
+    /// the winning error is the first *non-cancellation* trip (a
+    /// sibling's induced `Canceled` never masks the root cause). Helper
+    /// threads' engine counters are absorbed into the calling thread
+    /// before returning, keeping profiles exact. A shard panic is
+    /// resumed on the caller, with its payload, after the join.
     pub fn run_shards<R: Send>(
         &self,
         shards: usize,
         run: impl Fn(usize) -> Result<R, Exhausted> + Sync,
     ) -> Result<Vec<R>, Exhausted> {
-        if shards == 0 {
-            return Ok(Vec::new());
-        }
         let width = self.parallelism.min(shards);
         let pool = match &self.pool {
             Some(pool) if width > 1 => pool,
-            _ => {
-                let mut out = Vec::with_capacity(shards);
-                for i in 0..shards {
-                    out.push(run(i)?);
-                }
-                return Ok(out);
-            }
+            _ => return (0..shards).map(run).collect(),
         };
         self.threads_used.fetch_max(width as u64, Ordering::Relaxed);
-        let caller = thread::current().id();
-        let slots: Vec<Mutex<Option<R>>> = (0..shards).map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
         let tripped: Mutex<Option<Exhausted>> = Mutex::new(None);
-        let foreign = Mutex::new(MetricsSnapshot::default());
         let cancel = self.budget.cancel_token();
-        let run = &run;
-        let slots_ref = &slots;
-        let tripped_ref = &tripped;
-        let foreign_ref = &foreign;
-        let cancel_ref = &cancel;
-        let tasks: Vec<ScopedTask<'_>> = (0..shards)
-            .map(|i| {
-                Box::new(move || {
-                    let on_caller = thread::current().id() == caller;
-                    let before = (!on_caller).then(MetricsSnapshot::capture);
-                    let result = run(i);
-                    if let Some(before) = before {
-                        let delta = MetricsSnapshot::capture().diff(&before);
-                        if !delta.is_zero() {
-                            lock(foreign_ref).add(&delta);
-                        }
-                    }
-                    match result {
-                        Ok(r) => *lock(&slots_ref[i]) = Some(r),
-                        Err(e) => {
-                            let mut winner = lock(tripped_ref);
-                            let replace = match &*winner {
-                                None => true,
-                                Some(prev) => {
-                                    prev.reason == ExhaustReason::Canceled
-                                        && e.reason != ExhaustReason::Canceled
-                                }
-                            };
-                            if replace {
-                                *winner = Some(e);
+        // Claims shards until the cursor runs out, keeping each success
+        // with its index.
+        let claim = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= shards {
+                    return done;
+                }
+                match run(i) {
+                    Ok(r) => done.push((i, r)),
+                    Err(e) => {
+                        let mut winner = lock(&tripped);
+                        let replace = match &*winner {
+                            None => true,
+                            Some(prev) => {
+                                prev.reason == ExhaustReason::Canceled
+                                    && e.reason != ExhaustReason::Canceled
                             }
-                            drop(winner);
-                            cancel_ref.cancel();
+                        };
+                        if replace {
+                            *winner = Some(e);
                         }
+                        drop(winner);
+                        cancel.cancel();
                     }
-                }) as ScopedTask<'_>
-            })
-            .collect();
-        pool.run_scoped(tasks);
-        let delta = *lock(&foreign);
-        if !delta.is_zero() {
-            vqd_obs::absorb(&delta);
+                }
+            }
+        };
+        let mut slots: Vec<Option<R>> = (0..shards).map(|_| None).collect();
+        let mut foreign = MetricsSnapshot::default();
+        thread::scope(|s| {
+            // A spawn that fails leaves its shards to the others.
+            let helpers: Vec<_> = (0..(width - 1).min(pool.threads()))
+                .filter_map(|_| {
+                    thread::Builder::new()
+                        .name("vqd-exec".into())
+                        // A fresh thread's counters start at zero, so
+                        // its final snapshot is its whole delta.
+                        .spawn_scoped(s, || (claim(), MetricsSnapshot::capture()))
+                        .ok()
+                })
+                .collect();
+            // The caller's own counters are already on this thread.
+            let mine =
+                panic::catch_unwind(AssertUnwindSafe(|| (claim(), MetricsSnapshot::default())));
+            // Join explicitly: `scope` would replace a helper's panic
+            // payload with its own.
+            for outcome in iter::once(mine).chain(helpers.into_iter().map(|h| h.join())) {
+                let (done, counters) = outcome.unwrap_or_else(|p| panic::resume_unwind(p));
+                foreign.add(&counters);
+                for (i, r) in done {
+                    slots[i] = Some(r);
+                }
+            }
+        });
+        if !foreign.is_zero() {
+            vqd_obs::absorb(&foreign);
         }
         if let Some(e) = lock(&tripped).take() {
             return Err(e);
         }
         Ok(slots
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .expect("every shard ran to completion without a trip")
-            })
+            .map(|slot| slot.expect("every shard ran to completion without a trip"))
             .collect())
     }
 }
@@ -616,5 +442,28 @@ mod tests {
         assert_eq!(one, vec![7]);
         // A single shard never counts as fan-out.
         assert_eq!(one.len(), 1);
+    }
+
+    #[test]
+    fn fan_out_runs_on_the_caller_and_at_most_pool_threads_helpers() {
+        // (pool threads, parallelism, shards): a wide request on a small
+        // pool, then engine-batch's `Certain(2)` shape.
+        for (threads, parallelism, shards) in [(2, 8, 8), (1, 2, 6)] {
+            let pool = Arc::new(ExecPool::new(threads));
+            let cx = ExecCtx::on_pool(Budget::unlimited(), parallelism, pool);
+            let seen = Mutex::new(std::collections::HashSet::new());
+            let out = cx
+                .run_shards(shards, |i| {
+                    lock(&seen).insert(thread::current().id());
+                    // Long enough that every spawned helper claims a shard.
+                    thread::sleep(std::time::Duration::from_millis(5));
+                    Ok(i)
+                })
+                .unwrap();
+            assert_eq!(out, (0..shards).collect::<Vec<_>>());
+            let used = lock(&seen).len();
+            assert!(used <= threads + 1, "{used} threads ran shards on a {threads}-thread pool");
+            assert_eq!(cx.threads_used(), parallelism as u64);
+        }
     }
 }

@@ -26,6 +26,7 @@
 //!   domain, and random sampling, the raw material of finite determinacy
 //!   checking.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gen;

@@ -12,6 +12,7 @@
 //! `H ⊨ F` between equation sets, which the E4 experiment compares against
 //! determinacy of the constructed views.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeSet;

@@ -26,6 +26,7 @@
 //! hand in budget-step samples as plain `u64`s, so `vqd-budget` and
 //! every engine crate can layer on top without cycles.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod flight;

@@ -19,6 +19,7 @@
 //! and the rest of the machinery live in `vqd-eval`, keeping this crate a
 //! pure syntax layer.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cq;

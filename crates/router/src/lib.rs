@@ -24,6 +24,8 @@
 //! test (see `FAST_PATH_PARITY` below), so routing is an optimization,
 //! never a semantics change.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use vqd_budget::{Budget, VqdError};
 use vqd_chase::CqViews;

@@ -12,6 +12,7 @@
 //!   relations `T`/`H`, and the generated FO sentence `φ_M` asserting
 //!   "this instance encodes the halting run of `M`".
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod encode;
