@@ -19,8 +19,8 @@
 //!   cancellation, and fault injection for every long-running engine;
 //! * [`vqd_obs`] — observability: engine counters, a metrics registry,
 //!   and span tracing shared by every engine and the server;
-//! * [`vqd_exec`] — the work-sharing executor behind intra-request
-//!   parallelism: shard pools plus the `ExecCtx` every `*_ctx` engine
+//! * [`vqd_exec`] — the executor behind intra-request parallelism:
+//!   call-scoped shard threads plus the `ExecCtx` every `*_ctx` engine
 //!   entry point takes;
 //! * [`vqd_server`] — the budget-governed TCP service exposing the
 //!   paper's effective procedures, plus its wire protocol and client.
