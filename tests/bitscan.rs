@@ -54,13 +54,7 @@ fn reference_scan(views: &ViewSet, q: &QueryExpr, n: usize, budget: &Budget) -> 
             }
             Some((d1, q1)) if *q1 != out => {
                 let (d1, q1) = (d1.clone(), q1.clone());
-                let c = Counterexample {
-                    d1,
-                    d2: d,
-                    image,
-                    q1,
-                    q2: out,
-                };
+                let c = Counterexample { d1, d2: d, image, q1, q2: out };
                 return SemanticVerdict::NotDetermined(Box::new(c));
             }
             Some(_) => {}
@@ -134,15 +128,11 @@ impl Rules<'_> {
     fn rule(&mut self, head: &str, arity: usize) -> String {
         const POOL: [&str; 4] = ["x", "y", "z", "w"];
         let pool = &POOL[..self.rng.gen_range(2..=4usize)];
-        let mut body: Vec<String> = (0..self.rng.gen_range(1..=3usize))
-            .map(|_| self.atom(pool))
-            .collect();
+        let mut body: Vec<String> =
+            (0..self.rng.gen_range(1..=3usize)).map(|_| self.atom(pool)).collect();
         // Only variables bound by a positive atom may appear elsewhere.
-        let bound: Vec<&'static str> = POOL
-            .iter()
-            .copied()
-            .filter(|v| body.iter().any(|a| a.contains(v)))
-            .collect();
+        let bound: Vec<&'static str> =
+            POOL.iter().copied().filter(|v| body.iter().any(|a| a.contains(v))).collect();
         if self.rng.gen_bool(0.3) {
             body.push(format!("{} != {}", self.term(&bound), self.term(&bound)));
         }
@@ -189,11 +179,7 @@ fn pair(rules: &mut Rules<'_>, schema: &Schema) -> (ViewSet, QueryExpr, String) 
     let query = rules.query("Q", arity);
     let prog = parse_program(schema, &mut names, &views).expect("generated views parse");
     let q = parse_query(schema, &mut names, &query).expect("generated query parses");
-    (
-        ViewSet::new(schema, prog.defs),
-        q,
-        format!("{views}\n{query}"),
-    )
+    (ViewSet::new(schema, prog.defs), q, format!("{views}\n{query}"))
 }
 
 /// What a set of checked pairs exercised: kernel and fallback routes,
@@ -232,11 +218,7 @@ fn check_pair(views: &ViewSet, q: &QueryExpr, n: usize, label: &str) -> Coverage
     let work = counters(|| got = Some(check_exhaustive_ctx(views, q, n, limit, &kernel)));
     let got = got.expect("ran").expect("same schema");
     let want = reference_scan(views, q, n, &reference);
-    assert_eq!(
-        semantic_summary(&got),
-        semantic_summary(&want),
-        "{label} at domain {n}"
-    );
+    assert_eq!(semantic_summary(&got), semantic_summary(&want), "{label} at domain {n}");
     assert_eq!(
         (kernel.steps(), kernel.tuples()),
         (reference.steps(), reference.tuples()),
@@ -249,28 +231,14 @@ fn check_pair(views: &ViewSet, q: &QueryExpr, n: usize, label: &str) -> Coverage
         let reference = Budget::unlimited().with_step_limit(at);
         let got = check_exhaustive_ctx(views, q, n, limit, &kernel).expect("same schema");
         let want = reference_scan(views, q, n, &reference);
-        assert_eq!(
-            semantic_summary(&got),
-            semantic_summary(&want),
-            "{label}, step limit {at}"
-        );
-        assert_eq!(
-            kernel.tuples(),
-            reference.tuples(),
-            "{label}, step limit {at}"
-        );
+        assert_eq!(semantic_summary(&got), semantic_summary(&want), "{label}, step limit {at}");
+        assert_eq!(kernel.tuples(), reference.tuples(), "{label}, step limit {at}");
     }
 
     let sharded = ExecCtx::with_parallelism(Budget::unlimited(), 2);
-    match (
-        check_exhaustive_ctx(views, q, n, limit, &sharded).expect("same schema"),
-        &want,
-    ) {
+    match (check_exhaustive_ctx(views, q, n, limit, &sharded).expect("same schema"), &want) {
         (SemanticVerdict::NotDetermined(c), SemanticVerdict::NotDetermined(_)) => {
-            assert!(
-                verify_counterexample(views, q, &c),
-                "{label}: sharded witness"
-            );
+            assert!(verify_counterexample(views, q, &c), "{label}: sharded witness");
         }
         (SemanticVerdict::NoCounterexampleUpTo(a), SemanticVerdict::NoCounterexampleUpTo(b)) => {
             assert_eq!(a, *b)
@@ -292,21 +260,12 @@ fn check_containment(q1: &Cq, q2: &Cq, n: usize, label: &str) {
     let reference = Budget::unlimited();
     reference_contained(q1, q2, n, &reference);
     let steps = reference.steps();
-    for at in [
-        None,
-        Some(0),
-        Some(steps / 2),
-        Some(steps.saturating_sub(1)),
-    ] {
+    for at in [None, Some(0), Some(steps / 2), Some(steps.saturating_sub(1))] {
         let limited = |b: Budget| at.map_or(b.clone(), |k| b.with_step_limit(k));
         let (kernel, reference) = (limited(Budget::unlimited()), limited(Budget::unlimited()));
         let got = contained_bounded_budgeted(q1, q2, n, 1 << 20, &kernel);
         let want = reference_contained(q1, q2, n, &reference);
-        assert_eq!(
-            containment_summary(&got),
-            containment_summary(&want),
-            "{label} at {at:?}"
-        );
+        assert_eq!(containment_summary(&got), containment_summary(&want), "{label} at {at:?}");
         assert_eq!(kernel.steps(), reference.steps(), "{label} at {at:?}");
     }
 }
@@ -314,10 +273,7 @@ fn check_containment(q1: &Cq, q2: &Cq, n: usize, label: &str) {
 /// `count` generated pairs over `rels` at each domain in `domains`.
 fn sweep(seed: u64, rels: &[(&str, usize)], domains: &[usize], count: usize) -> Coverage {
     let schema = Schema::new(rels.iter().copied());
-    let mut rules = Rules {
-        rng: StdRng::seed_from_u64(seed),
-        rels,
-    };
+    let mut rules = Rules { rng: StdRng::seed_from_u64(seed), rels };
     let mut coverage = Coverage::default();
     for &n in domains {
         for k in 0..count {
@@ -345,10 +301,7 @@ fn kernel_equals_reference_on_fixed_pairs() {
     let cases = [
         // Determined, refuted, and refuted only through `¬` and `≠`.
         ("V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z)."),
-        (
-            "V(x,y) :- E(x,z), E(z,y).",
-            "Q(x,y) :- E(x,a), E(a,b), E(b,y).",
-        ),
+        ("V(x,y) :- E(x,z), E(z,y).", "Q(x,y) :- E(x,a), E(a,b), E(b,y)."),
         ("V(x) :- E(x,y).\nW(x) :- P(x).", "Q(x) :- E(x,y), !P(y)."),
         ("V(x,y) :- E(x,y), x != y.", "Q(x) :- E(x,x)."),
         // `A` is `c0`: a domain element from domain 1 on.
@@ -371,10 +324,7 @@ fn kernel_equals_reference_on_fixed_pairs() {
 fn bounded_containment_equals_reference() {
     let rels = [("E", 2), ("P", 1)];
     let schema = Schema::new(rels);
-    let mut rules = Rules {
-        rng: StdRng::seed_from_u64(5),
-        rels: &rels,
-    };
+    let mut rules = Rules { rng: StdRng::seed_from_u64(5), rels: &rels };
     for n in 0..=2 {
         for k in 0..16 {
             let mut names = DomainNames::new();
@@ -382,11 +332,7 @@ fn bounded_containment_equals_reference() {
             let arity = rules.arity();
             let (s1, s2) = (rules.rule("Q", arity), rules.rule("Q", arity));
             let cq = |src: &str, names: &mut DomainNames| {
-                parse_query(&schema, names, src)
-                    .unwrap()
-                    .as_cq()
-                    .unwrap()
-                    .clone()
+                parse_query(&schema, names, src).unwrap().as_cq().unwrap().clone()
             };
             let (q1, q2) = (cq(&s1, &mut names), cq(&s2, &mut names));
             check_containment(&q1, &q2, n, &format!("containment {k}: {s1} ⊆ {s2}"));
@@ -410,9 +356,7 @@ fn the_kernel_route_builds_no_index_and_counts_every_instance() {
     }
     let views = ViewSet::new(
         &schema,
-        parse_program(&schema, &mut names, "V(x,y) :- E(x,y).")
-            .unwrap()
-            .defs,
+        parse_program(&schema, &mut names, "V(x,y) :- E(x,y).").unwrap().defs,
     );
     let cq = parse_query(&schema, &mut names, "Q(x,z) :- E(x,y), E(y,z).").unwrap();
     let fo = parse_query(&schema, &mut names, "Q(x) := exists y. E(x,y).").unwrap();

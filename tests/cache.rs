@@ -18,18 +18,13 @@
 use serde::json::Value;
 use std::time::Duration;
 use vqd::server::{
-    self, client, CacheConfig, Client, DiskConfig, ErrorKind, Limits, Outcome, Request,
-    ServerCaps, ServerConfig,
+    self, client, CacheConfig, Client, DiskConfig, ErrorKind, Limits, Outcome, Request, ServerCaps,
+    ServerConfig,
 };
 
 fn server_with_caps(workers: usize, caps: ServerCaps) -> server::ServerHandle {
-    server::spawn(ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        workers,
-        queue_depth: 64,
-        caps,
-    })
-    .expect("spawn server")
+    server::spawn(ServerConfig { addr: "127.0.0.1:0".to_owned(), workers, queue_depth: 64, caps })
+        .expect("spawn server")
 }
 
 fn server(workers: usize) -> server::ServerHandle {
@@ -69,10 +64,10 @@ fn certain_by_handle(handle: &str) -> Request {
 /// "byte-identical modulo work" comparisons.
 fn rendered_without(response: &server::Response, drop: &[&str]) -> String {
     match response.to_json() {
-        Value::Obj(fields) => Value::Obj(
-            fields.into_iter().filter(|(k, _)| !drop.contains(&k.as_str())).collect(),
-        )
-        .to_string(),
+        Value::Obj(fields) => {
+            Value::Obj(fields.into_iter().filter(|(k, _)| !drop.contains(&k.as_str())).collect())
+                .to_string()
+        }
         other => other.to_string(),
     }
 }
@@ -128,9 +123,7 @@ fn handle_replies_are_byte_identical_to_inline_modulo_work() {
     let (handle, _) = c.put_instance("V/2", EXTENT).expect("put");
     // Pin the correlation id so the whole reply line is comparable.
     let envelope = |request: &Request| {
-        server::Envelope::new("pinned", Limits::none(), request.clone())
-            .to_json()
-            .to_string()
+        server::Envelope::new("pinned", Limits::none(), request.clone()).to_json().to_string()
     };
     let inline = c.call_raw(&envelope(&certain_inline())).expect("inline");
     let miss = c.call_raw(&envelope(&certain_by_handle(&handle))).expect("miss");
@@ -244,8 +237,7 @@ fn cached_requests_keep_per_request_profile_deltas() {
 fn poisoned_shards_recover_under_concurrent_put_evict_spill_churn() {
     // Persistent tier on, so the churn exercises put + evict + spill
     // concurrently while we poison shard locks mid-run.
-    let dir = std::env::temp_dir()
-        .join(format!("vqd-cache-poison-test-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("vqd-cache-poison-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let caps = ServerCaps {
         cache: CacheConfig {
@@ -266,9 +258,8 @@ fn poisoned_shards_recover_under_concurrent_put_evict_spill_churn() {
                     .map_err(|e| format!("timeout: {e}"))?;
                 for i in 0..8 {
                     let extent = format!("V(A{t}x{i},B). V(B,C{t}x{i}).");
-                    let (h, _) = c
-                        .put_instance("V/2", &*extent)
-                        .map_err(|e| format!("put: {e}"))?;
+                    let (h, _) =
+                        c.put_instance("V/2", &*extent).map_err(|e| format!("put: {e}"))?;
                     let reply = c
                         .call(Limits::none(), certain_by_handle(&h))
                         .map_err(|e| format!("request: {e}"))?;

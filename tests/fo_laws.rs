@@ -25,8 +25,7 @@ fn leaf() -> impl Strategy<Value = Fo> {
             vec![Term::Var(VarId(a)), Term::Var(VarId(b))]
         ))),
         (0..NVARS).prop_map(move |a| Fo::Atom(Atom::new(p, vec![Term::Var(VarId(a))]))),
-        (0..NVARS, 0..NVARS)
-            .prop_map(|(a, b)| Fo::Eq(Term::Var(VarId(a)), Term::Var(VarId(b)))),
+        (0..NVARS, 0..NVARS).prop_map(|(a, b)| Fo::Eq(Term::Var(VarId(a)), Term::Var(VarId(b)))),
     ]
 }
 
@@ -36,12 +35,9 @@ fn arb_fo() -> impl Strategy<Value = Fo> {
             inner.clone().prop_map(|f| Fo::Not(Box::new(f))),
             proptest::collection::vec(inner.clone(), 2..=3).prop_map(Fo::And),
             proptest::collection::vec(inner.clone(), 2..=3).prop_map(Fo::Or),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Fo::Implies(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Fo::Iff(Box::new(a), Box::new(b))),
-            (0..NVARS, inner.clone())
-                .prop_map(|(v, f)| Fo::Exists(vec![VarId(v)], Box::new(f))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Fo::Implies(Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Fo::Iff(Box::new(a), Box::new(b))),
+            (0..NVARS, inner.clone()).prop_map(|(v, f)| Fo::Exists(vec![VarId(v)], Box::new(f))),
             (0..NVARS, inner).prop_map(|(v, f)| Fo::Forall(vec![VarId(v)], Box::new(f))),
         ]
     })
@@ -51,12 +47,7 @@ fn arb_fo() -> impl Strategy<Value = Fo> {
 /// its free variables as the head.
 fn close(f: Fo) -> FoQuery {
     let free: Vec<VarId> = f.free_vars().into_iter().collect();
-    FoQuery::new(
-        &schema(),
-        free,
-        f,
-        (0..NVARS).map(|i| format!("x{i}")).collect(),
-    )
+    FoQuery::new(&schema(), free, f, (0..NVARS).map(|i| format!("x{i}")).collect())
 }
 
 fn small_instances() -> Vec<Instance> {
@@ -169,12 +160,10 @@ fn exhaustive_law_check_small() {
     // formula, to anchor the sampled checks above.
     let s = schema();
     let mut names = DomainNames::new();
-    let QueryExpr::Fo(q) = parse_query(
-        &s,
-        &mut names,
-        "Q(x) := forall y. (E(x,y) -> exists z. (E(y,z) & ~P(z))).",
-    )
-    .unwrap() else {
+    let QueryExpr::Fo(q) =
+        parse_query(&s, &mut names, "Q(x) := forall y. (E(x,y) -> exists z. (E(y,z) & ~P(z))).")
+            .unwrap()
+    else {
         panic!()
     };
     let qn = FoQuery { formula: q.formula.nnf(), ..q.clone() };

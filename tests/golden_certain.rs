@@ -84,12 +84,7 @@ fn rule(
     domain: &[&str],
     shape: Shape,
 ) -> (String, Vec<String>) {
-    let Shape {
-        atoms,
-        pool,
-        arity,
-        const_pct,
-    } = shape;
+    let Shape { atoms, pool, arity, const_pct } = shape;
     let mut used: Vec<String> = Vec::new();
     let mut body = Vec::new();
     for _ in 0..atoms {
@@ -123,10 +118,7 @@ fn rule(
             }
         })
         .collect();
-    (
-        format!("{name}({}) :- {}.", head.join(","), body.join(", ")),
-        head,
-    )
+    (format!("{name}({}) :- {}.", head.join(","), body.join(", ")), head)
 }
 
 struct Triple {
@@ -148,12 +140,7 @@ fn triple(rng: &mut Rng) -> Triple {
             &format!("V{i}"),
             &BASE,
             domain,
-            Shape {
-                atoms,
-                pool: 4,
-                arity,
-                const_pct: 10,
-            },
+            Shape { atoms, pool: 4, arity, const_pct: 10 },
         );
         views.push(text);
         heads.push(head);
@@ -171,18 +158,8 @@ fn triple(rng: &mut Rng) -> Triple {
         .filter(|(rel, _)| views.iter().any(|v| v.contains(&format!(" {rel}("))))
         .collect();
     let atoms = 1 + rng.below(3);
-    let (query, _) = rule(
-        rng,
-        "Q",
-        &exposed,
-        domain,
-        Shape {
-            atoms,
-            pool: 5,
-            arity,
-            const_pct: 12,
-        },
-    );
+    let (query, _) =
+        rule(rng, "Q", &exposed, domain, Shape { atoms, pool: 5, arity, const_pct: 12 });
     // Facts the views can produce: a head constant stays itself and a
     // repeated head variable repeats its value.
     let mut facts = Vec::new();
@@ -206,19 +183,12 @@ fn triple(rng: &mut Rng) -> Triple {
             facts.push(format!("V{i}({}).", args.join(",")));
         }
     }
-    Triple {
-        views: views.join("\n"),
-        query,
-        extent: facts.join(" "),
-    }
+    Triple { views: views.join("\n"), query, extent: facts.join(" ") }
 }
 
 fn deltas_since(before: &vqd::obs::MetricsSnapshot) -> (u64, u64) {
     let d = local_snapshot().diff(before);
-    (
-        d.get(Metric::CertainTuplesChecked),
-        d.get(Metric::CertainAnswersKept),
-    )
+    (d.get(Metric::CertainTuplesChecked), d.get(Metric::CertainAnswersKept))
 }
 
 fn record_case(out: &mut String, case: usize, rng: &mut Rng) {
@@ -322,10 +292,7 @@ fn certain_answers_match_the_golden_corpus() {
             .enumerate()
             .find(|(_, (a, b))| a != b)
             .unwrap_or((0, ("<length differs>", "<length differs>")));
-        panic!(
-            "certain corpus diverges at line {}:\n  want: {want}\n  got:  {got}",
-            line + 1
-        );
+        panic!("certain corpus diverges at line {}:\n  want: {want}\n  got:  {got}", line + 1);
     }
 }
 
@@ -334,10 +301,7 @@ fn corpus_covers_the_required_shapes() {
     // Guards the generator itself: the seeded cases must keep hitting
     // every shape the corpus exists to pin.
     let table = corpus();
-    let queries: Vec<&str> = table
-        .lines()
-        .filter_map(|l| l.strip_prefix("  query "))
-        .collect();
+    let queries: Vec<&str> = table.lines().filter_map(|l| l.strip_prefix("  query ")).collect();
     let head_arity = |q: &str| {
         let head = &q[2..q.find(')').expect("head")];
         if head.is_empty() {
@@ -346,48 +310,25 @@ fn corpus_covers_the_required_shapes() {
             head.split(',').count()
         }
     };
-    assert!(
-        queries.iter().any(|q| head_arity(q) == 0),
-        "corpus lacks a zero-ary head"
-    );
-    assert!(
-        queries.iter().any(|q| head_arity(q) >= 5),
-        "corpus lacks a head of arity >= 5"
-    );
+    assert!(queries.iter().any(|q| head_arity(q) == 0), "corpus lacks a zero-ary head");
+    assert!(queries.iter().any(|q| head_arity(q) >= 5), "corpus lacks a head of arity >= 5");
     let has_const = |src: &str| {
-        CONSTS
-            .iter()
-            .any(|c| src.contains(&format!("({c}")) || src.contains(&format!(",{c}")))
+        CONSTS.iter().any(|c| src.contains(&format!("({c}")) || src.contains(&format!(",{c}")))
     };
+    assert!(queries.iter().any(|q| has_const(q)), "corpus lacks a query constant");
     assert!(
-        queries.iter().any(|q| has_const(q)),
-        "corpus lacks a query constant"
-    );
-    assert!(
-        table
-            .lines()
-            .filter_map(|l| l.strip_prefix("  views "))
-            .any(has_const),
+        table.lines().filter_map(|l| l.strip_prefix("  views ")).any(has_const),
         "corpus lacks a view constant"
     );
     // Nulls sorting among constants: an evaluated relation whose sorted
     // tuples put a null before a later tuple's constant in one column.
     assert!(
-        table
-            .lines()
-            .filter_map(|l| l.strip_prefix("  eval "))
-            .any(|r| r.contains("_n")
-                && r.matches('(').count() > 1
-                && r.rfind("_n") < r.rfind(|c: char| c.is_ascii_uppercase())),
+        table.lines().filter_map(|l| l.strip_prefix("  eval ")).any(|r| r.contains("_n")
+            && r.matches('(').count() > 1
+            && r.rfind("_n") < r.rfind(|c: char| c.is_ascii_uppercase())),
         "corpus lacks nulls sorting among constants"
     );
-    assert!(
-        table.contains("    trip limit="),
-        "corpus lacks a mid-filter trip"
-    );
-    assert!(
-        table.contains("partial=\"filtering certain answers"),
-        "trips must land in the filter"
-    );
+    assert!(table.contains("    trip limit="), "corpus lacks a mid-filter trip");
+    assert!(table.contains("partial=\"filtering certain answers"), "trips must land in the filter");
     assert!(table.matches("\ncase ").count() + 1 == CASES);
 }

@@ -122,10 +122,7 @@ fn view(rng: &mut Rng, name: &str, domain: &[&str]) -> (String, Vec<String>) {
             }
         })
         .collect();
-    (
-        format!("{name}({}) :- {}.", head.join(","), body.join(", ")),
-        head,
-    )
+    (format!("{name}({}) :- {}.", head.join(","), body.join(", ")), head)
 }
 
 struct Case {
@@ -186,11 +183,7 @@ fn case(rng: &mut Rng) -> Case {
 
 fn counter_line(before: &MetricsSnapshot) -> String {
     let d = local_snapshot().diff(before);
-    COUNTERS
-        .iter()
-        .map(|&(m, label)| format!("{label}={}", d.get(m)))
-        .collect::<Vec<_>>()
-        .join(" ")
+    COUNTERS.iter().map(|&(m, label)| format!("{label}={}", d.get(m))).collect::<Vec<_>>().join(" ")
 }
 
 /// Every relation's tuples in arena order, values rendered by name.
@@ -287,29 +280,16 @@ fn record_case(out: &mut String, n: usize, rng: &mut Rng) {
     let _ = writeln!(out, "  extent {}", extent.render(&names).replace('\n', "; "));
     let _ = writeln!(out, "  first_null {}", c.first_null);
 
-    let inputs = Inputs {
-        views,
-        base,
-        extent,
-        first_null: c.first_null,
-    };
+    let inputs = Inputs { views, base, extent, first_null: c.first_null };
     let budget = Budget::unlimited();
     let before = local_snapshot();
     let (chased, nulls) = inputs.chase(&budget);
     let chased = chased.expect("unlimited chase of producible tuples");
     let counters = counter_line(&before);
-    let _ = writeln!(
-        out,
-        "  chased {}",
-        chased.instance().render(&names).replace('\n', "; ")
-    );
+    let _ = writeln!(out, "  chased {}", chased.instance().render(&names).replace('\n', "; "));
     let _ = writeln!(out, "  scan{}", scan_order(&chased, &names));
     let (steps, tuples) = (budget.steps(), budget.tuples());
-    let _ = writeln!(
-        out,
-        "  next_null={} {counters} steps={steps} tuples={tuples}",
-        nulls.peek()
-    );
+    let _ = writeln!(out, "  next_null={} {counters} steps={steps} tuples={tuples}", nulls.peek());
     if steps >= 2 {
         let limit = steps / 2;
         let budget = Budget::unlimited().with_step_limit(limit);
@@ -348,10 +328,7 @@ fn chase_matches_the_golden_corpus() {
             .enumerate()
             .find(|(_, (a, b))| a != b)
             .unwrap_or((0, ("<length differs>", "<length differs>")));
-        panic!(
-            "chase corpus diverges at line {}:\n  want: {want}\n  got:  {got}",
-            line + 1
-        );
+        panic!("chase corpus diverges at line {}:\n  want: {want}\n  got:  {got}", line + 1);
     }
 }
 
@@ -360,15 +337,10 @@ fn corpus_covers_the_required_shapes() {
     // Guards the generator itself: the seeded cases must keep hitting
     // every shape the corpus exists to pin.
     let table = corpus();
-    let views: Vec<&str> = table
-        .lines()
-        .filter_map(|l| l.strip_prefix("  views "))
-        .collect();
+    let views: Vec<&str> = table.lines().filter_map(|l| l.strip_prefix("  views ")).collect();
     let rules = || views.iter().flat_map(|v| v.split(". ")).map(|r| r.trim_end_matches('.'));
     let has_const = |src: &str| {
-        CONSTS
-            .iter()
-            .any(|c| src.contains(&format!("({c}")) || src.contains(&format!(",{c}")))
+        CONSTS.iter().any(|c| src.contains(&format!("({c}")) || src.contains(&format!(",{c}")))
     };
     assert!(
         rules().any(|r| has_const(r.split(" :- ").next().expect("head"))),
@@ -409,10 +381,7 @@ fn corpus_covers_the_required_shapes() {
     let blocks: Vec<&str> = table.split("\ncase ").collect();
     assert!(
         blocks.iter().any(|b| {
-            let extent = b
-                .lines()
-                .find_map(|l| l.strip_prefix("  extent "))
-                .unwrap_or("");
+            let extent = b.lines().find_map(|l| l.strip_prefix("  extent ")).unwrap_or("");
             let listed = extent.matches('(').count() + extent.matches("= true").count();
             let fired = b
                 .split(" triggers=")

@@ -140,8 +140,8 @@ fn record_interning(out: &mut String) {
     }
     let q = parse_query(&s, &mut names, "Q(x, K) :- R(x, L), P(A), x != M.").expect("query");
     let _ = writeln!(out, "after query: {} ({})", table_order(&names), q.arity());
-    let prog = parse_program(&s, &mut names, "V1(x) :- R(x, N).\nV2(y) :- P(y), y = O.")
-        .expect("program");
+    let prog =
+        parse_program(&s, &mut names, "V1(x) :- R(x, N).\nV2(y) :- P(y), y = O.").expect("program");
     let _ = writeln!(out, "after program: {} ({} defs)", table_order(&names), prog.defs.len());
     // A failing parse may still have interned the constants it read
     // before the error: pin that too.

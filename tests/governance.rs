@@ -18,15 +18,11 @@ use vqd::core::determinacy::{
     check_exhaustive_ctx, decide_finite_budgeted, decide_unrestricted_budgeted, FiniteVerdict,
     SemanticVerdict,
 };
-use vqd::exec::{ExecCtx, ExecPool};
 use vqd::datalog::{eval_program_budgeted, EvalError, Strategy};
-use vqd::eval::{
-    apply_views, contained_bounded_budgeted, eval_fo_budgeted, BoundedContainment,
-};
+use vqd::eval::{apply_views, contained_bounded_budgeted, eval_fo_budgeted, BoundedContainment};
+use vqd::exec::{ExecCtx, ExecPool};
 use vqd::instance::{DomainNames, Instance, NullGen, Schema};
-use vqd::query::{
-    cq_to_fo, parse_instance, parse_program, parse_query, Cq, QueryExpr, ViewSet,
-};
+use vqd::query::{cq_to_fo, parse_instance, parse_program, parse_query, Cq, QueryExpr, ViewSet};
 
 /// Cap on how many distinct trip points a single sweep exercises; long
 /// engines are sampled evenly rather than swept exhaustively.
@@ -81,9 +77,9 @@ where
                     "{name}: trip at checkpoint {n}/{total} lost its progress message"
                 );
             }
-            Ok(v) => panic!(
-                "{name}: fault injected at checkpoint {n}/{total} was swallowed: {v:?}"
-            ),
+            Ok(v) => {
+                panic!("{name}: fault injected at checkpoint {n}/{total} was swallowed: {v:?}")
+            }
         }
         // Graceful recovery: the same call, given room, completes and
         // agrees with the baseline.
@@ -100,11 +96,7 @@ fn setup(schema: &Schema, views_src: &str, q_src: &str) -> (CqViews, Cq, DomainN
     let mut names = DomainNames::new();
     let prog = parse_program(schema, &mut names, views_src).unwrap();
     let views = CqViews::new(ViewSet::new(schema, prog.defs));
-    let q = parse_query(schema, &mut names, q_src)
-        .unwrap()
-        .as_cq()
-        .unwrap()
-        .clone();
+    let q = parse_query(schema, &mut names, q_src).unwrap().as_cq().unwrap().clone();
     (views, q, names)
 }
 
@@ -120,12 +112,10 @@ fn semantic_search_survives_faults_at_every_checkpoint() {
     let (views, q, _) = setup(&schema, "V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
     let vs = views.as_view_set().clone();
     let q = QueryExpr::Cq(q);
-    fault_sweep("check_exhaustive", |b| {
-        match check_exhaustive_ctx(&vs, &q, 2, 1 << 22, b) {
-            Ok(SemanticVerdict::Exhausted(e)) | Err(VqdError::Exhausted(e)) => Err(e),
-            Ok(v) => Ok(format!("{v:?}")),
-            Err(e) => panic!("unexpected error kind: {e}"),
-        }
+    fault_sweep("check_exhaustive", |b| match check_exhaustive_ctx(&vs, &q, 2, 1 << 22, b) {
+        Ok(SemanticVerdict::Exhausted(e)) | Err(VqdError::Exhausted(e)) => Err(e),
+        Ok(v) => Ok(format!("{v:?}")),
+        Err(e) => panic!("unexpected error kind: {e}"),
     });
 }
 
@@ -135,11 +125,8 @@ fn parallel_search_survives_faults_without_poisoned_locks() {
     // A refutable pair: workers race to a counterexample, so project the
     // outcome down to its discriminant (which counterexample is found can
     // legitimately vary between runs).
-    let (views, q, _) = setup(
-        &schema,
-        "V(x,y) :- E(x,z), E(z,y).",
-        "Q(x,y) :- E(x,a), E(a,b), E(b,y).",
-    );
+    let (views, q, _) =
+        setup(&schema, "V(x,y) :- E(x,z), E(z,y).", "Q(x,y) :- E(x,a), E(a,b), E(b,y).");
     let vs = views.as_view_set().clone();
     let q = QueryExpr::Cq(q);
     fault_sweep("check_exhaustive (2 shards)", |b| {
@@ -157,12 +144,10 @@ fn parallel_search_survives_faults_without_poisoned_locks() {
 fn chase_decision_survives_faults_at_every_checkpoint() {
     let schema = Schema::new([("E", 2)]);
     let (views, q, _) = setup(&schema, "V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
-    fault_sweep("decide_unrestricted", |b| {
-        match decide_unrestricted_budgeted(&views, &q, b) {
-            Ok(out) => Ok((out.determined, out.rewriting.is_some())),
-            Err(VqdError::Exhausted(e)) => Err(e),
-            Err(e) => panic!("unexpected error kind: {e}"),
-        }
+    fault_sweep("decide_unrestricted", |b| match decide_unrestricted_budgeted(&views, &q, b) {
+        Ok(out) => Ok((out.determined, out.rewriting.is_some())),
+        Err(VqdError::Exhausted(e)) => Err(e),
+        Err(e) => panic!("unexpected error kind: {e}"),
     });
 }
 
@@ -176,11 +161,7 @@ fn fast_path_decision_survives_faults_at_every_checkpoint() {
     use vqd::router::{classify, Fragment};
 
     let schema = Schema::new([("E", 2), ("P", 1)]);
-    let (views, q, _) = setup(
-        &schema,
-        "V(x,y) :- E(x,y). W(x) :- P(x).",
-        "Q(y,x) :- E(x,y).",
-    );
+    let (views, q, _) = setup(&schema, "V(x,y) :- E(x,y). W(x) :- P(x).", "Q(y,x) :- E(x,y).");
     assert_eq!(classify(&views, &q), Fragment::ProjectSelect);
     fault_sweep("decide_unrestricted(fast path)", |b| {
         match decide_unrestricted_budgeted(&views, &q, b) {
@@ -204,11 +185,8 @@ fn general_route_survives_faults_and_reports_exact_work() {
     use vqd::router::{classify, Fragment};
 
     let schema = Schema::new([("E", 2), ("P", 1)]);
-    let (views, q, _) = setup(
-        &schema,
-        "V(x,z) :- E(x,y), E(y,z), P(y).",
-        "Q(x,z) :- E(x,y), E(y,z), P(y).",
-    );
+    let (views, q, _) =
+        setup(&schema, "V(x,z) :- E(x,y), E(y,z), P(y).", "Q(x,z) :- E(x,y), E(y,z), P(y).");
     assert_eq!(classify(&views, &q), Fragment::General);
     fault_sweep("decide_unrestricted(general route)", |b| {
         match decide_unrestricted_budgeted(&views, &q, b) {
@@ -225,29 +203,21 @@ fn general_route_survives_faults_and_reports_exact_work() {
 #[test]
 fn finite_decision_survives_faults_at_every_checkpoint() {
     let schema = Schema::new([("E", 2)]);
-    let (views, q, _) = setup(
-        &schema,
-        "V1(x) :- E(x,y), E(y,x).",
-        "Q(x) :- E(x,y), E(y,x), E(x,x).",
-    );
-    fault_sweep("decide_finite", |b| {
-        match decide_finite_budgeted(&views, &q, 2, 1 << 22, b) {
-            Ok(FiniteVerdict::Exhausted(e)) => Err(e),
-            Ok(v) => Ok(format!("{v:?}")),
-            Err(VqdError::Exhausted(e)) => Err(e),
-            Err(e) => panic!("unexpected error kind: {e}"),
-        }
+    let (views, q, _) =
+        setup(&schema, "V1(x) :- E(x,y), E(y,x).", "Q(x) :- E(x,y), E(y,x), E(x,x).");
+    fault_sweep("decide_finite", |b| match decide_finite_budgeted(&views, &q, 2, 1 << 22, b) {
+        Ok(FiniteVerdict::Exhausted(e)) => Err(e),
+        Ok(v) => Ok(format!("{v:?}")),
+        Err(VqdError::Exhausted(e)) => Err(e),
+        Err(e) => panic!("unexpected error kind: {e}"),
     });
 }
 
 #[test]
 fn tower_survives_faults_and_never_goes_ragged() {
     let schema = Schema::new([("E", 2)]);
-    let (views, q, _) = setup(
-        &schema,
-        "V(x,y) :- E(x,z), E(z,y).",
-        "Q(x,y) :- E(x,a), E(a,b), E(b,y).",
-    );
+    let (views, q, _) =
+        setup(&schema, "V(x,y) :- E(x,z), E(z,y).", "Q(x,y) :- E(x,a), E(a,b), E(b,y).");
     fault_sweep("tower", |b| {
         let mut t = match Tower::try_new(&views, &q, b) {
             Ok(t) => t,
@@ -273,12 +243,7 @@ fn view_inverse_survives_faults_at_every_checkpoint() {
     let mut names = DomainNames::new();
     let prog = parse_program(&schema, &mut names, "V(x,y) :- E(x,z), E(z,y).").unwrap();
     let views = CqViews::new(ViewSet::new(&schema, prog.defs));
-    let d = parse_instance(
-        &schema,
-        &mut names,
-        "E(A,B). E(B,C). E(C,D). E(D,A).",
-    )
-    .unwrap();
+    let d = parse_instance(&schema, &mut names, "E(A,B). E(B,C). E(C,D). E(D,A).").unwrap();
     let image = apply_views(views.as_view_set(), &d);
     let base = Instance::empty(&schema);
     fault_sweep("v_inverse", |b| {
@@ -301,12 +266,7 @@ fn datalog_engine_survives_faults_with_sound_partial_results() {
         "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).",
     )
     .unwrap();
-    let edb = parse_instance(
-        &schema,
-        &mut names,
-        "E(A,B). E(B,C). E(C,D). E(D,F).",
-    )
-    .unwrap();
+    let edb = parse_instance(&schema, &mut names, "E(A,B). E(B,C). E(C,D). E(D,F).").unwrap();
     for strategy in [Strategy::Naive, Strategy::SemiNaive] {
         // Baseline fixpoint, for the soundness assertion below.
         let full = eval_program_budgeted(&prog, &edb, strategy, &Budget::unlimited())
@@ -340,9 +300,7 @@ fn fo_evaluation_survives_faults_at_every_checkpoint() {
         .clone();
     let fo = cq_to_fo(&q);
     let d = parse_instance(&schema, &mut names, "E(A,B). E(B,C). E(C,A).").unwrap();
-    fault_sweep("eval_fo", |b| {
-        eval_fo_budgeted(&fo, &d, b).map(|rel| rel.len())
-    });
+    fault_sweep("eval_fo", |b| eval_fo_budgeted(&fo, &d, b).map(|rel| rel.len()));
 }
 
 #[test]
@@ -411,15 +369,10 @@ fn index_maintenance_policy_does_not_change_governance_semantics() {
         "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).",
     )
     .unwrap();
-    let edb = parse_instance(
-        &schema,
-        &mut names,
-        "E(A,B). E(B,C). E(C,D). E(D,F). E(F,G).",
-    )
-    .unwrap();
-    let run = |m: IndexMaintenance, b: &Budget| {
-        eval_program_with(&prog, &edb, Strategy::SemiNaive, m, b)
-    };
+    let edb =
+        parse_instance(&schema, &mut names, "E(A,B). E(B,C). E(C,D). E(D,F). E(F,G).").unwrap();
+    let run =
+        |m: IndexMaintenance, b: &Budget| eval_program_with(&prog, &edb, Strategy::SemiNaive, m, b);
 
     // Unbudgeted baselines: same fixpoint, different index work. The
     // incremental engine builds its index exactly once for the whole
@@ -435,10 +388,7 @@ fn index_maintenance_policy_does_not_change_governance_semantics() {
         1,
         "incremental saturation must build its index exactly once"
     );
-    assert!(
-        after.builds - mid.builds > 1,
-        "rebuild baseline must rebuild at least once per round"
-    );
+    assert!(after.builds - mid.builds > 1, "rebuild baseline must rebuild at least once per round");
     assert!(
         mid.delta_tuples - before.delta_tuples > 0,
         "incremental saturation must index its deltas in place"
@@ -477,9 +427,9 @@ fn index_maintenance_policy_does_not_change_governance_semantics() {
                     "partial at trip {n}/{total} contains facts outside the fixpoint"
                 );
             }
-            (inc, reb) => panic!(
-                "trip at {n}/{total}: both policies must exhaust, got {inc:?} / {reb:?}"
-            ),
+            (inc, reb) => {
+                panic!("trip at {n}/{total}: both policies must exhaust, got {inc:?} / {reb:?}")
+            }
         }
     }
 }
@@ -524,8 +474,7 @@ fn engine_counters_stay_exact_across_budget_trips() {
     for n in 1..=total {
         let (tripped, out) = measure(&Budget::unlimited().trip_after(n));
         assert!(out.is_err(), "trip at {n}/{total} must exhaust");
-        for m in [Metric::ChaseRounds, Metric::ChaseTriggersFired, Metric::ChaseNullsCreated]
-        {
+        for m in [Metric::ChaseRounds, Metric::ChaseTriggersFired, Metric::ChaseNullsCreated] {
             assert!(
                 tripped.get(m) <= baseline.get(m),
                 "trip at {n}/{total}: {} overshot the full run ({} > {})",
@@ -549,8 +498,7 @@ fn engine_counters_stay_exact_across_budget_trips() {
     )
     .unwrap();
     let edb = parse_instance(&schema, &mut names, "E(A,B). E(B,C). E(C,D).").unwrap();
-    let saturate =
-        |b: &Budget| eval_program_budgeted(&prog, &edb, Strategy::SemiNaive, b);
+    let saturate = |b: &Budget| eval_program_budgeted(&prog, &edb, Strategy::SemiNaive, b);
     let measure = |b: &Budget| {
         let before = MetricsSnapshot::capture();
         let out = saturate(b);
@@ -566,7 +514,9 @@ fn engine_counters_stay_exact_across_budget_trips() {
     for n in 1..=total {
         let (tripped, out) = measure(&Budget::unlimited().trip_after(n));
         assert!(out.is_err(), "trip at {n}/{total} must exhaust");
-        assert!(tripped.get(Metric::FixpointDeltaTuples) <= baseline.get(Metric::FixpointDeltaTuples));
+        assert!(
+            tripped.get(Metric::FixpointDeltaTuples) <= baseline.get(Metric::FixpointDeltaTuples)
+        );
         let (retry, out) = measure(&Budget::unlimited());
         out.expect("retry completes");
         assert_eq!(retry, baseline, "retry after fixpoint trip at {n}/{total} disagrees");

@@ -41,21 +41,9 @@ const SCHEMA: &str = "E/2";
 /// the extent-only interning gives it; the last has a head of arity 5
 /// with a constant and two view relations.
 const CASES: [(&str, &str, &str); 3] = [
-    (
-        "V(x,y) :- E(x,y).",
-        "Q(x) :- E(N5,x).",
-        "V(A,B). V(N5,C). V(B,N5). V(N5,A).",
-    ),
-    (
-        "V(x,y) :- E(x,z), E(z,y).",
-        "Q(x,y) :- E(x,z), E(z,y).",
-        "V(B,A). V(A,C). V(C,B).",
-    ),
-    (
-        "V(x) :- E(x,y).\nW(y) :- E(x,y).",
-        "Q(x,y,x,N5,y) :- E(x,y), E(y,x).",
-        "V(N5). V(A). W(A).",
-    ),
+    ("V(x,y) :- E(x,y).", "Q(x) :- E(N5,x).", "V(A,B). V(N5,C). V(B,N5). V(N5,A)."),
+    ("V(x,y) :- E(x,z), E(z,y).", "Q(x,y) :- E(x,z), E(z,y).", "V(B,A). V(A,C). V(C,B)."),
+    ("V(x) :- E(x,y).\nW(y) :- E(x,y).", "Q(x,y,x,N5,y) :- E(x,y), E(y,x).", "V(N5). V(A). W(A)."),
 ];
 
 struct TempDir(std::path::PathBuf);
@@ -100,8 +88,7 @@ fn spawn(dir: &TempDir, max_entries: usize) -> server::ServerHandle {
 
 fn client(handle: &server::ServerHandle) -> Client {
     let c = Client::connect(handle.addr()).expect("connect");
-    c.set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("timeout");
+    c.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
     c
 }
 
@@ -127,10 +114,7 @@ fn by_handle((views, query, _): (&str, &str, &str), handle: &str) -> Request {
 fn send(c: &mut Client, request: &Request) -> Response {
     let line = server::Envelope::new("pinned", Limits::none(), request.clone()).to_json();
     let reply = c.call_raw(&line.to_string()).expect("reply");
-    assert!(
-        matches!(reply.outcome, Outcome::CertainAnswers { .. }),
-        "{reply:?}"
-    );
+    assert!(matches!(reply.outcome, Outcome::CertainAnswers { .. }), "{reply:?}");
     reply
 }
 
@@ -227,24 +211,14 @@ fn a_record_without_a_name_table_still_answers_and_gains_one() {
         }
 
         let srv = spawn(&dir, 128);
-        assert!(
-            srv.cache().disk().unwrap().counters().hits >= 1,
-            "warm restore loads the record"
-        );
+        assert!(srv.cache().disk().unwrap().counters().hits >= 1, "warm restore loads the record");
         let mut c = client(&srv);
         let first = send(&mut c, &by_handle(case, &handle));
         assert_eq!(result(&first), want, "table-less hit: {case:?}");
-        assert_eq!(
-            first.work.index_builds, 0,
-            "a table-less hit skips the chase"
-        );
+        assert_eq!(first.work.index_builds, 0, "a table-less hit skips the chase");
         assert_eq!(hits_and_misses(&mut c), (1, 0));
         let second = send(&mut c, &by_handle(case, &handle));
-        assert_eq!(
-            result(&second),
-            want,
-            "hit after the table attached: {case:?}"
-        );
+        assert_eq!(result(&second), want, "hit after the table attached: {case:?}");
         assert_eq!(second.work.index_builds, 0);
         assert_eq!(hits_and_misses(&mut c), (2, 0));
         let entry = srv.cache().get_derived(&key).expect("entry");

@@ -28,13 +28,8 @@ use vqd::obs::{FlightDigest, RegistrySnapshot};
 use vqd::server::{self, Client, Limits, Outcome, Request, Response, ServerCaps, ServerConfig};
 
 fn spawn_with(workers: usize, caps: ServerCaps) -> server::ServerHandle {
-    server::spawn(ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        workers,
-        queue_depth: 32,
-        caps,
-    })
-    .expect("spawn server")
+    server::spawn(ServerConfig { addr: "127.0.0.1:0".to_owned(), workers, queue_depth: 32, caps })
+        .expect("spawn server")
 }
 
 fn connect(handle: &server::ServerHandle) -> Client {
@@ -113,9 +108,10 @@ fn pipelined_depth_8_timelines_are_per_request_exact_and_bounded() {
     let batch_us = started.elapsed().as_micros() as u64;
     assert_eq!(replies.len(), 8);
     for (i, reply) in replies.iter().enumerate() {
-        let tl = reply.timeline.as_ref().unwrap_or_else(|| {
-            panic!("profiled reply {i} must carry a timeline: {reply:?}")
-        });
+        let tl = reply
+            .timeline
+            .as_ref()
+            .unwrap_or_else(|| panic!("profiled reply {i} must carry a timeline: {reply:?}"));
         // Cross-clock witness, per request: the budget's own elapsed
         // clock starts at admission and stops when the worker reports,
         // so it must agree with this request's queue+exec phases — even
@@ -142,8 +138,7 @@ fn pipelined_depth_8_timelines_are_per_request_exact_and_bounded() {
     }
     // One worker serializes all execution: the per-request exec phases
     // must sum to no more than the whole batch's wall clock.
-    let exec_sum: u64 =
-        replies.iter().map(|r| r.timeline.as_ref().unwrap().exec_us).sum();
+    let exec_sum: u64 = replies.iter().map(|r| r.timeline.as_ref().unwrap().exec_us).sum();
     assert!(
         exec_sum <= batch_us,
         "summed exec {exec_sum}us exceeds the batch round trip {batch_us}us"
@@ -177,8 +172,7 @@ fn single_call_phase_sum_approximates_client_rtt() {
     let mut last = String::new();
     for attempt in 0..10 {
         let started = Instant::now();
-        let reply =
-            client.call_profiled(Limits::none(), certain_inline(8)).expect("profiled call");
+        let reply = client.call_profiled(Limits::none(), certain_inline(8)).expect("profiled call");
         let rtt_us = started.elapsed().as_micros() as u64;
         let tl = reply.timeline.expect("profiled reply must carry a timeline");
         assert!(
@@ -219,9 +213,8 @@ fn unprofiled_replies_have_no_timeline_but_histograms_see_everything() {
         "server.phase.exec_ms",
         "server.phase.reorder_ms",
     ] {
-        let h = registry
-            .histogram(name)
-            .unwrap_or_else(|| panic!("{name} missing from the registry"));
+        let h =
+            registry.histogram(name).unwrap_or_else(|| panic!("{name} missing from the registry"));
         assert!(
             h.count >= n,
             "{name} saw {} requests, expected at least {n}: \
@@ -233,19 +226,15 @@ fn unprofiled_replies_have_no_timeline_but_histograms_see_everything() {
     // by the time the stats reply arrives, at least the earlier pings
     // must have fully drained.
     for name in ["server.phase.write_ms", "server.e2e_ms"] {
-        let h = registry
-            .histogram(name)
-            .unwrap_or_else(|| panic!("{name} missing from the registry"));
+        let h =
+            registry.histogram(name).unwrap_or_else(|| panic!("{name} missing from the registry"));
         assert!(h.count >= 1, "{name} never observed a drained reply");
     }
     // Satellite: span-ring health is always visible — the dropped
     // counter exists (zero here) and each worker publishes occupancy.
     assert_eq!(registry.counter("trace.spans_dropped"), 0);
     assert!(
-        registry
-            .gauges
-            .iter()
-            .any(|(name, _)| name.starts_with("trace.ring_occupancy.")),
+        registry.gauges.iter().any(|(name, _)| name.starts_with("trace.ring_occupancy.")),
         "no per-thread span-ring occupancy gauge in the registry"
     );
     handle.shutdown();
@@ -261,8 +250,7 @@ fn worker_panic_dumps_a_flight_digest_for_the_offending_request() {
     let before = server::Envelope::new("lifecycle-before-panic", Limits::none(), Request::Ping);
     let reply = client.call_raw(&before.to_json().to_string()).expect("ping");
     assert_eq!(reply.outcome, Outcome::Pong);
-    let boom =
-        server::Envelope::new("lifecycle-boom", Limits::none(), Request::DebugPanic);
+    let boom = server::Envelope::new("lifecycle-boom", Limits::none(), Request::DebugPanic);
     let reply = client.call_raw(&boom.to_json().to_string()).expect("debug_panic");
     assert!(
         matches!(reply.outcome, Outcome::Error { .. }),
@@ -414,7 +402,9 @@ fn flight_digests_replies_and_histograms_read_one_record() {
     // `stats` call (counted and released before its reply left).
     let exec = |s: &RegistrySnapshot| s.histogram("server.phase.exec_ms").map_or(0, |h| h.count);
     assert_eq!(exec(&after) - exec(&before), n + 1, "server.phase.exec_ms");
-    for (op, served) in [("ping", 4), ("decide_unrestricted", 4), ("certain_sound", 4), ("stats", 1)] {
+    for (op, served) in
+        [("ping", 4), ("decide_unrestricted", 4), ("certain_sound", 4), ("stats", 1)]
+    {
         let name = format!("op.{op}.requests");
         assert_eq!(after.counter(&name) - before.counter(&name), served, "{name}");
     }

@@ -50,10 +50,7 @@ fn profiled_request_reports_chase_and_hom_work() {
         other => panic!("expected a verdict, got {other:?}"),
     }
     let profile = response.profile.as_ref().expect("profile was requested");
-    assert!(
-        profile.get(Metric::ChaseRounds) > 0,
-        "deciding determinacy must chase: {profile:?}"
-    );
+    assert!(profile.get(Metric::ChaseRounds) > 0, "deciding determinacy must chase: {profile:?}");
     assert!(
         profile.get(Metric::HomCandidatesTried) > 0,
         "deciding determinacy must run the hom search: {profile:?}"

@@ -114,8 +114,7 @@ fn parallel_certain_answers_are_byte_identical_to_sequential() {
             .expect("sequential certain");
         for p in WIDTHS {
             let cx = ExecCtx::with_parallelism(Budget::unlimited(), p);
-            let par = certain_sound_ctx(&views, &q, &extent, &cx)
-                .expect("parallel certain");
+            let par = certain_sound_ctx(&views, &q, &extent, &cx).expect("parallel certain");
             assert_eq!(par, seq, "m={m} parallelism={p}");
             assert_eq!(
                 cx.threads_used(),
@@ -151,13 +150,8 @@ fn sequential_spellings_agree() {
     let s = schema();
     let (views, q, extent) = certain_workload(&s, 7);
     let bare = certain_sound_ctx(&views, &q, &extent, &Budget::unlimited()).unwrap();
-    let seq_cx = certain_sound_ctx(
-        &views,
-        &q,
-        &extent,
-        &ExecCtx::sequential(Budget::unlimited()),
-    )
-    .unwrap();
+    let seq_cx =
+        certain_sound_ctx(&views, &q, &extent, &ExecCtx::sequential(Budget::unlimited())).unwrap();
     assert_eq!(seq_cx, bare, "ExecCtx::sequential must equal a bare budget");
     // A parallelism-1 context never fans out and reports that honestly.
     let one = ExecCtx::with_parallelism(Budget::unlimited(), 1);
@@ -328,9 +322,7 @@ fn server_ignores_requested_parallelism() {
     };
     let plain = client.call(Limits::none(), request.clone()).expect("plain call");
     let envelope = Envelope::new("par-1", Limits::none(), request).with_parallelism(8);
-    let asked = client
-        .call_raw(&envelope.to_json().to_string())
-        .expect("parallelism-8 call");
+    let asked = client.call_raw(&envelope.to_json().to_string()).expect("parallelism-8 call");
     assert_eq!(asked.outcome, plain.outcome, "parallelism must not change the answer");
     assert_eq!(
         (plain.work.threads_used, asked.work.threads_used),

@@ -104,10 +104,10 @@ fn pinned(request: &Request) -> String {
 /// "byte-identical modulo work" comparisons.
 fn rendered_without(response: &Response, drop: &[&str]) -> String {
     match response.to_json() {
-        Value::Obj(fields) => Value::Obj(
-            fields.into_iter().filter(|(k, _)| !drop.contains(&k.as_str())).collect(),
-        )
-        .to_string(),
+        Value::Obj(fields) => {
+            Value::Obj(fields.into_iter().filter(|(k, _)| !drop.contains(&k.as_str())).collect())
+                .to_string()
+        }
         other => other.to_string(),
     }
 }
@@ -298,10 +298,7 @@ fn torn_tail_after_crash_is_dropped_and_rechased() {
     let srv = spawn_with(persistent_caps(dir.path()));
     let mut c = client(&srv);
     let r = c.call_raw(&pinned(&certain_by_handle(&h))).expect("re-chase");
-    assert!(
-        r.work.index_builds > 0,
-        "the torn record must be dropped, forcing a fresh chase"
-    );
+    assert!(r.work.index_builds > 0, "the torn record must be dropped, forcing a fresh chase");
     assert_eq!(
         rendered_without(&r, &["work"]),
         rendered_without(&baseline, &["work"]),
@@ -364,10 +361,7 @@ fn corrupt_handle_snapshot_degrades_to_a_cold_start() {
     let srv = spawn_with(persistent_caps(dir.path()));
     let mut c = client(&srv);
     let r = c.call(Limits::none(), certain_by_handle(&h)).expect("stale handle");
-    assert!(
-        vqd::server::client::is_error_kind(&r, vqd::server::ErrorKind::UnknownHandle),
-        "{r:?}"
-    );
+    assert!(vqd::server::client::is_error_kind(&r, vqd::server::ErrorKind::UnknownHandle), "{r:?}");
     let (h2, _) = c.put_instance("V/2", EXTENT).expect("fresh put");
     let r2 = c.call(Limits::none(), certain_by_handle(&h2)).expect("fresh request");
     assert!(matches!(r2.outcome, Outcome::CertainAnswers { count: 2, .. }), "{r2:?}");

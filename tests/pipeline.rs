@@ -14,19 +14,11 @@ use vqd::instance::gen::random_instance;
 use vqd::instance::{named, DomainNames, Instance, Schema};
 use vqd::query::{parse_instance, parse_program, parse_query, QueryExpr, ViewSet};
 
-fn setup(
-    schema: &Schema,
-    views_src: &str,
-    q_src: &str,
-) -> (CqViews, vqd::query::Cq, DomainNames) {
+fn setup(schema: &Schema, views_src: &str, q_src: &str) -> (CqViews, vqd::query::Cq, DomainNames) {
     let mut names = DomainNames::new();
     let prog = parse_program(schema, &mut names, views_src).unwrap();
     let views = CqViews::new(ViewSet::new(schema, prog.defs));
-    let q = parse_query(schema, &mut names, q_src)
-        .unwrap()
-        .as_cq()
-        .unwrap()
-        .clone();
+    let q = parse_query(schema, &mut names, q_src).unwrap().as_cq().unwrap().clone();
     (views, q, names)
 }
 
@@ -46,12 +38,8 @@ fn end_to_end_rewriting_pipeline() {
     let expanded = expand_through_views(&views, &r);
     assert_eq!(expanded.schema, schema);
     // Run on parsed data.
-    let db = parse_instance(
-        &schema,
-        &mut names,
-        "E(A,B). E(B,C). E(C,D). L(A). L(B). L(C).",
-    )
-    .unwrap();
+    let db =
+        parse_instance(&schema, &mut names, "E(A,B). E(B,C). E(C,D). L(A). L(B). L(C).").unwrap();
     let image = apply_views(views.as_view_set(), &db);
     assert_eq!(eval_cq(&q, &db), eval_cq(&r, &image));
 }
@@ -61,27 +49,14 @@ fn finite_decision_covers_all_three_regimes() {
     let schema = Schema::new([("E", 2)]);
     // Determined via chase.
     let (v1, q1, _) = setup(&schema, "V(x,y) :- E(x,y).", "Q(x,z) :- E(x,y), E(y,z).");
-    assert!(matches!(
-        decide_finite(&v1, &q1, 2, 1 << 22),
-        FiniteVerdict::Determined(_)
-    ));
+    assert!(matches!(decide_finite(&v1, &q1, 2, 1 << 22), FiniteVerdict::Determined(_)));
     // Refuted by finite counterexample.
-    let (v2, q2, _) = setup(
-        &schema,
-        "V(x,y) :- E(x,z), E(z,y).",
-        "Q(x,y) :- E(x,a), E(a,b), E(b,y).",
-    );
-    assert!(matches!(
-        decide_finite(&v2, &q2, 3, 1 << 22),
-        FiniteVerdict::NotDetermined(_)
-    ));
+    let (v2, q2, _) =
+        setup(&schema, "V(x,y) :- E(x,z), E(z,y).", "Q(x,y) :- E(x,a), E(a,b), E(b,y).");
+    assert!(matches!(decide_finite(&v2, &q2, 3, 1 << 22), FiniteVerdict::NotDetermined(_)));
     // Open regime exists: the decision honestly reports it (an example
     // where the chase fails but small domains show no counterexample).
-    let (v3, q3, _) = setup(
-        &schema,
-        "V1(x) :- E(x,y), E(y,x).",
-        "Q(x) :- E(x,y), E(y,x), E(x,x).",
-    );
+    let (v3, q3, _) = setup(&schema, "V1(x) :- E(x,y), E(y,x).", "Q(x) :- E(x,y), E(y,x), E(x,x).");
     match decide_finite(&v3, &q3, 1, 1 << 8) {
         FiniteVerdict::Open { searched_up_to } => assert!(searched_up_to <= 1),
         FiniteVerdict::NotDetermined(_) => {} // also acceptable: refuted already at domain 1
@@ -94,29 +69,16 @@ fn finite_decision_covers_all_three_regimes() {
 fn ucq_rewriting_pipeline() {
     let schema = Schema::new([("E", 2), ("L", 1)]);
     let mut names = DomainNames::new();
-    let prog = parse_program(
-        &schema,
-        &mut names,
-        "V1(x,y) :- E(x,y).\nV2(x) :- L(x).",
-    )
-    .unwrap();
+    let prog = parse_program(&schema, &mut names, "V1(x,y) :- E(x,y).\nV2(x) :- L(x).").unwrap();
     let views = CqViews::new(ViewSet::new(&schema, prog.defs));
-    let q = parse_query(
-        &schema,
-        &mut names,
-        "Q(x) :- L(x).\nQ(x) :- E(x,y), L(y).",
-    )
-    .unwrap()
-    .as_ucq()
-    .unwrap();
+    let q = parse_query(&schema, &mut names, "Q(x) :- L(x).\nQ(x) :- E(x,y), L(y).")
+        .unwrap()
+        .as_ucq()
+        .unwrap();
     let r = exists_ucq_rewriting(&views, &q).expect("UCQ rewriting exists");
     // Verify by expansion and on random instances.
-    let expanded = vqd::query::Ucq::new(
-        r.disjuncts
-            .iter()
-            .map(|d| expand_through_views(&views, d))
-            .collect(),
-    );
+    let expanded =
+        vqd::query::Ucq::new(r.disjuncts.iter().map(|d| expand_through_views(&views, d)).collect());
     assert!(ucq_equivalent(&expanded, &q));
     let mut rng = rand::rngs::mock::StepRng::new(99, 31);
     for _ in 0..10 {
@@ -131,21 +93,13 @@ fn tower_matches_semantic_refutation() {
     // Where the tower proves unrestricted non-determinacy, bounded
     // semantics also refute finitely (for this pair).
     let schema = Schema::new([("E", 2)]);
-    let (views, q, _) = setup(
-        &schema,
-        "V(x,y) :- E(x,z), E(z,y).",
-        "Q(x,y) :- E(x,a), E(a,b), E(b,y).",
-    );
+    let (views, q, _) =
+        setup(&schema, "V(x,y) :- E(x,z), E(z,y).", "Q(x,y) :- E(x,a), E(a,b), E(b,y).");
     let mut tower = Tower::new(&views, &q);
     tower.grow_to(&views, 3);
     let (in_d, in_dp) = tower.separation(&q, 2);
     assert!(in_d && !in_dp);
-    let verdict = check_exhaustive(
-        views.as_view_set(),
-        &QueryExpr::Cq(q.clone()),
-        3,
-        1 << 22,
-    );
+    let verdict = check_exhaustive(views.as_view_set(), &QueryExpr::Cq(q.clone()), 3, 1 << 22);
     assert!(verdict.is_refuted());
 }
 
@@ -248,12 +202,8 @@ fn analyze_facade_end_to_end() {
     assert_eq!(eval_cq(qcq, &db), eval_cq(&r, &image));
 
     // Refuted pair falls back to the maximally-contained rewriting.
-    let prog2 = parse_program(
-        &schema,
-        &mut names,
-        "V1(x,y) :- E(x,y), L(x).\nV2(x) :- L(x).",
-    )
-    .unwrap();
+    let prog2 =
+        parse_program(&schema, &mut names, "V1(x,y) :- E(x,y), L(x).\nV2(x) :- L(x).").unwrap();
     let weak = ViewSet::new(&schema, prog2.defs);
     let q2 = parse_query(&schema, &mut names, "Q(x,z) :- E(x,y), E(y,z).").unwrap();
     let a2 = analyze(&weak, &q2, AnalyzeOptions::default());

@@ -4,18 +4,18 @@
 //! canonicalization, Datalog strategy agreement, and the parser.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use vqd::chase::{unfreeze_instance, CqViews};
 use vqd::core::determinacy::semantic::check_exhaustive;
 use vqd::core::determinacy::unrestricted::decide_unrestricted;
 use vqd::eval::{
-    apply_views, cq_contained, cq_equivalent, eval_cq, eval_fo, for_each_hom, freeze,
-    minimize_cq, normalize_eqs, Assignment, Ordering,
+    apply_views, cq_contained, cq_equivalent, eval_cq, eval_fo, for_each_hom, freeze, minimize_cq,
+    normalize_eqs, Assignment, Ordering,
 };
-use vqd::instance::IndexedInstance;
 use vqd::instance::iso::canonical_form;
+use vqd::instance::IndexedInstance;
 use vqd::instance::{named, DomainNames, Instance, NullGen, Schema, Value};
 use vqd::query::{cq_to_fo, parse_query, Atom, Cq, QueryExpr, Term, VarId, ViewSet};
-use std::collections::BTreeMap;
 
 fn schema() -> Schema {
     Schema::new([("E", 2), ("P", 1)])
@@ -53,15 +53,11 @@ fn arb_cq(max_atoms: usize, vars: u32, head_arity: usize) -> impl Strategy<Value
                     vec![vs[a as usize].into(), vs[b as usize].into()],
                 ));
             } else {
-                q.atoms
-                    .push(Atom::new(s.rel("P"), vec![vs[a as usize].into()]));
+                q.atoms.push(Atom::new(s.rel("P"), vec![vs[a as usize].into()]));
             }
         }
         let used: Vec<VarId> = q.positive_vars().into_iter().collect();
-        q.head = hs
-            .iter()
-            .map(|h| Term::Var(used[*h as usize % used.len()]))
-            .collect();
+        q.head = hs.iter().map(|h| Term::Var(used[*h as usize % used.len()])).collect();
         q
     })
 }

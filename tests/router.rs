@@ -96,9 +96,7 @@ fn classify_tags_each_fragment_over_the_wire() {
         ("V(x,y) :- E(x,y), E(y,x).", "Q(x,z) :- E(x,y), E(y,z).", "general", false),
     ];
     for (views, query, tag, decidable) in table {
-        let reply = client
-            .call(Limits::none(), classify_req(views, query))
-            .expect("classify call");
+        let reply = client.call(Limits::none(), classify_req(views, query)).expect("classify call");
         match &reply.outcome {
             Outcome::Classified { fragment, decidable: d, route } => {
                 assert_eq!(fragment, tag, "views {views}");
@@ -123,10 +121,7 @@ fn classify_tags_each_fragment_over_the_wire() {
 fn project_select_decide_takes_the_fast_path() {
     let handle = spawn_server();
     let mut client = Client::connect(handle.addr()).expect("connect");
-    let reply = call_profiled(
-        &mut client,
-        decide_req("V(x,y) :- E(x,y).", "Q(y,x) :- E(x,y)."),
-    );
+    let reply = call_profiled(&mut client, decide_req("V(x,y) :- E(x,y).", "Q(y,x) :- E(x,y)."));
     match &reply.outcome {
         Outcome::Decided { determined: true, rewriting: Some(r) } => {
             assert!(r.contains("V("), "rewriting must be over the view schema, got {r}");
@@ -140,10 +135,7 @@ fn project_select_decide_takes_the_fast_path() {
     assert_eq!(profile.get(Metric::ChaseRounds), 0, "fast path must not chase");
     assert_eq!(reply.work.index_builds, 0, "fast path must not build indexes");
     // A refuted project-select pair is equally definite and equally cheap.
-    let reply = call_profiled(
-        &mut client,
-        decide_req("W(x) :- E(x,x).", "Q(x,y) :- E(x,y)."),
-    );
+    let reply = call_profiled(&mut client, decide_req("W(x) :- E(x,x).", "Q(x,y) :- E(x,y)."));
     assert!(
         matches!(&reply.outcome, Outcome::Decided { determined: false, rewriting: None }),
         "got {:?}",
@@ -165,11 +157,7 @@ fn path_decide_still_routes_through_the_chase() {
     );
     // 2-path views vs the 3-path query (2 ∤ 3): chased, refuted.
     assert_eq!(reply.fragment.as_deref(), Some("path"));
-    assert!(
-        matches!(&reply.outcome, Outcome::Decided { .. }),
-        "got {:?}",
-        reply.outcome
-    );
+    assert!(matches!(&reply.outcome, Outcome::Decided { .. }), "got {:?}", reply.outcome);
     // The determined 2|4 case, through the same route.
     let reply = call_profiled(
         &mut client,
@@ -195,9 +183,8 @@ fn general_decide_is_honestly_attributed_even_when_exhausted() {
     // Mixed-arity three-atom views/query: neither single-atom nor a
     // chain, and the view image of the frozen query is non-empty, so
     // the semi-decision does real (tuple-charged) chase work.
-    let general = || {
-        decide_req("V(x,z) :- E(x,y), E(y,z), P(y).", "Q(x,z) :- E(x,y), E(y,z), P(y).")
-    };
+    let general =
+        || decide_req("V(x,z) :- E(x,y), E(y,z), P(y).", "Q(x,z) :- E(x,y), E(y,z), P(y).");
     // Unlimited: the semi-decision happens to terminate here, but the
     // reply must still say the fragment gives no guarantee.
     let reply = client.call(Limits::none(), general()).expect("call");
@@ -208,11 +195,7 @@ fn general_decide_is_honestly_attributed_even_when_exhausted() {
     // is exactly when the client needs to know why there is no verdict.
     let limits = Limits { tuple_limit: Some(1), ..Limits::none() };
     let reply = client.call(limits, general()).expect("call");
-    assert!(
-        matches!(&reply.outcome, Outcome::Exhausted { .. }),
-        "got {:?}",
-        reply.outcome
-    );
+    assert!(matches!(&reply.outcome, Outcome::Exhausted { .. }), "got {:?}", reply.outcome);
     assert_eq!(reply.fragment.as_deref(), Some("undecidable-in-general"));
     handle.shutdown();
 }
@@ -234,10 +217,7 @@ fn fragment_field_is_additive_and_absent_on_other_ops() {
     let line = reply.to_json().to_string();
     let mut stripped = reply.clone();
     stripped.fragment = None;
-    assert_eq!(
-        line.replace(r#","fragment":"project-select""#, ""),
-        stripped.to_json().to_string()
-    );
+    assert_eq!(line.replace(r#","fragment":"project-select""#, ""), stripped.to_json().to_string());
     // And the stripped line still decodes (absent → None), so old
     // replies remain readable by new clients and vice versa.
     let back = Response::from_line(&stripped.to_json().to_string()).expect("decode");
@@ -255,10 +235,7 @@ fn router_counters_show_up_in_the_registry() {
             .expect("decide");
     }
     client
-        .call(
-            Limits::none(),
-            decide_req("V(x,y) :- E(x,y), E(y,x).", "Q(x,z) :- E(x,y), E(y,z)."),
-        )
+        .call(Limits::none(), decide_req("V(x,y) :- E(x,y), E(y,x).", "Q(x,z) :- E(x,y), E(y,z)."))
         .expect("decide");
     client
         .call(Limits::none(), classify_req("V(x,y) :- E(x,y).", "Q(x) :- E(x,x)."))
@@ -284,11 +261,8 @@ fn random_views_src(rng: &mut StdRng, n: usize, atoms: usize) -> String {
     let s = schema();
     (0..n)
         .map(|i| {
-            let p = CqGen {
-                atoms: rng.gen_range(1..=atoms),
-                vars: rng.gen_range(1..=3),
-                max_head: 2,
-            };
+            let p =
+                CqGen { atoms: rng.gen_range(1..=atoms), vars: rng.gen_range(1..=3), max_head: 2 };
             random_cq(&s, p, rng).render(&format!("V{i}"))
         })
         .collect::<Vec<_>>()
@@ -338,8 +312,7 @@ fn classifier_is_sound_deterministic_and_pure_on_seeded_corpus() {
 fn classify_pair_sends_non_cq_input_to_general() {
     let s = schema();
     let mut names = DomainNames::new();
-    let prog =
-        parse_program(&s, &mut names, "V(x) :- E(x,y), !P(y).").expect("views parse");
+    let prog = parse_program(&s, &mut names, "V(x) :- E(x,y), !P(y).").expect("views parse");
     let views = ViewSet::new(&s, prog.defs);
     let q = parse_query(&s, &mut names, "Q(x) :- P(x).").expect("query parse");
     assert_eq!(classify_pair(&views, &q), Fragment::General);
@@ -363,7 +336,8 @@ fn fast_path_agrees_with_chase_on_seeded_project_select_corpus() {
         let chase = decide_unrestricted_chase_budgeted(&views, &q, &Budget::unlimited())
             .unwrap_or_else(|e| panic!("chase failed on pair {i}: {e}"));
         assert_eq!(
-            fast.determined, chase.determined,
+            fast.determined,
+            chase.determined,
             "verdict disagreement on pair {i}: views\n{views_src}\nquery {}",
             q.render("Q")
         );

@@ -186,12 +186,9 @@ fn drive(addr: std::net::SocketAddr, seed: u64) -> Result<Tally, String> {
     let schema = Schema::parse("E/2").map_err(|e| e.to_string())?;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    client
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| format!("timeout: {e}"))?;
+    client.set_read_timeout(Some(Duration::from_secs(30))).map_err(|e| format!("timeout: {e}"))?;
     let extent = shared_extent();
-    let (mut handle, _) =
-        client.put_instance("V/2", &*extent).map_err(|e| format!("put: {e}"))?;
+    let (mut handle, _) = client.put_instance("V/2", &*extent).map_err(|e| format!("put: {e}"))?;
     let limits = Limits { deadline_ms: Some(DEADLINE_MS), ..Limits::none() };
     let mut tally = Tally::default();
     for _ in 0..REQUESTS {
@@ -201,9 +198,7 @@ fn drive(addr: std::net::SocketAddr, seed: u64) -> Result<Tally, String> {
         let mut response =
             client.call(limits.clone(), request).map_err(|e| format!("call: {e}"))?;
         let mut reputs = 0;
-        while by_handle
-            && reputs < MAX_REPUTS
-            && is_error_kind(&response, ErrorKind::UnknownHandle)
+        while by_handle && reputs < MAX_REPUTS && is_error_kind(&response, ErrorKind::UnknownHandle)
         {
             (handle, _) =
                 client.put_instance("V/2", &*extent).map_err(|e| format!("re-put: {e}"))?;

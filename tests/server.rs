@@ -15,9 +15,7 @@
 //!   request on a fresh server reproduces the baseline verdict.
 
 use std::time::Duration;
-use vqd::server::{
-    self, Client, ErrorKind, Limits, Outcome, Request, ServerCaps, ServerConfig,
-};
+use vqd::server::{self, Client, ErrorKind, Limits, Outcome, Request, ServerCaps, ServerConfig};
 
 fn server(workers: usize, queue_depth: usize) -> server::ServerHandle {
     server::spawn(ServerConfig {
@@ -35,11 +33,7 @@ fn decide_paths(k: usize, m: usize) -> Request {
         let body: Vec<String> = (0..n).map(|i| format!("E(x{i},x{})", i + 1)).collect();
         format!("{head}(x0,x{n}) :- {}.", body.join(", "))
     };
-    Request::Decide {
-        schema: "E/2".to_owned(),
-        views: path(k, "V"),
-        query: path(m, "Q"),
-    }
+    Request::Decide { schema: "E/2".to_owned(), views: path(k, "V"), query: path(m, "Q") }
 }
 
 /// A scan that must exhaust its whole space (the view is the query, so
@@ -85,13 +79,8 @@ fn concurrent_clients_get_correct_verdicts() {
                     // Alternate a determined pair (2 | 4) and an
                     // undetermined one (2 ∤ 3) across threads/rounds.
                     let determined = (i + round) % 2 == 0;
-                    let request = if determined {
-                        decide_paths(2, 4)
-                    } else {
-                        decide_paths(2, 3)
-                    };
-                    let limits =
-                        Limits { deadline_ms: Some(5_000), ..Limits::none() };
+                    let request = if determined { decide_paths(2, 4) } else { decide_paths(2, 3) };
+                    let limits = Limits { deadline_ms: Some(5_000), ..Limits::none() };
                     let reply = client.call(limits, request).expect("call");
                     match reply.outcome {
                         Outcome::Decided { determined: got, rewriting } => {
@@ -119,26 +108,17 @@ fn malformed_json_gets_a_structured_error_and_the_connection_survives() {
 
     // Not JSON at all.
     let reply = client.call_raw("{this is not json").expect("raw call");
-    assert!(matches!(
-        &reply.outcome,
-        Outcome::Error { kind: ErrorKind::Protocol, .. }
-    ));
+    assert!(matches!(&reply.outcome, Outcome::Error { kind: ErrorKind::Protocol, .. }));
 
     // Valid JSON, wrong version.
-    let reply = client
-        .call_raw(r#"{"v":99,"id":"x","request":{"op":"ping"}}"#)
-        .expect("raw call");
+    let reply = client.call_raw(r#"{"v":99,"id":"x","request":{"op":"ping"}}"#).expect("raw call");
     assert!(matches!(&reply.outcome, Outcome::Error { kind: ErrorKind::Version, .. }));
     assert_eq!(reply.id, "x", "recoverable ids are echoed even on errors");
 
     // Unknown operation.
-    let reply = client
-        .call_raw(r#"{"v":1,"id":"y","request":{"op":"frobnicate"}}"#)
-        .expect("raw call");
-    assert!(matches!(
-        &reply.outcome,
-        Outcome::Error { kind: ErrorKind::Unsupported, .. }
-    ));
+    let reply =
+        client.call_raw(r#"{"v":1,"id":"y","request":{"op":"frobnicate"}}"#).expect("raw call");
+    assert!(matches!(&reply.outcome, Outcome::Error { kind: ErrorKind::Unsupported, .. }));
 
     // Unparseable query payload.
     let reply = client
@@ -164,10 +144,7 @@ fn over_budget_requests_degrade_to_exhausted_with_stats() {
     let handle = server(2, 16);
     let mut client = Client::connect(handle.addr()).expect("connect");
     let reply = client
-        .call(
-            Limits { deadline_ms: Some(60), ..Limits::none() },
-            exhaustive_scan(5, 1 << 25),
-        )
+        .call(Limits { deadline_ms: Some(60), ..Limits::none() }, exhaustive_scan(5, 1 << 25))
         .expect("call");
     match &reply.outcome {
         Outcome::Exhausted { reason, partial } => {
@@ -179,10 +156,7 @@ fn over_budget_requests_degrade_to_exhausted_with_stats() {
     assert!(reply.work.steps > 0, "work-done stats must be reported");
     // A step limit trips the same way.
     let reply = client
-        .call(
-            Limits { step_limit: Some(10), ..Limits::none() },
-            exhaustive_scan(3, 1 << 20),
-        )
+        .call(Limits { step_limit: Some(10), ..Limits::none() }, exhaustive_scan(3, 1 << 20))
         .expect("call");
     assert!(matches!(&reply.outcome, Outcome::Exhausted { .. }));
     let m = handle.shutdown();
@@ -327,11 +301,7 @@ fn sequential_requests_on_one_connection_get_independent_stats() {
     };
     let first = client.call_profiled(Limits::none(), request()).expect("first call");
     let second = client.call_profiled(Limits::none(), request()).expect("second call");
-    assert!(
-        matches!(first.outcome, Outcome::CertainAnswers { .. }),
-        "got {:?}",
-        first.outcome
-    );
+    assert!(matches!(first.outcome, Outcome::CertainAnswers { .. }), "got {:?}", first.outcome);
     assert_eq!(first.outcome, second.outcome);
     assert!(first.work.index_builds > 0, "the chase must build an index");
     assert_eq!(
@@ -356,10 +326,7 @@ fn slow_clients_get_a_typed_timeout_and_are_disconnected() {
         addr: "127.0.0.1:0".to_owned(),
         workers: 1,
         queue_depth: 16,
-        caps: ServerCaps {
-            conn_read_timeout: Duration::from_millis(200),
-            ..ServerCaps::default()
-        },
+        caps: ServerCaps { conn_read_timeout: Duration::from_millis(200), ..ServerCaps::default() },
     })
     .expect("spawn server");
 
@@ -408,10 +375,7 @@ fn worker_panic_is_contained_to_a_typed_internal_error() {
     // worker that just panicked — keeps serving real work.
     assert!(client.ping().expect("ping after panic"));
     let verdict = client.call(Limits::none(), decide_paths(2, 4)).expect("decide");
-    assert!(
-        matches!(verdict.outcome, Outcome::Decided { determined: true, .. }),
-        "{verdict:?}"
-    );
+    assert!(matches!(verdict.outcome, Outcome::Decided { determined: true, .. }), "{verdict:?}");
     handle.shutdown();
 }
 

@@ -27,13 +27,8 @@ use vqd::server::{
 };
 
 fn spawn_with(workers: usize, queue_depth: usize, caps: ServerCaps) -> server::ServerHandle {
-    server::spawn(ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        workers,
-        queue_depth,
-        caps,
-    })
-    .expect("spawn server")
+    server::spawn(ServerConfig { addr: "127.0.0.1:0".to_owned(), workers, queue_depth, caps })
+        .expect("spawn server")
 }
 
 /// A request that holds a worker for its whole (short) deadline: the
@@ -125,11 +120,7 @@ fn pipelined_depth_8_replies_arrive_in_order_with_exact_profiles() {
         assert_eq!(reply.outcome, Outcome::Pong);
     }
     let (first, last) = (&replies[0], &replies[7]);
-    assert!(
-        matches!(first.outcome, Outcome::CertainAnswers { .. }),
-        "got {:?}",
-        first.outcome
-    );
+    assert!(matches!(first.outcome, Outcome::CertainAnswers { .. }), "got {:?}", first.outcome);
     assert_eq!(first.outcome, last.outcome);
     assert_eq!(first.work.index_builds, last.work.index_builds);
     assert_eq!(first.work.index_tuples, last.work.index_tuples);
@@ -200,8 +191,7 @@ fn a_slow_reader_trips_the_bounded_write_queue_and_gets_a_typed_timeout() {
     };
     let handle = spawn_with(2, 512, caps);
     let mut setup = Client::connect(handle.addr()).expect("connect setup");
-    let extent: String =
-        (0..512).map(|i| format!("V(N{i},N{}). ", i + 1)).collect();
+    let extent: String = (0..512).map(|i| format!("V(N{i},N{}). ", i + 1)).collect();
     let (cache_handle, _) = setup.put_instance("V/2", &*extent).expect("put extent");
 
     let mut slow = TcpStream::connect(handle.addr()).expect("connect slow");
@@ -303,9 +293,8 @@ fn an_unterminated_final_line_is_still_answered_at_eof() {
     stream.shutdown(std::net::Shutdown::Write).expect("half-close");
     let mut reply = String::new();
     stream.read_to_string(&mut reply).expect("read reply until close");
-    let response =
-        server::Response::from_line(reply.lines().next().expect("reply line"))
-            .expect("parse reply");
+    let response = server::Response::from_line(reply.lines().next().expect("reply line"))
+        .expect("parse reply");
     assert_eq!(response.id, "tail");
     assert_eq!(response.outcome, Outcome::Pong);
     handle.shutdown();
@@ -316,10 +305,8 @@ fn the_slowloris_guard_survives_the_event_loop_with_its_exact_shape() {
     // Same contract as the frozen v1 test, but alongside pipelined
     // traffic on a sibling connection: a half-written line times out
     // with the typed error while the busy connection is untouched.
-    let caps = ServerCaps {
-        conn_read_timeout: Duration::from_millis(200),
-        ..ServerCaps::default()
-    };
+    let caps =
+        ServerCaps { conn_read_timeout: Duration::from_millis(200), ..ServerCaps::default() };
     let handle = spawn_with(2, 16, caps);
     let mut busy = Client::connect(handle.addr()).expect("connect busy");
     busy.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
@@ -343,9 +330,8 @@ fn the_slowloris_guard_survives_the_event_loop_with_its_exact_shape() {
 
     let mut reply = String::new();
     stalled.read_to_string(&mut reply).expect("read until server closes");
-    let response =
-        server::Response::from_line(reply.lines().next().expect("one line"))
-            .expect("parse timeout reply");
+    let response = server::Response::from_line(reply.lines().next().expect("one line"))
+        .expect("parse timeout reply");
     assert!(
         matches!(&response.outcome, Outcome::Error { kind: ErrorKind::Timeout, .. }),
         "{response:?}"

@@ -23,10 +23,8 @@ const SCHEMA: &str = "E/2";
 const QUERY: &str = "Q(x) :- E(x,y).";
 const EXTENT: &str = "V(N1,N2).";
 /// One view per rejected shape: a repeated head variable, a head constant.
-const VIEWS: [(&str, &str); 2] = [
-    ("V(x,x) :- E(x,y).", "repeated head variable `x`"),
-    ("V(x,N3) :- E(x,y).", "head constant"),
-];
+const VIEWS: [(&str, &str); 2] =
+    [("V(x,x) :- E(x,y).", "repeated head variable `x`"), ("V(x,N3) :- E(x,y).", "head constant")];
 
 #[test]
 fn certain_sound_ctx_reports_invalid_input() {
@@ -57,12 +55,7 @@ fn spawn() -> server::ServerHandle {
         workers: 2,
         queue_depth: 32,
         caps: ServerCaps {
-            cache: CacheConfig {
-                shards: 1,
-                max_entries: 16,
-                max_bytes: u64::MAX,
-                disk: None,
-            },
+            cache: CacheConfig { shards: 1, max_entries: 16, max_bytes: u64::MAX, disk: None },
             ..ServerCaps::default()
         },
     })
@@ -76,10 +69,9 @@ fn send(client: &mut Client, id: &str, request: Request) -> Outcome {
 
 fn assert_invalid_input(outcome: Outcome, route: &str) {
     match outcome {
-        Outcome::Error { kind: ErrorKind::InvalidInput, message } => assert!(
-            message.contains("view `V` cannot produce the tuple"),
-            "{route}: {message}"
-        ),
+        Outcome::Error { kind: ErrorKind::InvalidInput, message } => {
+            assert!(message.contains("view `V` cannot produce the tuple"), "{route}: {message}")
+        }
         other => panic!("{route}: expected invalid-input, got {other:?}"),
     }
 }
@@ -115,11 +107,8 @@ fn server_routes_reply_invalid_input_without_a_worker_panic() {
         // The connection still serves, and the same views still decide:
         // freezing a query never meets an unproducible tuple.
         assert_eq!(send(&mut c, "unproducible-ping", Request::Ping), Outcome::Pong);
-        let decide = Request::Decide {
-            schema: SCHEMA.into(),
-            views: views.into(),
-            query: QUERY.into(),
-        };
+        let decide =
+            Request::Decide { schema: SCHEMA.into(), views: views.into(), query: QUERY.into() };
         let outcome = send(&mut c, "unproducible-decide", decide);
         assert!(matches!(outcome, Outcome::Decided { .. }), "{outcome:?}");
     }
