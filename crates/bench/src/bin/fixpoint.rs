@@ -1,6 +1,6 @@
 //! `fixpoint` — the engine bench: index maintenance, the certain-answer
-//! fan-out and the paper's figures F1–F8, in one JSON report
-//! (`BENCH_engine.json`).
+//! fan-out, the wire JSON codec and the paper's figures F1–F8, in one
+//! JSON report (`BENCH_engine.json`).
 //!
 //! * **Datalog saturation** — semi-naive transitive closure on chain and
 //!   random graphs via [`eval_program_with`] under both
@@ -13,6 +13,11 @@
 //!   per evaluation.
 //! * **Parallel** — one CQ over a chased canonical database, evaluated
 //!   sequentially and through the executor at 1/2/4/8 shards.
+//! * **Wire** — the `serde::json` writer and parser on the served
+//!   workloads' largest messages: a certain-answer reply of 2,048 pairs
+//!   and a `certain_sound` request with a 1,024-tuple inline extent. Each
+//!   row encodes its value, parses the text back and gates the byte count
+//!   and the round trip.
 //! * **Figures** — one row per point of the paper's figures F1–F8
 //!   (DESIGN.md §4), the ablations' two sides included.
 //!
@@ -27,21 +32,24 @@
 //!          [--check COMMITTED.json]
 //! ```
 //!
-//! `--seed` seeds the random graphs; `--smoke` runs only the smallest
-//! point of each series, plus the second point of the F2 and F8 series:
-//! the smallest rows with ties in the hom kernel's most-constrained
-//! pick, so a smoke `--check` catches a change to its tie-break. The
-//! gates are on exactness, never on wall time: the exit code is 1 when
-//! a row's counter delta differs between samples, when the two sides
-//! of a comparison disagree on their output, or when tracing recorded
-//! a span while disabled. The report
-//! is written either way, with the failures listed.
+//! `--seed` seeds the random graphs and wire messages; `--smoke` runs
+//! both wire rows and only the smallest point of each other series,
+//! plus the second point of the F2 and F8 series: the smallest rows
+//! with ties in the hom kernel's most-constrained pick, so a smoke
+//! `--check` catches a change to its tie-break. The gates are on
+//! exactness, never on wall time: the exit code is 1 when a row's
+//! counter delta differs between samples, when the two sides of a
+//! comparison disagree on their output, when a wire message does not
+//! parse back to itself, or when tracing recorded a span while
+//! disabled. The report is written either way, with the failures
+//! listed.
 //!
 //! `--check` then compares the report with a committed one, row by row
 //! (rows are keyed by their workload or figure, series and point): every
 //! field but the wall-time ones (`median_ms`, `p95_ms`,
 //! `iters_per_sample`, `speedup`) must be equal, so a row's `result`, its
-//! counters and its outputs-agree flag are all gated. It prints each
+//! counters, its outputs-agree flag and a wire row's `bytes` and
+//! `round_trips` are all gated. It prints each
 //! differing row with its differing fields and exits 1 on any
 //! difference. A smoke report is checked on the rows it has.
 
@@ -108,7 +116,9 @@ fn parse_args() -> (Bench, String, Option<String>) {
                 check =
                     Some(it.next().unwrap_or_else(|| die("flag `--check` needs a value")).clone())
             }
-            "--help" | "-h" => die("fixpoint: engine bench (index maintenance and figures F1–F8)"),
+            "--help" | "-h" => {
+                die("fixpoint: engine bench (index maintenance, wire codec and figures F1–F8)")
+            }
             other => die(&format!("unknown flag `{other}`")),
         }
     }
@@ -119,7 +129,7 @@ fn parse_args() -> (Bench, String, Option<String>) {
 }
 
 /// The report sections whose rows `--check` compares.
-const SECTIONS: [&str; 4] = ["datalog", "chase", "parallel", "figures"];
+const SECTIONS: [&str; 5] = ["datalog", "chase", "parallel", "wire", "figures"];
 
 /// Top-level row fields that name a row rather than measure it.
 const ROW_KEY: [&str; 6] = ["workload", "figure", "series", "x", "n", "shards"];
@@ -491,6 +501,79 @@ fn parallel_case(b: &mut Bench, s: &Schema, m: u32, shards: usize) -> Value {
     ])
 }
 
+/// `n` random `(Na,Nb)` pairs over 2n constants, as a certain-answer
+/// reply renders its relation: `{(N3,N17), (N9,N0), …}`.
+fn rendered_pairs(n: usize, rng: &mut StdRng) -> String {
+    let pairs: Vec<String> = (0..n)
+        .map(|_| format!("(N{},N{})", rng.gen_range(0..2 * n), rng.gen_range(0..2 * n)))
+        .collect();
+    format!("{{{}}}", pairs.join(", "))
+}
+
+/// The two wire messages: certain-hot's largest reply (2,048 answer
+/// pairs) and certain-churn's largest request (a 1,024-tuple inline
+/// extent), shaped like the server's envelopes.
+fn wire_messages(rng: &mut StdRng) -> [(&'static str, Value); 2] {
+    let work = Value::object(
+        ["steps", "tuples", "elapsed_ms", "index_builds", "index_tuples"]
+            .map(|k| (k, Value::from(0u64))),
+    );
+    let reply = Value::object([
+        ("v", Value::from(1u64)),
+        ("id", Value::from("c7")),
+        ("status", Value::from("ok")),
+        ("work", work),
+        (
+            "result",
+            Value::object([
+                ("kind", Value::from("certain")),
+                ("answers", Value::from(rendered_pairs(2_048, rng))),
+                ("count", Value::from(2_048u64)),
+            ]),
+        ),
+    ]);
+    let extent: String = (0..1_024)
+        .map(|_| format!("V(N{},N{}). ", rng.gen_range(0..512u32), rng.gen_range(0..512u32)))
+        .collect();
+    let request = Value::object([
+        ("v", Value::from(1u64)),
+        ("id", Value::from("c8")),
+        (
+            "request",
+            Value::object([
+                ("op", Value::from("certain_sound")),
+                ("schema", Value::from("E/2")),
+                ("views", Value::from("V(x,y) :- E(x,y).")),
+                ("query", Value::from("Q(x,z) :- E(x,y), E(y,z).")),
+                ("extent", Value::from(extent)),
+            ]),
+        ),
+    ]);
+    [("certain-hot-reply", reply), ("certain-churn-request", request)]
+}
+
+/// One wire row: encode `msg` to its JSON line and parse the line back,
+/// timed apart. The message must parse back to itself.
+fn wire_case(b: &mut Bench, workload: &str, msg: &Value) -> Value {
+    let (encode, text) = b.measure(&format!("wire/{workload}/encode"), || msg.to_string());
+    let (parse, back) = b.measure(&format!("wire/{workload}/parse"), || serde::json::parse(&text));
+    let round_trips =
+        b.check(back.as_ref() == Ok(msg), || format!("wire {workload}: does not round-trip"));
+    println!(
+        "wire/{workload}: {} bytes, encode {:.4}ms, parse {:.4}ms",
+        text.len(),
+        encode.median_ms,
+        parse.median_ms
+    );
+    Value::object([
+        ("workload", Value::from(workload)),
+        ("bytes", Value::from(text.len())),
+        ("round_trips", Value::from(round_trips)),
+        ("encode", encode.to_json()),
+        ("parse", parse.to_json()),
+    ])
+}
+
 /// F1: homomorphism search with the atom-ordering ablation (the two
 /// orderings must find the same number of matches), and containment.
 /// The pattern is a `k`-path ending in a selective `P(x_k)`: the graph
@@ -792,6 +875,11 @@ fn main() {
     for shards in [1usize, 2, 4, 8] {
         parallel_rows.push(parallel_case(&mut b, &s, 120, shards));
     }
+    // Their own generator, so a smoke run draws the same messages.
+    let wire_rows: Vec<Value> = wire_messages(&mut StdRng::seed_from_u64(b.seed))
+        .iter()
+        .map(|(workload, msg)| wire_case(&mut b, workload, msg))
+        .collect();
     for figure in [f1, f2, f3, f4, f5, f6, f7, f8] {
         figure(&mut b);
     }
@@ -812,6 +900,7 @@ fn main() {
         ("datalog", Value::Arr(datalog_rows)),
         ("chase", Value::Arr(chase_rows)),
         ("parallel", Value::Arr(parallel_rows)),
+        ("wire", Value::Arr(wire_rows)),
         ("figures", Value::Arr(std::mem::take(&mut b.figures))),
         ("outputs_agree", Value::from(b.failures.is_empty())),
         ("failures", Value::Arr(b.failures.iter().map(|f| Value::from(f.as_str())).collect())),
@@ -883,6 +972,24 @@ mod tests {
         assert_eq!(
             report_diff(&committed, &report(true, &[(3, 5, 0.1)])),
             ["figures F1/s/3: not in the committed report"]
+        );
+    }
+
+    #[test]
+    fn wire_rows_gate_bytes_but_not_wall_time() {
+        let report = |bytes: u64, ms: f64| {
+            let row = Value::object([
+                ("workload", Value::from("certain-hot-reply")),
+                ("bytes", Value::from(bytes)),
+                ("round_trips", Value::from(true)),
+                ("encode", Value::object([("median_ms", Value::from(ms))])),
+            ]);
+            Value::object([("seed", Value::from(7u64)), ("wire", Value::Arr(vec![row]))])
+        };
+        assert!(report_diff(&report(10, 0.1), &report(10, 0.5)).is_empty());
+        assert_eq!(
+            report_diff(&report(10, 0.1), &report(11, 0.1)),
+            ["wire certain-hot-reply", "  bytes: 10 -> 11"]
         );
     }
 }
